@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Exact Fock-basis reference dynamics for the single fission dimer.
 
-Builds the three-state (g, S1, TT) dimer Hamiltonian with its tuning and
-coupling modes in a truncated number basis, optionally tensored with the
-cavity mode, and propagates exactly: dense eigendecomposition when the
-dimension is small (cavity-free), sparse Krylov stepping otherwise.  Used
-to pin the intersection coupling strength and the pumped-cavity triplet
-yields independently of the variational integrator.
+Expands the package's own three-state (g, S1, TT) dimer Hamiltonian --
+`sf_matter_only` without the cavity, `sf_system_bath` with the cavity as the
+last boson mode -- in the shared sparse Fock oracle
+(`cavidyn.dense_ref.FockSpace`) and propagates exactly: dense
+eigendecomposition when the dimension is small (cavity-free), sparse Krylov
+stepping otherwise.  Used to pin the intersection coupling strength and the
+pumped-cavity triplet yields independently of the variational integrator.
+At the default cutoffs, `scan --lam 0.065` gives P_TT(300 fs) = 0.02771.
 
 Examples:
   python scripts/sf_dense_oracle.py scan --lam 0.06 0.08 0.10 0.12
@@ -23,92 +25,49 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from cavidyn.sf import SFDimerSpec
 from cavidyn.constants import HBAR_EV_FS
+from cavidyn.dense_ref import DensePropagator, FockSpace
+from cavidyn.sf import (
+    CavitySpec,
+    SFCavityCoupling,
+    SFDimerSpec,
+    label_has_tt,
+    sf_matter_only,
+    sf_system_bath,
+)
 
 
-def number_op(n: int) -> sp.dia_matrix:
-    return sp.diags(np.arange(n, dtype=float))
+def initial_state(fock: FockSpace, labels, mu1: float = 0.0) -> np.ndarray:
+    """|S1> x |0_tu> x |0_cu> [x |coherent mu1>], renormalized after the
+    photon cutoff; mu1 displaces the last mode, the photon when present."""
+    amps = np.zeros((1, len(labels)), dtype=complex)
+    amps[0, labels.index(("S1",))] = 1.0
+    disp = np.zeros((1, len(fock.cutoffs)), dtype=complex)
+    disp[0, -1] = mu1
+    psi = fock.multiconfig_vector(amps, disp)
+    return psi / np.linalg.norm(psi)
 
 
-def destroy(n: int) -> sp.dia_matrix:
-    return sp.diags(np.sqrt(np.arange(1, n, dtype=float)), 1)
-
-
-def position(n: int) -> sp.csr_matrix:
-    a = destroy(n)
-    return ((a + a.T) / math.sqrt(2.0)).tocsr()
-
-
-def build_hamiltonian(dimer: SFDimerSpec, n_tu: int, n_cu: int,
-                      n_cav: int = 0, omega_c: float = 2.256,
-                      coupling: float = 0.2, rwa: bool = False):
-    """Sparse H and the observables (P_TT projector, cavity number)."""
-    e = np.diag([0.0, dimer.eps_s1, dimer.eps_tt])
-    proj = {s: np.zeros((3, 3)) for s in ("g", "S1", "TT")}
-    proj["g"][0, 0] = proj["S1"][1, 1] = proj["TT"][2, 2] = 1.0
-    flip = np.zeros((3, 3))
-    flip[1, 2] = flip[2, 1] = 1.0       # S1 <-> TT
-    raise_op = np.zeros((3, 3))
-    raise_op[1, 0] = 1.0                # |S1><g|
-
-    i_tu, i_cu = sp.identity(n_tu), sp.identity(n_cu)
-    q_tu, q_cu = position(n_tu), position(n_cu)
-    h = sp.kron(e, sp.kron(i_tu, i_cu))
-    h = h + sp.kron(np.eye(3), sp.kron(dimer.omega_tu * number_op(n_tu), i_cu))
-    h = h + sp.kron(np.eye(3), sp.kron(i_tu, dimer.omega_cu * number_op(n_cu)))
-    h = h + sp.kron(dimer.kappa_s1 * proj["S1"] + dimer.kappa_tt * proj["TT"],
-                    sp.kron(q_tu, i_cu))
-    h = h + sp.kron(dimer.lam_ci * flip, sp.kron(i_tu, q_cu))
-    p_tt = sp.kron(proj["TT"], sp.kron(i_tu, i_cu)).tocsr()
-
-    if n_cav == 0:
-        return h.tocsr(), p_tt, None
-
-    i_cav = sp.identity(n_cav)
-    a = destroy(n_cav).tocsr()
-    h = sp.kron(h, i_cav)
-    h = h + sp.kron(sp.identity(3 * n_tu * n_cu), omega_c * number_op(n_cav))
-    vib_id = sp.kron(i_tu, i_cu)
-    half = coupling / 2.0
-    up = sp.kron(raise_op, vib_id)
-    h = h + half * (sp.kron(up, a) + sp.kron(up.T, a.T))
-    if not rwa:
-        h = h + half * (sp.kron(up, a.T) + sp.kron(up.T, a))
-    p_tt = sp.kron(p_tt, i_cav).tocsr()
-    n_ph = sp.kron(sp.identity(3 * n_tu * n_cu), number_op(n_cav)).tocsr()
-    return h.tocsr(), p_tt, n_ph
-
-
-def initial_state(n_tu: int, n_cu: int, n_cav: int = 0,
-                  mu1: float = 0.0) -> np.ndarray:
-    """|S1> x |0_tu> x |0_cu> [x |coherent mu1>]."""
-    elec = np.zeros(3); elec[1] = 1.0
-    vib = np.zeros(n_tu * n_cu); vib[0] = 1.0
-    psi = np.kron(elec, vib)
-    if n_cav:
-        n = np.arange(n_cav)
-        log_amp = n * math.log(max(abs(mu1), 1e-300)) - 0.5 * np.array(
-            [math.lgamma(k + 1.0) for k in n])
-        coh = np.exp(log_amp - abs(mu1) ** 2 / 2) if mu1 else (n == 0) * 1.0
-        coh = coh / np.linalg.norm(coh)
-        psi = np.kron(psi, coh)
-    return psi.astype(complex)
+def real_operator(fock: FockSpace, h) -> sp.csr_matrix:
+    """H on the Fock space.  The fission dimer Hamiltonian is real, and a real
+    dense eigendecomposition costs a quarter of a complex one."""
+    op = fock.sparse_hamiltonian(h)
+    if abs(op.imag).max() > 0:
+        raise ValueError("expected a real Hamiltonian")
+    return op.real
 
 
 def propagate(h, psi0, times):
     if h.shape[0] <= 4000:
-        evals, evecs = np.linalg.eigh(h.toarray())
-        c0 = evecs.conj().T @ psi0
-        phases = np.exp(-1j * np.outer(times, evals) / HBAR_EV_FS)
-        return (evecs @ (phases * c0).T).T
+        return DensePropagator(h.toarray()).trajectory(psi0, times)
     gen = (-1j / HBAR_EV_FS) * h
-    return spla.expm_multiply(gen, psi0.astype(complex), start=times[0],
-                              stop=times[-1], num=len(times), endpoint=True)
+    return spla.expm_multiply(gen, psi0, start=times[0], stop=times[-1],
+                              num=len(times), endpoint=True)
 
 
-def expect(states, op):
-    return np.real(np.einsum("ti,ti->t", states.conj(), (op @ states.T).T))
+def p_tt(fock: FockSpace, labels, states) -> np.ndarray:
+    tt = [label_has_tt(lab) for lab in labels]
+    return fock.system_populations(states)[:, tt].sum(axis=1)
 
 
 def dominant_period(times, signal):
@@ -136,40 +95,40 @@ def main():
     args = ap.parse_args()
 
     times = np.arange(0.0, args.t_max + 1e-9, args.dt)
+    vib = (args.n_tu - 1, args.n_cu - 1)
     if args.mode == "scan":
         for lam in args.lam:
-            dimer = SFDimerSpec(lam_ci=lam)
-            h, p_tt, _ = build_hamiltonian(dimer, args.n_tu, args.n_cu)
-            psi0 = initial_state(args.n_tu, args.n_cu)
+            labels, h = sf_matter_only([SFDimerSpec(lam_ci=lam)])
+            fock = FockSpace(len(labels), vib)
+            op = real_operator(fock, h)
             t0 = time.time()
-            states = propagate(h, psi0, times)
-            tt = expect(states, p_tt)
-            print(f"lam={lam:.5f} dim={h.shape[0]} "
+            states = propagate(op, initial_state(fock, labels), times)
+            tt = p_tt(fock, labels, states)
+            print(f"lam={lam:.5f} dim={op.shape[0]} "
                   f"P_TT(300)={tt[-1]:.5f} max={tt.max():.4f} "
                   f"({time.time()-t0:.0f}s)", flush=True)
     else:
+        coupling = SFCavityCoupling(omega=args.coupling, rwa=args.rwa)
         for lam in args.lam:
-            dimer = SFDimerSpec(lam_ci=lam)
-            h, p_tt, n_ph = build_hamiltonian(
-                dimer, args.n_tu, args.n_cu, n_cav=args.n_cav,
-                coupling=args.coupling, rwa=args.rwa)
+            labels, h = sf_system_bath([SFDimerSpec(lam_ci=lam)], CavitySpec(),
+                                       coupling)
+            fock = FockSpace(len(labels), vib + (args.n_cav - 1,))
+            op = real_operator(fock, h)
             for n in args.n_photons:
-                psi0 = initial_state(args.n_tu, args.n_cu, args.n_cav,
-                                     math.sqrt(n))
+                psi0 = initial_state(fock, labels, math.sqrt(n))
                 t0 = time.time()
-                states = propagate(h, psi0, times)
-                tt = expect(states, p_tt)
-                ph = expect(states, n_ph)
+                states = propagate(op, psi0, times)
+                tt = p_tt(fock, labels, states)
+                ph = fock.mode_occupation(states, 2)
                 early = times <= 60.0
                 period = dominant_period(times[early], ph[early])
-                print(f"lam={lam:.5f} N={n:g} dim={h.shape[0]} "
+                print(f"lam={lam:.5f} N={n:g} dim={op.shape[0]} "
                       f"P_TT(300)={tt[-1]:.5f} maxP_TT={tt.max():.4f} "
                       f"P_cav span=[{ph.min():.2f},{ph.max():.2f}] "
                       f"period~{period:.2f}fs ({time.time()-t0:.0f}s)",
                       flush=True)
                 np.savez(f"/tmp/dense_N{n:g}_lam{lam:.5f}.npz",
                          times=times, p_tt=tt, p_cav=ph)
-
 
 if __name__ == "__main__":
     main()

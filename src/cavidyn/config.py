@@ -81,8 +81,6 @@ _SCHEMA = {
         "omega_r": (float, 0.1),
         "kappa": (float, 0.0),
         "gamma": (float, 0.0),
-        "counter_rotating": (_bool, False),
-        "n_max": (int, 1),
         # htc extras
         "lam": (float, 0.0),
         "phonon_base": (float, 0.124),
@@ -127,10 +125,9 @@ _SCHEMA = {
 
 _MODEL_KEYS = {
     "tc": {"kind", "n_qubits", "omega_c", "omega_qubit", "omega_r", "kappa",
-           "gamma", "counter_rotating", "n_max"},
+           "gamma"},
     "htc": {"kind", "n_qubits", "omega_c", "omega_qubit", "omega_r", "kappa",
-            "gamma", "counter_rotating", "n_max", "lam", "phonon_base",
-            "phonon_bandwidth"},
+            "gamma", "lam", "phonon_base", "phonon_bandwidth"},
     "sf": {"kind", "n_dimers", "coupling_omega", "rwa", "n_photons",
            "cavity_omega_c", "cavity_kappa", "eps_s1", "eps_tt", "eps_sn",
            "eps_ttn", "omega_tuning", "omega_coupling", "lam_ci", "eta_s",
@@ -303,9 +300,6 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
                "model.omega_r: must be >= 0")
         _check(model["kappa"] >= 0, violations, "model.kappa: must be >= 0")
         _check(model["gamma"] >= 0, violations, "model.gamma: must be >= 0")
-        _check(model["n_max"] >= 1, violations, "model.n_max: must be >= 1")
-        _check(not model["counter_rotating"], violations,
-               "model.counter_rotating: unsupported for tc/htc")
     if kind == "htc":
         _check(model["lam"] >= 0, violations, "model.lam: must be >= 0")
         _check(model["phonon_base"] > 0, violations,
@@ -395,8 +389,7 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
     if kind in ("tc", "htc"):
         tc = TCModel(model["n_qubits"], model["omega_c"],
                      model["omega_qubit"], model["omega_r"],
-                     kappa=model["kappa"], gamma=model["gamma"],
-                     n_max=model["n_max"])
+                     kappa=model["kappa"], gamma=model["gamma"])
     if kind == "htc":
         htc = HTCModel(tc, model["lam"], model["phonon_base"],
                        model["phonon_bandwidth"])

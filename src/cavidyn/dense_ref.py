@@ -1,10 +1,12 @@
-"""Dense Fock-basis reference propagation for system+bath Hamiltonians.
+"""Exact Fock-basis reference propagation for system+bath Hamiltonians.
 
 Brute-force companion to the variational propagator: every mode is truncated
-at an explicit occupation cutoff, the Hamiltonian is materialized as a dense
-matrix over |system label> x |v_1 ... v_Nb>, and states evolve through an
-eigendecomposition.  Exponential scaling restricts this to a handful of modes,
-which is exactly its role -- an independent check, not a production path.
+at an explicit occupation cutoff and the Hamiltonian is assembled as a sparse
+operator over |system label> x |v_1 ... v_Nb>.  Small spaces evolve through a
+dense eigendecomposition (`DensePropagator`); larger ones can hand the sparse
+operator to a Krylov exponential.  Exponential scaling restricts this to a
+handful of modes, which is exactly its role -- an independent check, not a
+production path.
 """
 
 from __future__ import annotations
@@ -13,18 +15,17 @@ from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
+import scipy.sparse as sp
 
 from .constants import HBAR_EV_FS
 from .models import SystemBathHamiltonian
 
 
-def boson_destroy(cutoff: int) -> np.ndarray:
-    """Annihilation operator on the {|0> .. |cutoff>} ladder."""
-    n = cutoff + 1
-    a = np.zeros((n, n))
-    for v in range(1, n):
-        a[v - 1, v] = np.sqrt(v)
-    return a
+def _on_mode(op, dims, q: int):
+    """Single-mode operator on the bath space of mode dimensions `dims`."""
+    before = int(np.prod(dims[:q], dtype=np.int64))
+    after = int(np.prod(dims[q + 1:], dtype=np.int64))
+    return sp.kron(sp.kron(sp.identity(before), op), sp.identity(after))
 
 
 @dataclass(frozen=True)
@@ -42,38 +43,22 @@ class FockSpace:
     def dim(self) -> int:
         return self.n_sys * int(np.prod(self.mode_dims, dtype=np.int64))
 
-    def mode_operator(self, q: int, op: np.ndarray) -> np.ndarray:
-        """Lift a single-mode operator to the full bath space (no system factor)."""
-        out = np.ones((1, 1))
-        for j, d in enumerate(self.mode_dims):
-            out = np.kron(out, op if j == q else np.eye(d))
-        return out
-
-    def system_operator(self, op: np.ndarray) -> np.ndarray:
-        bath_dim = int(np.prod(self.mode_dims, dtype=np.int64))
-        return np.kron(op, np.eye(bath_dim))
-
-    def hamiltonian(self, h: SystemBathHamiltonian) -> np.ndarray:
+    def sparse_hamiltonian(self, h: SystemBathHamiltonian) -> sp.csr_matrix:
+        """H as a sparse matrix on the product basis (system label slowest)."""
         if h.n_sys != self.n_sys or h.n_modes != len(self.cutoffs):
             raise ValueError("Hamiltonian does not fit this Fock space")
-        bath_dim = int(np.prod(self.mode_dims, dtype=np.int64))
-        out = np.kron(h.e_sys.astype(complex), np.eye(bath_dim))
-        for q in range(h.n_modes):
-            a = self.mode_operator(q, boson_destroy(self.cutoffs[q]))
-            adag = a.T
-            out += h.mode_freqs[q] * self.system_operator(np.eye(self.n_sys)) @ np.kron(
-                np.eye(self.n_sys), adag @ a
-            )
-            for n in range(self.n_sys):
-                for n2 in range(self.n_sys):
-                    cc = h.coup_create[n, n2, q]
-                    ca = h.coup_annihilate[n, n2, q]
-                    if cc == 0 and ca == 0:
-                        continue
-                    proj = np.zeros((self.n_sys, self.n_sys))
-                    proj[n, n2] = 1.0
-                    out += np.kron(proj, cc * adag + ca * a)
-        return out
+        dims = self.mode_dims
+        out = sp.kron(h.e_sys, sp.identity(self.dim // self.n_sys), format="csr")
+        for q, d in enumerate(dims):
+            a = _on_mode(sp.diags(np.sqrt(np.arange(1.0, d)), 1), dims, q)
+            number = _on_mode(sp.diags(np.arange(float(d))), dims, q)
+            out = out + h.mode_freqs[q] * sp.kron(sp.identity(self.n_sys), number)
+            out = out + sp.kron(h.coup_create[:, :, q], a.T)
+            out = out + sp.kron(h.coup_annihilate[:, :, q], a)
+        return out.tocsr()
+
+    def hamiltonian(self, h: SystemBathHamiltonian) -> np.ndarray:
+        return self.sparse_hamiltonian(h).toarray()
 
     def coherent_bath_vector(self, f: np.ndarray) -> np.ndarray:
         """Normalized coherent state prod_q |f_q> over the bath modes."""
@@ -107,16 +92,16 @@ class FockSpace:
         return out
 
     def system_populations(self, psi: np.ndarray) -> np.ndarray:
-        bath_dim = int(np.prod(self.mode_dims, dtype=np.int64))
-        return np.abs(psi.reshape(self.n_sys, bath_dim)) ** 2 @ np.ones(bath_dim)
+        """Population of each system label; psi may carry leading axes."""
+        probs = np.abs(psi.reshape(psi.shape[:-1] + (self.n_sys, -1))) ** 2
+        return probs.sum(axis=-1)
 
-    def mode_occupation(self, psi: np.ndarray, q: int) -> float:
-        num = self.system_operator(np.eye(self.n_sys)) @ np.kron(
-            np.eye(self.n_sys),
-            self.mode_operator(q, boson_destroy(self.cutoffs[q])).T
-            @ self.mode_operator(q, boson_destroy(self.cutoffs[q])),
-        )
-        return float(np.real(psi.conj() @ num @ psi))
+    def mode_occupation(self, psi: np.ndarray, q: int):
+        """<b_q^+ b_q>; psi may carry leading axes."""
+        dims = self.mode_dims
+        before = self.n_sys * int(np.prod(dims[:q], dtype=np.int64))
+        probs = np.abs(psi.reshape(psi.shape[:-1] + (before, dims[q], -1))) ** 2
+        return probs.sum(axis=(-3, -1)) @ np.arange(dims[q])
 
 
 class DensePropagator:

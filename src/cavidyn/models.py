@@ -51,11 +51,6 @@ class TCModel:
     omega_r: float
     kappa: float = 0.0
     gamma: float = 0.0
-    counter_rotating: bool = False
-    #: photon Fock cutoff; the single-excitation manifold only ever holds one
-    #: photon, but consumers that lift the cavity into a Fock register
-    #: (pumped dynamics, manifold blocks) read the cutoff from here
-    n_max: int = 1
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -64,8 +59,6 @@ class TCModel:
             raise ValueError("omega_r must be >= 0")
         if self.kappa < 0 or self.gamma < 0:
             raise ValueError("loss rates must be >= 0")
-        if self.n_max < 1:
-            raise ValueError("photon cutoff n_max must be >= 1")
         _as_qubit_freqs(self.omega_qubit, self.n_qubits)  # shape check
 
     @property
@@ -91,11 +84,6 @@ class TCModel:
         Hermitian bit-for-bit when kappa = gamma = 0; complex symmetric with
         -i*kappa / -i*gamma diagonals otherwise.
         """
-        if self.counter_rotating:
-            raise UnsupportedModelError(
-                "counter-rotating coupling does not conserve the excitation "
-                "number and has no single-excitation-manifold representation"
-            )
         n = self.n_qubits
         h = np.zeros((n + 1, n + 1), dtype=complex)
         h[0, 0] = self.omega_c - 1j * self.kappa

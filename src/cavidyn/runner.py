@@ -299,7 +299,7 @@ _ORACLE_TOL = {"tc": 1e-5, "htc-dense": 1e-3, "corrupted-metric": 1e-5}
 
 
 def _oracle_pair(pair: str):
-    from .dense_ref import DensePropagator
+    from .dense_ref import DensePropagator, FockSpace
 
     times = np.arange(0.0, 200.0 + 1e-9, 1.0)
     # integration error must sit well below the comparison tolerance, so the
@@ -319,10 +319,12 @@ def _oracle_pair(pair: str):
         got = traj.system_populations()[:, 0]
         detail = "photon survival, lossless resonant exchange vs pole sum"
     elif pair == "htc-dense":
-        model = HTCModel(TCModel(2, 1.0, 1.0, 0.1), 0.1, 0.124, 0.5)
-        dense = DensePropagator(model, cutoff=10)
-        ref = dense.photon_population(times)
-        h = htc_system_bath(model)
+        h = htc_system_bath(HTCModel(TCModel(2, 1.0, 1.0, 0.1), 0.1, 0.124, 0.5))
+        fock = FockSpace(h.n_sys, (10, 10))
+        psi0 = fock.multiconfig_vector(np.eye(1, h.n_sys, dtype=complex),
+                                       np.zeros((1, h.n_modes)))
+        dense = DensePropagator(fock.hamiltonian(h)).trajectory(psi0, times)
+        ref = fock.system_populations(dense)[:, 0]
         state = init_state(h.n_sys, h.n_modes, 0, 12, noise_seed=0)
         traj = propagate(h, state, times[-1],
                          PropagationSettings(rel_tol=1e-8, abs_tol=1e-10),

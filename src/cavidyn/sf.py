@@ -12,10 +12,15 @@ the rotating-wave approximation through
 
 or without it, (Omega/2)(X^+ + X)(C^+ + C).
 
-Three representations of the photon are used, each where it is the natural
-one: a Fock register for potential-surface scans and small exact checks, an
-excitation-number block for response-function work (RWA only), and a coherent
-displacement inside the variational ansatz for pumped dynamics.
+The matter terms are assembled once per (dimers, labels) into a label graph:
+the energy of each electronic product label, its tuning slope on each dimer,
+the S1<->TT coupling-mode pairs and the entries of X^+ from one step table.
+Every representation of the photon is a projection of that graph, each used
+where it is the natural one: a Fock register folded into the basis for
+potential-surface scans (frozen Q_t, Q_c) and for excitation-number blocks in
+response-function work (RWA only), and a boson mode inside the variational
+ansatz for pumped dynamics (`sf_matter_only` is the same projection without
+the photon mode).
 """
 
 from __future__ import annotations
@@ -69,11 +74,14 @@ KAPPA_S1_RUBRENE, KAPPA_TT_RUBRENE = derive_kappas_from_ci(
     0.07, 2.256, 2.23, 2.28, 0.186
 )
 
-#: S1<->TT coupling-mode strength (eV) calibrated so the cavity-free single
-#: dimer reaches a triplet-pair population of 0.14 at 300 fs from the vertical
-#: S1 start (see scripts/calibrate_sf_ci.py; P_TT(300 fs) is resonance-riddled
-#: at fine lambda resolution, so the calibration picks the scanned value
-#: closest to the target rather than bisecting to machine precision)
+#: S1<->TT coupling-mode strength (eV) picked by the variational (M=16) scan of
+#: scripts/calibrate_sf_ci.py for a cavity-free triplet-pair population of 0.14
+#: at 300 fs from the vertical S1 start.  Exact propagation
+#: (scripts/sf_dense_oracle.py, dim 1056) gives P_TT(300 fs) = 0.0277 here; the
+#: exact curve is smooth in lambda and crosses 0.14 between 0.08 (0.0854) and
+#: 0.10 (0.1670).  The jumps the variational scan shows at fine lambda
+#: resolution are ansatz and integrator noise, not physics.  The value is kept
+#: because every fission output depends on it.
 LAMBDA_CI_CALIBRATED = 0.065
 
 
@@ -138,7 +146,6 @@ class SFCavityCoupling:
     rwa: bool = False
     n_dimers: int = 1
     five_state: bool = False
-    representation: str = "coherent"
 
     def __post_init__(self):
         if self.omega < 0:
@@ -147,8 +154,6 @@ class SFCavityCoupling:
             raise UnsupportedModelError(
                 f"unsupported dimer count {self.n_dimers}: only 1 or 2"
             )
-        if self.representation not in ("coherent", "fock"):
-            raise ValueError("representation must be 'coherent' or 'fock'")
 
 
 def electronic_labels(n_dimers: int, five_state: bool):
@@ -173,30 +178,94 @@ def label_has_tt(label) -> bool:
     return any(s in TT_STATES for s in label)
 
 
-def _label_energy(dimers, label) -> float:
-    return sum(d.energy(s) for d, s in zip(dimers, label))
+#: the steps of the matter raising operator X_j^+ on one dimer: (lower state,
+#: upper state, transition dipole ratio)
+_RAISING_STEPS = (
+    ("g", "S1", lambda d: 1.0),
+    ("S1", "Sn", lambda d: d.eta_s),
+    ("TT", "TTn", lambda d: d.eta_t),
+)
 
 
-def _label_kappa(dimers, label) -> float:
-    return sum(d.kappa(s) for d, s in zip(dimers, label))
+@dataclass(frozen=True)
+class _LabelGraph:
+    """Matter terms of the fission Hamiltonian over the electronic labels.
+
+    energy[a] is the vertical energy of label a, kappa[a, j] its tuning slope
+    on dimer j's Q_t, lam[j] the symmetric S1<->TT couplings lam_ci on dimer
+    j's Q_c, and raising[hi, lo] the entries of sum_j X_j^+.  mode_freqs lists
+    the vibrational frequencies as [Q_t^(1), Q_c^(1), (Q_t^(2), Q_c^(2))].
+    """
+
+    labels: list
+    energy: np.ndarray
+    kappa: np.ndarray
+    lam: np.ndarray
+    raising: np.ndarray
+    mode_freqs: np.ndarray
 
 
-def _raising_entries(dimers, labels):
-    """Nonzero matter raising-operator entries sum_j X_j^+ between electronic
-    labels: list of (row_label, col_label, value)."""
-    index = {lab: i for i, lab in enumerate(labels)}
-    steps = {("g", "S1"): lambda d: 1.0,
-             ("S1", "Sn"): lambda d: d.eta_s,
-             ("TT", "TTn"): lambda d: d.eta_t}
-    out = []
-    for lab in labels:
+def _label_graph(dimers, five_state: bool) -> _LabelGraph:
+    labels = electronic_labels(len(dimers), five_state)
+    index = {lab: a for a, lab in enumerate(labels)}
+    lam = np.zeros((len(dimers), len(labels), len(labels)))
+    raising = np.zeros((len(labels), len(labels)))
+    for a, lab in enumerate(labels):
         for j, d in enumerate(dimers):
-            for (lo, hi), val in steps.items():
-                if lab[j] == lo:
-                    raised = lab[:j] + (hi,) + lab[j + 1:]
-                    if raised in index:
-                        out.append((index[raised], index[lab], val(d)))
-    return out
+            moved = {s: index.get(lab[:j] + (s,) + lab[j + 1:])
+                     for s in STATES_FIVE}
+            if lab[j] == "S1":
+                lam[j, a, moved["TT"]] = lam[j, moved["TT"], a] = d.lam_ci
+            for lo, hi, ratio in _RAISING_STEPS:
+                if lab[j] == lo and moved[hi] is not None:
+                    raising[moved[hi], a] = ratio(d)
+    return _LabelGraph(
+        labels=labels,
+        energy=np.array([sum(d.energy(s) for d, s in zip(dimers, lab))
+                         for lab in labels]),
+        kappa=np.array([[d.kappa(s) for d, s in zip(dimers, lab)]
+                        for lab in labels]),
+        lam=lam,
+        raising=raising,
+        mode_freqs=np.array([[d.omega_tu, d.omega_cu] for d in dimers]).ravel(),
+    )
+
+
+def _vibronic_create(graph: _LabelGraph, n_photon: int) -> np.ndarray:
+    """b^+ coefficients of kappa Q_t and lam_ci Q_c, with Q = (b^+ + b)/sqrt(2),
+    on labels x a photon register of n_photon levels: (n, n, 2*n_dimers)."""
+    n = len(graph.labels) * n_photon
+    eye = np.eye(n_photon)
+    root2 = math.sqrt(2.0)
+    create = np.zeros((n, n, len(graph.mode_freqs)), dtype=complex)
+    for j, lam_j in enumerate(graph.lam):
+        create[:, :, 2 * j] += np.kron(np.diag(graph.kappa[:, j]), eye) / root2
+        create[:, :, 2 * j + 1] += np.kron(lam_j, eye) / root2
+    return create
+
+
+def _photon_block(graph: _LabelGraph, label_diag, cavity, coupling, n_max: int):
+    """label_diag[a] + (omega_c - i kappa) n_c plus the cavity exchange on the
+    label-major basis labels x {n_c = 0..n_max}."""
+    n = np.arange(n_max + 1)
+    destroy = np.diag(np.sqrt(n[1:]), 1)
+    raising = coupling.omega / 2.0 * graph.raising
+    # C X^+: absorb a photon, promote the matter state
+    up = np.kron(raising, destroy)
+    if not coupling.rwa:
+        up = up + np.kron(raising, destroy.T)
+    diag = label_diag[:, None] + cavity.omega_c * n - 1j * cavity.kappa * n
+    return np.diag(diag.ravel()) + up + up.T
+
+
+def _system_bath(e_sys, mode_freqs, create, hermitian=True):
+    return SystemBathHamiltonian(
+        e_sys=e_sys,
+        mode_freqs=mode_freqs,
+        coup_create=create,
+        coup_annihilate=create.conj().transpose(1, 0, 2),
+        hermitian=hermitian,
+    )
 
 
 def count_labels_by_excitation(n_dimers: int, five_state: bool, n_max: int = 2):
@@ -221,85 +290,35 @@ def sf_system_bath(
     Q = (b^+ + b)/sqrt(2) turns each linear vibronic term kappa*Q or lam*Q
     into kappa/sqrt(2) (lam/sqrt(2)) on b^+ and b.
     """
-    nd = len(dimers)
-    if nd != coupling.n_dimers:
+    if len(dimers) != coupling.n_dimers:
         raise ValueError("coupling.n_dimers disagrees with the dimer list")
     if cavity.kappa != 0.0:
         raise UnsupportedModelError(
             "cavity loss is only available in the Fock photon representations"
         )
-    labels = electronic_labels(nd, coupling.five_state)
-    ns = len(labels)
-    nb = 2 * nd + 1
-    cav = nb - 1
-    e_sys = np.diag([complex(_label_energy(dimers, lab)) for lab in labels])
-    mode_freqs = np.empty(nb)
-    for j, d in enumerate(dimers):
-        mode_freqs[2 * j] = d.omega_tu
-        mode_freqs[2 * j + 1] = d.omega_cu
-    mode_freqs[cav] = cavity.omega_c
-
-    create = np.zeros((ns, ns, nb), dtype=complex)
-    for i, lab in enumerate(labels):
-        for j, d in enumerate(dimers):
-            create[i, i, 2 * j] += d.kappa(lab[j]) / math.sqrt(2.0)
-    index = {lab: i for i, lab in enumerate(labels)}
-    for lab in labels:
-        for j, d in enumerate(dimers):
-            if lab[j] == "S1":
-                other = lab[:j] + ("TT",) + lab[j + 1:]
-                i1, i2 = index[lab], index[other]
-                create[i1, i2, 2 * j + 1] += d.lam_ci / math.sqrt(2.0)
-                create[i2, i1, 2 * j + 1] += d.lam_ci / math.sqrt(2.0)
-
+    graph = _label_graph(dimers, coupling.five_state)
     half = coupling.omega / 2.0
-    raising = _raising_entries(dimers, labels)
-    for hi, lo, val in raising:
-        # C^+ X: photon created while the matter de-excites
-        create[lo, hi, cav] += half * val
-    if not coupling.rwa:
-        for hi, lo, val in raising:
-            create[hi, lo, cav] += half * val
-
-    annihilate = create.conj().transpose(1, 0, 2)
-    return labels, SystemBathHamiltonian(
-        e_sys=e_sys,
-        mode_freqs=mode_freqs,
-        coup_create=create,
-        coup_annihilate=annihilate,
-        hermitian=True,
+    # C^+ X: photon created while the matter de-excites; without the RWA
+    # also C^+ X^+
+    photon = half * (graph.raising.T if coupling.rwa
+                     else graph.raising.T + graph.raising)
+    create = np.concatenate(
+        [_vibronic_create(graph, 1), photon[:, :, None]], axis=2)
+    return graph.labels, _system_bath(
+        np.diag(graph.energy.astype(complex)),
+        np.append(graph.mode_freqs, cavity.omega_c),
+        create,
     )
 
 
 def sf_matter_only(dimers: Sequence[SFDimerSpec]):
     """Cavity-free reference: the same matter Hamiltonian with only the
     2*n_dimers vibrational modes (three-state labels)."""
-    nd = len(dimers)
-    labels = electronic_labels(nd, False)
-    ns = len(labels)
-    nb = 2 * nd
-    e_sys = np.diag([complex(_label_energy(dimers, lab)) for lab in labels])
-    mode_freqs = np.empty(nb)
-    for j, d in enumerate(dimers):
-        mode_freqs[2 * j] = d.omega_tu
-        mode_freqs[2 * j + 1] = d.omega_cu
-    create = np.zeros((ns, ns, nb), dtype=complex)
-    index = {lab: i for i, lab in enumerate(labels)}
-    for i, lab in enumerate(labels):
-        for j, d in enumerate(dimers):
-            create[i, i, 2 * j] += d.kappa(lab[j]) / math.sqrt(2.0)
-            if lab[j] == "S1":
-                other = lab[:j] + ("TT",) + lab[j + 1:]
-                k = index[other]
-                create[i, k, 2 * j + 1] += d.lam_ci / math.sqrt(2.0)
-                create[k, i, 2 * j + 1] += d.lam_ci / math.sqrt(2.0)
-    annihilate = create.conj().transpose(1, 0, 2)
-    return labels, SystemBathHamiltonian(
-        e_sys=e_sys,
-        mode_freqs=mode_freqs,
-        coup_create=create,
-        coup_annihilate=annihilate,
-        hermitian=True,
+    graph = _label_graph(dimers, False)
+    return graph.labels, _system_bath(
+        np.diag(graph.energy.astype(complex)),
+        graph.mode_freqs,
+        _vibronic_create(graph, 1),
     )
 
 
@@ -412,50 +431,14 @@ def _fock_basis(labels, n_max):
     return [(lab, nc) for lab in labels for nc in range(n_max + 1)]
 
 
-def _potential_matrix(dimers, cavity, coupling, labels, n_max, q_t, q_c):
+def _potential_matrix(graph, cavity, coupling, n_max, q_t, q_c):
     """Potential part (kinetic omitted) of the electronic x photon-Fock
-    Hamiltonian at frozen coordinates."""
-    nd = len(dimers)
-    basis = _fock_basis(labels, n_max)
-    idx = {b: i for i, b in enumerate(basis)}
-    dim = len(basis)
-    h = np.zeros((dim, dim), dtype=complex)
-    harm = sum(0.5 * d.omega_tu * q_t**2 + 0.5 * d.omega_cu * q_c**2 for d in dimers)
-    lab_index = {lab: i for i, lab in enumerate(labels)}
-    for (lab, nc), i in idx.items():
-        h[i, i] = (
-            _label_energy(dimers, lab)
-            + _label_kappa(dimers, lab) * q_t
-            + harm
-            + cavity.omega_c * nc
-            - 1j * cavity.kappa * nc
-        )
-        for j, d in enumerate(dimers):
-            if lab[j] == "S1":
-                other = lab[:j] + ("TT",) + lab[j + 1:]
-                if other in lab_index:
-                    k = idx[(other, nc)]
-                    h[i, k] += d.lam_ci * q_c
-                    h[k, i] += d.lam_ci * q_c
-    half = coupling.omega / 2.0
-    raising = _raising_entries(dimers, labels)
-    for hi, lo, val in raising:
-        for nc in range(1, n_max + 1):
-            # C X^+ : absorb a photon, promote the matter state
-            i = idx[(labels[hi], nc - 1)]
-            k = idx[(labels[lo], nc)]
-            amp = half * val * math.sqrt(nc)
-            h[i, k] += amp
-            h[k, i] += amp
-    if not coupling.rwa:
-        for hi, lo, val in raising:
-            for nc in range(1, n_max + 1):
-                i = idx[(labels[hi], nc)]
-                k = idx[(labels[lo], nc - 1)]
-                amp = half * val * math.sqrt(nc)
-                h[i, k] += amp
-                h[k, i] += amp
-    return basis, h
+    Hamiltonian at frozen coordinates, on the basis _fock_basis(labels, n_max)."""
+    harm = sum(0.5 * w_t * q_t**2 + 0.5 * w_c * q_c**2
+               for w_t, w_c in graph.mode_freqs.reshape(-1, 2))
+    label_diag = graph.energy + graph.kappa.sum(axis=1) * q_t + harm
+    h = _photon_block(graph, label_diag, cavity, coupling, n_max)
+    return h + np.kron(graph.lam.sum(axis=0) * q_c, np.eye(n_max + 1))
 
 
 def pes_scan(
@@ -483,12 +466,13 @@ def pes_scan(
             f"photon cutoff n_max={n_max} too small: need >= manifold_max + 4 "
             f"= {manifold_max + 4}"
         )
-    labels = electronic_labels(len(dimers), coupling.five_state)
     if cavity.kappa != 0.0:
         raise UnsupportedModelError("surface scans require a lossless cavity")
+    graph = _label_graph(dimers, coupling.five_state)
+    basis = _fock_basis(graph.labels, n_max)
     rows = []
     for q_t in np.asarray(q_t_grid, dtype=float):
-        basis, h = _potential_matrix(dimers, cavity, coupling, labels, n_max, q_t, q_c)
+        h = _potential_matrix(graph, cavity, coupling, n_max, q_t, q_c)
         evals, evecs = np.linalg.eigh(h)
         weights = np.abs(evecs) ** 2
         n_ex = np.array(
@@ -590,47 +574,17 @@ def manifold_hamiltonian(
             "excitation-number blocks exist only under the rotating-wave "
             "approximation"
         )
-    nd = len(dimers)
-    labs = manifold_labels(nd, coupling.five_state, manifold)
-    ns = len(labs)
-    idx = {b: i for i, b in enumerate(labs)}
-    e_sys = np.zeros((ns, ns), dtype=complex)
-    for (lab, nc), i in idx.items():
-        e_sys[i, i] = (
-            _label_energy(dimers, lab) + cavity.omega_c * nc - 1j * cavity.kappa * nc
-        )
-    half = coupling.omega / 2.0
-    el_labels = electronic_labels(nd, coupling.five_state)
-    for hi, lo, val in _raising_entries(dimers, el_labels):
-        for (lab, nc), i in idx.items():
-            if lab == el_labels[lo] and nc >= 1:
-                k = idx.get((el_labels[hi], nc - 1))
-                if k is not None:
-                    amp = half * val * math.sqrt(nc)
-                    e_sys[k, i] += amp
-                    e_sys[i, k] += amp
-
-    nb = 2 * nd
-    mode_freqs = np.empty(nb)
-    for j, d in enumerate(dimers):
-        mode_freqs[2 * j] = d.omega_tu
-        mode_freqs[2 * j + 1] = d.omega_cu
-    create = np.zeros((ns, ns, nb), dtype=complex)
-    for (lab, nc), i in idx.items():
-        for j, d in enumerate(dimers):
-            create[i, i, 2 * j] += d.kappa(lab[j]) / math.sqrt(2.0)
-            if lab[j] == "S1":
-                other = lab[:j] + ("TT",) + lab[j + 1:]
-                k = idx.get((other, nc))
-                if k is not None:
-                    create[i, k, 2 * j + 1] += d.lam_ci / math.sqrt(2.0)
-                    create[k, i, 2 * j + 1] += d.lam_ci / math.sqrt(2.0)
-    annihilate = create.conj().transpose(1, 0, 2)
-    return labs, SystemBathHamiltonian(
-        e_sys=e_sys,
-        mode_freqs=mode_freqs,
-        coup_create=create,
-        coup_annihilate=annihilate,
+    graph = _label_graph(dimers, coupling.five_state)
+    labels = manifold_labels(len(dimers), coupling.five_state, manifold)
+    basis = _fock_basis(graph.labels, manifold)
+    keep = [basis.index(b) for b in labels]
+    block = np.ix_(keep, keep)
+    e_sys = _photon_block(graph, graph.energy, cavity, coupling, manifold)
+    create = _vibronic_create(graph, manifold + 1)
+    return labels, _system_bath(
+        e_sys[block],
+        graph.mode_freqs,
+        create[block],
         hermitian=cavity.kappa == 0.0,
     )
 
@@ -638,17 +592,11 @@ def manifold_hamiltonian(
 def dipole_up(dimers, labels_lo, labels_hi):
     """Matter raising operator between adjacent excitation manifolds:
     D[hi, lo] with the photon count unchanged."""
-    d_mat = np.zeros((len(labels_hi), len(labels_lo)))
-    idx_hi = {b: i for i, b in enumerate(labels_hi)}
-    steps = {("g", "S1"): lambda d: 1.0,
-             ("S1", "Sn"): lambda d: d.eta_s,
-             ("TT", "TTn"): lambda d: d.eta_t}
-    for c, (lab, nc) in enumerate(labels_lo):
-        for j, d in enumerate(dimers):
-            for (lo, hi), val in steps.items():
-                if lab[j] == lo:
-                    raised = lab[:j] + (hi,) + lab[j + 1:]
-                    r = idx_hi.get((raised, nc))
-                    if r is not None:
-                        d_mat[r, c] += val(d)
-    return d_mat
+    # the five-state labels include the three-state ones
+    graph = _label_graph(dimers, True)
+    index = {lab: a for a, lab in enumerate(graph.labels)}
+    hi = [index[lab] for lab, _ in labels_hi]
+    lo = [index[lab] for lab, _ in labels_lo]
+    same_nc = (np.array([nc for _, nc in labels_hi])[:, None]
+               == np.array([nc for _, nc in labels_lo])[None, :])
+    return graph.raising[np.ix_(hi, lo)] * same_nc

@@ -569,7 +569,7 @@ def diagonal_peaks(spec: np.ndarray, omega_tau, omega_t, n_peaks: int = 2,
             patch = mags[i - 1:i + 2, j - 1:j + 2]
             if mags[i, j] == patch.max() and mags[i, j] > 0:
                 hits.append((float(omega_tau[i]), float(omega_t[j]),
-                             float(spec[i, j])))
+                             float(spec[i, j].real)))
     hits.sort(key=lambda h: -abs(h[2]))
     dedup = []
     for h in hits:

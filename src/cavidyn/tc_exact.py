@@ -47,10 +47,6 @@ RESIDUE_SUM_TOL = 1e-10
 #: default absorption grid: 0.6 .. 1.4 eV in 0.002 eV steps
 DEFAULT_OMEGA_GRID = np.linspace(0.6, 1.4, 401)
 
-#: default loss rates used when a lineshape needs a linewidth
-DEFAULT_LINEWIDTH_KAPPA = 0.005
-DEFAULT_LINEWIDTH_GAMMA = 0.005
-
 
 def bright_energies(
     omega_c: float, omega_0: float, omega_r: float, kappa: float = 0.0, gamma: float = 0.0
@@ -145,10 +141,6 @@ def _product_residues(poles: np.ndarray, emitter_e: np.ndarray, couplings: np.nd
     m = len(poles)
     diff_pe = poles[:, None] - emitter_e[None, :]  # (M, N)
     diff_pp = poles[:, None] - poles[None, :]  # (M, M)
-    if np.any(diff_pe == 0):
-        # a pole exactly on an emitter line: that factor kills the residue,
-        # handled below by masking
-        pass
     with np.errstate(divide="ignore", invalid="ignore"):
         log_pe = np.log(diff_pe.astype(complex))
         log_pp = np.log(diff_pp.astype(complex))

@@ -9,7 +9,6 @@ from cavidyn.models import (
     HTCModel,
     SystemBathHamiltonian,
     TCModel,
-    UnsupportedModelError,
     disorder_qubit_freqs,
     disordered_tc,
     htc_system_bath,
@@ -60,21 +59,9 @@ def test_loss_enters_as_negative_imaginary_diagonal():
     assert base.with_loss(0.006, 0.002).matrix()[0, 0] == 1.0 - 0.006j
 
 
-def test_counter_rotating_variant_is_rejected():
-    m = TCModel(2, 1.0, 1.0, 0.1, counter_rotating=True)
-    with pytest.raises(UnsupportedModelError):
-        m.matrix()
-
-
 def test_single_emitter_matrix():
     h = TCModel(1, 1.0, 1.0, 0.1).matrix()
     assert np.array_equal(h, np.array([[1.0, 0.1], [0.1, 1.0]], dtype=complex))
-
-
-def test_photon_cutoff_validation():
-    with pytest.raises(ValueError):
-        TCModel(1, 1.0, 1.0, 0.1, n_max=0)
-    assert TCModel(1, 1.0, 1.0, 0.1, n_max=4).n_max == 4
 
 
 def test_spectrum_invariant_under_site_permutation():

@@ -1,6 +1,11 @@
 """Tests for the cavity-coupled singlet-fission dimer module."""
 
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,8 +147,6 @@ def test_spec_validation():
         CavitySpec(omega_c=-1.0)
     with pytest.raises(UnsupportedModelError):
         SFCavityCoupling(n_dimers=3)
-    with pytest.raises(ValueError):
-        SFCavityCoupling(representation="matrix")
 
 
 def test_pumped_hamiltonian_structure():
@@ -329,3 +332,19 @@ def test_two_dimer_shared_coordinate_scan():
     # doubly-excited TT|TT diabat sits at 2 * 2.256
     e2 = [r.energy for r in rows if abs(r.manifold - 2.0) < 0.5 and r.w_tt > 0.9]
     assert any(abs(e - 2 * 2.256) < 1e-6 for e in e2)
+
+
+def test_exact_oracle_script_scan():
+    # exact Fock propagation of the cavity-free dimer at the default cutoffs
+    # (dim 1056); the value LAMBDA_CI_CALIBRATED's comment quotes
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "sf_dense_oracle.py"), "scan",
+         "--lam", "0.065"],
+        capture_output=True, text=True, check=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path),
+    ).stdout
+    p_tt = float(re.search(r"P_TT\(300\)=([0-9.]+)", out).group(1))
+    assert abs(p_tt - 0.0277) <= 1e-4

@@ -352,6 +352,7 @@ def test_linear_absorption_lorentzian_peak():
     assert np.all(dark == 0)
 
 
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
 def test_diagonal_peaks_synthetic():
     w = np.linspace(0.0, 1.0, 101)
     x, y = np.meshgrid(w, w, indexing="ij")
@@ -359,6 +360,11 @@ def test_diagonal_peaks_synthetic():
          + 0.5 * np.exp(-((x - 0.7) ** 2 + (y - 0.7) ** 2) / 1e-3))
     peaks = diagonal_peaks(m, w, w, n_peaks=2)
     assert abs(peaks[0][0] - 0.3) < 0.02 and abs(peaks[1][0] - 0.7) < 0.02
+    # complex maps (the spectra are complex) report the real part
+    rotated = diagonal_peaks(m * np.exp(2.0j), w, w, n_peaks=2)
+    assert [p[:2] for p in rotated] == [p[:2] for p in peaks]
+    assert np.allclose([p[2] for p in rotated],
+                       [p[2] * np.cos(2.0) for p in peaks], atol=1e-15)
 
 
 def test_polarization_validation():
