@@ -28,7 +28,6 @@ from .constants import HBAR_EV_FS as _HBAR
 from .models import HTCModel, TCModel, disordered_tc, htc_system_bath
 from .sf import (
     coherent_init,
-    label_str,
     manifold_hamiltonian,
     dipole_up,
     pes_scan,
@@ -180,16 +179,13 @@ def _run_dynamics_sf(cfg: RunConfig, out_dir: str, times: np.ndarray,
     settings = _settings(cfg)
     if cfg.sf_coupling.omega == 0.0:
         labels, h = sf_matter_only(cfg.sf_dimers)
-        state = init_state(len(labels), h.n_modes, "S1", cfg.run.multiplicity,
-                           noise_seed=cfg.run.seed,
-                           labels=tuple(label_str(lab) for lab in labels))
-        cavity_mode = None
+        mu1, cavity_mode = 0.0, None
     else:
         labels, h = sf_system_bath(cfg.sf_dimers, cfg.sf_cavity,
                                    cfg.sf_coupling)
-        state = coherent_init(math.sqrt(cfg.sf_n_photons), labels, h.n_modes,
-                              cfg.run.multiplicity, noise_seed=cfg.run.seed)
-        cavity_mode = -1
+        mu1, cavity_mode = math.sqrt(cfg.sf_n_photons), -1
+    state = coherent_init(mu1, labels, h.n_modes, cfg.run.multiplicity,
+                          noise_seed=cfg.run.seed)
     traj = propagate(h, state, float(times[-1]), settings, t_eval=times)
     obs = sf_observables(traj, cavity_mode=cavity_mode)
     _write_csv(os.path.join(out_dir, "population.csv"),

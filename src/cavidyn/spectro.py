@@ -42,6 +42,7 @@ from .varprop import (
     absorption_from_autocorrelation,
     init_state,
     load_trajectory,
+    overlap_matrix,
     propagate,
     save_trajectory,
 )
@@ -162,31 +163,26 @@ class TrajectoryBank:
     amps_back: dict
     disps_back: dict
 
-    def _index(self, s: float, n_max: int) -> int:
-        i = int(round(s / self.dt))
-        if abs(i * self.dt - s) > 1e-9 * max(1.0, abs(s)):
-            raise ValueError(f"time {s} fs is not on the {self.dt} fs bank grid")
-        if i < 0 or i >= n_max:
-            raise ValueError(f"time {s} fs outside the stored bank range")
+    def _index(self, s, n_max: int) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        i = np.rint(s / self.dt).astype(int)
+        off = np.abs(i * self.dt - s) > 1e-9 * np.maximum(1.0, np.abs(s))
+        if off.any():
+            raise ValueError(f"time {s[off][0]} fs is not on the {self.dt} fs bank grid")
+        outside = (i < 0) | (i >= n_max)
+        if outside.any():
+            raise ValueError(f"time {s[outside][0]} fs outside the stored bank range")
         return i
 
-    def forward(self, n: int, s: float):
+    def forward(self, n: int, s):
+        """Snapshots at times s >= 0 of any shape: (*s.shape, M, ...) arrays."""
         i = self._index(s, len(self.amps[n]))
         return self.amps[n][i], self.disps[n][i]
 
-    def backward(self, n: int, s: float):
-        """Snapshot at a non-positive time s on the 0, -dt, ... branch."""
-        i = self._index(-s, len(self.amps_back[n]))
+    def backward(self, n: int, s):
+        """Snapshots at non-positive times s (0, -dt, ...) of any shape."""
+        i = self._index(-np.asarray(s, dtype=float), len(self.amps_back[n]))
         return self.amps_back[n][i], self.disps_back[n][i]
-
-    def forward_rows(self, n: int, times: np.ndarray):
-        idx = np.array([self._index(s, len(self.amps[n])) for s in times])
-        return self.amps[n][idx], self.disps[n][idx]
-
-    def backward_rows(self, n: int, times: np.ndarray):
-        """Snapshots at the given non-positive times (0, -dt, -2dt, ...)."""
-        idx = np.array([self._index(-s, len(self.amps_back[n])) for s in times])
-        return self.amps_back[n][idx], self.disps_back[n][idx]
 
 
 def first_leg_bank(
@@ -246,88 +242,57 @@ def first_leg_bank(
                           amps, disps, amps_b, disps_b)
 
 
-def _cross_factor(f_bra, f_ket_rows, phase_rows):
-    """exp{ sum_q f_bra*[j,q] f_ket[t,i,q] phase[t,q]
-            - (|f_bra[j]|^2 + |f_ket[t,i]|^2)/2 }  ->  (T, j, i)."""
-    cross = np.einsum("jq,tiq,tq->tji", f_bra.conj(), f_ket_rows, phase_rows)
-    nb = 0.5 * np.sum(np.abs(f_bra) ** 2, axis=1)
-    nk = 0.5 * np.sum(np.abs(f_ket_rows) ** 2, axis=2)
-    return np.exp(cross - nb[None, :, None] - nk[:, None, :])
-
-
-def _cross_factor_bra_rows(f_bra_rows, f_ket, phase):
-    """Variant with the bra side varying along the row axis -> (T, j, i)."""
-    cross = np.einsum("tjq,iq,q->tji", f_bra_rows.conj(), f_ket, phase)
-    nb = 0.5 * np.sum(np.abs(f_bra_rows) ** 2, axis=2)
-    nk = 0.5 * np.sum(np.abs(f_ket) ** 2, axis=1)
-    return np.exp(cross - nb[:, :, None] - nk[None, None, :])
-
-
 def response_se_gsb(bank: TrajectoryBank, grid: ResponseGrid,
                     dipoles: DipoleSet) -> dict:
     """R1..R4 on the (tau, T_w, t) grid, complex arrays.
 
     Bra amplitude rows contract the third-pulse dipole (unconjugated mu),
     ket rows the detection dipole (conjugated), except R4's ket which the
-    closed form pairs with an unconjugated second-pulse dipole.
+    closed form pairs with an unconjugated second-pulse dipole.  Snapshot
+    times broadcast to (tau, t); the free-phonon phase e^{i w s} of the
+    ground-state interval s is folded into the ket displacements, which is
+    exact because it leaves |f| unchanged.
     """
     mu = dipoles.mu
     p1, p2, p3, p4 = dipoles.pulse_factors
     pref = p1 * p2 * p3 * p4
-    omega = bank.mode_freqs
-    n_tau, n_t = len(grid.tau_fs), len(grid.t_fs)
-    shape = (n_tau, len(grid.tw_fs), n_t)
+    tau = grid.tau_fs[:, None]
+    t = grid.t_fs
+    shape = (len(grid.tau_fs), len(grid.tw_fs), len(t))
     out = {k: np.zeros(shape, dtype=complex) for k in ("R1", "R2", "R3", "R4")}
 
-    ph_t = np.exp(1j * np.outer(grid.t_fs, omega) / HBAR_EV_FS)
+    def ground(s):
+        """exp(i omega_q s / hbar), shaped to multiply (..., M, q) displacements."""
+        return np.exp(1j * np.multiply.outer(s, bank.mode_freqs) / HBAR_EV_FS)[..., None, :]
+
+    def pathway(bra, ket, phase, mu_ket):
+        """sum_ji (A_bra^+ mu)_j (A_ket mu_ket)_i <f_bra_j | f_ket_i phase>."""
+        (a_b, f_b), (a_k, f_k) = bra, ket
+        x = overlap_matrix(f_b, f_k * phase)
+        return np.einsum("...j,...i,...ji->...", a_b.conj() @ mu, a_k @ mu_ket, x)
 
     for n in bank.bright:
         for n3 in bank.bright:
-            d_r123 = mu[n].conjugate() * mu[n3]
-            d_r4 = mu[n].conjugate() * mu[n3].conjugate()
+            d_r123 = pref * mu[n].conjugate() * mu[n3]
+            d_r4 = pref * mu[n].conjugate() * mu[n3].conjugate()
             for w, tw in enumerate(grid.tw_fs):
                 # R1: bra at T_w, ket at tau+T_w+t, ground phase e^{+i w t}
-                a_bra, f_bra = bank.forward(n, tw)
-                beta = a_bra.conj() @ mu
-                for k, tau in enumerate(grid.tau_fs):
-                    a_rows, f_rows = bank.forward_rows(n3, tau + tw + grid.t_fs)
-                    alpha = a_rows @ mu.conj()
-                    x = _cross_factor(f_bra, f_rows, ph_t)
-                    out["R1"][k, w] += pref * d_r123 * np.einsum(
-                        "j,ti,tji->t", beta, alpha, x)
-
+                out["R1"][:, w] += d_r123 * pathway(
+                    bank.forward(n, tw), bank.forward(n3, tau + tw + t),
+                    ground(t), mu.conj())
                 # R2: bra at tau+T_w, ket at T_w+t, same ground phase
-                a_rows2, f_rows2 = bank.forward_rows(n3, tw + grid.t_fs)
-                alpha2 = a_rows2 @ mu.conj()
-                for k, tau in enumerate(grid.tau_fs):
-                    a_bra2, f_bra2 = bank.forward(n, tau + tw)
-                    beta2 = a_bra2.conj() @ mu
-                    x = _cross_factor(f_bra2, f_rows2, ph_t)
-                    out["R2"][k, w] += pref * d_r123 * np.einsum(
-                        "j,ti,tji->t", beta2, alpha2, x)
-
+                out["R2"][:, w] += d_r123 * pathway(
+                    bank.forward(n, tau + tw), bank.forward(n3, tw + t),
+                    ground(t), mu.conj())
                 # R3: bra at tau, ket at t, ground phase e^{+i w (T_w + t)}
-                ph_twt = np.exp(1j * np.outer(tw + grid.t_fs, omega) / HBAR_EV_FS)
-                a_rows3, f_rows3 = bank.forward_rows(n3, grid.t_fs)
-                alpha3 = a_rows3 @ mu.conj()
-                for k, tau in enumerate(grid.tau_fs):
-                    a_bra3, f_bra3 = bank.forward(n, tau)
-                    beta3 = a_bra3.conj() @ mu
-                    x = _cross_factor(f_bra3, f_rows3, ph_twt)
-                    out["R3"][k, w] += pref * d_r123 * np.einsum(
-                        "j,ti,tji->t", beta3, alpha3, x)
-
+                out["R3"][:, w] += d_r123 * pathway(
+                    bank.forward(n, tau), bank.forward(n3, t),
+                    ground(tw + t), mu.conj())
                 # R4: bra at -t (backward branch), ket at tau,
                 # ground phase e^{-i w T_w}
-                ph_tw = np.exp(-1j * tw * omega / HBAR_EV_FS)
-                a_back, f_back = bank.backward_rows(n, -grid.t_fs)
-                beta_rows = a_back.conj() @ mu
-                for k, tau in enumerate(grid.tau_fs):
-                    a_ket4, f_ket4 = bank.forward(n3, tau)
-                    alpha4 = a_ket4 @ mu
-                    x = _cross_factor_bra_rows(f_back, f_ket4, ph_tw)
-                    out["R4"][k, w] += pref * d_r4 * np.einsum(
-                        "tj,i,tji->t", beta_rows, alpha4, x)
+                out["R4"][:, w] += d_r4 * pathway(
+                    bank.backward(n, -t), bank.forward(n3, tau),
+                    ground(-tw), mu)
     return out
 
 
@@ -393,56 +358,43 @@ def response_esa(
         with np.load(checkpoint) as chk:
             r1s, r2s, done = chk["r1s"], chk["r2s"], int(chk["done"])
 
+    def esa(n3, bra_times, ket):
+        """sum_n mu*_n mu_n3 <raised first leg n at bra_times | second leg>."""
+        a2, f2 = ket
+        out = 0.0
+        for n in bank.bright:
+            a_b, f_b = bank.forward(n, bra_times)
+            out += pref * mu[n].conjugate() * mu[n3] * np.einsum(
+                "...jm,...im,...ji->...", (a_b @ mu_up.T).conj(), a2,
+                overlap_matrix(f_b, f2))
+        return out
+
     # One second leg per (ket label n3, transplant time); every bra label n
     # reuses it, so the leg loops sit outside the bra loop.
+    tau = grid.tau_fs[:, None]
+    t = grid.t_fs
     step = 0
     for n3 in bank.bright:
         for w, tw in enumerate(grid.tw_fs):
             # R1*: ket transplanted at T_w, bra = first leg at tau+T_w+t
             if step >= done:
                 a_tw, f_tw = bank.forward(n3, tw)
-                a2_rows, f2_rows = _second_leg(
-                    h2, a_tw @ mu_up.T, f_tw, grid.t_fs, settings)
-                for n in bank.bright:
-                    d1s = mu[n].conjugate() * mu[n3]
-                    for k, tau in enumerate(grid.tau_fs):
-                        a_b, f_b = bank.forward_rows(n, tau + tw + grid.t_fs)
-                        bra = a_b @ mu_up.T            # (T, M, m)
-                        x = _cross_factor_rows(f_b, f2_rows)
-                        r1s[k, w] += pref * d1s * np.einsum(
-                            "tjm,tim,tji->t", bra.conj(), a2_rows, x)
+                leg = _second_leg(h2, a_tw @ mu_up.T, f_tw, t, settings)
+                r1s[:, w] += esa(n3, tau + tw + t, leg)
             step += 1
 
             # R2*: ket transplanted at tau+T_w, bra = first leg at T_w+t
-            bra2_cache = {}
-            for n in bank.bright:
-                a_bra_rows, f_bra_rows = bank.forward_rows(n, tw + grid.t_fs)
-                bra2_cache[n] = (a_bra_rows @ mu_up.T, f_bra_rows)
-            for k, tau in enumerate(grid.tau_fs):
+            for k, tau_k in enumerate(grid.tau_fs):
                 if step >= done:
-                    a_k, f_k = bank.forward(n3, tau + tw)
-                    a2, f2 = _second_leg(
-                        h2, a_k @ mu_up.T, f_k, grid.t_fs, settings)
-                    for n in bank.bright:
-                        d2s = mu[n].conjugate() * mu[n3]
-                        bra2, f_bra_rows = bra2_cache[n]
-                        x = _cross_factor_rows(f_bra_rows, f2)
-                        r2s[k, w] += pref * d2s * np.einsum(
-                            "tjm,tim,tji->t", bra2.conj(), a2, x)
+                    a_k, f_k = bank.forward(n3, tau_k + tw)
+                    leg = _second_leg(h2, a_k @ mu_up.T, f_k, t, settings)
+                    r2s[k, w] += esa(n3, tw + t, leg)
                     if checkpoint and (k + 1) % CHECKPOINT_STRIDE == 0:
                         _save_checkpoint(checkpoint, r1s, r2s, step + 1)
                 step += 1
     if checkpoint:
         _save_checkpoint(checkpoint, r1s, r2s, step)
     return {"R1s": r1s, "R2s": r2s}
-
-
-def _cross_factor_rows(f_bra_rows, f_ket_rows):
-    """Row-paired Debye-Waller factor without ground phases -> (T, j, i)."""
-    cross = np.einsum("tjq,tiq->tji", f_bra_rows.conj(), f_ket_rows)
-    nb = 0.5 * np.sum(np.abs(f_bra_rows) ** 2, axis=2)
-    nk = 0.5 * np.sum(np.abs(f_ket_rows) ** 2, axis=2)
-    return np.exp(cross - nb[:, :, None] - nk[:, None, :])
 
 
 def _save_checkpoint(path, r1s, r2s, done):

@@ -18,9 +18,8 @@ sinh(theta).  High-frequency modes have theta ~ exp(-beta*omega/2) ~ 0 and
 their inert tilde partners are pruned below a threshold.
 
 The doubled problem is propagated by the ordinary variational engine
-(`cavidyn.varprop`); the rotated-frame parameters can be read in either
-coherent-state convention, and `MultiD2State.as_bargmann()` exposes the
-non-normalized one used in the doubled space by convention.
+(`cavidyn.varprop`), whose amplitudes are taken over normalized coherent
+states in the doubled space as everywhere else.
 """
 
 from __future__ import annotations
@@ -172,11 +171,7 @@ def thermal_propagate(
     settings: Optional[PropagationSettings] = None,
     t_eval: Optional[np.ndarray] = None,
 ) -> Trajectory:
-    """Propagate in the doubled space; observables read exactly as at zero T.
-
-    The returned trajectory is in the normalized convention; snapshots can be
-    re-expressed over Bargmann states via MultiD2State.as_bargmann().
-    """
+    """Propagate in the doubled space; observables read exactly as at zero T."""
     return propagate(doubled.hamiltonian, state, t_final, settings, t_eval)
 
 

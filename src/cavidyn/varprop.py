@@ -20,18 +20,16 @@ restores the normalization-derivative piece,
 
     Adot_mn = adot_mn + A_mn * sum_p f_mp * conj(fdot_mp) / 2.
 
-Two parameter conventions describe the same variational manifold: amplitudes
-over normalized coherent states (used internally everywhere) and amplitudes
-over non-normalized Bargmann states, A_bargmann = A * exp(-|f_m|^2/2) (used at
-the thermal-double interface).  `MultiD2State` records which one its numbers
-are in and converts on demand.
+Every overlap, observable and energy is built from two kernels that broadcast
+over leading (e.g. time) axes: the coherent-state overlap `overlap_matrix` and
+the Hamiltonian contraction `_theta`.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -63,16 +61,12 @@ class PropagationError(RuntimeError):
 
 @dataclass
 class MultiD2State:
-    """amplitudes: (M, n_sys) complex; displacements: (M, n_modes) complex.
-
-    `convention` is "normalized" (coherent states carry their own norm) or
-    "bargmann" (amplitudes absorb exp(-|f|^2/2)).
-    """
+    """amplitudes: (M, n_sys) complex over normalized coherent states;
+    displacements: (M, n_modes) complex."""
 
     amplitudes: np.ndarray
     displacements: np.ndarray
     labels: Optional[tuple[str, ...]] = None
-    convention: str = "normalized"
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
@@ -83,8 +77,6 @@ class MultiD2State:
             raise ValueError("amplitudes and displacements disagree on multiplicity")
         if self.labels is not None and len(self.labels) != self.amplitudes.shape[1]:
             raise ValueError("labels must match the system dimension")
-        if self.convention not in ("normalized", "bargmann"):
-            raise ValueError(f"unknown convention {self.convention!r}")
 
     @property
     def multiplicity(self) -> int:
@@ -100,83 +92,64 @@ class MultiD2State:
 
     def copy(self) -> "MultiD2State":
         return MultiD2State(
-            self.amplitudes.copy(), self.displacements.copy(), self.labels, self.convention
-        )
-
-    def as_normalized(self) -> "MultiD2State":
-        if self.convention == "normalized":
-            return self
-        r = np.sum(np.abs(self.displacements) ** 2, axis=1)
-        return MultiD2State(
-            self.amplitudes * np.exp(0.5 * r)[:, None],
-            self.displacements.copy(),
-            self.labels,
-            "normalized",
-        )
-
-    def as_bargmann(self) -> "MultiD2State":
-        if self.convention == "bargmann":
-            return self
-        r = np.sum(np.abs(self.displacements) ** 2, axis=1)
-        return MultiD2State(
-            self.amplitudes * np.exp(-0.5 * r)[:, None],
-            self.displacements.copy(),
-            self.labels,
-            "bargmann",
+            self.amplitudes.copy(), self.displacements.copy(), self.labels
         )
 
     def norm(self) -> float:
-        s = self.as_normalized()
-        return float(np.sqrt(state_norm_sq(s.amplitudes, s.displacements)))
+        return float(np.sqrt(state_norm_sq(self.amplitudes, self.displacements)))
 
     def normalized_to_unit(self) -> "MultiD2State":
         n = self.norm()
         if n == 0:
             raise ValueError("cannot normalize the zero state")
-        return MultiD2State(
-            self.amplitudes / n, self.displacements.copy(), self.labels, self.convention
-        )
+        return MultiD2State(self.amplitudes / n, self.displacements.copy(), self.labels)
 
     def system_populations(self) -> np.ndarray:
-        s = self.as_normalized()
-        return system_populations(s.amplitudes, s.displacements)
+        return system_populations(self.amplitudes, self.displacements)
 
     def mode_occupations(self) -> np.ndarray:
-        s = self.as_normalized()
-        return mode_occupations(s.amplitudes, s.displacements)
+        return mode_occupations(self.amplitudes, self.displacements)
 
 
 # ---------------------------------------------------------------------------
-# closed-form overlaps and observables (normalized convention throughout)
+# closed-form overlaps and observables; every kernel broadcasts over leading
+# axes, so (T, M, ...) trajectory arrays go through in one call
 
 
 def overlap_matrix(f_bra: np.ndarray, f_ket: np.ndarray) -> np.ndarray:
-    """S[i, j] = <f_bra_i | f_ket_j> for normalized coherent products."""
-    r1 = np.sum(np.abs(f_bra) ** 2, axis=1)
-    r2 = np.sum(np.abs(f_ket) ** 2, axis=1)
-    return np.exp(-0.5 * (r1[:, None] + r2[None, :]) + f_bra.conj() @ f_ket.T)
+    """S[..., i, j] = <f_bra_i | f_ket_j> for normalized coherent products.
+
+    f_bra: (..., M, q), f_ket: (..., M', q) -> (..., M, M').
+    """
+    r1 = np.sum(np.abs(f_bra) ** 2, axis=-1)
+    r2 = np.sum(np.abs(f_ket) ** 2, axis=-1)
+    cross = f_bra.conj() @ f_ket.swapaxes(-1, -2)
+    return np.exp(-0.5 * (r1[..., :, None] + r2[..., None, :]) + cross)
+
+
+def _label_weights(a_bra: np.ndarray, a_ket: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """W[..., n] = sum_{mM} A*_bra[m, n] A_ket[M, n] S[m, M]."""
+    return np.einsum("...mn,...Mn,...mM->...n", a_bra.conj(), a_ket, s)
 
 
 def state_overlap(bra: MultiD2State, ket: MultiD2State) -> complex:
     """<bra|ket> including the system labels (which must align)."""
-    b = bra.as_normalized()
-    k = ket.as_normalized()
-    if b.n_sys != k.n_sys or b.n_modes != k.n_modes:
+    if bra.n_sys != ket.n_sys or bra.n_modes != ket.n_modes:
         raise ValueError("states live in different spaces")
-    s = overlap_matrix(b.displacements, k.displacements)
-    return complex(np.einsum("in,jn,ij->", b.amplitudes.conj(), k.amplitudes, s))
+    s = overlap_matrix(bra.displacements, ket.displacements)
+    return complex(_label_weights(bra.amplitudes, ket.amplitudes, s).sum())
 
 
-def state_norm_sq(amplitudes: np.ndarray, displacements: np.ndarray) -> float:
+def state_norm_sq(amplitudes: np.ndarray, displacements: np.ndarray):
+    """<psi|psi>, one value per leading index."""
     s = overlap_matrix(displacements, displacements)
-    val = np.einsum("mn,Mn,mM->", amplitudes.conj(), amplitudes, s)
-    return float(val.real)
+    return _label_weights(amplitudes, amplitudes, s).sum(axis=-1).real
 
 
 def system_populations(amplitudes: np.ndarray, displacements: np.ndarray) -> np.ndarray:
     """Per-label populations; raises if the imaginary residue is unhealthy."""
     s = overlap_matrix(displacements, displacements)
-    pops = np.einsum("mn,Mn,mM->n", amplitudes.conj(), amplitudes, s)
+    pops = _label_weights(amplitudes, amplitudes, s)
     if pops.size and np.abs(pops.imag).max() > 1e-8:
         raise ArithmeticError(
             f"population acquired imaginary part {np.abs(pops.imag).max():.3e}; "
@@ -187,37 +160,40 @@ def system_populations(amplitudes: np.ndarray, displacements: np.ndarray) -> np.
 
 def mode_occupations(amplitudes: np.ndarray, displacements: np.ndarray) -> np.ndarray:
     """<b_q^+ b_q> per mode."""
-    s = overlap_matrix(displacements, displacements)
-    p = amplitudes.conj() @ amplitudes.T
-    occ = np.einsum("mM,mq,Mq->q", p * s, displacements.conj(), displacements)
+    a, f = amplitudes, displacements
+    ps = (a.conj() @ a.swapaxes(-1, -2)) * overlap_matrix(f, f)
+    occ = np.einsum("...mM,...mq,...Mq->...q", ps, f.conj(), f)
     if occ.size and np.abs(occ.imag).max() > 1e-8:
         raise ArithmeticError("mode occupation acquired a large imaginary part")
     return occ.real
 
 
-def _theta(
-    h: SystemBathHamiltonian, a: np.ndarray, f: np.ndarray, s: np.ndarray
-) -> np.ndarray:
-    """Theta[m, m'] = sum_{nn'} A*_mn A_m'n' <f_m|H_{nn'}|f_m'> / S_mm'."""
-    w_ff = (f.conj() * h.mode_freqs[None, :]) @ f.T
-    cdf = np.einsum("nNq,mq->mnN", h.coup_create, f.conj())
-    cf = np.einsum("nNq,mq->mnN", h.coup_annihilate, f)
-    x1 = np.einsum("mnN,MN->mMn", cdf, a)
-    x2 = np.einsum("mnN,mN->mn", cf, a)
-    p = a.conj() @ a.T
-    return (
-        a.conj() @ h.e_sys @ a.T
-        + np.einsum("mn,mMn->mM", a.conj(), x1)
-        + a.conj() @ x2.T
+def _theta(h: SystemBathHamiltonian, a: np.ndarray, f: np.ndarray):
+    """Theta[..., m, m'] = sum_{nn'} A*_mn A_m'n' <f_m|H_{nn'}|f_m'> / S_mm'.
+
+    Returns (theta, w_ff, x1, x2, p), the pieces `eom_rhs` reuses:
+    w_ff = f*_m . (omega f_m'), x1[m, m', n] = sum_n' (c+ . f*_m)_nn' A_m'n',
+    x2[m, n] = sum_n' (c . f_m)_nn' A_mn', p = A* A^T.
+    """
+    at = a.swapaxes(-1, -2)
+    w_ff = (f.conj() * h.mode_freqs) @ f.swapaxes(-1, -2)
+    cdf = np.einsum("nNq,...mq->...mnN", h.coup_create, f.conj())
+    cf = np.einsum("nNq,...mq->...mnN", h.coup_annihilate, f)
+    x1 = np.einsum("...mnN,...MN->...mMn", cdf, a)
+    x2 = np.einsum("...mnN,...mN->...mn", cf, a)
+    p = a.conj() @ at
+    theta = (
+        a.conj() @ h.e_sys @ at
+        + np.einsum("...mn,...mMn->...mM", a.conj(), x1)
+        + a.conj() @ x2.swapaxes(-1, -2)
         + p * w_ff
     )
+    return theta, w_ff, x1, x2, p
 
 
 def energy_expectation(h: SystemBathHamiltonian, state: MultiD2State) -> complex:
-    s_ = state.as_normalized()
-    a, f = s_.amplitudes, s_.displacements
-    s = overlap_matrix(f, f)
-    return complex((s * _theta(h, a, f, s)).sum())
+    a, f = state.amplitudes, state.displacements
+    return complex((overlap_matrix(f, f) * _theta(h, a, f)[0]).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +207,7 @@ def eom_rhs(
     svd_cutoff: float = DEFAULT_SVD_CUTOFF,
     cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivatives (Adot, Fdot) of the normalized-convention parameters."""
+    """Time derivatives (Adot, Fdot) of the parameters."""
     a = amplitudes
     f = displacements
     m, n_sys = a.shape
@@ -239,18 +215,7 @@ def eom_rhs(
     w = h.mode_freqs
 
     s = overlap_matrix(f, f)
-    p = a.conj() @ a.T
-    w_ff = (f.conj() * w[None, :]) @ f.T
-    cdf = np.einsum("nNq,mq->mnN", h.coup_create, f.conj())
-    cf = np.einsum("nNq,mq->mnN", h.coup_annihilate, f)
-    x1 = np.einsum("mnN,MN->mMn", cdf, a)
-    x2 = np.einsum("mnN,mN->mn", cf, a)
-    theta = (
-        a.conj() @ h.e_sys @ a.T
-        + np.einsum("mn,mMn->mM", a.conj(), x1)
-        + a.conj() @ x2.T
-        + p * w_ff
-    )
+    theta, w_ff, x1, x2, p = _theta(h, a, f)
 
     h_a = (
         s @ (a @ h.e_sys.T)
@@ -373,7 +338,7 @@ def init_state(
     if base_displacement is not None:
         f = f + np.asarray(base_displacement, dtype=complex)[None, :]
 
-    state = MultiD2State(a, f, labels, "normalized").normalized_to_unit()
+    state = MultiD2State(a, f, labels).normalized_to_unit()
     if abs(state.norm() - 1.0) > 1e-12:
         raise ArithmeticError("initial state failed to renormalize to 1 within 1e-12")
     return state
@@ -385,7 +350,7 @@ def init_state(
 
 @dataclass
 class Trajectory:
-    """Sampled propagation history in the normalized convention.
+    """Sampled propagation history.
 
     amplitudes: (T, M, n_sys); displacements: (T, M, n_modes);
     norms: (T,) Euclidean state norms; energies: (T,) complex <H>.
@@ -405,20 +370,14 @@ class Trajectory:
 
     def system_populations(self) -> np.ndarray:
         """(T, n_sys) array of label populations."""
-        return np.stack(
-            [system_populations(self.amplitudes[i], self.displacements[i])
-             for i in range(len(self.times))]
-        )
+        return system_populations(self.amplitudes, self.displacements)
 
     def photon_population(self, index: int = 0) -> np.ndarray:
         return self.system_populations()[:, index]
 
     def mode_occupations(self) -> np.ndarray:
         """(T, n_modes) array of <b_q^+ b_q>."""
-        return np.stack(
-            [mode_occupations(self.amplitudes[i], self.displacements[i])
-             for i in range(len(self.times))]
-        )
+        return mode_occupations(self.amplitudes, self.displacements)
 
 
 @dataclass(frozen=True)
@@ -459,8 +418,7 @@ def propagate(
     integrator's dense output at `t_eval` (default: every settings.sample_dt).
     """
     settings = settings or PropagationSettings()
-    s0 = state.as_normalized()
-    m, n_sys, n_modes = s0.multiplicity, s0.n_sys, s0.n_modes
+    m, n_sys, n_modes = state.multiplicity, state.n_sys, state.n_modes
     na = m * n_sys
 
     if t_eval is None:
@@ -485,7 +443,7 @@ def propagate(
         return np.concatenate([adot.reshape(-1), fdot.reshape(-1)]).view(np.float64)
 
     y0 = np.concatenate(
-        [s0.amplitudes.reshape(-1), s0.displacements.reshape(-1)]
+        [state.amplitudes.reshape(-1), state.displacements.reshape(-1)]
     ).view(np.float64)
 
     sol = solve_ivp(
@@ -510,15 +468,10 @@ def propagate(
     if not (np.all(np.isfinite(amps)) and np.all(np.isfinite(disps))):
         raise PropagationError("non-finite parameters in sampled trajectory")
 
-    norms = np.empty(n_t)
-    energies = np.empty(n_t, dtype=complex)
-    for i in range(n_t):
-        s = overlap_matrix(disps[i], disps[i])
-        norms[i] = np.sqrt(
-            np.einsum("mn,Mn,mM->", amps[i].conj(), amps[i], s).real
-        )
-        energies[i] = (s * _theta(h, amps[i], disps[i], s)).sum()
-    return Trajectory(sol.t.copy(), amps, disps, norms, energies, s0.labels)
+    norms = np.sqrt(state_norm_sq(amps, disps))
+    theta = _theta(h, amps, disps)[0]
+    energies = (overlap_matrix(disps, disps) * theta).sum(axis=(-2, -1))
+    return Trajectory(sol.t.copy(), amps, disps, norms, energies, state.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +480,8 @@ def propagate(
 
 def autocorrelation(traj: Trajectory, reference: MultiD2State) -> np.ndarray:
     """C(t) = <reference | psi(t)> along the trajectory."""
-    ref = reference.as_normalized()
-    out = np.empty(len(traj.times), dtype=complex)
-    for i in range(len(traj.times)):
-        s = overlap_matrix(ref.displacements, traj.displacements[i])
-        out[i] = np.einsum("in,jn,ij->", ref.amplitudes.conj(), traj.amplitudes[i], s)
-    return out
+    s = overlap_matrix(reference.displacements, traj.displacements)
+    return _label_weights(reference.amplitudes, traj.amplitudes, s).sum(axis=-1)
 
 
 def absorption_from_autocorrelation(

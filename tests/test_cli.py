@@ -30,6 +30,34 @@ seed = 7
 """
 
 
+SF_FREE_TWO_DIMERS = """[experiment]
+kind = dynamics
+
+[model]
+kind = sf
+n_dimers = 2
+coupling_omega = 0
+
+[run]
+t_max_fs = 2
+sample_dt_fs = 1.0
+"""
+
+TINY_SPECTRA = """[experiment]
+kind = spectra2d
+grid_points = 4
+grid_dt_fs = 0.5
+waiting_times_fs = 0
+omega_min = 1.9
+omega_max = 2.6
+omega_points = 5
+
+[model]
+kind = sf
+n_dimers = 1
+"""
+
+
 def _write(tmp_path, text):
     path = tmp_path / "run.ini"
     path.write_text(text)
@@ -123,3 +151,37 @@ def test_oracle_pairs(tmp_path, capsys, pair):
     report = json.loads((out_dir / "oracle_compare.json").read_text())
     # the corrupted-metric pair breaks the solver on purpose: it must fail
     assert report["passed"] is (pair != "corrupted-metric")
+
+
+def test_cavity_free_two_dimer_dynamics(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, "run", "--config",
+                        _write(tmp_path, SF_FREE_TWO_DIMERS), "--out", str(out_dir))
+    assert code == cli.EXIT_OK, err
+    rows = (out_dir / "population.csv").read_text().splitlines()
+    assert len(rows) == 4
+    # the bright singlet is shared by both dimers and starts fully populated
+    assert abs(float(rows[1].split(",")[2]) - 1.0) < 1e-6
+
+
+def test_resume_reuses_bank_legs(tmp_path, capsys, monkeypatch):
+    from cavidyn import spectro
+
+    path = _write(tmp_path, TINY_SPECTRA)
+
+    def csv_bytes(out_dir, *flags):
+        code, _, err = _run(capsys, "spectra2d", "--config", path, "--out",
+                            str(out_dir), *flags)
+        assert code == cli.EXIT_OK, err
+        return {p.name: p.read_bytes() for p in out_dir.glob("*.csv")}
+
+    plain = csv_bytes(tmp_path / "plain")
+    first = csv_bytes(tmp_path / "resumed", "--resume")
+    assert list((tmp_path / "resumed" / "bank").glob("leg*.txt"))
+
+    def no_save(*_):
+        raise AssertionError("a bank leg was recomputed instead of reused")
+
+    monkeypatch.setattr(spectro, "save_trajectory", no_save)
+    again = csv_bytes(tmp_path / "resumed", "--resume")
+    assert len(plain) == 1 and plain == first == again

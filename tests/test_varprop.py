@@ -56,21 +56,31 @@ def free_mode_hamiltonian(omega):
     m1=st.integers(1, 4),
     m2=st.integers(1, 4),
     nb=st.integers(1, 3),
+    lead=st.sampled_from([(), (2,), (3, 2)]),
     seed=st.integers(0, 10**6),
 )
 @settings(max_examples=30)
-def test_overlap_matrix_against_fock_expansion(m1, m2, nb, seed):
+def test_overlap_matrix_against_fock_expansion(m1, m2, nb, lead, seed):
     rng = np.random.default_rng(seed)
-    # moderate displacements so the cutoff-25 ladder holds the full state
-    f1 = 0.5 * (rng.normal(size=(m1, nb)) + 1j * rng.normal(size=(m1, nb)))
-    f2 = 0.5 * (rng.normal(size=(m2, nb)) + 1j * rng.normal(size=(m2, nb)))
+
+    def draw(shape):
+        # moderate displacements so the cutoff-25 ladder holds the full state
+        return 0.5 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+    # the bra carries the leading axes, the ket only the last one, so the
+    # broadcast over leading axes is checked too
+    f1 = draw(lead + (m1, nb))
+    f2 = draw(lead[1:] + (m2, nb))
     s = overlap_matrix(f1, f2)
+    assert s.shape == lead + (m1, m2)
     fs = FockSpace(1, tuple([25] * nb))
-    for i in range(m1):
-        vi = fs.coherent_bath_vector(f1[i])
-        for j in range(m2):
-            vj = fs.coherent_bath_vector(f2[j])
-            assert abs(s[i, j] - np.vdot(vi, vj)) < 1e-8
+    f2 = np.broadcast_to(f2, lead + (m2, nb))
+    for idx in np.ndindex(*lead):
+        for i in range(m1):
+            vi = fs.coherent_bath_vector(f1[idx][i])
+            for j in range(m2):
+                vj = fs.coherent_bath_vector(f2[idx][j])
+                assert abs(s[idx][i, j] - np.vdot(vi, vj)) < 1e-8
 
 
 def test_overlap_matrix_is_hermitian_and_unit_diagonal():
@@ -90,20 +100,6 @@ def test_state_norm_matches_dense_vector():
     dense = fs.multiconfig_vector(a, f)
     assert np.isclose(st_.norm(), np.linalg.norm(dense), atol=1e-10)
     assert np.allclose(st_.system_populations(), fs.system_populations(dense), atol=1e-10)
-
-
-def test_bargmann_conversion_roundtrip_preserves_state():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    f = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    s_norm = MultiD2State(a, f)
-    s_barg = s_norm.as_bargmann()
-    assert s_barg.convention == "bargmann"
-    assert not np.allclose(s_barg.amplitudes, a)
-    back = s_barg.as_normalized()
-    assert np.allclose(back.amplitudes, a)
-    assert np.isclose(s_barg.norm(), s_norm.norm())
-    assert abs(state_overlap(s_barg, s_norm) - s_norm.norm() ** 2) < 1e-10
 
 
 def test_mode_occupation_closed_form():
@@ -279,6 +275,25 @@ def test_htc_brute_force_equivalence_short():
     s = init_state(3, 2, 0, multiplicity=8, noise_seed=1)
     traj = propagate(hs, s, 60.0, PropagationSettings(sample_dt=0.5))
     assert np.abs(traj.photon_population() - dense_pph).max() <= 1e-3
+
+
+def test_trajectory_observables_equal_per_snapshot_calls():
+    """The kernels broadcast over the time axis exactly like 2-D calls per
+    snapshot, with more than one configuration on the config axes."""
+    hs = htc_problem(2)
+    s = init_state(3, 2, 0, multiplicity=2, noise_seed=4)
+    traj = propagate(hs, s, 10.0, PropagationSettings(sample_dt=1.0))
+    pops, occ = traj.system_populations(), traj.mode_occupations()
+    corr = autocorrelation(traj, s)
+    assert np.abs(occ).max() > 1e-4   # the modes are displaced
+    for i in range(len(traj.times)):
+        a, f = traj.amplitudes[i], traj.displacements[i]
+        snap = traj.state_at(i)
+        assert np.abs(pops[i] - system_populations(a, f)).max() < 1e-12
+        assert np.abs(occ[i] - mode_occupations(a, f)).max() < 1e-12
+        assert abs(traj.norms[i] - snap.norm()) < 1e-12
+        assert abs(traj.energies[i] - energy_expectation(hs, snap)) < 1e-12
+        assert abs(corr[i] - state_overlap(s, snap)) < 1e-12
 
 
 def test_backward_propagation_retraces_forward():
