@@ -57,7 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--workers", type=int, default=1, metavar="INT",
                            help="process count for ensemble realizations")
             p.add_argument("--resume", action="store_true",
-                           help="reuse spectra2d checkpoints if present")
+                           help="keep spectra2d first legs and the ESA "
+                                "checkpoint in OUT/bank/ and reuse them if "
+                                "they match the config")
     return ap
 
 

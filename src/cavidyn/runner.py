@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -45,7 +46,7 @@ from .spectro import (
     response_se_gsb,
     spectra,
 )
-from .tc_exact import ensemble_absorption, solve_realization
+from .tc_exact import solve_realization
 from .thermofield import (
     thermal_htc,
     thermal_init_state,
@@ -119,6 +120,11 @@ def _tc_realization(args):
     p_qu = np.sum(np.abs(amps[:, 1:]) ** 2, axis=1)
     energy = np.real(np.einsum("ti,ij,tj->t", amps.conj(), h_herm, amps))
     return p_ph, p_qu, p_ph + p_qu, energy
+
+
+def _tc_absorption_realization(args):
+    model, width, dseed, r, omega = args
+    return solve_realization(disordered_tc(model, width, dseed, r)).absorption(omega)
 
 
 def _htc_realization(args):
@@ -201,10 +207,16 @@ def _run_absorption(cfg: RunConfig, out_dir: str, workers: int,
     omega = np.linspace(opt["omega_min"], opt["omega_max"],
                         opt["omega_points"])
     if cfg.model_kind == "tc":
+        n_real = cfg.disorder.n_realizations
         for width in cfg.disorder.width:
-            intensity = ensemble_absorption(
-                cfg.tc, width, omega, cfg.disorder.n_realizations,
-                cfg.disorder.seed)
+            rows = _map_ordered(
+                _tc_absorption_realization,
+                [(cfg.tc, width, cfg.disorder.seed, r, omega)
+                 for r in range(n_real)], workers)
+            intensity = np.zeros(len(omega))
+            for row in rows:
+                intensity += row
+            intensity /= n_real
             name = ("absorption.csv" if len(cfg.disorder.width) == 1
                     else f"absorption_W{_width_tag(width)}.csv")
             _write_csv(os.path.join(out_dir, name),
@@ -238,6 +250,32 @@ def _run_pes_scan(cfg: RunConfig, out_dir: str, files: list):
     files.append("pes.csv")
 
 
+def _resume_dir(cfg: RunConfig, out_dir: str) -> str:
+    """`out_dir/bank`, holding every spectra2d resume file (first legs, ESA
+    checkpoint) and the resolved config they were computed for.  Files left
+    by a different config are deleted, so they are never reused."""
+    from .config import resolved_text
+
+    bank_dir = os.path.join(out_dir, "bank")
+    os.makedirs(bank_dir, exist_ok=True)
+    stamp = os.path.join(bank_dir, "config.ini")
+    text = resolved_text(cfg)
+    if os.path.exists(stamp):
+        with open(stamp, encoding="utf-8") as fh:
+            if fh.read() == text:
+                return bank_dir
+    stale = [name for name in sorted(os.listdir(bank_dir))
+             if name.startswith(("leg", "esa_checkpoint"))]
+    if stale:
+        print(f"resume: {stamp} does not match this config; deleting "
+              f"{len(stale)} stale resume file(s)", file=sys.stderr)
+    for name in stale:
+        os.remove(os.path.join(bank_dir, name))
+    with open(stamp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return bank_dir
+
+
 def _run_spectra2d(cfg: RunConfig, out_dir: str, resume: bool, files: list):
     opt = cfg.options
     grid = ResponseGrid(
@@ -254,18 +292,14 @@ def _run_spectra2d(cfg: RunConfig, out_dir: str, resume: bool, files: list):
     dipoles = DipoleSet(mu=dipole_up(cfg.sf_dimers, labels0, labels1)[:, 0],
                         mu_up=dipole_up(cfg.sf_dimers, labels1, labels2))
     settings = _settings(cfg)
-    bank_dir = os.path.join(out_dir, "bank")
-    esa_ckpt = os.path.join(out_dir, "esa_checkpoint.npz")
-    if not resume:
-        for stale in (esa_ckpt,):
-            if os.path.exists(stale):
-                os.remove(stale)
-    os.makedirs(bank_dir, exist_ok=True)
+    bank_dir = _resume_dir(cfg, out_dir) if resume else None
     bank = first_leg_bank(h1, dipoles, grid,
                           multiplicity=cfg.run.multiplicity,
                           noise_seed=cfg.run.seed, settings=settings,
-                          checkpoint_dir=bank_dir if resume else None)
+                          checkpoint_dir=bank_dir)
     responses = response_se_gsb(bank, grid, dipoles)
+    esa_ckpt = (os.path.join(bank_dir, "esa_checkpoint.npz") if resume
+                else None)
     responses.update(response_esa(bank, h2, grid, dipoles, settings=settings,
                                   checkpoint=esa_ckpt,
                                   max_second_legs=opt["max_second_legs"]))

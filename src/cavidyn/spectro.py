@@ -15,7 +15,8 @@ The workflow is bank -> response -> spectra:
   2. `response_se_gsb` evaluates R1..R4 on the (tau, T_w, t) grid from bank
      snapshots alone; `response_esa` additionally runs second-leg
      propagations in the doubly-excited manifold, started from
-     dipole-raised transplants of first-leg snapshots.
+     dipole-raised transplants of first-leg snapshots, one batched
+     integration per (ket label, T_w).
   3. `spectra` applies the electronic dephasing window exp(-gamma'(tau+t)/hbar)
      and the double one-sided transform, returning per-T_w SE/GSB/ESA/TOTAL
      maps (TOTAL = SE + GSB + ESA by construction).
@@ -48,9 +49,6 @@ from .varprop import (
 )
 
 _Z = np.array([0.0, 0.0, 1.0])
-
-# ESA checkpoint cadence: persist after this many completed second-leg rows.
-CHECKPOINT_STRIDE = 16
 
 
 @dataclass(frozen=True)
@@ -296,24 +294,6 @@ def response_se_gsb(bank: TrajectoryBank, grid: ResponseGrid,
     return out
 
 
-def _second_leg(h2, a0, f0, t_grid, settings):
-    """Propagate a transplanted (non-normalized) state; returns the
-    amplitude rows rescaled back to the transplant norm.
-
-    Valid because a global amplitude rescaling commutes with the variational
-    equations of motion: the displacement flow is scale-invariant and the
-    amplitude flow is linear in the overall prefactor.
-    """
-    st = MultiD2State(np.ascontiguousarray(a0), np.ascontiguousarray(f0))
-    scale = st.norm()
-    if scale < 1e-12:
-        z = np.zeros((len(t_grid),) + a0.shape, dtype=complex)
-        return z, np.broadcast_to(f0, (len(t_grid),) + f0.shape).copy()
-    traj = propagate(h2, st.normalized_to_unit(), float(t_grid[-1]),
-                     settings, t_eval=t_grid)
-    return traj.amplitudes * scale, traj.displacements
-
-
 def response_esa(
     bank: TrajectoryBank,
     h2: SystemBathHamiltonian,
@@ -325,10 +305,20 @@ def response_esa(
 ) -> dict:
     """R1*, R2* (excited-state absorption) on the (tau, T_w, t) grid.
 
-    Second-leg cost: one doubly-excited propagation per waiting time for R1*
-    and one per (tau, T_w) node for R2*; the total is capped at
-    `max_second_legs` (raise it deliberately for bigger grids).  With
-    `checkpoint` set, completed R2* tau-rows are persisted and reruns resume.
+    Second legs: R1* needs one doubly-excited propagation per (ket label n3,
+    T_w), started at T_w, and R2* one per (n3, tau, T_w), started at
+    tau + T_w.  The 1 + n_tau legs of one (n3, T_w) share the Hamiltonian
+    and the detection grid, so they run as one batched integration
+    (`propagate` with a leading batch axis): the cost is one integration
+    per (n3, T_w), each as long as its slowest member.  The leg count is
+    still capped at `max_second_legs` (raise it deliberately for bigger
+    grids).  With `checkpoint` set, the responses are saved after every
+    (n3, T_w) batch and a rerun resumes after the last saved batch.
+
+    Each transplant is propagated normalized and rescaled afterwards, which
+    is exact because a global amplitude rescaling commutes with the
+    variational equations of motion; transplants of norm < 1e-12 contribute
+    nothing and are not propagated.
     """
     if dipoles.mu_up is None:
         raise ValueError("ESA needs upward dipoles (mu_up)")
@@ -356,11 +346,10 @@ def response_esa(
     done = 0
     if checkpoint and os.path.exists(checkpoint):
         with np.load(checkpoint) as chk:
-            r1s, r2s, done = chk["r1s"], chk["r2s"], int(chk["done"])
+            r1s, r2s, done = chk["r1s"], chk["r2s"], int(chk["batches"])
 
-    def esa(n3, bra_times, ket):
+    def esa(n3, bra_times, a2, f2):
         """sum_n mu*_n mu_n3 <raised first leg n at bra_times | second leg>."""
-        a2, f2 = ket
         out = 0.0
         for n in bank.bright:
             a_b, f_b = bank.forward(n, bra_times)
@@ -369,37 +358,38 @@ def response_esa(
                 overlap_matrix(f_b, f2))
         return out
 
-    # One second leg per (ket label n3, transplant time); every bra label n
-    # reuses it, so the leg loops sit outside the bra loop.
     tau = grid.tau_fs[:, None]
     t = grid.t_fs
-    step = 0
-    for n3 in bank.bright:
-        for w, tw in enumerate(grid.tw_fs):
-            # R1*: ket transplanted at T_w, bra = first leg at tau+T_w+t
-            if step >= done:
-                a_tw, f_tw = bank.forward(n3, tw)
-                leg = _second_leg(h2, a_tw @ mu_up.T, f_tw, t, settings)
-                r1s[:, w] += esa(n3, tau + tw + t, leg)
-            step += 1
-
-            # R2*: ket transplanted at tau+T_w, bra = first leg at T_w+t
-            for k, tau_k in enumerate(grid.tau_fs):
-                if step >= done:
-                    a_k, f_k = bank.forward(n3, tau_k + tw)
-                    leg = _second_leg(h2, a_k @ mu_up.T, f_k, t, settings)
-                    r2s[k, w] += esa(n3, tw + t, leg)
-                    if checkpoint and (k + 1) % CHECKPOINT_STRIDE == 0:
-                        _save_checkpoint(checkpoint, r1s, r2s, step + 1)
-                step += 1
-    if checkpoint:
-        _save_checkpoint(checkpoint, r1s, r2s, step)
+    batches = [(n3, w, tw) for n3 in bank.bright
+               for w, tw in enumerate(grid.tw_fs)]
+    for b, (n3, w, tw) in enumerate(batches):
+        if b < done:
+            continue
+        # member 0 is R1*'s transplant at T_w, member 1 + k R2*'s at tau_k + T_w
+        a1, f0 = bank.forward(n3, np.concatenate([[tw], grid.tau_fs + tw]))
+        a0 = a1 @ mu_up.T
+        scale = MultiD2State(a0, f0).norm()
+        live = scale >= 1e-12
+        a2 = np.zeros((n_t,) + a0.shape, dtype=complex)
+        f2 = np.broadcast_to(f0, (n_t,) + f0.shape).copy()
+        if live.any():
+            st = MultiD2State(a0[live] / scale[live, None, None], f0[live])
+            traj = propagate(h2, st, float(t[-1]), settings, t_eval=t)
+            a2[:, live] = traj.amplitudes * scale[live, None, None]
+            f2[:, live] = traj.displacements
+        # R1*: bra = first leg at tau+T_w+t; R2*: bra = first leg at T_w+t,
+        # ket rows moved to (tau, t)
+        r1s[:, w] += esa(n3, tau + tw + t, a2[:, 0], f2[:, 0])
+        r2s[:, w] += esa(n3, tw + t, a2[:, 1:].swapaxes(0, 1),
+                         f2[:, 1:].swapaxes(0, 1))
+        if checkpoint:
+            _save_checkpoint(checkpoint, r1s, r2s, b + 1)
     return {"R1s": r1s, "R2s": r2s}
 
 
-def _save_checkpoint(path, r1s, r2s, done):
+def _save_checkpoint(path, r1s, r2s, batches):
     tmp = path + ".tmp.npz"   # explicit suffix so numpy does not append one
-    np.savez(tmp, r1s=r1s, r2s=r2s, done=done)
+    np.savez(tmp, r1s=r1s, r2s=r2s, batches=batches)
     os.replace(tmp, path)
 
 

@@ -23,6 +23,17 @@ restores the normalization-derivative piece,
 Every overlap, observable and energy is built from two kernels that broadcast
 over leading (e.g. time) axes: the coherent-state overlap `overlap_matrix` and
 the Hamiltonian contraction `_theta`.
+
+Batches.  Amplitudes (..., M, n_sys) and displacements (..., M, n_modes) may
+carry leading batch axes: independent states of one Hamiltonian with the same
+shape.  `eom_rhs` then assembles and solves one metric per member (stacked
+`eigh`, the same damped filter, the collapse checks per member), and
+`propagate` integrates the whole batch in one RK45 run over the stacked
+parameter vector, returning (T, ..., M, .) trajectories.  Step control takes
+the worst member: a step is accepted only when every member's own RMS error
+norm is <= 1, the test that member would face integrated alone, so a batch of
+one steps exactly like an unbatched run.  Members share the step sequence, so
+a member batched with a stiffer one takes that member's shorter steps.
 """
 
 from __future__ import annotations
@@ -32,7 +43,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
+from scipy.integrate._ivp.common import norm as _rms_norm
 
 from .constants import HBAR_EV_FS
 from .models import SystemBathHamiltonian
@@ -61,8 +73,9 @@ class PropagationError(RuntimeError):
 
 @dataclass
 class MultiD2State:
-    """amplitudes: (M, n_sys) complex over normalized coherent states;
-    displacements: (M, n_modes) complex."""
+    """amplitudes: (..., M, n_sys) complex over normalized coherent states;
+    displacements: (..., M, n_modes) complex.  Leading axes index a batch of
+    independent states."""
 
     amplitudes: np.ndarray
     displacements: np.ndarray
@@ -71,38 +84,42 @@ class MultiD2State:
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         self.displacements = np.asarray(self.displacements, dtype=complex)
-        if self.amplitudes.ndim != 2 or self.displacements.ndim != 2:
-            raise ValueError("amplitudes and displacements must be 2-D (M x ...)")
-        if self.amplitudes.shape[0] != self.displacements.shape[0]:
-            raise ValueError("amplitudes and displacements disagree on multiplicity")
-        if self.labels is not None and len(self.labels) != self.amplitudes.shape[1]:
+        if self.amplitudes.ndim < 2 or self.displacements.ndim < 2:
+            raise ValueError("amplitudes and displacements must be (..., M, .) arrays")
+        if self.amplitudes.shape[:-1] != self.displacements.shape[:-1]:
+            raise ValueError(
+                "amplitudes and displacements disagree on batch shape or multiplicity")
+        if self.labels is not None and len(self.labels) != self.n_sys:
             raise ValueError("labels must match the system dimension")
 
     @property
     def multiplicity(self) -> int:
-        return self.amplitudes.shape[0]
+        return self.amplitudes.shape[-2]
 
     @property
     def n_sys(self) -> int:
-        return self.amplitudes.shape[1]
+        return self.amplitudes.shape[-1]
 
     @property
     def n_modes(self) -> int:
-        return self.displacements.shape[1]
+        return self.displacements.shape[-1]
 
     def copy(self) -> "MultiD2State":
         return MultiD2State(
             self.amplitudes.copy(), self.displacements.copy(), self.labels
         )
 
-    def norm(self) -> float:
-        return float(np.sqrt(state_norm_sq(self.amplitudes, self.displacements)))
+    def norm(self):
+        """State norm: a float, or one per batch member."""
+        return np.sqrt(state_norm_sq(self.amplitudes, self.displacements))
 
     def normalized_to_unit(self) -> "MultiD2State":
+        """Every member divided by its own norm."""
         n = self.norm()
-        if n == 0:
+        if np.any(n == 0):
             raise ValueError("cannot normalize the zero state")
-        return MultiD2State(self.amplitudes / n, self.displacements.copy(), self.labels)
+        return MultiD2State(self.amplitudes / np.asarray(n)[..., None, None],
+                            self.displacements.copy(), self.labels)
 
     def system_populations(self) -> np.ndarray:
         return system_populations(self.amplitudes, self.displacements)
@@ -207,11 +224,16 @@ def eom_rhs(
     svd_cutoff: float = DEFAULT_SVD_CUTOFF,
     cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivatives (Adot, Fdot) of the parameters."""
+    """Time derivatives (Adot, Fdot) of the parameters.
+
+    amplitudes (..., M, n_sys) and displacements (..., M, n_modes); leading
+    axes are independent batch members, each with its own metric solve.
+    """
     a = amplitudes
     f = displacements
-    m, n_sys = a.shape
-    n_modes = f.shape[1]
+    m, n_sys = a.shape[-2:]
+    n_modes = f.shape[-1]
+    batch = a.shape[:-2]
     w = h.mode_freqs
 
     s = overlap_matrix(f, f)
@@ -219,46 +241,53 @@ def eom_rhs(
 
     h_a = (
         s @ (a @ h.e_sys.T)
-        + np.einsum("mM,mMn->mn", s, x1)
+        + np.einsum("...mM,...mMn->...mn", s, x1)
         + s @ x2
         + (s * w_ff) @ a
     )
-    y = np.einsum("mn,nNq,MN->mMq", a.conj(), h.coup_create, a)
-    ket_f = f[None, :, :] - 0.5 * f[:, None, :]  # [m, m', p] = f_m'p - f_mp/2
+    y = np.einsum("...mn,nNq,...MN->...mMq", a.conj(), h.coup_create, a)
+    # [m, m', p] = f_m'p - f_mp/2
+    ket_f = f[..., None, :, :] - 0.5 * f[..., :, None, :]
     h_f = np.einsum(
-        "mM,mMp->mp",
+        "...mM,...mMp->...mp",
         s,
-        ket_f * theta[:, :, None] + y + w[None, None, :] * f[None, :, :] * p[:, :, None],
+        ket_f * theta[..., None] + y + w * f[..., None, :, :] * p[..., None],
     )
 
     # Gram matrix of the tangent vectors
-    bra_f = f.conj()[:, None, :] - 0.5 * f.conj()[None, :, :]  # [m, m', p] = f*_mp - f*_m'p/2
-    g_aa = np.kron(s, np.eye(n_sys))
-    g_af = np.einsum("Mn,mM,mMp->mnMp", a, s, bra_f).reshape(m * n_sys, m * n_modes)
+    # [m, m', p] = f*_mp - f*_m'p/2
+    bra_f = f.conj()[..., :, None, :] - 0.5 * f.conj()[..., None, :, :]
+    na = m * n_sys
+    g_aa = (s[..., :, None, :, None] * np.eye(n_sys)[:, None, :]).reshape(
+        batch + (na, na))
+    g_af = np.einsum("...Mn,...mM,...mMp->...mnMp", a, s, bra_f).reshape(
+        batch + (na, m * n_modes))
     ps = p * s
     g_ff = (
-        np.einsum("mM,mMp,mMq->mpMq", ps, ket_f, bra_f)
-        + np.einsum("mM,pq->mpMq", ps, np.eye(n_modes))
-    ).reshape(m * n_modes, m * n_modes)
+        np.einsum("...mM,...mMp,...mMq->...mpMq", ps, ket_f, bra_f)
+        + np.einsum("...mM,pq->...mpMq", ps, np.eye(n_modes))
+    ).reshape(batch + (m * n_modes, m * n_modes))
     dim = m * (n_sys + n_modes)
-    g = np.empty((dim, dim), dtype=complex)
-    na = m * n_sys
-    g[:na, :na] = g_aa
-    g[:na, na:] = g_af
-    g[na:, :na] = g_af.conj().T
-    g[na:, na:] = g_ff
+    g = np.empty(batch + (dim, dim), dtype=complex)
+    g[..., :na, :na] = g_aa
+    g[..., :na, na:] = g_af
+    g[..., na:, :na] = g_af.conj().swapaxes(-1, -2)
+    g[..., na:, na:] = g_ff
 
-    rhs = np.concatenate([h_a.reshape(-1), h_f.reshape(-1)]) * (-1j / HBAR_EV_FS)
+    rhs = np.concatenate(
+        [h_a.reshape(batch + (-1,)), h_f.reshape(batch + (-1,))], axis=-1
+    ) * (-1j / HBAR_EV_FS)
 
     vals, vecs = np.linalg.eigh(g)
-    lam_max = vals[-1]
-    if not np.isfinite(lam_max) or lam_max <= 0:
+    lam_max = vals[..., -1]
+    if not np.all(np.isfinite(lam_max) & (lam_max > 0)):
         raise AnsatzCollapseError("metric has no positive eigenvalues; state degenerated")
-    retained = vals[vals > svd_cutoff * lam_max]
-    if lam_max / retained.min() > cond_threshold:
+    eps = svd_cutoff * lam_max[..., None]
+    cond = lam_max / np.where(vals > eps, vals, np.inf).min(axis=-1)
+    if np.any(cond > cond_threshold):
         raise AnsatzCollapseError(
             f"ansatz collapse: retained metric condition number "
-            f"{lam_max / retained.min():.3e} exceeds {cond_threshold:.1e}; "
+            f"{cond.max():.3e} exceeds {cond_threshold:.1e}; "
             "increase noise_scale or restart with fewer/fresh configurations"
         )
     # damped spectral inversion: eigendirections well above the cutoff are
@@ -266,13 +295,13 @@ def eom_rhs(
     # truncation would make the right-hand side discontinuous whenever an
     # eigenvalue crosses the cutoff, which stalls adaptive steppers on
     # overcomplete configuration sets.
-    eps = svd_cutoff * lam_max
     inv_filtered = vals / (vals * vals + eps * eps)
-    x = vecs @ (inv_filtered * (vecs.conj().T @ rhs))
+    coef = (vecs.conj().swapaxes(-1, -2) @ rhs[..., None])[..., 0]
+    x = (vecs @ (inv_filtered * coef)[..., None])[..., 0]
 
-    adot_bare = x[:na].reshape(m, n_sys)
-    fdot = x[na:].reshape(m, n_modes)
-    adot = adot_bare + 0.5 * a * np.sum(f * fdot.conj(), axis=1)[:, None]
+    adot_bare = x[..., :na].reshape(batch + (m, n_sys))
+    fdot = x[..., na:].reshape(batch + (m, n_modes))
+    adot = adot_bare + 0.5 * a * np.sum(f * fdot.conj(), axis=-1)[..., None]
     return adot, fdot
 
 
@@ -352,8 +381,9 @@ def init_state(
 class Trajectory:
     """Sampled propagation history.
 
-    amplitudes: (T, M, n_sys); displacements: (T, M, n_modes);
-    norms: (T,) Euclidean state norms; energies: (T,) complex <H>.
+    amplitudes: (T, ..., M, n_sys); displacements: (T, ..., M, n_modes);
+    norms: (T, ...) Euclidean state norms; energies: (T, ...) complex <H>.
+    The axes between T and M are the batch axes of the propagated state.
     """
 
     times: np.ndarray
@@ -369,14 +399,14 @@ class Trajectory:
         )
 
     def system_populations(self) -> np.ndarray:
-        """(T, n_sys) array of label populations."""
+        """(T, ..., n_sys) array of label populations."""
         return system_populations(self.amplitudes, self.displacements)
 
     def photon_population(self, index: int = 0) -> np.ndarray:
-        return self.system_populations()[:, index]
+        return self.system_populations()[..., index]
 
     def mode_occupations(self) -> np.ndarray:
-        """(T, n_modes) array of <b_q^+ b_q>."""
+        """(T, ..., n_modes) array of <b_q^+ b_q>."""
         return mode_occupations(self.amplitudes, self.displacements)
 
 
@@ -405,6 +435,22 @@ def _sample_times(t_final: float, dt: float) -> np.ndarray:
     return ts
 
 
+class _WorstMemberRK45(RK45):
+    """RK45 over `members` equal-length member vectors laid end to end.
+
+    The error norm is the largest of the members' own RMS norms, so a step is
+    accepted only when every member passes the test it would face alone.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, members=1, **options):
+        self.members = members
+        super().__init__(fun, t0, y0, t_bound, **options)
+
+    def _estimate_error_norm(self, K, h, scale):
+        err = self._estimate_error(K, h) / scale
+        return max(_rms_norm(e) for e in err.reshape(self.members, -1))
+
+
 def propagate(
     h: SystemBathHamiltonian,
     state: MultiD2State,
@@ -416,9 +462,14 @@ def propagate(
 
     Negative t_final integrates backwards.  Samples are taken from the
     integrator's dense output at `t_eval` (default: every settings.sample_dt).
+    A state with leading batch axes is integrated as one system under
+    worst-member step control (module docstring); the guards on finite
+    parameters and on the norm of Hermitian runs apply to every member.
     """
     settings = settings or PropagationSettings()
     m, n_sys, n_modes = state.multiplicity, state.n_sys, state.n_modes
+    batch = state.amplitudes.shape[:-2]
+    members = int(np.prod(batch))
     na = m * n_sys
 
     if t_eval is None:
@@ -430,31 +481,37 @@ def propagate(
     def rhs(t, y):
         if not np.all(np.isfinite(y)):
             raise PropagationError(f"non-finite parameters at t = {t:.6g} fs")
-        z = y.view(np.complex128)
-        a = z[:na].reshape(m, n_sys)
-        f = z[na:].reshape(m, n_modes)
+        z = y.view(np.complex128).reshape(members, -1)
+        a = z[:, :na].reshape(batch + (m, n_sys))
+        f = z[:, na:].reshape(batch + (m, n_modes))
         if hermitian_guard:
             nrm = np.sqrt(state_norm_sq(a, f))
-            if not 0.5 <= nrm <= 1.5:
+            bad = (nrm < 0.5) | (nrm > 1.5)
+            if np.any(bad):
                 raise PropagationError(
-                    f"norm ran away to {nrm:.6g} at t = {t:.6g} fs (Hermitian run)"
+                    f"norm ran away to {np.ravel(nrm[bad])[0]:.6g} at t = {t:.6g} fs "
+                    "(Hermitian run)"
                 )
         adot, fdot = eom_rhs(h, a, f, settings.svd_cutoff, settings.cond_threshold)
-        return np.concatenate([adot.reshape(-1), fdot.reshape(-1)]).view(np.float64)
+        return np.concatenate(
+            [adot.reshape(members, -1), fdot.reshape(members, -1)], axis=1
+        ).reshape(-1).view(np.float64)
 
     y0 = np.concatenate(
-        [state.amplitudes.reshape(-1), state.displacements.reshape(-1)]
-    ).view(np.float64)
+        [state.amplitudes.reshape(members, -1),
+         state.displacements.reshape(members, -1)], axis=1
+    ).reshape(-1).view(np.float64)
 
     sol = solve_ivp(
         rhs,
         (0.0, t_final),
         y0,
-        method="RK45",
+        method=_WorstMemberRK45,
         rtol=settings.rel_tol,
         atol=settings.abs_tol,
         t_eval=t_eval,
         dense_output=False,
+        members=members,
     )
     if not sol.success:
         raise PropagationError(f"integration aborted: {sol.message}")
@@ -462,9 +519,9 @@ def propagate(
         raise PropagationError("integrator did not reach all requested sample times")
 
     n_t = len(sol.t)
-    z = sol.y.T.copy().view(np.complex128)
-    amps = z[:, :na].reshape(n_t, m, n_sys)
-    disps = z[:, na:].reshape(n_t, m, n_modes)
+    z = sol.y.T.copy().view(np.complex128).reshape(n_t, members, -1)
+    amps = z[:, :, :na].reshape((n_t,) + batch + (m, n_sys))
+    disps = z[:, :, na:].reshape((n_t,) + batch + (m, n_modes))
     if not (np.all(np.isfinite(amps)) and np.all(np.isfinite(disps))):
         raise PropagationError("non-finite parameters in sampled trajectory")
 
@@ -517,6 +574,8 @@ def absorption_from_autocorrelation(
 
 
 def save_trajectory(path, traj: Trajectory) -> None:
+    if traj.amplitudes.ndim != 3:
+        raise ValueError("a trajectory checkpoint holds one unbatched state")
     n_t = len(traj.times)
     m, n_sys = traj.amplitudes.shape[1:]
     n_modes = traj.displacements.shape[2]

@@ -92,15 +92,18 @@ def test_validate_echoes_the_resolved_config(tmp_path, capsys):
 
 
 def test_outputs_do_not_depend_on_worker_count(tmp_path, capsys):
-    path = _write(tmp_path, TINY_TC)
-    files = []
-    for workers in ("1", "2"):
-        out_dir = tmp_path / f"w{workers}"
-        code, _, _ = _run(capsys, "run", "--config", path, "--out",
-                          str(out_dir), "--workers", workers)
-        assert code == cli.EXIT_OK
-        files.append({p.name: p.read_bytes() for p in out_dir.glob("*.csv")})
-    assert len(files[0]) == 2 and files[0] == files[1]
+    absorption = TINY_TC.replace("kind = dynamics",
+                                 "kind = absorption\nomega_points = 41")
+    for kind, text in (("dynamics", TINY_TC), ("absorption", absorption)):
+        path = _write(tmp_path, text)
+        files = []
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"{kind}_w{workers}"
+            code, _, _ = _run(capsys, "run", "--config", path, "--out",
+                              str(out_dir), "--workers", workers)
+            assert code == cli.EXIT_OK
+            files.append({p.name: p.read_bytes() for p in out_dir.glob("*.csv")})
+        assert len(files[0]) == 2 and files[0] == files[1]
 
 
 def test_missing_config_is_a_runtime_failure(tmp_path, capsys):
@@ -185,3 +188,30 @@ def test_resume_reuses_bank_legs(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(spectro, "save_trajectory", no_save)
     again = csv_bytes(tmp_path / "resumed", "--resume")
     assert len(plain) == 1 and plain == first == again
+
+
+def test_plain_spectra_run_leaves_only_its_outputs(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, "spectra2d", "--config",
+                        _write(tmp_path, TINY_SPECTRA), "--out", str(out_dir))
+    assert code == cli.EXIT_OK, err
+    manifest = json.loads((out_dir / "run_manifest.json").read_text())
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        [*manifest["outputs"], "run_manifest.json"])
+
+
+def test_resume_after_a_model_change_recomputes(tmp_path, capsys):
+    changed = TINY_SPECTRA + "coupling_omega = 0.1\n"
+
+    def csv_bytes(text, out_dir, *flags):
+        code, _, err = _run(capsys, "spectra2d", "--config",
+                            _write(tmp_path, text), "--out", str(out_dir),
+                            *flags)
+        assert code == cli.EXIT_OK, err
+        return {p.name: p.read_bytes() for p in out_dir.glob("*.csv")}, err
+
+    old, _ = csv_bytes(TINY_SPECTRA, tmp_path / "resumed", "--resume")
+    resumed, err = csv_bytes(changed, tmp_path / "resumed", "--resume")
+    plain, _ = csv_bytes(changed, tmp_path / "plain")
+    assert len(plain) == 1 and resumed == plain != old
+    assert "stale" in err

@@ -268,29 +268,30 @@ def test_esa_cost_cap(toy):
 
 
 def test_esa_checkpoint_resume(toy, tmp_path, monkeypatch):
-    """An interrupted ESA run resumes from its checkpoint bit-exactly."""
-    monkeypatch.setattr(spectro, "CHECKPOINT_STRIDE", 1)
+    """A run killed after its first (n3, T_w) batch resumes from the
+    checkpoint bit-exactly, without repeating the saved batch."""
     path = str(tmp_path / "esa.npz")
-    grid = ResponseGrid(np.arange(5) * 2.0, np.arange(5) * 2.0, (0.0,), 0.01)
+    grid = ResponseGrid(np.arange(5) * 2.0, np.arange(5) * 2.0, (0.0, 4.0), 0.01)
     args = (toy["bank"], toy["h2"], grid, toy["dip"])
     clean = response_esa(*args, max_second_legs=300)
 
     calls = {"n": 0}
-    real = spectro._second_leg
+    real = spectro.propagate
 
     def flaky(*a, **kw):
         calls["n"] += 1
-        if calls["n"] == 4:
+        if calls["n"] == 2:
             raise RuntimeError("simulated kill")
         return real(*a, **kw)
 
-    monkeypatch.setattr(spectro, "_second_leg", flaky)
+    monkeypatch.setattr(spectro, "propagate", flaky)
     with pytest.raises(RuntimeError, match="simulated kill"):
         response_esa(*args, checkpoint=path, max_second_legs=300)
     assert os.path.exists(path)
 
-    monkeypatch.setattr(spectro, "_second_leg", real)
+    calls["n"] = 2   # the resumed run must need only the second batch
     resumed = response_esa(*args, checkpoint=path, max_second_legs=300)
+    assert calls["n"] == 3
     assert np.array_equal(resumed["R1s"], clean["R1s"])
     assert np.array_equal(resumed["R2s"], clean["R2s"])
 

@@ -16,6 +16,7 @@ from cavidyn.models import (
     no_coupling,
     tc_system_bath,
 )
+from cavidyn.sf import CavitySpec, SFCavityCoupling, SFDimerSpec, sf_system_bath
 from cavidyn.varprop import (
     AnsatzCollapseError,
     MultiD2State,
@@ -306,6 +307,91 @@ def test_backward_propagation_retraces_forward():
     assert abs(state_overlap(back.state_at(-1), s) - 1.0) < 1e-6
 
 
+# ---------------------------------------------------------------------------
+# batch axis: independent states of one Hamiltonian in one call
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_batched_rhs_equals_member_calls(m):
+    _, h = sf_system_bath([SFDimerSpec()], CavitySpec(), SFCavityCoupling())
+    rng = np.random.default_rng(10 + m)
+    a = rng.normal(size=(3, m, h.n_sys)) + 1j * rng.normal(size=(3, m, h.n_sys))
+    f = 0.4 * (rng.normal(size=(3, m, h.n_modes))
+               + 1j * rng.normal(size=(3, m, h.n_modes)))
+    adot, fdot = eom_rhs(h, a, f)
+    assert adot.shape == a.shape and fdot.shape == f.shape
+    for b in range(3):
+        ad, fd = eom_rhs(h, a[b], f[b])
+        assert np.abs(adot[b] - ad).max() < 1e-12
+        assert np.abs(fdot[b] - fd).max() < 1e-12
+
+
+def test_batched_collapse_check_is_per_member():
+    # one well-spread member, one with nearly coalesced configurations: a
+    # threshold between their condition numbers must trip the batch
+    hs = htc_problem(2)
+    rng = np.random.default_rng(1)
+    spread = MultiD2State(rng.normal(size=(6, 3)) + 0j,
+                          1.5 * rng.normal(size=(6, 2)) + 0j)
+    tight = init_state(3, 2, 0, multiplicity=6, noise_seed=1)
+    eom_rhs(hs, spread.amplitudes, spread.displacements, cond_threshold=1e5)
+    with pytest.raises(AnsatzCollapseError, match="ansatz collapse"):
+        eom_rhs(hs, tight.amplitudes, tight.displacements, cond_threshold=1e5)
+    with pytest.raises(AnsatzCollapseError, match="ansatz collapse"):
+        eom_rhs(hs, np.stack([spread.amplitudes, tight.amplitudes]),
+                np.stack([spread.displacements, tight.displacements]),
+                cond_threshold=1e5)
+
+
+def test_batch_steps_for_its_worst_member():
+    """Two labels carry the displaced-oscillator problem of
+    test_single_surface_displaced_mode at couplings c and 4c.  Batched, each
+    member keeps that test's analytic tolerance and is no less accurate than
+    alone: the weak member rides the strong one's shorter steps, and the
+    strong one faces its own error test as alone.  (Accepting on the RMS
+    norm of the whole stacked vector instead lets the strong member's error
+    grow by a quarter.)"""
+    c, w = 0.05, 0.15
+    coup = np.zeros((2, 2, 1), complex)
+    coup[0, 0, 0], coup[1, 1, 0] = c, 4 * c
+    h = SystemBathHamiltonian(np.zeros((2, 2), complex), np.array([w]), coup, coup)
+    members = MultiD2State(np.eye(2, dtype=complex)[:, None, :],
+                           np.zeros((2, 1, 1), complex))
+    batched = propagate(h, members, 60.0, TIGHT)
+    assert batched.amplitudes.shape == (61, 2, 1, 2)
+    assert batched.norms.shape == batched.energies.shape == (61, 2)
+    phase = 1.0 - np.exp(-1j * w * batched.times / HBAR_EV_FS)
+
+    def error(disps, coupling):
+        return np.abs(disps - (-(coupling / w) * phase)).max()
+
+    for b, coupling in enumerate((c, 4 * c)):
+        alone = propagate(h, MultiD2State(members.amplitudes[b],
+                                          members.displacements[b]), 60.0, TIGHT)
+        err_batch = error(batched.displacements[:, b, 0, 0], coupling)
+        assert err_batch < 1e-8
+        assert np.abs(batched.energies[:, b] - batched.energies[0, b]).max() < 1e-10
+        # the strong member sets nearly every step, as it would alone
+        assert err_batch <= 1.05 * error(alone.displacements[:, 0, 0], coupling)
+
+
+def test_batched_propagation_matches_member_runs():
+    """Batched members agree with their own unbatched propagations within
+    1e-5."""
+    hs = htc_problem(2)
+    states = [init_state(3, 2, n, multiplicity=2, noise_seed=n) for n in range(3)]
+    batch = MultiD2State(np.stack([s.amplitudes for s in states]),
+                         np.stack([s.displacements for s in states]))
+    settings = PropagationSettings(sample_dt=1.0)
+    traj = propagate(hs, batch, 20.0, settings)
+    pops = traj.system_populations()
+    for b, s in enumerate(states):
+        alone = propagate(hs, s, 20.0, settings)
+        assert np.abs(pops[:, b] - alone.system_populations()).max() < 1e-5
+        assert np.abs(traj.energies[:, b] - alone.energies).max() < 1e-5
+        assert np.abs(traj.norms[:, b] - alone.norms).max() < 1e-5
+
+
 def test_collapse_diagnostic_fires_on_tiny_threshold():
     hs = htc_problem(2)
     s = init_state(3, 2, 0, multiplicity=6, noise_seed=1)
@@ -413,3 +499,15 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path.write_text("something else\n")
     with pytest.raises(ValueError, match="checkpoint"):
         load_trajectory(path)
+
+
+def test_checkpoint_refuses_batched_trajectories(tmp_path):
+    traj = Trajectory(
+        times=np.array([0.0]),
+        amplitudes=np.zeros((1, 2, 1, 2), complex),
+        displacements=np.zeros((1, 2, 1, 1), complex),
+        norms=np.ones((1, 2)),
+        energies=np.zeros((1, 2), complex),
+    )
+    with pytest.raises(ValueError, match="unbatched"):
+        save_trajectory(tmp_path / "t.txt", traj)
