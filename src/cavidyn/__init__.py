@@ -3,7 +3,8 @@
 Three layers:
 
 * analytic single-excitation propagators for the lossy emitter-cavity model
-  (`cavidyn.tc_exact`), including disorder ensembles and linear absorption;
+  (`cavidyn.tc_exact`), with linear absorption; `cavidyn.runner` averages
+  them over disorder ensembles;
 * a variational propagator over multi-configuration coherent-state
   wavefunctions for system+bath Hamiltonians (`cavidyn.varprop`), with a
   thermal-double extension for finite temperature (`cavidyn.thermofield`);

@@ -15,6 +15,7 @@ import io
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .constants import nyquist_ev
 from .models import HTCModel, TCModel
 from .sf import CavitySpec, SFCavityCoupling, SFDimerSpec
 
@@ -68,7 +69,6 @@ _SCHEMA = {
         "grid_points": (int, 64),
         "grid_dt_fs": (float, 0.5),
         "waiting_times_fs": (_float_list, (0.0, 16.0, 32.0, 48.0)),
-        "max_second_legs": (int, 512),
         # oracle-compare
         "pair": (str, "tc"),
     },
@@ -145,7 +145,7 @@ _EXPERIMENT_KEYS = {
                  "manifold_max"},
     "spectra2d": {"kind", "gamma_prime", "omega_min", "omega_max",
                   "omega_points", "grid_points", "grid_dt_fs",
-                  "waiting_times_fs", "max_second_legs"},
+                  "waiting_times_fs"},
     "oracle-compare": {"kind", "pair"},
 }
 
@@ -324,6 +324,8 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
                "model.omega_tuning: must be > 0")
         _check(model["omega_coupling"] > 0, violations,
                "model.omega_coupling: must be > 0")
+        _check(model["eps_s1"] < model["eps_tt"], violations,
+               "model.eps_s1: must be below eps_tt (uphill fission)")
         if exp["kind"] == "dynamics":
             _check(model["cavity_kappa"] == 0, violations,
                    "model.cavity_kappa: loss is unsupported in the "
@@ -366,10 +368,18 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
     if exp["kind"] == "spectra2d":
         _check(exp["grid_points"] >= 2, violations,
                "experiment.grid_points: must be >= 2")
-        _check(exp["grid_dt_fs"] > 0, violations,
-               "experiment.grid_dt_fs: must be > 0")
-        _check(exp["max_second_legs"] >= 1, violations,
-               "experiment.max_second_legs: must be >= 1")
+        dt = exp["grid_dt_fs"]
+        if _check(dt > 0, violations, "experiment.grid_dt_fs: must be > 0"):
+            tws = exp["waiting_times_fs"]
+            _check(len(tws) >= 1 and all(
+                w >= 0 and abs(round(w / dt) * dt - w) <= 1e-9 for w in tws),
+                violations, "experiment.waiting_times_fs: need one or more "
+                f"waiting times >= 0 on the {dt} fs grid")
+            nyquist = nyquist_ev(dt)
+            _check(max(abs(exp["omega_min"]), abs(exp["omega_max"]))
+                   <= nyquist + 1e-12, violations,
+                   f"experiment.omega_max: the omega window exceeds the "
+                   f"Nyquist limit {nyquist:.3f} eV of the {dt} fs grid")
     if exp["kind"] in ("absorption", "spectra2d"):
         _check(exp["gamma_prime"] > 0, violations,
                "experiment.gamma_prime: must be > 0")
@@ -409,7 +419,6 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
                             kappa=model["cavity_kappa"])
         coupling = SFCavityCoupling(
             omega=model["coupling_omega"], rwa=model["rwa"],
-            n_dimers=model["n_dimers"],
             five_state=exp["kind"] == "spectra2d",
         )
 

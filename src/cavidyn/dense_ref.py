@@ -115,9 +115,6 @@ class DensePropagator:
             self.vals, self.vecs = np.linalg.eig(h_matrix)
             self.vinv = np.linalg.inv(self.vecs)
 
-    def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
-        return self.vecs @ (np.exp(-1j * self.vals * t / HBAR_EV_FS) * (self.vinv @ psi))
-
     def trajectory(self, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
         coeff = self.vinv @ psi
         phases = np.exp(-1j * np.outer(np.asarray(times, float), self.vals) / HBAR_EV_FS)

@@ -6,9 +6,13 @@ output).  Data files are written atomically and depend only on the config, so
 rerunning the same config reproduces them byte for byte; the manifest is
 written last.  On failure, partially written outputs are removed.
 
-Disorder ensembles fan realizations out over a process pool and reduce the
-per-realization results in realization-index order, making the reduction
-independent of worker count and scheduling.
+The disorder ensembles (tc and htc dynamics, tc absorption) share one loop,
+`_run_ensemble`: per disorder width it fans the realizations out over a
+process pool, averages the per-realization columns in realization-index order
+(so the mean is independent of worker count and scheduling) and writes one
+CSV, suffixed `_W<width>` when the config lists several widths.  A tc
+realization is one exact pole sum (`tc_exact`); an htc realization is one
+variational propagation, of the doubled thermofield Hamiltonian above 0 K.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .constants import HBAR_EV_FS as _HBAR
 from .models import HTCModel, TCModel, disordered_tc, htc_system_bath
 from .sf import (
     coherent_init,
@@ -47,11 +50,7 @@ from .spectro import (
     spectra,
 )
 from .tc_exact import solve_realization
-from .thermofield import (
-    thermal_htc,
-    thermal_init_state,
-    thermal_propagate,
-)
+from .thermofield import thermal_htc
 from .varprop import PropagationSettings, init_state, propagate
 
 
@@ -92,6 +91,11 @@ def _times(cfg: RunConfig) -> np.ndarray:
     return np.arange(n + 1) * cfg.run.sample_dt_fs
 
 
+def _omegas(cfg: RunConfig) -> np.ndarray:
+    opt = cfg.options
+    return np.linspace(opt["omega_min"], opt["omega_max"], opt["omega_points"])
+
+
 def _map_ordered(fn, args_list, workers: int):
     """Evaluate fn over args_list, yielding results in list order regardless
     of worker scheduling."""
@@ -107,39 +111,33 @@ def _map_ordered(fn, args_list, workers: int):
 
 
 def _tc_realization(args):
-    model, width, dseed, r, times = args
-    m_r = disordered_tc(model, width, dseed, r)
-    dec = solve_realization(m_r)
-    h = m_r.matrix()
-    h_herm = (h + h.conj().T) / 2.0
-    phases = np.exp(-1j * np.outer(times, dec.energies) / _HBAR)
-    amps = np.empty((len(times), model.n_qubits + 1), dtype=complex)
-    amps[:, 0] = phases @ dec.photon_weights
-    amps[:, 1:] = phases @ dec.qubit_weights.T
-    p_ph = np.abs(amps[:, 0]) ** 2
-    p_qu = np.sum(np.abs(amps[:, 1:]) ** 2, axis=1)
-    energy = np.real(np.einsum("ti,ij,tj->t", amps.conj(), h_herm, amps))
+    cfg, width, r, times = args
+    m_r = disordered_tc(cfg.tc, width, cfg.disorder.seed, r)
+    amps = solve_realization(m_r).amplitudes(times)
+    pops = np.abs(amps) ** 2
+    p_ph, p_qu = pops[:, 0], pops[:, 1:].sum(axis=1)
+    # the loss terms -i*kappa, -i*gamma are anti-Hermitian, so the real part
+    # of <psi|H|psi> is the expectation of the Hermitian part
+    energy = np.real(np.sum(amps.conj() * (amps @ m_r.matrix().T), axis=1))
     return p_ph, p_qu, p_ph + p_qu, energy
 
 
 def _tc_absorption_realization(args):
-    model, width, dseed, r, omega = args
-    return solve_realization(disordered_tc(model, width, dseed, r)).absorption(omega)
+    cfg, width, r, omega = args
+    m_r = disordered_tc(cfg.tc, width, cfg.disorder.seed, r)
+    return (solve_realization(m_r).absorption(omega),)
 
 
 def _htc_realization(args):
-    htc, width, dseed, r, times, mult, noise_seed, settings, temp_k = args
-    tcr = disordered_tc(htc.tc, width, dseed, r)
+    cfg, width, r, times = args
+    htc = cfg.htc
+    tcr = disordered_tc(htc.tc, width, cfg.disorder.seed, r)
     model = HTCModel(tcr, htc.lam, htc.phonon_base, htc.phonon_bandwidth)
-    if temp_k > 0:
-        doubled = thermal_htc(model, temp_k)
-        state = thermal_init_state(doubled, 0, mult, noise_seed)
-        traj = thermal_propagate(doubled, state, float(times[-1]), settings,
-                                 t_eval=times)
-    else:
-        h = htc_system_bath(model)
-        state = init_state(h.n_sys, h.n_modes, 0, mult, noise_seed=noise_seed)
-        traj = propagate(h, state, float(times[-1]), settings, t_eval=times)
+    h = (thermal_htc(model, cfg.temperature_k) if cfg.temperature_k > 0
+         else htc_system_bath(model))
+    state = init_state(h.n_sys, h.n_modes, 0, cfg.run.multiplicity,
+                       noise_seed=cfg.run.seed + 7919 * r)
+    traj = propagate(h, state, float(times[-1]), _settings(cfg), t_eval=times)
     pops = traj.system_populations()
     return (pops[:, 0], pops[:, 1:].sum(axis=1), traj.norms,
             traj.energies.real)
@@ -150,38 +148,38 @@ def _htc_realization(args):
 # ---------------------------------------------------------------------------
 
 
-def _run_dynamics(cfg: RunConfig, out_dir: str, workers: int, files: list):
-    times = _times(cfg)
+_POPULATION_HEADER = ["time_fs", "p_photon", "p_qubits_total", "norm",
+                      "energy_eV"]
+
+#: (experiment, model) -> (work unit, sample axis, output stem, CSV header);
+#: a work unit maps (cfg, width, realization, axis) to a tuple of columns
+_ENSEMBLES = {
+    ("dynamics", "tc"): (_tc_realization, _times, "population",
+                         _POPULATION_HEADER),
+    ("dynamics", "htc"): (_htc_realization, _times, "population",
+                          _POPULATION_HEADER),
+    ("absorption", "tc"): (_tc_absorption_realization, _omegas, "absorption",
+                           ["omega_eV", "intensity"]),
+}
+
+
+def _run_ensemble(cfg: RunConfig, out_dir: str, workers: int, files: list):
+    work, axis_of, stem, header = _ENSEMBLES[cfg.experiment, cfg.model_kind]
+    axis = axis_of(cfg)
     widths = cfg.disorder.width
     n_real = cfg.disorder.n_realizations
     for width in widths:
-        if cfg.model_kind == "tc":
-            rows = _map_ordered(
-                _tc_realization,
-                [(cfg.tc, width, cfg.disorder.seed, r, times)
-                 for r in range(n_real)], workers)
-        elif cfg.model_kind == "htc":
-            rows = _map_ordered(
-                _htc_realization,
-                [(cfg.htc, width, cfg.disorder.seed, r, times,
-                  cfg.run.multiplicity, cfg.run.seed + 7919 * r,
-                  _settings(cfg), cfg.temperature_k)
-                 for r in range(n_real)], workers)
-        else:
-            _run_dynamics_sf(cfg, out_dir, times, files)
-            return
-        mean = [sum(row[k] for row in rows) / n_real for k in range(4)]
-        name = ("population.csv" if len(widths) == 1
-                else f"population_W{_width_tag(width)}.csv")
-        _write_csv(os.path.join(out_dir, name),
-                   ["time_fs", "p_photon", "p_qubits_total", "norm",
-                    "energy_eV"],
-                   [times, mean[0], mean[1], mean[2], mean[3]])
+        rows = _map_ordered(work, [(cfg, width, r, axis)
+                                   for r in range(n_real)], workers)
+        mean = [sum(column) / n_real for column in zip(*rows)]
+        name = (f"{stem}.csv" if len(widths) == 1
+                else f"{stem}_W{_width_tag(width)}.csv")
+        _write_csv(os.path.join(out_dir, name), header, [axis, *mean])
         files.append(name)
 
 
-def _run_dynamics_sf(cfg: RunConfig, out_dir: str, times: np.ndarray,
-                     files: list):
+def _run_dynamics_sf(cfg: RunConfig, out_dir: str, files: list):
+    times = _times(cfg)
     settings = _settings(cfg)
     if cfg.sf_coupling.omega == 0.0:
         labels, h = sf_matter_only(cfg.sf_dimers)
@@ -201,34 +199,14 @@ def _run_dynamics_sf(cfg: RunConfig, out_dir: str, times: np.ndarray,
     files.append("population.csv")
 
 
-def _run_absorption(cfg: RunConfig, out_dir: str, workers: int,
-                    files: list):
-    opt = cfg.options
-    omega = np.linspace(opt["omega_min"], opt["omega_max"],
-                        opt["omega_points"])
-    if cfg.model_kind == "tc":
-        n_real = cfg.disorder.n_realizations
-        for width in cfg.disorder.width:
-            rows = _map_ordered(
-                _tc_absorption_realization,
-                [(cfg.tc, width, cfg.disorder.seed, r, omega)
-                 for r in range(n_real)], workers)
-            intensity = np.zeros(len(omega))
-            for row in rows:
-                intensity += row
-            intensity /= n_real
-            name = ("absorption.csv" if len(cfg.disorder.width) == 1
-                    else f"absorption_W{_width_tag(width)}.csv")
-            _write_csv(os.path.join(out_dir, name),
-                       ["omega_eV", "intensity"], [omega, intensity])
-            files.append(name)
-        return
-    # htc: autocorrelation of the photon-excited state
+def _run_absorption_htc(cfg: RunConfig, out_dir: str, files: list):
+    """Autocorrelation of the photon-excited state (no ensemble)."""
+    omega = _omegas(cfg)
     h = htc_system_bath(cfg.htc)
     mu = np.zeros(h.n_sys)
     mu[0] = 1.0
     intensity = linear_absorption(
-        h, DipoleSet(mu=mu), omega, gamma_prime=opt["gamma_prime"],
+        h, DipoleSet(mu=mu), omega, gamma_prime=cfg.options["gamma_prime"],
         t_max=cfg.run.t_max_fs, multiplicity=cfg.run.multiplicity,
         noise_seed=cfg.run.seed, settings=_settings(cfg))
     _write_csv(os.path.join(out_dir, "absorption.csv"),
@@ -301,12 +279,9 @@ def _run_spectra2d(cfg: RunConfig, out_dir: str, resume: bool, files: list):
     esa_ckpt = (os.path.join(bank_dir, "esa_checkpoint.npz") if resume
                 else None)
     responses.update(response_esa(bank, h2, grid, dipoles, settings=settings,
-                                  checkpoint=esa_ckpt,
-                                  max_second_legs=opt["max_second_legs"]))
-    omega_tau = np.linspace(opt["omega_min"], opt["omega_max"],
-                            opt["omega_points"])
-    omega_t = omega_tau
-    maps = spectra(responses, grid, omega_tau, omega_t)
+                                  checkpoint=esa_ckpt))
+    omega = _omegas(cfg)
+    maps = spectra(responses, grid, omega, omega)
     for spec in maps:
         w_tau, w_t = np.meshgrid(spec.omega_tau, spec.omega_t, indexing="ij")
         total = spec.total
@@ -337,7 +312,7 @@ def _oracle_pair(pair: str):
     tight = dict(rel_tol=1e-10, abs_tol=1e-12)
     if pair in ("tc", "corrupted-metric"):
         model = TCModel(8, 1.0, 1.0, 0.1)
-        ref = solve_realization(model).photon_population(times)
+        ref = np.abs(solve_realization(model).amplitudes(times)[:, 0]) ** 2
         settings = (PropagationSettings(svd_cutoff=1e-2, **tight)
                     if pair == "corrupted-metric"
                     else PropagationSettings(**tight))
@@ -401,10 +376,12 @@ def run(cfg: RunConfig, out_dir: str | None = None, workers: int = 1,
     t0 = time.time()
     files: list = []
     try:
-        if cfg.experiment == "dynamics":
-            _run_dynamics(cfg, out_dir, workers, files)
+        if (cfg.experiment, cfg.model_kind) in _ENSEMBLES:
+            _run_ensemble(cfg, out_dir, workers, files)
+        elif cfg.experiment == "dynamics":
+            _run_dynamics_sf(cfg, out_dir, files)
         elif cfg.experiment == "absorption":
-            _run_absorption(cfg, out_dir, workers, files)
+            _run_absorption_htc(cfg, out_dir, files)
         elif cfg.experiment == "pes-scan":
             _run_pes_scan(cfg, out_dir, files)
         elif cfg.experiment == "spectra2d":

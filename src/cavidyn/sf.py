@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .models import SystemBathHamiltonian, UnsupportedModelError
-from .varprop import MultiD2State, init_state
+
+if TYPE_CHECKING:
+    from .varprop import MultiD2State
 
 STATES_THREE = ("g", "S1", "TT")
 STATES_FIVE = ("g", "S1", "TT", "Sn", "TTn")
@@ -144,16 +146,11 @@ class CavitySpec:
 class SFCavityCoupling:
     omega: float = 0.2
     rwa: bool = False
-    n_dimers: int = 1
     five_state: bool = False
 
     def __post_init__(self):
         if self.omega < 0:
             raise ValueError("vacuum Rabi energy must be >= 0")
-        if self.n_dimers not in (1, 2):
-            raise UnsupportedModelError(
-                f"unsupported dimer count {self.n_dimers}: only 1 or 2"
-            )
 
 
 def electronic_labels(n_dimers: int, five_state: bool):
@@ -290,8 +287,6 @@ def sf_system_bath(
     Q = (b^+ + b)/sqrt(2) turns each linear vibronic term kappa*Q or lam*Q
     into kappa/sqrt(2) (lam/sqrt(2)) on b^+ and b.
     """
-    if len(dimers) != coupling.n_dimers:
-        raise ValueError("coupling.n_dimers disagrees with the dimer list")
     if cavity.kappa != 0.0:
         raise UnsupportedModelError(
             "cavity loss is only available in the Fock photon representations"
@@ -349,6 +344,9 @@ def coherent_init(
 ) -> MultiD2State:
     """Initial state for pumped runs: bright singlet excitation (symmetrized
     over dimers) with the photon mode displaced to mu1."""
+    # imported here so that building and validating models needs no scipy
+    from .varprop import init_state
+
     if abs(mu1) ** 2 > 25:
         raise ValueError(
             f"pump |mu1|^2 = {abs(mu1)**2:.1f} outside the validated regime (<= 25)"

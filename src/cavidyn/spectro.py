@@ -21,20 +21,20 @@ The workflow is bank -> response -> spectra:
      and the double one-sided transform, returning per-T_w SE/GSB/ESA/TOTAL
      maps (TOTAL = SE + GSB + ESA by construction).
 
-Everything is impulsive-limit: pulse envelopes are delta functions and the
-polarization factors reduce to scalar products of unit polarization vectors
-with a common dipole axis.
+Everything is impulsive-limit: pulse envelopes are delta functions, and all
+dipoles and pulse polarizations are parallel, so no orientation factor
+enters.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .constants import HBAR_EV_FS
+from .constants import HBAR_EV_FS, nyquist_ev
 from .models import SystemBathHamiltonian
 from .varprop import (
     MultiD2State,
@@ -48,44 +48,22 @@ from .varprop import (
     save_trajectory,
 )
 
-_Z = np.array([0.0, 0.0, 1.0])
-
 
 @dataclass(frozen=True)
 class DipoleSet:
-    """Transition dipoles and pulse polarizations.
+    """Transition dipoles, all parallel to the pulse polarizations.
 
     mu[n] is the ground -> singly-excited dipole magnitude of label n (dark
     labels carry 0); mu_up[m, n] the singly -> doubly-excited magnitudes.
-    All dipoles point along a common axis; the four pulse polarizations are
-    unit vectors whose dot products with that axis scale the response.
     """
 
     mu: np.ndarray
     mu_up: Optional[np.ndarray] = None
-    polarizations: tuple = (_Z, _Z, _Z, _Z)
-    axis: np.ndarray = field(default_factory=lambda: _Z.copy())
 
     def __post_init__(self):
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=complex))
         if self.mu_up is not None:
             object.__setattr__(self, "mu_up", np.asarray(self.mu_up, dtype=complex))
-        if len(self.polarizations) != 4:
-            raise ValueError("need exactly four pulse polarizations")
-        for e in self.polarizations:
-            if abs(np.linalg.norm(e) - 1.0) > 1e-12:
-                raise ValueError("polarizations must be unit vectors")
-        if abs(np.linalg.norm(self.axis) - 1.0) > 1e-12:
-            raise ValueError("dipole axis must be a unit vector")
-
-    @property
-    def pulse_factors(self) -> np.ndarray:
-        """(e_a . axis) for the four pulses."""
-        return np.array([float(np.dot(e, self.axis)) for e in self.polarizations])
-
-    def scaled(self, c: float) -> "DipoleSet":
-        up = None if self.mu_up is None else c * self.mu_up
-        return DipoleSet(c * self.mu, up, self.polarizations, self.axis)
 
 
 @dataclass(frozen=True)
@@ -252,8 +230,6 @@ def response_se_gsb(bank: TrajectoryBank, grid: ResponseGrid,
     exact because it leaves |f| unchanged.
     """
     mu = dipoles.mu
-    p1, p2, p3, p4 = dipoles.pulse_factors
-    pref = p1 * p2 * p3 * p4
     tau = grid.tau_fs[:, None]
     t = grid.t_fs
     shape = (len(grid.tau_fs), len(grid.tw_fs), len(t))
@@ -271,8 +247,8 @@ def response_se_gsb(bank: TrajectoryBank, grid: ResponseGrid,
 
     for n in bank.bright:
         for n3 in bank.bright:
-            d_r123 = pref * mu[n].conjugate() * mu[n3]
-            d_r4 = pref * mu[n].conjugate() * mu[n3].conjugate()
+            d_r123 = mu[n].conjugate() * mu[n3]
+            d_r4 = mu[n].conjugate() * mu[n3].conjugate()
             for w, tw in enumerate(grid.tw_fs):
                 # R1: bra at T_w, ket at tau+T_w+t, ground phase e^{+i w t}
                 out["R1"][:, w] += d_r123 * pathway(
@@ -301,7 +277,6 @@ def response_esa(
     dipoles: DipoleSet,
     settings: Optional[PropagationSettings] = None,
     checkpoint: Optional[str] = None,
-    max_second_legs: int = 64 * 4,
 ) -> dict:
     """R1*, R2* (excited-state absorption) on the (tau, T_w, t) grid.
 
@@ -310,10 +285,9 @@ def response_esa(
     tau + T_w.  The 1 + n_tau legs of one (n3, T_w) share the Hamiltonian
     and the detection grid, so they run as one batched integration
     (`propagate` with a leading batch axis): the cost is one integration
-    per (n3, T_w), each as long as its slowest member.  The leg count is
-    still capped at `max_second_legs` (raise it deliberately for bigger
-    grids).  With `checkpoint` set, the responses are saved after every
-    (n3, T_w) batch and a rerun resumes after the last saved batch.
+    per (n3, T_w), each as long as its slowest member.  With `checkpoint`
+    set, the responses are saved after every (n3, T_w) batch and a rerun
+    resumes after the last saved batch.
 
     Each transplant is propagated normalized and rescaled afterwards, which
     is exact because a global amplitude rescaling commutes with the
@@ -324,18 +298,9 @@ def response_esa(
         raise ValueError("ESA needs upward dipoles (mu_up)")
     settings = settings or PropagationSettings()
     mu, mu_up = dipoles.mu, dipoles.mu_up
-    p1, p2, p3, p4 = dipoles.pulse_factors
-    pref = p1 * p2 * p3 * p4
     n_tau, n_t = len(grid.tau_fs), len(grid.t_fs)
     n_tw = len(grid.tw_fs)
     shape = (n_tau, n_tw, n_t)
-
-    n_legs = n_tw * len(bank.bright) * (1 + n_tau)
-    if n_legs > max_second_legs:
-        raise ValueError(
-            f"{n_legs} second-leg propagations exceed the cost cap "
-            f"{max_second_legs}; shrink the tau grid or raise max_second_legs"
-        )
 
     if np.all(np.abs(mu_up) == 0):
         return {"R1s": np.zeros(shape, dtype=complex),
@@ -353,7 +318,7 @@ def response_esa(
         out = 0.0
         for n in bank.bright:
             a_b, f_b = bank.forward(n, bra_times)
-            out += pref * mu[n].conjugate() * mu[n3] * np.einsum(
+            out += mu[n].conjugate() * mu[n3] * np.einsum(
                 "...jm,...im,...ji->...", (a_b @ mu_up.T).conj(), a2,
                 overlap_matrix(f_b, f2))
         return out
@@ -415,7 +380,7 @@ class Spectrum2D:
 
 
 def _transform_kernels(times, omegas, dt):
-    nyquist = np.pi * HBAR_EV_FS / dt
+    nyquist = nyquist_ev(dt)
     if np.max(np.abs(omegas)) > nyquist + 1e-12:
         raise ValueError(
             f"requested frequencies exceed the Nyquist limit {nyquist:.3f} eV "

@@ -26,6 +26,11 @@ The same pole data gives the linear absorption lineshape
 a sum of Lorentzians of weight Re(w_m) whose total frequency integral is 1.
 Loss provides the linewidth; with kappa = gamma = 0 the lineshape degenerates
 to a stick spectrum and F vanishes off the poles.
+
+`PoleDecomposition.amplitudes` is the one synthesis of the time-dependent
+state: one phase matrix exp(-i E_m t / hbar) times the stacked residues
+gives every amplitude at once, photon in column 0 as in `cavidyn.models`.
+Disorder ensembles are driven by `cavidyn.runner`, one realization at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR_EV_FS
-from .models import TCModel, disordered_tc
+from .models import TCModel
 
 #: poles closer than this (eV) switch the residue evaluation to the
 #: eigenvector decomposition
@@ -112,23 +117,12 @@ class PoleDecomposition:
     photon_weights: np.ndarray
     qubit_weights: np.ndarray
 
-    def photon_amplitude(self, times: np.ndarray) -> np.ndarray:
+    def amplitudes(self, times: np.ndarray) -> np.ndarray:
+        """<k| exp(-iHt/hbar) |photon>, shape (len(times), N+1), photon in
+        column 0 and emitter n in column n."""
         t = np.asarray(times, dtype=float)
         phases = np.exp(-1j * np.outer(t, self.energies) / HBAR_EV_FS)
-        return phases @ self.photon_weights
-
-    def photon_population(self, times: np.ndarray) -> np.ndarray:
-        return np.abs(self.photon_amplitude(times)) ** 2
-
-    def qubit_amplitudes(self, times: np.ndarray) -> np.ndarray:
-        """Shape (len(times), N)."""
-        t = np.asarray(times, dtype=float)
-        phases = np.exp(-1j * np.outer(t, self.energies) / HBAR_EV_FS)
-        return phases @ self.qubit_weights.T
-
-    def total_population(self, times: np.ndarray) -> np.ndarray:
-        pops = np.abs(self.qubit_amplitudes(times)) ** 2
-        return self.photon_population(times) + pops.sum(axis=1)
+        return phases @ np.vstack([self.photon_weights, self.qubit_weights]).T
 
     def absorption(self, omega: np.ndarray) -> np.ndarray:
         w = np.asarray(omega, dtype=float)
@@ -190,32 +184,6 @@ def solve_realization(model: TCModel) -> PoleDecomposition:
             "pole decomposition failed for this realization"
         )
     return PoleDecomposition(vals, photon_w, qubit_w)
-
-
-def disorder_realizations(
-    model: TCModel, width: float, n_realizations: int, seed: int
-) -> list[TCModel]:
-    return [disordered_tc(model, width, seed, r) for r in range(n_realizations)]
-
-
-def ensemble_photon_population(
-    model: TCModel, width: float, times: np.ndarray, n_realizations: int, seed: int
-) -> np.ndarray:
-    """Photon survival population per realization, shape (R, T)."""
-    out = np.empty((n_realizations, len(times)))
-    for r, m in enumerate(disorder_realizations(model, width, n_realizations, seed)):
-        out[r] = solve_realization(m).photon_population(times)
-    return out
-
-
-def ensemble_absorption(
-    model: TCModel, width: float, omega: np.ndarray, n_realizations: int, seed: int
-) -> np.ndarray:
-    """Mean absorption lineshape over the disorder ensemble."""
-    acc = np.zeros(len(omega))
-    for m in disorder_realizations(model, width, n_realizations, seed):
-        acc += solve_realization(m).absorption(omega)
-    return acc / n_realizations
 
 
 def spectrum_peaks(omega: np.ndarray, f: np.ndarray) -> list[tuple[float, float]]:

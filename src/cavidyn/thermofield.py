@@ -17,27 +17,19 @@ i.e. the tilde register couples through the conjugate phases, scaled by
 sinh(theta).  High-frequency modes have theta ~ exp(-beta*omega/2) ~ 0 and
 their inert tilde partners are pruned below a threshold.
 
-The doubled problem is propagated by the ordinary variational engine
-(`cavidyn.varprop`), whose amplitudes are taken over normalized coherent
-states in the doubled space as everywhere else.
+Finite temperature is therefore only a Hamiltonian transform:
+`thermal_double` / `thermal_htc` return the doubled `SystemBathHamiltonian`,
+and the ordinary `cavidyn.varprop.init_state` (system label, every register
+in vacuum) and `propagate` run on it unchanged.  Observables read exactly as
+at zero temperature.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .constants import KB_EV_PER_K
 from .models import HTCModel, SystemBathHamiltonian, htc_system_bath
-from .varprop import (
-    MultiD2State,
-    PropagationSettings,
-    Trajectory,
-    init_state,
-    propagate,
-)
 
 #: tilde partners with mixing angle below this are dropped
 DEFAULT_PRUNE_THRESHOLD = 1e-3
@@ -73,30 +65,16 @@ def mixing_angles(beta: float, mode_freqs: np.ndarray) -> np.ndarray:
     return np.arctanh(np.exp(-x))
 
 
-@dataclass(frozen=True)
-class ThermalDoubledModel:
-    """Doubled-register Hamiltonian plus bookkeeping.
-
-    hamiltonian: modes ordered [physical 0..Nb-1, kept tildes]; tilde_of[q]
-    gives the doubled-register index of mode q's partner, or -1 if pruned.
-    """
-
-    hamiltonian: SystemBathHamiltonian
-    theta: np.ndarray
-    tilde_of: np.ndarray
-    n_physical: int
-
-    @property
-    def n_modes_doubled(self) -> int:
-        return self.hamiltonian.n_modes
-
-
 def thermal_double(
     h: SystemBathHamiltonian,
     theta: np.ndarray,
     prune_threshold: float = DEFAULT_PRUNE_THRESHOLD,
-) -> ThermalDoubledModel:
-    """Rotated doubled-space Hamiltonian for mixing angles `theta`."""
+) -> SystemBathHamiltonian:
+    """Rotated doubled-space Hamiltonian for mixing angles `theta`.
+
+    Modes are ordered [physical 0..Nb-1, kept tilde partners in physical
+    order]; a partner whose angle is below `prune_threshold` is dropped.
+    """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (h.n_modes,):
         raise ValueError(
@@ -120,59 +98,24 @@ def thermal_double(
     create[:, :, n_phys:] = h.coup_annihilate[:, :, keep] * sinh[None, None, keep]
     annihilate[:, :, n_phys:] = h.coup_create[:, :, keep] * sinh[None, None, keep]
 
-    tilde_of = np.full(n_phys, -1, dtype=int)
-    tilde_of[keep] = n_phys + np.arange(n_tilde)
-
-    doubled = SystemBathHamiltonian(
+    return SystemBathHamiltonian(
         e_sys=h.e_sys.copy(),
         mode_freqs=mode_freqs,
         coup_create=create,
         coup_annihilate=annihilate,
         hermitian=h.hermitian,
     )
-    return ThermalDoubledModel(doubled, theta, tilde_of, n_phys)
 
 
 def thermal_htc(
     model: HTCModel,
     temperature_k: float,
     prune_threshold: float = DEFAULT_PRUNE_THRESHOLD,
-) -> ThermalDoubledModel:
+) -> SystemBathHamiltonian:
+    """Doubled Hamiltonian of `model` at `temperature_k` > 0 K."""
     h = htc_system_bath(model)
     theta = mixing_angles(beta_from_temperature(temperature_k), model.mode_freqs)
     return thermal_double(h, theta, prune_threshold)
-
-
-def thermal_init_state(
-    doubled: ThermalDoubledModel,
-    initial,
-    multiplicity: int = 1,
-    noise_seed: int = 0,
-    noise_scale: float = 1e-4,
-    labels: Optional[tuple[str, ...]] = None,
-) -> MultiD2State:
-    """Rotated-frame initial state: requested system label, every register in
-    vacuum (the rotation has absorbed the Boltzmann weights)."""
-    return init_state(
-        doubled.hamiltonian.n_sys,
-        doubled.n_modes_doubled,
-        initial,
-        multiplicity=multiplicity,
-        noise_seed=noise_seed,
-        noise_scale=noise_scale,
-        labels=labels,
-    )
-
-
-def thermal_propagate(
-    doubled: ThermalDoubledModel,
-    state: MultiD2State,
-    t_final: float,
-    settings: Optional[PropagationSettings] = None,
-    t_eval: Optional[np.ndarray] = None,
-) -> Trajectory:
-    """Propagate in the doubled space; observables read exactly as at zero T."""
-    return propagate(doubled.hamiltonian, state, t_final, settings, t_eval)
 
 
 def dressed_coupling_scale(lam: float, theta: np.ndarray) -> float:

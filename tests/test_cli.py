@@ -2,11 +2,22 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+from scipy.linalg import expm
 
+import cavidyn
 from cavidyn import cli
 from cavidyn.config import ORACLE_PAIRS
+from cavidyn.constants import HBAR_EV_FS
+from cavidyn.models import HTCModel, TCModel, disordered_tc, htc_system_bath
+from cavidyn.spectro import DipoleSet, linear_absorption
+from cavidyn.thermofield import thermal_htc
+from cavidyn.varprop import PropagationSettings, init_state, propagate
 
 TINY_TC = """[experiment]
 kind = dynamics
@@ -58,6 +69,33 @@ n_dimers = 1
 """
 
 
+TINY_HTC = """[experiment]
+kind = dynamics
+
+[model]
+kind = htc
+n_qubits = 2
+omega_r = 0.1
+kappa = 0.002
+lam = 0.3
+phonon_bandwidth = 0.3
+
+[run]
+t_max_fs = 10
+sample_dt_fs = 1.0
+multiplicity = 2
+seed = 4
+
+[disorder]
+width = 0.05
+n_realizations = 2
+seed = 5
+"""
+
+#: the run tolerances every config above resolves to
+RUN_SETTINGS = PropagationSettings(rel_tol=1e-6, abs_tol=1e-8)
+
+
 def _write(tmp_path, text):
     path = tmp_path / "run.ini"
     path.write_text(text)
@@ -106,6 +144,90 @@ def test_outputs_do_not_depend_on_worker_count(tmp_path, capsys):
         assert len(files[0]) == 2 and files[0] == files[1]
 
 
+def _read_csv(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1)
+
+
+def test_tc_dynamics_columns_match_brute_force(tmp_path, capsys):
+    """All four columns of a disordered, lossy ensemble against expm."""
+    text = TINY_TC.replace("kappa = 0.005", "kappa = 0.005\ngamma = 0.002")
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, "run", "--config", _write(tmp_path, text),
+                        "--out", str(out_dir))
+    assert code == cli.EXIT_OK, err
+    times = np.arange(11) * 2.0
+    model = TCModel(3, 1.0, 1.0, 0.1, kappa=0.005, gamma=0.002)
+    for width in (0.05, 0.1):
+        ref = np.zeros((len(times), 4))
+        for r in range(3):
+            h = disordered_tc(model, width, 7, r).matrix()
+            h_herm = (h + h.conj().T) / 2.0
+            for i, t in enumerate(times):
+                psi = expm(-1j * h * t / HBAR_EV_FS)[:, 0]
+                p_ph = abs(psi[0]) ** 2
+                p_qu = np.sum(np.abs(psi[1:]) ** 2)
+                energy = np.real(psi.conj() @ h_herm @ psi)
+                ref[i] += [p_ph, p_qu, p_ph + p_qu, energy]
+        got = _read_csv(out_dir / f"population_W{width:g}.csv")
+        np.testing.assert_array_equal(got[:, 0], times)
+        assert np.max(np.abs(got[:, 1:] - ref / 3)) <= 1e-10
+
+
+@pytest.mark.parametrize("temperature_k", [0.0, 300.0])
+def test_htc_dynamics_equals_library_calls(tmp_path, capsys, temperature_k):
+    text = TINY_HTC + f"\n[temperature]\ntemperature_k = {temperature_k}\n"
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, "run", "--config", _write(tmp_path, text),
+                        "--out", str(out_dir))
+    assert code == cli.EXIT_OK, err
+    times = np.arange(11) * 1.0
+    rows = []
+    for r in range(2):
+        tc = disordered_tc(TCModel(2, 1.0, 1.0, 0.1, kappa=0.002), 0.05, 5, r)
+        model = HTCModel(tc, 0.3, 0.124, 0.3)
+        h = (thermal_htc(model, temperature_k) if temperature_k
+             else htc_system_bath(model))
+        assert h.n_modes == (4 if temperature_k else 2)
+        state = init_state(h.n_sys, h.n_modes, 0, 2, noise_seed=4 + 7919 * r)
+        traj = propagate(h, state, 10.0, RUN_SETTINGS, t_eval=times)
+        pops = traj.system_populations()
+        rows.append(np.column_stack([pops[:, 0], pops[:, 1:].sum(axis=1),
+                                     traj.norms, traj.energies.real]))
+    got = _read_csv(out_dir / "population.csv")
+    np.testing.assert_array_equal(got[:, 0], times)
+    np.testing.assert_array_equal(got[:, 1:], (rows[0] + rows[1]) / 2)
+
+
+def test_htc_absorption_equals_library_call(tmp_path, capsys):
+    text = (TINY_HTC.replace("kind = dynamics", "kind = absorption\n"
+                             "gamma_prime = 0.1\nomega_points = 41")
+            .replace("t_max_fs = 10", "t_max_fs = 40")
+            .replace("width = 0.05\nn_realizations = 2\n", ""))
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, "run", "--config", _write(tmp_path, text),
+                        "--out", str(out_dir))
+    assert code == cli.EXIT_OK, err
+    h = htc_system_bath(HTCModel(TCModel(2, 1.0, 1.0, 0.1, kappa=0.002),
+                                 0.3, 0.124, 0.3))
+    omega = np.linspace(0.7, 1.3, 41)
+    ref = linear_absorption(h, DipoleSet(mu=np.eye(1, h.n_sys)[0]), omega,
+                            gamma_prime=0.1, t_max=40.0, multiplicity=2,
+                            noise_seed=4, settings=RUN_SETTINGS)
+    got = _read_csv(out_dir / "absorption.csv")
+    np.testing.assert_array_equal(got, np.column_stack([omega, ref]))
+
+
+def test_cli_import_leaves_out_the_integrator():
+    """Validation needs numpy only: `cavidyn validate` must not pay for
+    importing scipy's integrators."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cavidyn.__file__)))
+    probe = "import sys, cavidyn.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_missing_config_is_a_runtime_failure(tmp_path, capsys):
     code, _, err = _run(capsys, "run", "--config", str(tmp_path / "none.ini"))
     assert code == cli.EXIT_RUNTIME
@@ -141,6 +263,21 @@ def test_photon_cutoff_is_not_a_tc_key(tmp_path, capsys):
     code, _, err = _run(capsys, "validate", "--config", _write(tmp_path, text))
     assert code == cli.EXIT_CONSTRAINT
     assert "model.n_max: unknown key" in err
+
+
+@pytest.mark.parametrize("text,violation", [
+    (TINY_SPECTRA.replace("kind = sf", "kind = sf\neps_s1 = 2.3"),
+     "model.eps_s1"),
+    (TINY_SPECTRA.replace("grid_dt_fs = 0.5", "grid_dt_fs = 1.0"),
+     "experiment.omega_max"),
+    (TINY_SPECTRA.replace("waiting_times_fs = 0", "waiting_times_fs = 0 0.7"),
+     "experiment.waiting_times_fs"),
+], ids=["downhill-fission", "above-nyquist", "off-grid-waiting-time"])
+def test_validate_rejects_what_would_fail_at_run_time(tmp_path, capsys, text,
+                                                     violation):
+    code, _, err = _run(capsys, "validate", "--config", _write(tmp_path, text))
+    assert code == cli.EXIT_CONSTRAINT
+    assert violation in err
 
 
 @pytest.mark.parametrize("pair", ORACLE_PAIRS)

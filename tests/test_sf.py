@@ -98,7 +98,7 @@ def test_bright_pair_gap_matches_closed_form():
     for nd in (1, 2):
         for omega_c in (2.256, 2.23):  # finite and zero detuning
             dimers = [SFDimerSpec(lam_ci=0.0)] * nd
-            coup = SFCavityCoupling(omega=0.2, rwa=True, n_dimers=nd)
+            coup = SFCavityCoupling(omega=0.2, rwa=True)
             _, h = manifold_hamiltonian(dimers, CavitySpec(omega_c=omega_c), coup, 1)
             ev = np.linalg.eigvalsh(h.e_sys)
             gap = ev.max() - ev.min()
@@ -107,7 +107,7 @@ def test_bright_pair_gap_matches_closed_form():
 
 def test_manifold_one_vertical_hamiltonian():
     # the cavity-coupled 2x2 block equals the single-emitter arrowhead matrix
-    coup = SFCavityCoupling(omega=0.2, rwa=True, n_dimers=1)
+    coup = SFCavityCoupling(omega=0.2, rwa=True)
     labs, h = manifold_hamiltonian([SFDimerSpec(lam_ci=0.0)], CavitySpec(), coup, 1)
     assert [(label_str(l), nc) for l, nc in labs] == [("g", 1), ("S1", 0), ("TT", 0)]
     tc = TCModel(n_qubits=1, omega_c=2.256, omega_qubit=2.23, omega_r=0.1)
@@ -117,7 +117,7 @@ def test_manifold_one_vertical_hamiltonian():
 
 
 def test_manifold_hamiltonian_requires_rwa():
-    coup = SFCavityCoupling(omega=0.2, rwa=False, n_dimers=1)
+    coup = SFCavityCoupling(omega=0.2, rwa=False)
     with pytest.raises(UnsupportedModelError):
         manifold_hamiltonian([SFDimerSpec()], CavitySpec(), coup, 1)
 
@@ -145,8 +145,6 @@ def test_spec_validation():
         SFDimerSpec(eps_s1=2.3, eps_tt=2.2)
     with pytest.raises(ValueError):
         CavitySpec(omega_c=-1.0)
-    with pytest.raises(UnsupportedModelError):
-        SFCavityCoupling(n_dimers=3)
 
 
 def test_pumped_hamiltonian_structure():
@@ -223,7 +221,7 @@ def test_pes_scan_anchor_at_bare_crossing():
     rows = pes_scan(
         [SFDimerSpec()],
         CavitySpec(),
-        SFCavityCoupling(omega=0.0, rwa=True, n_dimers=1),
+        SFCavityCoupling(omega=0.0, rwa=True),
         np.arange(-0.3, 0.5001, 0.002),
         n_max=6,
         manifold_max=1,
@@ -245,7 +243,7 @@ def test_pes_polaritonic_crossings_move_out_with_coupling():
         rows = pes_scan(
             [SFDimerSpec()],
             CavitySpec(),
-            SFCavityCoupling(omega=om, rwa=True, n_dimers=1),
+            SFCavityCoupling(omega=om, rwa=True),
             grid,
             n_max=6,
             manifold_max=1,
@@ -264,7 +262,7 @@ def test_pes_manifolds_are_integers_under_rwa():
     rows = pes_scan(
         [SFDimerSpec()],
         CavitySpec(),
-        SFCavityCoupling(omega=0.2, rwa=True, n_dimers=1),
+        SFCavityCoupling(omega=0.2, rwa=True),
         np.linspace(-0.2, 0.3, 11),
         n_max=6,
         manifold_max=2,
@@ -278,7 +276,7 @@ def test_pes_pure_photon_classification():
     rows = pes_scan(
         [SFDimerSpec(lam_ci=0.0)],
         CavitySpec(),
-        SFCavityCoupling(omega=0.0, rwa=True, n_dimers=1),
+        SFCavityCoupling(omega=0.0, rwa=True),
         np.array([0.0]),
         n_max=6,
         manifold_max=1,
@@ -297,7 +295,7 @@ def test_pes_classification_completeness():
     rows = pes_scan(
         [SFDimerSpec()],
         CavitySpec(),
-        SFCavityCoupling(omega=0.2, rwa=True, n_dimers=1),
+        SFCavityCoupling(omega=0.2, rwa=True),
         np.array([0.0, 0.07, 0.2]),
         n_max=n_max,
         manifold_max=None,
@@ -323,7 +321,7 @@ def test_two_dimer_shared_coordinate_scan():
     rows = pes_scan(
         dimers,
         CavitySpec(),
-        SFCavityCoupling(omega=0.0, rwa=True, n_dimers=2),
+        SFCavityCoupling(omega=0.0, rwa=True),
         np.array([0.07]),
         n_max=6,
         manifold_max=2,

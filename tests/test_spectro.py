@@ -116,7 +116,7 @@ def toy():
     grid = ResponseGrid(np.arange(8) * 2.0, np.arange(8) * 2.0, (0.0, 8.0), 0.01)
     bank = first_leg_bank(h1, dip, grid)
     rs = response_se_gsb(bank, grid, dip)
-    es = response_esa(bank, h2, grid, dip, max_second_legs=300)
+    es = response_esa(bank, h2, grid, dip)
     return {"h1": h1, "h2": h2, "dip": dip, "grid": grid, "bank": bank,
             "rs": rs, "es": es,
             "dense2": dense_ladder(with_upper=False),
@@ -131,8 +131,7 @@ def toy_m2(toy):
                           noise_seed=1)
     return {**toy, "bank": bank,
             "rs": response_se_gsb(bank, toy["grid"], toy["dip"]),
-            "es": response_esa(bank, toy["h2"], toy["grid"], toy["dip"],
-                               max_second_legs=300)}
+            "es": response_esa(bank, toy["h2"], toy["grid"], toy["dip"])}
 
 
 @pytest.mark.parametrize("engine", ["toy", "toy_m2"], ids=["M1", "M2"])
@@ -192,7 +191,7 @@ def test_r1_r2_hermitian_pair(toy):
 
 def test_dipole_scaling_fourth_power(toy):
     grid, dip = toy["grid"], toy["dip"]
-    scaled = dip.scaled(2.0)
+    scaled = DipoleSet(2.0 * dip.mu, 2.0 * dip.mu_up)
     bank = first_leg_bank(toy["h1"], scaled, grid)
     rs2 = response_se_gsb(bank, grid, scaled)
     for name in ("R1", "R2", "R3", "R4"):
@@ -261,19 +260,13 @@ def test_bank_rejects_offgrid_times(toy):
         bank.forward(0, 1e6)
 
 
-def test_esa_cost_cap(toy):
-    with pytest.raises(ValueError, match="cost cap"):
-        response_esa(toy["bank"], toy["h2"], toy["grid"], toy["dip"],
-                     max_second_legs=3)
-
-
 def test_esa_checkpoint_resume(toy, tmp_path, monkeypatch):
     """A run killed after its first (n3, T_w) batch resumes from the
     checkpoint bit-exactly, without repeating the saved batch."""
     path = str(tmp_path / "esa.npz")
     grid = ResponseGrid(np.arange(5) * 2.0, np.arange(5) * 2.0, (0.0, 4.0), 0.01)
     args = (toy["bank"], toy["h2"], grid, toy["dip"])
-    clean = response_esa(*args, max_second_legs=300)
+    clean = response_esa(*args)
 
     calls = {"n": 0}
     real = spectro.propagate
@@ -286,11 +279,11 @@ def test_esa_checkpoint_resume(toy, tmp_path, monkeypatch):
 
     monkeypatch.setattr(spectro, "propagate", flaky)
     with pytest.raises(RuntimeError, match="simulated kill"):
-        response_esa(*args, checkpoint=path, max_second_legs=300)
+        response_esa(*args, checkpoint=path)
     assert os.path.exists(path)
 
     calls["n"] = 2   # the resumed run must need only the second batch
-    resumed = response_esa(*args, checkpoint=path, max_second_legs=300)
+    resumed = response_esa(*args, checkpoint=path)
     assert calls["n"] == 3
     assert np.array_equal(resumed["R1s"], clean["R1s"])
     assert np.array_equal(resumed["R2s"], clean["R2s"])
@@ -318,7 +311,7 @@ def spec_toy():
     grid = grid_2d(n=40, dt=0.5, tw=(0.0,), gamma_prime=0.02)
     bank = first_leg_bank(h1, dip, grid)
     rs = response_se_gsb(bank, grid, dip)
-    es = response_esa(bank, h2, grid, dip, max_second_legs=300)
+    es = response_esa(bank, h2, grid, dip)
     w_tau = np.linspace(1.6, 2.4, 81)
     w_t = np.linspace(1.6, 2.6, 101)
     return spectra({**rs, **es}, grid, w_tau, w_t)[0]
@@ -381,15 +374,3 @@ def test_diagonal_peaks_synthetic():
     assert [p[:2] for p in rotated] == [p[:2] for p in peaks]
     assert np.allclose([p[2] for p in rotated],
                        [p[2] * np.cos(2.0) for p in peaks], atol=1e-15)
-
-
-def test_polarization_validation():
-    with pytest.raises(ValueError, match="unit"):
-        DipoleSet(mu=np.array([1.0]),
-                  polarizations=(np.array([0.0, 0.0, 2.0]),) * 4)
-    with pytest.raises(ValueError, match="four"):
-        DipoleSet(mu=np.array([1.0]),
-                  polarizations=(np.array([0.0, 0.0, 1.0]),) * 3)
-    tilted = DipoleSet(mu=np.array([1.0]),
-                       polarizations=(np.array([0.0, 1.0, 0.0]),) * 4)
-    assert np.allclose(tilted.pulse_factors, 0.0)

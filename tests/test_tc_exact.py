@@ -12,8 +12,6 @@ from cavidyn.tc_exact import (
     DEFAULT_OMEGA_GRID,
     PoleDecomposition,
     bright_energies,
-    ensemble_absorption,
-    ensemble_photon_population,
     solve_realization,
     spectrum_peaks,
     uniform_photon_amplitude,
@@ -73,9 +71,9 @@ def test_degenerate_coupling_limit():
     t = np.linspace(0.0, 50.0, 7)
     amp = uniform_photon_amplitude(m, t)
     assert np.allclose(np.abs(amp), 1.0)
-    d = solve_realization(m)
-    assert np.allclose(d.photon_population(t), 1.0)
-    assert np.allclose(d.qubit_amplitudes(t), 0.0)
+    amps = solve_realization(m).amplitudes(t)
+    assert np.allclose(np.abs(amps[:, 0]) ** 2, 1.0)
+    assert np.allclose(amps[:, 1:], 0.0)
 
 
 @given(
@@ -123,28 +121,29 @@ def test_disorder_free_model_uses_degenerate_fallback():
     m = TCModel(6, 1.0, 1.0, 0.1)
     d = solve_realization(m)
     t = np.linspace(0.0, 80.0, 81)
-    assert np.abs(d.photon_amplitude(t) - uniform_photon_amplitude(m, t)).max() < 1e-11
+    amps = d.amplitudes(t)
+    assert np.abs(amps[:, 0] - uniform_photon_amplitude(m, t)).max() < 1e-11
+    assert np.abs(amps[:, 1:] - uniform_qubit_amplitude(m, t)[:, None]).max() < 1e-11
 
 
 def test_matches_brute_force_disordered_lossy():
     m = disordered_tc(TCModel(25, 1.0, 1.0, 0.1, kappa=0.006, gamma=0.001), 0.2, 17, 0)
     t = np.array([0.0, 10.0, 100.0, 400.0])
     brute = brute_amplitudes(m, t)
-    d = solve_realization(m)
-    assert np.abs(d.photon_amplitude(t) - brute[:, 0]).max() < 1e-10
-    assert np.abs(d.qubit_amplitudes(t) - brute[:, 1:]).max() < 1e-10
+    assert np.abs(solve_realization(m).amplitudes(t) - brute).max() < 1e-10
 
 
 def test_lossless_total_population_is_conserved():
     m = disordered_tc(TCModel(10, 1.0, 1.0, 0.1), 0.15, seed=2, realization=1)
     t = np.linspace(0.0, 300.0, 31)
-    assert np.abs(solve_realization(m).total_population(t) - 1.0).max() < 1e-10
+    tot = (np.abs(solve_realization(m).amplitudes(t)) ** 2).sum(axis=1)
+    assert np.abs(tot - 1.0).max() < 1e-10
 
 
 def test_lossy_total_population_decays():
     m = TCModel(10, 1.0, 1.0, 0.1, kappa=0.006)
     t = np.linspace(0.0, 500.0, 51)
-    tot = solve_realization(m).total_population(t)
+    tot = (np.abs(solve_realization(m).amplitudes(t)) ** 2).sum(axis=1)
     assert np.all(np.diff(tot) < 0)
     # photon-only loss on resonance decays at the shared rate kappa/2
     assert np.isclose(tot[-1], np.exp(-0.006 * 500.0 / 0.6582119569), rtol=0.05)
@@ -176,20 +175,6 @@ def test_absorption_lorentzian_weights():
     assert abs(total - 1.0) < 5e-3
 
 
-def test_ensemble_shapes_and_reproducibility():
-    m = TCModel(8, 1.0, 1.0, 0.1)
-    t = np.linspace(0.0, 50.0, 11)
-    a = ensemble_photon_population(m, 0.2, t, n_realizations=5, seed=3)
-    b = ensemble_photon_population(m, 0.2, t, n_realizations=5, seed=3)
-    assert a.shape == (5, 11)
-    assert np.array_equal(a, b)
-    assert np.allclose(a[:, 0], 1.0)
-    f = ensemble_absorption(
-        m.with_loss(0.005, 0.005), 0.2, DEFAULT_OMEGA_GRID, n_realizations=3, seed=3
-    )
-    assert f.shape == DEFAULT_OMEGA_GRID.shape
-
-
 def test_spectrum_peaks_ordering():
     x = np.linspace(0.0, 1.0, 101)
     y = np.exp(-((x - 0.3) ** 2) / 1e-3) + 0.5 * np.exp(-((x - 0.7) ** 2) / 1e-3)
@@ -207,4 +192,6 @@ def test_pole_decomposition_rescaling_consistency():
         qubit_weights=np.zeros((0, 1), dtype=complex),
     )
     t = np.array([0.0, 1.0])
-    assert np.allclose(np.abs(d.photon_amplitude(t)), 1.0)
+    amps = d.amplitudes(t)
+    assert amps.shape == (2, 1)
+    assert np.allclose(np.abs(amps), 1.0)

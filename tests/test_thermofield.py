@@ -17,8 +17,6 @@ from cavidyn.thermofield import (
     polaron_decoupling_ratio,
     thermal_double,
     thermal_htc,
-    thermal_init_state,
-    thermal_propagate,
 )
 from cavidyn.varprop import PropagationSettings, init_state, propagate
 
@@ -66,8 +64,7 @@ def test_doubled_hamiltonian_structure():
     htc = HTCModel(tc=small_tc(), lam=0.5, phonon_base=0.124, phonon_bandwidth=0.5)
     h = htc_system_bath(htc)
     theta = np.array([0.3, 0.2])
-    d = thermal_double(h, theta, prune_threshold=0.0)
-    hd = d.hamiltonian
+    hd = thermal_double(h, theta, prune_threshold=0.0)
     assert hd.n_modes == 4
     assert np.array_equal(hd.mode_freqs[:2], h.mode_freqs)
     assert np.array_equal(hd.mode_freqs[2:], -h.mode_freqs)
@@ -81,15 +78,13 @@ def test_doubled_hamiltonian_structure():
     np.testing.assert_allclose(
         hd.coup_create[:, :, 2:], h.coup_create.conj() * np.sinh(theta), atol=1e-15
     )
-    assert np.array_equal(d.tilde_of, [2, 3])
 
 
 def test_tilde_to_physical_coupling_ratio_is_tanh():
     htc = HTCModel(tc=small_tc(3), lam=0.4, phonon_base=0.124, phonon_bandwidth=0.3)
     h = htc_system_bath(htc)
     theta = np.array([0.8, 0.05, 1.3])
-    d = thermal_double(h, theta, prune_threshold=0.0)
-    hd = d.hamiltonian
+    hd = thermal_double(h, theta, prune_threshold=0.0)
     for q in range(3):
         phys = hd.coup_annihilate[:, :, q]
         tilde = hd.coup_create[:, :, 3 + q]
@@ -102,11 +97,14 @@ def test_tilde_to_physical_coupling_ratio_is_tanh():
 def test_pruning_bookkeeping():
     htc = HTCModel(tc=small_tc(3), lam=0.4, phonon_base=0.124, phonon_bandwidth=0.3)
     h = htc_system_bath(htc)
-    d = thermal_double(h, np.array([0.5, 1e-5, 0.2]))
-    assert d.n_modes_doubled == 5
-    assert np.array_equal(d.tilde_of, [3, -1, 4])
-    assert d.hamiltonian.mode_freqs[3] == -h.mode_freqs[0]
-    assert d.hamiltonian.mode_freqs[4] == -h.mode_freqs[2]
+    hd = thermal_double(h, np.array([0.5, 1e-5, 0.2]))
+    # mode 1's partner is pruned; the kept partners follow in physical order
+    assert hd.n_modes == 5
+    assert hd.mode_freqs[3] == -h.mode_freqs[0]
+    assert hd.mode_freqs[4] == -h.mode_freqs[2]
+    np.testing.assert_array_equal(hd.coup_create[:, :, 3:],
+                                  h.coup_annihilate[:, :, [0, 2]]
+                                  * np.sinh([0.5, 0.2]))
     with pytest.raises(ValueError):
         thermal_double(h, np.array([0.5, 0.2]))
 
@@ -116,14 +114,14 @@ def test_zero_angle_reduces_to_bare_hamiltonian_and_trajectory():
     h = htc_system_bath(htc)
     d = thermal_double(h, np.zeros(2))
     # all tilde partners pruned: identical operator content
-    assert d.n_modes_doubled == h.n_modes
-    assert np.array_equal(d.hamiltonian.coup_create, h.coup_create)
-    assert np.array_equal(d.hamiltonian.mode_freqs, h.mode_freqs)
+    assert d.n_modes == h.n_modes
+    assert np.array_equal(d.coup_create, h.coup_create)
+    assert np.array_equal(d.mode_freqs, h.mode_freqs)
     # same seeds, same shapes -> parameter-by-parameter identical trajectories
     s_plain = init_state(3, 2, 0, multiplicity=4, noise_seed=7)
-    s_doubled = thermal_init_state(d, 0, multiplicity=4, noise_seed=7)
+    s_doubled = init_state(d.n_sys, d.n_modes, 0, multiplicity=4, noise_seed=7)
     t_plain = propagate(h, s_plain, 60.0, SET)
-    t_doubled = thermal_propagate(d, s_doubled, 60.0, SET)
+    t_doubled = propagate(d, s_doubled, 60.0, SET)
     assert np.max(np.abs(t_plain.amplitudes - t_doubled.amplitudes)) <= 1e-10
     assert np.max(np.abs(t_plain.displacements - t_doubled.displacements)) <= 1e-10
 
@@ -136,11 +134,11 @@ def test_pruned_tilde_modes_are_inert():
     assert theta[1] < 1e-3 < theta[0]
     d_pruned = thermal_double(h, theta)
     d_full = thermal_double(h, theta, prune_threshold=0.0)
-    assert d_pruned.n_modes_doubled == 3 and d_full.n_modes_doubled == 4
-    s1 = thermal_init_state(d_pruned, 0, multiplicity=1, noise_scale=0.0)
-    s2 = thermal_init_state(d_full, 0, multiplicity=1, noise_scale=0.0)
-    t1 = thermal_propagate(d_pruned, s1, 100.0, TIGHT)
-    t2 = thermal_propagate(d_full, s2, 100.0, TIGHT)
+    assert d_pruned.n_modes == 3 and d_full.n_modes == 4
+    s1 = init_state(3, d_pruned.n_modes, 0, multiplicity=1, noise_scale=0.0)
+    s2 = init_state(3, d_full.n_modes, 0, multiplicity=1, noise_scale=0.0)
+    t1 = propagate(d_pruned, s1, 100.0, TIGHT)
+    t2 = propagate(d_full, s2, 100.0, TIGHT)
     dev = np.max(np.abs(t1.photon_population() - t2.photon_population()))
     assert dev <= 1e-6
 
@@ -173,16 +171,16 @@ def test_finite_temperature_against_dense_thermal_average():
             )
 
     d = thermal_htc(htc, t_k, prune_threshold=0.0)
-    st = thermal_init_state(d, 0, multiplicity=10, noise_seed=3)
-    tr = thermal_propagate(d, st, 100.0, SET, t_eval=times)
+    st = init_state(d.n_sys, d.n_modes, 0, multiplicity=10, noise_seed=3)
+    tr = propagate(d, st, 100.0, SET, t_eval=times)
     assert np.max(np.abs(tr.photon_population() - ref)) <= 1e-2
 
 
 def test_low_temperature_matches_zero_temperature():
     htc = HTCModel(tc=small_tc(), lam=1.0, phonon_base=0.0124, phonon_bandwidth=0.5)
     d = thermal_htc(htc, 10.0)
-    st = thermal_init_state(d, 0, multiplicity=8, noise_seed=2)
-    tr_cold = thermal_propagate(d, st, 200.0, SET)
+    st = init_state(d.n_sys, d.n_modes, 0, multiplicity=8, noise_seed=2)
+    tr_cold = propagate(d, st, 200.0, SET)
     s0 = init_state(3, 2, 0, multiplicity=8, noise_seed=2)
     tr_zero = propagate(htc_system_bath(htc), s0, 200.0, SET)
     dev = np.max(np.abs(tr_cold.photon_population() - tr_zero.photon_population()))
@@ -194,8 +192,8 @@ def test_norm_conserved_at_finite_temperature():
     # conservation is excitation conservation
     htc = HTCModel(tc=small_tc(), lam=1.0, phonon_base=0.0124, phonon_bandwidth=0.5)
     d = thermal_htc(htc, 300.0)
-    st = thermal_init_state(d, 0, multiplicity=6, noise_seed=4)
-    tr = thermal_propagate(
+    st = init_state(d.n_sys, d.n_modes, 0, multiplicity=6, noise_seed=4)
+    tr = propagate(
         d, st, 100.0, PropagationSettings(rel_tol=1e-8, abs_tol=1e-10, sample_dt=1.0)
     )
     assert np.max(np.abs(tr.norms**2 - 1.0)) <= 1e-6
@@ -211,8 +209,8 @@ def test_temperature_coupling_interchangeability_trend():
     def curve(lam, t_k):
         m = HTCModel(tc=tc, lam=lam, phonon_base=base, phonon_bandwidth=0.0)
         d = thermal_htc(m, t_k, prune_threshold=0.0)
-        st = thermal_init_state(d, 0, multiplicity=8, noise_seed=5)
-        return thermal_propagate(d, st, 100.0, SET).photon_population()
+        st = init_state(d.n_sys, d.n_modes, 0, multiplicity=8, noise_seed=5)
+        return propagate(d, st, 100.0, SET).photon_population()
 
     ref = curve(2.0, 300.0)
     for lam_b in (2.2, 1.8):
