@@ -291,8 +291,10 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
     tc = htc = None
     dimers = cavity = coupling = None
     if kind in ("tc", "htc"):
-        _check(model["n_qubits"] >= 1, violations,
-               "model.n_qubits: must be >= 1")
+        # htc carries one phonon mode per emitter on a periodic register
+        min_qubits = 2 if kind == "htc" else 1
+        _check(model["n_qubits"] >= min_qubits, violations,
+               f"model.n_qubits: must be >= {min_qubits} for the {kind} model")
         _check(model["omega_c"] > 0, violations, "model.omega_c: must be > 0")
         _check(model["omega_qubit"] > 0, violations,
                "model.omega_qubit: must be > 0")
@@ -392,6 +394,9 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
                "experiment.q_points: must be >= 2")
         _check(exp["q_max"] > exp["q_min"], violations,
                "experiment.q_max: must exceed q_min")
+        _check(exp["fock_cutoff"] >= exp["manifold_max"] + 4, violations,
+               "experiment.fock_cutoff: must be >= manifold_max + 4 = "
+               f"{exp['manifold_max'] + 4}")
 
     if violations:
         raise ConfigConstraintError(violations)

@@ -34,6 +34,29 @@ the worst member: a step is accepted only when every member's own RMS error
 norm is <= 1, the test that member would face integrated alone, so a batch of
 one steps exactly like an unbatched run.  Members share the step sequence, so
 a member batched with a stiffer one takes that member's shorter steps.
+
+Carrier frame.  The amplitudes spin at their label energies (2-4 eV for the
+fission dimer, periods of 1-2 fs), a phase no observable needs but one that
+would set the step size.  `propagate` therefore integrates the rotating
+amplitudes a~ = exp(i*E0*t/hbar) * A under
+
+    da~/dt = Adot(a~, f) + (i*E0/hbar) * a~,    fdot = fdot(a~, f),
+
+and multiplies every sampled a~ by exp(-i*E0*t/hbar) (negative t included)
+before norms, energies and the `Trajectory` are built.  E0 is one real scalar
+per call: the population-weighted mean of Re diag(e_sys) over the initial
+state, with the populations of all batch members summed.  This is an exact
+change of variables, not a different ODE, because `eom_rhs` is covariant
+under a global amplitude phase: A -> exp(i*phi) A maps G -> U G U^+ and
+h -> U h with U = diag(exp(i*phi) 1_A, 1_f), and the damped spectral filter
+is a function of G, so it commutes with U and the solve returns
+(exp(i*phi) Adot, fdot).  Shifting the Hamiltonian instead (e_sys - E0*1)
+gives the same phase in exact arithmetic but not under the filter: the
+shift moves h by E0 * G (A, 0), which the filter maps back to (A, 0) only
+on the well-conditioned part of G, so the shifted run solves a different
+regularized ODE.  On a thermofield run (two emitters, 300 K, M = 6, 100 fs)
+its norm error stays at 3.4-3.6e-5 at rel_tol 1e-8 and 1e-10, while the lab
+frame and this change of variables both reach 6.4e-7.
 """
 
 from __future__ import annotations
@@ -462,9 +485,11 @@ def propagate(
 
     Negative t_final integrates backwards.  Samples are taken from the
     integrator's dense output at `t_eval` (default: every settings.sample_dt).
-    A state with leading batch axes is integrated as one system under
-    worst-member step control (module docstring); the guards on finite
-    parameters and on the norm of Hermitian runs apply to every member.
+    The amplitudes are integrated in the carrier frame of the initial state
+    and returned in the lab frame.  A state with leading batch axes is
+    integrated as one system under worst-member step control.  Both are
+    described in the module docstring.  The guards on finite parameters and
+    on the norm of Hermitian runs apply to every member.
     """
     settings = settings or PropagationSettings()
     m, n_sys, n_modes = state.multiplicity, state.n_sys, state.n_modes
@@ -477,6 +502,12 @@ def propagate(
     t_eval = np.asarray(t_eval, dtype=float)
 
     hermitian_guard = h.hermitian
+    # carrier frame (module docstring): y holds exp(i*e0*t/hbar) * A
+    pops = system_populations(state.amplitudes, state.displacements)
+    weights = pops.reshape(-1, n_sys).sum(axis=0)
+    total = weights.sum()
+    e0 = float(weights @ h.e_sys.diagonal().real / total) if total > 0 else 0.0
+    spin = 1j * e0 / HBAR_EV_FS
 
     def rhs(t, y):
         if not np.all(np.isfinite(y)):
@@ -494,7 +525,8 @@ def propagate(
                 )
         adot, fdot = eom_rhs(h, a, f, settings.svd_cutoff, settings.cond_threshold)
         return np.concatenate(
-            [adot.reshape(members, -1), fdot.reshape(members, -1)], axis=1
+            [(adot + spin * a).reshape(members, -1), fdot.reshape(members, -1)],
+            axis=1
         ).reshape(-1).view(np.float64)
 
     y0 = np.concatenate(
@@ -521,6 +553,7 @@ def propagate(
     n_t = len(sol.t)
     z = sol.y.T.copy().view(np.complex128).reshape(n_t, members, -1)
     amps = z[:, :, :na].reshape((n_t,) + batch + (m, n_sys))
+    amps *= np.exp(-spin * sol.t).reshape((n_t,) + (1,) * (amps.ndim - 1))
     disps = z[:, :, na:].reshape((n_t,) + batch + (m, n_modes))
     if not (np.all(np.isfinite(amps)) and np.all(np.isfinite(disps))):
         raise PropagationError("non-finite parameters in sampled trajectory")

@@ -272,7 +272,11 @@ def test_photon_cutoff_is_not_a_tc_key(tmp_path, capsys):
      "experiment.omega_max"),
     (TINY_SPECTRA.replace("waiting_times_fs = 0", "waiting_times_fs = 0 0.7"),
      "experiment.waiting_times_fs"),
-], ids=["downhill-fission", "above-nyquist", "off-grid-waiting-time"])
+    (TINY_HTC.replace("n_qubits = 2", "n_qubits = 1"), "model.n_qubits"),
+    ("[experiment]\nkind = pes-scan\nq_points = 3\nfock_cutoff = 5\n\n"
+     "[model]\nkind = sf\n", "experiment.fock_cutoff"),
+], ids=["downhill-fission", "above-nyquist", "off-grid-waiting-time",
+        "one-site-htc", "pes-scan-photon-cutoff"])
 def test_validate_rejects_what_would_fail_at_run_time(tmp_path, capsys, text,
                                                      violation):
     code, _, err = _run(capsys, "validate", "--config", _write(tmp_path, text))
