@@ -27,14 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .models import SystemBathHamiltonian, UnsupportedModelError
-
-if TYPE_CHECKING:
-    from .varprop import MultiD2State
+from .varprop import MultiD2State, init_state
 
 STATES_THREE = ("g", "S1", "TT")
 STATES_FIVE = ("g", "S1", "TT", "Sn", "TTn")
@@ -344,9 +342,6 @@ def coherent_init(
 ) -> MultiD2State:
     """Initial state for pumped runs: bright singlet excitation (symmetrized
     over dimers) with the photon mode displaced to mu1."""
-    # imported here so that building and validating models needs no scipy
-    from .varprop import init_state
-
     if abs(mu1) ** 2 > 25:
         raise ValueError(
             f"pump |mu1|^2 = {abs(mu1)**2:.1f} outside the validated regime (<= 25)"

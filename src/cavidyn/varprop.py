@@ -28,7 +28,8 @@ Batches.  Amplitudes (..., M, n_sys) and displacements (..., M, n_modes) may
 carry leading batch axes: independent states of one Hamiltonian with the same
 shape.  `eom_rhs` then assembles and solves one metric per member (stacked
 `eigh`, the same damped filter, the collapse checks per member), and
-`propagate` integrates the whole batch in one RK45 run over the stacked
+`propagate` integrates the whole batch in one run of the Dormand-Prince
+5(4) stepper (scipy's RK45 controller and dense output) over the stacked
 parameter vector, returning (T, ..., M, .) trajectories.  Step control takes
 the worst member: a step is accepted only when every member's own RMS error
 norm is <= 1, the test that member would face integrated alone, so a batch of
@@ -66,8 +67,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
-from scipy.integrate._ivp.common import norm as _rms_norm
 
 from .constants import HBAR_EV_FS
 from .models import SystemBathHamiltonian
@@ -301,6 +300,9 @@ def eom_rhs(
         [h_a.reshape(batch + (-1,)), h_f.reshape(batch + (-1,))], axis=-1
     ) * (-1j / HBAR_EV_FS)
 
+    # overflowing overlaps leave inf/nan in G, on which eigh fails to converge
+    if not np.all(np.isfinite(g)):
+        raise AnsatzCollapseError("metric is not finite; state degenerated")
     vals, vecs = np.linalg.eigh(g)
     lam_max = vals[..., -1]
     if not np.all(np.isfinite(lam_max) & (lam_max > 0)):
@@ -458,20 +460,114 @@ def _sample_times(t_final: float, dt: float) -> np.ndarray:
     return ts
 
 
-class _WorstMemberRK45(RK45):
-    """RK45 over `members` equal-length member vectors laid end to end.
+# Dormand-Prince 5(4) tableau and the quartic dense-output matrix (optimal
+# c_6), as in scipy.integrate.RK45
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
 
-    The error norm is the largest of the members' own RMS norms, so a step is
-    accepted only when every member passes the test it would face alone.
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _dormand_prince(fun, y0, t_final, t_eval, rtol, atol, members=1):
+    """Samples at `t_eval` of y' = fun(t, y), y(0) = y0: a (len(t_eval), n) array.
+
+    Dormand-Prince 5(4) with local extrapolation, the initial-step heuristic
+    and step-size controller of Hairer, Nørsett & Wanner, "Solving Ordinary
+    Differential Equations I", Sec. II.4, and the quartic continuous
+    extension of Sec. II.5 (Shampine's optimal c_6).  Every operation follows
+    scipy.integrate.solve_ivp(method="RK45", t_eval=...): the safety factor
+    0.9, step factors within [0.2, 10], no growth right after a rejection,
+    failure below 10 ulp of t, first-same-as-last stages.  The one difference
+    is the error norm: the largest RMS norm over `members` equal-length
+    slices of y, so a step is accepted only when every member passes the
+    test it would face integrated alone.  Negative t_final integrates
+    backwards; t_eval must run monotonically from 0 toward t_final.
     """
+    direction = np.sign(t_final) if t_final != 0 else 1.0
+    span = abs(t_final)
+    reach = direction * t_eval
+    if np.any(reach < 0) or np.any(reach > span) or np.any(np.diff(reach) <= 0):
+        raise ValueError("t_eval must run monotonically from 0 toward t_final")
+    # scipy's floor: below 100 eps rounding alone fails the error test
+    rtol = max(rtol, 100 * np.finfo(float).eps)
 
-    def __init__(self, fun, t0, y0, t_bound, members=1, **options):
-        self.members = members
-        super().__init__(fun, t0, y0, t_bound, **options)
+    t, y = 0.0, y0
+    f = fun(t, y)
+    if span == 0:
+        return np.tile(y0, (len(t_eval), 1))
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = _rms((fun(t + h0 * direction, y + h0 * direction * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, span)
 
-    def _estimate_error_norm(self, K, h, scale):
-        err = self._estimate_error(K, h) / scale
-        return max(_rms_norm(e) for e in err.reshape(self.members, -1))
+    k = np.empty((7, y.size), dtype=y.dtype)
+    samples, i = [], 0
+    while direction * (t - t_final) < 0:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise PropagationError(
+                    f"integration aborted: step size fell below {min_step:.3g} fs "
+                    f"at t = {t:.6g} fs")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_final) > 0:
+                t_new = t_final
+            h = t_new - t
+            h_abs = np.abs(h)
+            k[0] = f
+            for s in range(1, 6):
+                k[s] = fun(t + _DP_C[s] * h, y + np.dot(k[:s].T, _DP_A[s, :s]) * h)
+            y_new = y + h * np.dot(k[:-1].T, _DP_B)
+            f_new = k[-1] = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = np.dot(k.T, _DP_E) * h / scale
+            error_norm = max(_rms(e) for e in err.reshape(members, -1))
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
+            rejected = True
+
+        i_new = np.searchsorted(reach, direction * t_new, side="right")
+        if i_new > i:
+            x = (t_eval[i:i_new] - t) / h
+            q = k.T.dot(_DP_P)
+            y_out = h * np.dot(q, np.cumprod(np.tile(x, (4, 1)), axis=0))
+            y_out += y[:, None]
+            samples.append(y_out)
+            i = i_new
+        t, y, f = t_new, y_new, f_new
+    return np.ascontiguousarray(np.hstack(samples).T)
 
 
 def propagate(
@@ -534,26 +630,13 @@ def propagate(
          state.displacements.reshape(members, -1)], axis=1
     ).reshape(-1).view(np.float64)
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_final),
-        y0,
-        method=_WorstMemberRK45,
-        rtol=settings.rel_tol,
-        atol=settings.abs_tol,
-        t_eval=t_eval,
-        dense_output=False,
-        members=members,
-    )
-    if not sol.success:
-        raise PropagationError(f"integration aborted: {sol.message}")
-    if sol.t.shape != t_eval.shape:
-        raise PropagationError("integrator did not reach all requested sample times")
+    ys = _dormand_prince(rhs, y0, t_final, t_eval, settings.rel_tol,
+                         settings.abs_tol, members)
 
-    n_t = len(sol.t)
-    z = sol.y.T.copy().view(np.complex128).reshape(n_t, members, -1)
+    n_t = len(t_eval)
+    z = ys.view(np.complex128).reshape(n_t, members, -1)
     amps = z[:, :, :na].reshape((n_t,) + batch + (m, n_sys))
-    amps *= np.exp(-spin * sol.t).reshape((n_t,) + (1,) * (amps.ndim - 1))
+    amps *= np.exp(-spin * t_eval).reshape((n_t,) + (1,) * (amps.ndim - 1))
     disps = z[:, :, na:].reshape((n_t,) + batch + (m, n_modes))
     if not (np.all(np.isfinite(amps)) and np.all(np.isfinite(disps))):
         raise PropagationError("non-finite parameters in sampled trajectory")
@@ -561,7 +644,7 @@ def propagate(
     norms = np.sqrt(state_norm_sq(amps, disps))
     theta = _theta(h, amps, disps)[0]
     energies = (overlap_matrix(disps, disps) * theta).sum(axis=(-2, -1))
-    return Trajectory(sol.t.copy(), amps, disps, norms, energies, state.labels)
+    return Trajectory(t_eval.copy(), amps, disps, norms, energies, state.labels)
 
 
 # ---------------------------------------------------------------------------

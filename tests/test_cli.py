@@ -218,14 +218,16 @@ def test_htc_absorption_equals_library_call(tmp_path, capsys):
 
 
 def test_cli_import_leaves_out_the_integrator():
-    """Validation needs numpy only: `cavidyn validate` must not pay for
-    importing scipy's integrators."""
+    """The CLI, the runner and the spectra need numpy only: no run pays for
+    importing scipy (the integrator is in-package, and only the
+    `oracle-compare` references load scipy.sparse, lazily)."""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(cavidyn.__file__)))
-    probe = "import sys, cavidyn.cli; print('scipy.integrate' in sys.modules)"
+    probe = ("import sys, cavidyn.cli, cavidyn.runner, cavidyn.spectro; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_missing_config_is_a_runtime_failure(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import RK45, solve_ivp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
@@ -491,6 +492,112 @@ def test_propagation_rejects_bad_settings():
         PropagationSettings(rel_tol=0.0)
     with pytest.raises(ValueError):
         PropagationSettings(sample_dt=-1.0)
+
+
+def test_zero_span_returns_the_initial_state():
+    hs = htc_problem(2)
+    s = init_state(3, 2, 0, multiplicity=2, noise_seed=1)
+    traj = propagate(hs, s, 0.0)
+    assert np.array_equal(traj.times, [0.0])
+    assert np.array_equal(traj.amplitudes, s.amplitudes[None])
+    assert np.array_equal(traj.displacements, s.displacements[None])
+    assert abs(traj.norms[0] - 1.0) < 1e-12
+
+
+def test_non_finite_metric_is_a_collapse():
+    """Displacements of 1e200 overflow the overlaps; the guard must name the
+    degenerate state instead of letting eigh fail to converge."""
+    hs = htc_problem(2)
+    s = init_state(3, 2, 0, multiplicity=2, noise_seed=1)
+    with np.errstate(all="ignore"), pytest.raises(AnsatzCollapseError, match="finite"):
+        eom_rhs(hs, s.amplitudes, np.full_like(s.displacements, 1e200))
+
+
+# ---------------------------------------------------------------------------
+# the Dormand-Prince stepper against scipy's RK45
+
+
+class _WorstMemberRK45(RK45):
+    """scipy's RK45 with the worst-member error norm that `propagate` used
+    before it had its own stepper."""
+
+    def __init__(self, fun, t0, y0, t_bound, members=1, **options):
+        self.members = members
+        super().__init__(fun, t0, y0, t_bound, **options)
+
+    def _estimate_error_norm(self, K, h, scale):
+        err = self._estimate_error(K, h) / scale
+        return max(np.linalg.norm(e) / e.size ** 0.5
+                   for e in err.reshape(self.members, -1))
+
+
+def _counted(fun):
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        return fun(*args, **kwargs)
+    return wrapped, calls
+
+
+@pytest.mark.parametrize("t_final, t_eval", [
+    (6.0, np.linspace(0.0, 6.0, 13)),
+    (-6.0, np.linspace(0.0, -6.0, 13)),
+    (6.0, np.array([0.35, 1.7, 2.25, 4.0])),
+], ids=["forward", "backward", "no-origin"])
+def test_stepper_matches_scipy_rk45(t_final, t_eval):
+    """A nonlinear complex ODE (norm-conserving, so it runs both ways): same
+    samples to 1e-13, same evaluations."""
+    def fun(t, z):
+        return 1j * ((1.0 + np.abs(z) ** 2) * z + 0.3 * np.sin(t) * z[::-1])
+
+    z0 = np.array([1.0 + 0.5j, -0.3 + 0.8j, 0.2 - 0.1j])
+    ours, n_ours = _counted(fun)
+    got = varprop._dormand_prince(ours, z0, t_final, t_eval, 1e-6, 1e-8)
+    ref = solve_ivp(fun, (0.0, t_final), z0, method="RK45", rtol=1e-6,
+                    atol=1e-8, t_eval=t_eval)
+    assert ref.success
+    assert got.shape == (len(t_eval), 3)
+    assert np.abs(got - ref.y.T).max() < 1e-13
+    assert len(n_ours) == ref.nfev
+
+
+def test_batched_propagate_matches_scipy_worst_member(monkeypatch):
+    """The stepper in `propagate` against scipy's RK45 with the same
+    worst-member norm, on a batch of three M=2 members."""
+    def scipy_stepper(fun, y0, t_final, t_eval, rtol, atol, members=1):
+        sol = solve_ivp(fun, (0.0, t_final), y0, method=_WorstMemberRK45,
+                        rtol=rtol, atol=atol, t_eval=t_eval, members=members)
+        assert sol.success
+        return sol.y.T.copy()
+
+    hs = htc_problem(2)
+    states = [init_state(3, 2, n, multiplicity=2, noise_seed=n) for n in range(3)]
+    batch = MultiD2State(np.stack([s.amplitudes for s in states]),
+                         np.stack([s.displacements for s in states]))
+    counted, calls = _counted(varprop.eom_rhs)
+    monkeypatch.setattr(varprop, "eom_rhs", counted)
+    ours = propagate(hs, batch, 20.0)
+    n_ours = len(calls)
+    calls.clear()
+    monkeypatch.setattr(varprop, "_dormand_prince", scipy_stepper)
+    ref = propagate(hs, batch, 20.0)
+    assert np.array_equal(ours.times, ref.times)
+    assert np.abs(ours.amplitudes - ref.amplitudes).max() < 1e-12
+    assert np.abs(ours.displacements - ref.displacements).max() < 1e-12
+    assert n_ours == len(calls)
+
+
+def test_stepper_fails_on_blow_up():
+    """y' = y^2, y(0) = 1 diverges at t = 1: the step size underflows."""
+    def fun(t, y):
+        return y * y
+
+    with np.errstate(all="ignore"):
+        assert not solve_ivp(fun, (0.0, 2.0), [1.0], method="RK45").success
+        with pytest.raises(PropagationError, match="step size"):
+            varprop._dormand_prince(fun, np.array([1.0]), 2.0, np.array([0.0, 2.0]),
+                                    1e-6, 1e-8)
 
 
 # ---------------------------------------------------------------------------
