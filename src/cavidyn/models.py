@@ -124,18 +124,6 @@ def phonon_dispersion(k: np.ndarray, omega_base: float, bandwidth: float) -> np.
     return w
 
 
-def mode_frequency_for_index(
-    n_modes: int, omega_base: float, bandwidth: float, l: int
-) -> float:
-    """Dispersion evaluated at a single mode index l in -N/2+1 .. N/2."""
-    lo = -(n_modes // 2) + 1
-    hi = n_modes - (n_modes // 2)
-    if not lo <= l <= hi:
-        raise ValueError(f"mode index {l} outside {lo}..{hi} for {n_modes} modes")
-    k = 2.0 * np.pi * l / n_modes
-    return float(phonon_dispersion(np.array([k]), omega_base, bandwidth)[0])
-
-
 @dataclass(frozen=True)
 class HTCModel:
     """TC model plus one phonon register per emitter chain.

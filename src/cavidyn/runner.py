@@ -229,9 +229,10 @@ def _run_pes_scan(cfg: RunConfig, out_dir: str, files: list):
 
 
 def _resume_dir(cfg: RunConfig, out_dir: str) -> str:
-    """`out_dir/bank`, holding every spectra2d resume file (first legs, ESA
-    checkpoint) and the resolved config they were computed for.  Files left
-    by a different config are deleted, so they are never reused."""
+    """`out_dir/bank`, holding the spectra2d resume files and `config.ini`,
+    the resolved config they were computed for.  When that stamp does not
+    match `cfg`, every other file in the directory is deleted, so nothing
+    computed for a different config is reused."""
     from .config import resolved_text
 
     bank_dir = os.path.join(out_dir, "bank")
@@ -243,7 +244,7 @@ def _resume_dir(cfg: RunConfig, out_dir: str) -> str:
             if fh.read() == text:
                 return bank_dir
     stale = [name for name in sorted(os.listdir(bank_dir))
-             if name.startswith(("leg", "esa_checkpoint"))]
+             if name != "config.ini"]
     if stale:
         print(f"resume: {stamp} does not match this config; deleting "
               f"{len(stale)} stale resume file(s)", file=sys.stderr)
@@ -276,10 +277,8 @@ def _run_spectra2d(cfg: RunConfig, out_dir: str, resume: bool, files: list):
                           noise_seed=cfg.run.seed, settings=settings,
                           checkpoint_dir=bank_dir)
     responses = response_se_gsb(bank, grid, dipoles)
-    esa_ckpt = (os.path.join(bank_dir, "esa_checkpoint.npz") if resume
-                else None)
     responses.update(response_esa(bank, h2, grid, dipoles, settings=settings,
-                                  checkpoint=esa_ckpt))
+                                  checkpoint_dir=bank_dir))
     omega = _omegas(cfg)
     maps = spectra(responses, grid, omega, omega)
     for spec in maps:

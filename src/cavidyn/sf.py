@@ -263,17 +263,6 @@ def _system_bath(e_sys, mode_freqs, create, hermitian=True):
     )
 
 
-def count_labels_by_excitation(n_dimers: int, five_state: bool, n_max: int = 2):
-    """Number of electronic+photon basis labels in each excitation manifold
-    0..n_max (photon occupation chosen to complete each manifold)."""
-    counts = [0] * (n_max + 1)
-    for lab in electronic_labels(n_dimers, five_state):
-        w = label_weight(lab)
-        for n in range(w, n_max + 1):
-            counts[n] += 1
-    return counts
-
-
 def sf_system_bath(
     dimers: Sequence[SFDimerSpec],
     cavity: CavitySpec,
@@ -313,23 +302,6 @@ def sf_matter_only(dimers: Sequence[SFDimerSpec]):
         graph.mode_freqs,
         _vibronic_create(graph, 1),
     )
-
-
-def fock_cutoff_for_coherent_tail(mu1: complex, tail: float = 1e-10) -> int:
-    """Smallest n_max whose discarded Poisson tail is below `tail`."""
-    mean = abs(mu1) ** 2
-    if mean == 0:
-        return 0
-    term = math.exp(-mean)
-    cum = term
-    n = 0
-    while 1.0 - cum >= tail:
-        n += 1
-        term *= mean / n
-        cum += term
-        if n > 10_000:
-            raise ArithmeticError("coherent tail fails to converge")
-    return n
 
 
 def coherent_init(

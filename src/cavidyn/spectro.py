@@ -42,10 +42,8 @@ from .varprop import (
     autocorrelation,
     absorption_from_autocorrelation,
     init_state,
-    load_trajectory,
     overlap_matrix,
     propagate,
-    save_trajectory,
 )
 
 
@@ -91,8 +89,12 @@ class ResponseGrid:
             steps = np.diff(g)
             if abs(g[0]) > 1e-12 or np.any(np.abs(steps - steps[0]) > 1e-9):
                 raise ValueError(f"{name} grid must be uniform and start at 0")
+            if steps[0] <= 0:
+                raise ValueError(f"{name} grid step must be > 0")
         if abs(self.dt_tau - self.dt_t) > 1e-9:
             raise ValueError("tau and t grids must share one step")
+        if not self.tw_fs:
+            raise ValueError("at least one waiting time is needed")
         for w in self.tw_fs:
             if w < 0 or abs(round(w / self.dt_t) * self.dt_t - w) > 1e-9:
                 raise ValueError(
@@ -175,9 +177,9 @@ def first_leg_bank(
 
     Forward samples cover tau_max + max(T_w) + t_max; the backward branch
     (needed by R4's amplitudes at -t) covers -t_max.  With checkpoint_dir,
-    each leg is saved there in the propagator's versioned text format and
-    reloaded instead of recomputed when the file already exists and matches
-    the requested sample times.
+    each leg is saved there as `leg<n>_<fwd|bwd>.npz` (times, amplitudes,
+    displacements) and reloaded instead of recomputed when the file exists
+    and its times equal the requested sample times.
     """
     if multiplicity > 1 and noise_scale == 0.0:
         noise_scale = 1e-4
@@ -190,30 +192,28 @@ def first_leg_bank(
     back_times = -np.arange(0.0, grid.t_fs[-1] + dt / 2, dt)
 
     def leg(st, times, tag):
-        if checkpoint_dir is not None:
-            path = os.path.join(checkpoint_dir, f"leg{tag}.txt")
-            if os.path.exists(path):
-                traj = load_trajectory(path)
-                if (len(traj.times) == len(times)
-                        and np.allclose(traj.times, times, atol=1e-9)):
-                    return traj
-            traj = propagate(h1, st, times[-1], settings, t_eval=times)
-            save_trajectory(path, traj)
-            return traj
-        return propagate(h1, st, times[-1], settings, t_eval=times)
+        """(amplitudes, displacements) sampled at `times`."""
+        path = (os.path.join(checkpoint_dir, f"leg{tag}.npz")
+                if checkpoint_dir is not None else None)
+        if path is not None and os.path.exists(path):
+            with np.load(path) as chk:
+                if np.array_equal(chk["times"], times):
+                    return chk["amplitudes"], chk["displacements"]
+        traj = propagate(h1, st, times[-1], settings, t_eval=times)
+        if path is not None:
+            _save_npz(path, times=times, amplitudes=traj.amplitudes,
+                      displacements=traj.displacements)
+        return traj.amplitudes, traj.displacements
 
     amps, disps, amps_b, disps_b = {}, {}, {}, {}
     for n in bright:
         st = init_state(h1.n_sys, h1.n_modes, n, multiplicity=multiplicity,
                         noise_seed=noise_seed, noise_scale=noise_scale)
-        fwd = leg(st, fwd_times, f"{n}_fwd")
-        amps[n], disps[n] = fwd.amplitudes, fwd.displacements
+        amps[n], disps[n] = leg(st, fwd_times, f"{n}_fwd")
         if len(back_times) > 1:
-            bwd = leg(st, back_times, f"{n}_bwd")
-            amps_b[n], disps_b[n] = bwd.amplitudes, bwd.displacements
+            amps_b[n], disps_b[n] = leg(st, back_times, f"{n}_bwd")
         else:
-            amps_b[n] = fwd.amplitudes[:1]
-            disps_b[n] = fwd.displacements[:1]
+            amps_b[n], disps_b[n] = amps[n][:1], disps[n][:1]
     return TrajectoryBank(dt, np.asarray(h1.mode_freqs, dtype=float), bright,
                           amps, disps, amps_b, disps_b)
 
@@ -276,7 +276,7 @@ def response_esa(
     grid: ResponseGrid,
     dipoles: DipoleSet,
     settings: Optional[PropagationSettings] = None,
-    checkpoint: Optional[str] = None,
+    checkpoint_dir: Optional[str] = None,
 ) -> dict:
     """R1*, R2* (excited-state absorption) on the (tau, T_w, t) grid.
 
@@ -285,9 +285,10 @@ def response_esa(
     tau + T_w.  The 1 + n_tau legs of one (n3, T_w) share the Hamiltonian
     and the detection grid, so they run as one batched integration
     (`propagate` with a leading batch axis): the cost is one integration
-    per (n3, T_w), each as long as its slowest member.  With `checkpoint`
-    set, the responses are saved after every (n3, T_w) batch and a rerun
-    resumes after the last saved batch.
+    per (n3, T_w), each as long as its slowest member.  With
+    `checkpoint_dir`, the responses are saved to `esa_checkpoint.npz` there
+    after every (n3, T_w) batch and a rerun resumes after the last saved
+    batch.
 
     Each transplant is propagated normalized and rescaled afterwards, which
     is exact because a global amplitude rescaling commutes with the
@@ -309,7 +310,9 @@ def response_esa(
     r1s = np.zeros(shape, dtype=complex)
     r2s = np.zeros(shape, dtype=complex)
     done = 0
-    if checkpoint and os.path.exists(checkpoint):
+    checkpoint = (os.path.join(checkpoint_dir, "esa_checkpoint.npz")
+                  if checkpoint_dir is not None else None)
+    if checkpoint is not None and os.path.exists(checkpoint):
         with np.load(checkpoint) as chk:
             r1s, r2s, done = chk["r1s"], chk["r2s"], int(chk["batches"])
 
@@ -347,14 +350,15 @@ def response_esa(
         r1s[:, w] += esa(n3, tau + tw + t, a2[:, 0], f2[:, 0])
         r2s[:, w] += esa(n3, tw + t, a2[:, 1:].swapaxes(0, 1),
                          f2[:, 1:].swapaxes(0, 1))
-        if checkpoint:
-            _save_checkpoint(checkpoint, r1s, r2s, b + 1)
+        if checkpoint is not None:
+            _save_npz(checkpoint, r1s=r1s, r2s=r2s, batches=b + 1)
     return {"R1s": r1s, "R2s": r2s}
 
 
-def _save_checkpoint(path, r1s, r2s, batches):
+def _save_npz(path, **arrays):
+    """Write `arrays` to the .npz file `path` atomically (tmp file, rename)."""
     tmp = path + ".tmp.npz"   # explicit suffix so numpy does not append one
-    np.savez(tmp, r1s=r1s, r2s=r2s, batches=batches)
+    np.savez(tmp, **arrays)
     os.replace(tmp, path)
 
 

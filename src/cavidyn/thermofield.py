@@ -118,12 +118,6 @@ def thermal_htc(
     return thermal_double(h, theta, prune_threshold)
 
 
-def dressed_coupling_scale(lam: float, theta: np.ndarray) -> float:
-    """sum_k lam*cosh(theta_k) + sum_k lam*sinh(theta_k): grows from
-    lam*n_modes at T=0 and diverges in the classical limit."""
-    return float(lam * (np.cosh(theta).sum() + np.sinh(theta).sum()))
-
-
 def polaron_decoupling_ratio(
     n_qubits: int, omega_r: float, lam: float, omega_k: float
 ) -> float:

@@ -73,12 +73,8 @@ from .models import SystemBathHamiltonian
 
 #: relative eigenvalue cutoff for the metric pseudo-inverse
 DEFAULT_SVD_CUTOFF = 1e-8
-#: retained-subspace condition number that triggers the collapse diagnostic
-DEFAULT_COND_THRESHOLD = 1e14
 #: default amplitude of the symmetry-breaking noise on extra configurations
 DEFAULT_NOISE_SCALE = 1e-4
-
-CHECKPOINT_HEADER = "cavidyn-trajectory v1"
 
 
 class AnsatzCollapseError(RuntimeError):
@@ -244,7 +240,6 @@ def eom_rhs(
     amplitudes: np.ndarray,
     displacements: np.ndarray,
     svd_cutoff: float = DEFAULT_SVD_CUTOFF,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives (Adot, Fdot) of the parameters.
 
@@ -308,13 +303,6 @@ def eom_rhs(
     if not np.all(np.isfinite(lam_max) & (lam_max > 0)):
         raise AnsatzCollapseError("metric has no positive eigenvalues; state degenerated")
     eps = svd_cutoff * lam_max[..., None]
-    cond = lam_max / np.where(vals > eps, vals, np.inf).min(axis=-1)
-    if np.any(cond > cond_threshold):
-        raise AnsatzCollapseError(
-            f"ansatz collapse: retained metric condition number "
-            f"{cond.max():.3e} exceeds {cond_threshold:.1e}; "
-            "increase noise_scale or restart with fewer/fresh configurations"
-        )
     # damped spectral inversion: eigendirections well above the cutoff are
     # inverted exactly, those below are suppressed smoothly.  A hard
     # truncation would make the right-hand side discontinuous whenever an
@@ -441,7 +429,6 @@ class PropagationSettings:
     abs_tol: float = 1e-8
     sample_dt: float = 0.1
     svd_cutoff: float = DEFAULT_SVD_CUTOFF
-    cond_threshold: float = DEFAULT_COND_THRESHOLD
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -619,7 +606,7 @@ def propagate(
                     f"norm ran away to {np.ravel(nrm[bad])[0]:.6g} at t = {t:.6g} fs "
                     "(Hermitian run)"
                 )
-        adot, fdot = eom_rhs(h, a, f, settings.svd_cutoff, settings.cond_threshold)
+        adot, fdot = eom_rhs(h, a, f, settings.svd_cutoff)
         return np.concatenate(
             [(adot + spin * a).reshape(members, -1), fdot.reshape(members, -1)],
             axis=1
@@ -683,66 +670,3 @@ def absorption_from_autocorrelation(
     )
     integrand = kernel * corr[None, :]
     return np.trapezoid(integrand, t, axis=1).real / (np.pi * HBAR_EV_FS)
-
-
-# ---------------------------------------------------------------------------
-# checkpoint serialization (versioned, text, Re/Im of every parameter)
-
-
-def save_trajectory(path, traj: Trajectory) -> None:
-    if traj.amplitudes.ndim != 3:
-        raise ValueError("a trajectory checkpoint holds one unbatched state")
-    n_t = len(traj.times)
-    m, n_sys = traj.amplitudes.shape[1:]
-    n_modes = traj.displacements.shape[2]
-    lines = [CHECKPOINT_HEADER]
-    lines.append(f"multiplicity {m} n_sys {n_sys} n_modes {n_modes} snapshots {n_t}")
-    lines.append("labels " + (",".join(traj.labels) if traj.labels else "-"))
-    for i in range(n_t):
-        e = traj.energies[i]
-        lines.append(
-            f"t {traj.times[i]:.17g} norm {traj.norms[i]:.17g} "
-            f"energy {e.real:.17g} {e.imag:.17g}"
-        )
-        flat_a = traj.amplitudes[i].reshape(-1)
-        lines.append("A " + " ".join(f"{v.real:.17g} {v.imag:.17g}" for v in flat_a))
-        flat_f = traj.displacements[i].reshape(-1)
-        lines.append("F " + " ".join(f"{v.real:.17g} {v.imag:.17g}" for v in flat_f))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_trajectory(path) -> Trajectory:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_HEADER:
-        raise ValueError(f"not a recognized trajectory checkpoint: {path} "
-                         f"(expected header {CHECKPOINT_HEADER!r})")
-    hdr = lines[1].split()
-    m, n_sys, n_modes, n_t = (int(hdr[i]) for i in (1, 3, 5, 7))
-    label_field = lines[2].removeprefix("labels ").strip()
-    labels = None if label_field == "-" else tuple(label_field.split(","))
-
-    times = np.empty(n_t)
-    norms = np.empty(n_t)
-    energies = np.empty(n_t, dtype=complex)
-    amps = np.empty((n_t, m, n_sys), dtype=complex)
-    disps = np.empty((n_t, m, n_modes), dtype=complex)
-
-    def parse_pairs(line, prefix, count):
-        toks = line.split()
-        if toks[0] != prefix or len(toks) != 1 + 2 * count:
-            raise ValueError(f"malformed checkpoint line: {line[:60]}...")
-        vals = np.array([float(x) for x in toks[1:]])
-        return vals[0::2] + 1j * vals[1::2]
-
-    row = 3
-    for i in range(n_t):
-        toks = lines[row].split()
-        times[i] = float(toks[1])
-        norms[i] = float(toks[3])
-        energies[i] = float(toks[5]) + 1j * float(toks[6])
-        amps[i] = parse_pairs(lines[row + 1], "A", m * n_sys).reshape(m, n_sys)
-        disps[i] = parse_pairs(lines[row + 2], "F", m * n_modes).reshape(m, n_modes)
-        row += 3
-    return Trajectory(times, amps, disps, norms, energies, labels)

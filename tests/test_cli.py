@@ -323,12 +323,12 @@ def test_resume_reuses_bank_legs(tmp_path, capsys, monkeypatch):
 
     plain = csv_bytes(tmp_path / "plain")
     first = csv_bytes(tmp_path / "resumed", "--resume")
-    assert list((tmp_path / "resumed" / "bank").glob("leg*.txt"))
+    assert list((tmp_path / "resumed" / "bank").glob("leg*.npz"))
 
-    def no_save(*_):
-        raise AssertionError("a bank leg was recomputed instead of reused")
+    def no_propagate(*_, **__):
+        raise AssertionError("a complete run's result was recomputed")
 
-    monkeypatch.setattr(spectro, "save_trajectory", no_save)
+    monkeypatch.setattr(spectro, "propagate", no_propagate)
     again = csv_bytes(tmp_path / "resumed", "--resume")
     assert len(plain) == 1 and plain == first == again
 

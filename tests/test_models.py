@@ -74,17 +74,6 @@ def test_spectrum_invariant_under_site_permutation():
     assert np.abs(ea - eb).max() < 1e-12
 
 
-def test_mode_frequency_for_index_range():
-    from cavidyn.models import mode_frequency_for_index
-
-    assert np.isclose(mode_frequency_for_index(20, 0.124, 0.5, 10), 0.186)
-    assert np.isclose(mode_frequency_for_index(20, 0.124, 0.0, 3), 0.124)
-    with pytest.raises(ValueError):
-        mode_frequency_for_index(20, 0.124, 0.5, 11)
-    with pytest.raises(ValueError):
-        mode_frequency_for_index(20, 0.124, 0.5, -10)
-
-
 def test_wavenumber_grid():
     k = phonon_wavenumbers(20)
     assert len(k) == 20

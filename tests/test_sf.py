@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import poisson
 
 from cavidyn.models import TCModel, UnsupportedModelError
 from cavidyn.sf import (
@@ -18,12 +17,10 @@ from cavidyn.sf import (
     SFDimerSpec,
     adjacent_gap_minima,
     coherent_init,
-    count_labels_by_excitation,
     derive_kappas_from_ci,
     dipole_up,
     electronic_labels,
     excitation_expectation,
-    fock_cutoff_for_coherent_tail,
     label_has_tt,
     label_str,
     label_weight,
@@ -77,21 +74,18 @@ def test_label_enumeration_and_manifold_counts():
     assert len(electronic_labels(1, False)) == 3
     assert len(electronic_labels(1, True)) == 5
     assert len(electronic_labels(2, True)) == 25
-    assert count_labels_by_excitation(1, True) == [1, 3, 5]
-    assert count_labels_by_excitation(2, False) == [1, 5, 9]
+
+    def counts(nd, five_state):
+        return [len(manifold_labels(nd, five_state, n)) for n in range(3)]
+
+    assert counts(1, True) == [1, 3, 5]
+    assert counts(2, False) == [1, 5, 9]
     # ground / singly- / doubly-excited label counts for two five-state dimers
-    assert count_labels_by_excitation(2, True) == [1, 5, 13]
+    assert counts(2, True) == [1, 5, 13]
     assert label_weight(("TTn", "S1")) == 3
     assert label_has_tt(("g", "TTn")) and not label_has_tt(("S1", "Sn"))
     with pytest.raises(UnsupportedModelError):
         electronic_labels(3, False)
-
-
-def test_coherent_tail_cutoff():
-    n = fock_cutoff_for_coherent_tail(math.sqrt(6.0))
-    assert n == 27
-    assert poisson.sf(n, 6.0) < 1e-10 <= poisson.sf(n - 1, 6.0)
-    assert fock_cutoff_for_coherent_tail(0.0) == 0
 
 
 def test_bright_pair_gap_matches_closed_form():

@@ -250,6 +250,12 @@ def test_grid_validation_errors():
         ResponseGrid(good, good, (0.0,), 0.0)
     with pytest.raises(ValueError, match="two points"):
         ResponseGrid(np.array([0.0]), good, (0.0,), 0.01)
+    with pytest.raises(ValueError, match="step must be > 0"):
+        ResponseGrid(-0.5 * good[:3], -0.5 * good[:3], (0.0,), 0.01)
+    with pytest.raises(ValueError, match="step must be > 0"):
+        ResponseGrid(np.zeros(3), np.zeros(3), (0.0,), 0.01)
+    with pytest.raises(ValueError, match="waiting time"):
+        ResponseGrid(good, good, (), 0.01)
 
 
 def test_bank_rejects_offgrid_times(toy):
@@ -263,7 +269,6 @@ def test_bank_rejects_offgrid_times(toy):
 def test_esa_checkpoint_resume(toy, tmp_path, monkeypatch):
     """A run killed after its first (n3, T_w) batch resumes from the
     checkpoint bit-exactly, without repeating the saved batch."""
-    path = str(tmp_path / "esa.npz")
     grid = ResponseGrid(np.arange(5) * 2.0, np.arange(5) * 2.0, (0.0, 4.0), 0.01)
     args = (toy["bank"], toy["h2"], grid, toy["dip"])
     clean = response_esa(*args)
@@ -279,14 +284,47 @@ def test_esa_checkpoint_resume(toy, tmp_path, monkeypatch):
 
     monkeypatch.setattr(spectro, "propagate", flaky)
     with pytest.raises(RuntimeError, match="simulated kill"):
-        response_esa(*args, checkpoint=path)
-    assert os.path.exists(path)
+        response_esa(*args, checkpoint_dir=str(tmp_path))
+    assert os.path.exists(tmp_path / "esa_checkpoint.npz")
 
     calls["n"] = 2   # the resumed run must need only the second batch
-    resumed = response_esa(*args, checkpoint=path)
+    resumed = response_esa(*args, checkpoint_dir=str(tmp_path))
     assert calls["n"] == 3
     assert np.array_equal(resumed["R1s"], clean["R1s"])
     assert np.array_equal(resumed["R2s"], clean["R2s"])
+
+
+def test_bank_checkpoint_reuses_matching_legs(toy, tmp_path, monkeypatch):
+    """Saved legs are reloaded bit-exactly without propagating; a grid whose
+    sample times differ recomputes them."""
+    grid = ResponseGrid(np.arange(4) * 2.0, np.arange(4) * 2.0, (0.0,), 0.01)
+    args = (toy["h1"], toy["dip"], grid)
+    plain = first_leg_bank(*args)
+    first_leg_bank(*args, checkpoint_dir=str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == ["leg0_bwd.npz", "leg0_fwd.npz"]
+
+    real = spectro.propagate
+
+    def forbidden(*a, **kw):
+        raise AssertionError("a saved leg was recomputed")
+
+    monkeypatch.setattr(spectro, "propagate", forbidden)
+    reused = first_leg_bank(*args, checkpoint_dir=str(tmp_path))
+    for name in ("amps", "disps", "amps_back", "disps_back"):
+        assert np.array_equal(getattr(reused, name)[0], getattr(plain, name)[0])
+
+    calls = {"n": 0}
+
+    def counting(*a, **kw):
+        calls["n"] += 1
+        return real(*a, **kw)
+
+    monkeypatch.setattr(spectro, "propagate", counting)
+    longer = ResponseGrid(np.arange(5) * 2.0, np.arange(5) * 2.0, (0.0,), 0.01)
+    bank = first_leg_bank(toy["h1"], toy["dip"], longer,
+                          checkpoint_dir=str(tmp_path))
+    assert calls["n"] == 2   # forward and backward legs both recomputed
+    assert len(bank.amps[0]) == 9 and len(bank.amps_back[0]) == 5
 
 
 def test_spectra_total_identity(toy):

@@ -12,7 +12,6 @@ from cavidyn.models import HTCModel, TCModel, htc_system_bath
 from cavidyn.thermofield import (
     ClassicalLimitError,
     beta_from_temperature,
-    dressed_coupling_scale,
     mixing_angles,
     polaron_decoupling_ratio,
     thermal_double,
@@ -219,22 +218,6 @@ def test_temperature_coupling_interchangeability_trend():
         assert abs(lam_b * np.cosh(th_b) - 2.0 * np.cosh(th300)) < 1e-12
         rho = spearmanr(ref, curve(lam_b, t_b)).statistic
         assert rho > 0.9
-
-
-def test_dressed_coupling_grows_with_temperature():
-    htc = HTCModel(tc=small_tc(4), lam=1.0, phonon_base=0.0124, phonon_bandwidth=0.5)
-    scales = [
-        dressed_coupling_scale(
-            1.0, mixing_angles(beta_from_temperature(t_k), htc.mode_freqs)
-        )
-        for t_k in (100.0, 200.0, 300.0)
-    ]
-    assert scales[0] < scales[1] < scales[2]
-    # T -> 0 limit: cosh -> 1, sinh -> 0 per mode
-    tiny = dressed_coupling_scale(
-        1.0, mixing_angles(beta_from_temperature(1.0), htc.mode_freqs)
-    )
-    assert abs(tiny - htc.n_modes) < 1e-8
 
 
 def test_polaron_decoupling_ratio():

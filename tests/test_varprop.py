@@ -32,17 +32,14 @@ from cavidyn.varprop import (
     MultiD2State,
     PropagationError,
     PropagationSettings,
-    Trajectory,
     absorption_from_autocorrelation,
     autocorrelation,
     energy_expectation,
     eom_rhs,
     init_state,
-    load_trajectory,
     mode_occupations,
     overlap_matrix,
     propagate,
-    save_trajectory,
     state_overlap,
     system_populations,
 )
@@ -407,20 +404,15 @@ def test_batched_rhs_equals_member_calls(m):
 
 
 def test_batched_collapse_check_is_per_member():
-    # one well-spread member, one with nearly coalesced configurations: a
-    # threshold between their condition numbers must trip the batch
+    # a healthy member passes alone; batched with a member whose overlaps
+    # overflow, the batch must trip the non-finite guard
     hs = htc_problem(2)
-    rng = np.random.default_rng(1)
-    spread = MultiD2State(rng.normal(size=(6, 3)) + 0j,
-                          1.5 * rng.normal(size=(6, 2)) + 0j)
-    tight = init_state(3, 2, 0, multiplicity=6, noise_seed=1)
-    eom_rhs(hs, spread.amplitudes, spread.displacements, cond_threshold=1e5)
-    with pytest.raises(AnsatzCollapseError, match="ansatz collapse"):
-        eom_rhs(hs, tight.amplitudes, tight.displacements, cond_threshold=1e5)
-    with pytest.raises(AnsatzCollapseError, match="ansatz collapse"):
-        eom_rhs(hs, np.stack([spread.amplitudes, tight.amplitudes]),
-                np.stack([spread.displacements, tight.displacements]),
-                cond_threshold=1e5)
+    s = init_state(3, 2, 0, multiplicity=2, noise_seed=1)
+    eom_rhs(hs, s.amplitudes, s.displacements)
+    with np.errstate(all="ignore"), pytest.raises(AnsatzCollapseError, match="finite"):
+        eom_rhs(hs, np.stack([s.amplitudes, s.amplitudes]),
+                np.stack([s.displacements,
+                          np.full_like(s.displacements, 1e200)]))
 
 
 def test_batch_steps_for_its_worst_member():
@@ -470,13 +462,6 @@ def test_batched_propagation_matches_member_runs():
         assert np.abs(pops[:, b] - alone.system_populations()).max() < 1e-5
         assert np.abs(traj.energies[:, b] - alone.energies).max() < 1e-5
         assert np.abs(traj.norms[:, b] - alone.norms).max() < 1e-5
-
-
-def test_collapse_diagnostic_fires_on_tiny_threshold():
-    hs = htc_problem(2)
-    s = init_state(3, 2, 0, multiplicity=6, noise_seed=1)
-    with pytest.raises(AnsatzCollapseError, match="ansatz collapse"):
-        eom_rhs(hs, s.amplitudes, s.displacements, cond_threshold=1.0)
 
 
 def test_runaway_norm_guard():
@@ -645,55 +630,3 @@ def test_short_window_warns_about_truncation():
 def test_gamma_prime_must_be_positive():
     with pytest.raises(ValueError):
         absorption_from_autocorrelation(np.zeros(2), np.zeros(2, complex), 0.0, np.zeros(1))
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-def test_checkpoint_roundtrip_is_exact(tmp_path):
-    hs = htc_problem(2)
-    s = init_state(3, 2, 0, multiplicity=3, noise_seed=4)
-    traj = propagate(hs, s, 10.0, PropagationSettings(sample_dt=2.0))
-    path = tmp_path / "traj.txt"
-    save_trajectory(path, traj)
-    back = load_trajectory(path)
-    assert np.array_equal(back.times, traj.times)
-    assert np.array_equal(back.amplitudes, traj.amplitudes)
-    assert np.array_equal(back.displacements, traj.displacements)
-    assert np.array_equal(back.norms, traj.norms)
-    assert np.array_equal(back.energies, traj.energies)
-    assert back.labels == traj.labels
-
-
-def test_checkpoint_preserves_labels(tmp_path):
-    traj = Trajectory(
-        times=np.array([0.0]),
-        amplitudes=np.zeros((1, 1, 2), complex),
-        displacements=np.zeros((1, 1, 1), complex),
-        norms=np.ones(1),
-        energies=np.zeros(1, complex),
-        labels=("photon", "emitter-1"),
-    )
-    path = tmp_path / "t.txt"
-    save_trajectory(path, traj)
-    assert load_trajectory(path).labels == ("photon", "emitter-1")
-
-
-def test_checkpoint_rejects_foreign_files(tmp_path):
-    path = tmp_path / "x.txt"
-    path.write_text("something else\n")
-    with pytest.raises(ValueError, match="checkpoint"):
-        load_trajectory(path)
-
-
-def test_checkpoint_refuses_batched_trajectories(tmp_path):
-    traj = Trajectory(
-        times=np.array([0.0]),
-        amplitudes=np.zeros((1, 2, 1, 2), complex),
-        displacements=np.zeros((1, 2, 1, 1), complex),
-        norms=np.ones((1, 2)),
-        energies=np.zeros((1, 2), complex),
-    )
-    with pytest.raises(ValueError, match="unbatched"):
-        save_trajectory(tmp_path / "t.txt", traj)
