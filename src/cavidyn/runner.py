@@ -7,9 +7,12 @@ rerunning the same config reproduces them byte for byte; the manifest is
 written last.  On failure, partially written outputs are removed.
 
 The disorder ensembles (tc and htc dynamics, tc absorption) share one loop,
-`_run_ensemble`: per disorder width it fans the realizations out over a
-process pool, averages the per-realization columns in realization-index order
-(so the mean is independent of worker count and scheduling) and writes one
+`_run_ensemble`: it maps every (width, realization) pair through one process
+pool per run (chunked, so a cheap tc realization does not pay a round trip of
+its own), consumes the results in task order and keeps one running sum per
+column, added in realization-index order: the mean is bitwise that of
+`sum(column)` and independent of worker count and scheduling, and no
+realization's columns outlive their addition.  Each width's mean goes to one
 CSV, suffixed `_W<width>` when the config lists several widths.  A tc
 realization is one exact pole sum (`tc_exact`); an htc realization is one
 variational propagation, of the doubled thermofield Hamiltonian above 0 K.
@@ -17,6 +20,7 @@ variational propagation, of the doubled thermofield Hamiltonian above 0 K.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -54,19 +58,22 @@ from .thermofield import thermal_htc
 from .varprop import PropagationSettings, init_state, propagate
 
 
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
+#: CSV rows converted to Python floats at a time: one format per row is
+#: faster than one per value, and blocks keep the converted lists small
+_CSV_BLOCK_ROWS = 64
 
 
 def _write_csv(path: str, header, columns) -> None:
-    """Atomic fixed-precision CSV; every column is a 1-d array."""
-    cols = [np.asarray(c) for c in columns]
-    n = len(cols[0])
+    """Atomic fixed-precision CSV (%.17g floats); every column is a 1-d
+    array."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join(_fmt(c[i]) for c in cols) + "\n")
+        for i in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
+            block = [c[i:i + _CSV_BLOCK_ROWS].tolist() for c in cols]
+            fh.writelines(row % values for values in zip(*block))
     os.replace(tmp, path)
 
 
@@ -96,15 +103,6 @@ def _omegas(cfg: RunConfig) -> np.ndarray:
     return np.linspace(opt["omega_min"], opt["omega_max"], opt["omega_points"])
 
 
-def _map_ordered(fn, args_list, workers: int):
-    """Evaluate fn over args_list, yielding results in list order regardless
-    of worker scheduling."""
-    if workers <= 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list))
-
-
 # ---------------------------------------------------------------------------
 # per-realization work units (top level so they pickle for the process pool)
 # ---------------------------------------------------------------------------
@@ -113,12 +111,14 @@ def _map_ordered(fn, args_list, workers: int):
 def _tc_realization(args):
     cfg, width, r, times = args
     m_r = disordered_tc(cfg.tc, width, cfg.disorder.seed, r)
-    amps = solve_realization(m_r).amplitudes(times)
+    amps = solve_realization(m_r).amplitudes(cfg.run.sample_dt_fs, len(times))
     pops = np.abs(amps) ** 2
-    p_ph, p_qu = pops[:, 0], pops[:, 1:].sum(axis=1)
+    p_ph, p_qu = pops[:, 0].copy(), pops[:, 1:].sum(axis=1)
     # the loss terms -i*kappa, -i*gamma are anti-Hermitian, so the real part
-    # of <psi|H|psi> is the expectation of the Hermitian part
-    energy = np.real(np.sum(amps.conj() * (amps @ m_r.matrix().T), axis=1))
+    # of <psi|H|psi> is the expectation of the Hermitian arrowhead
+    energy = (m_r.omega_c * p_ph + pops[:, 1:] @ m_r.qubit_freqs
+              + 2.0 * m_r.coupling
+              * np.real(amps[:, 0].conj() * amps[:, 1:].sum(axis=1)))
     return p_ph, p_qu, p_ph + p_qu, energy
 
 
@@ -139,8 +139,8 @@ def _htc_realization(args):
                        noise_seed=cfg.run.seed + 7919 * r)
     traj = propagate(h, state, float(times[-1]), _settings(cfg), t_eval=times)
     pops = traj.system_populations()
-    return (pops[:, 0], pops[:, 1:].sum(axis=1), traj.norms,
-            traj.energies.real)
+    return (pops[:, 0].copy(), pops[:, 1:].sum(axis=1), traj.norms,
+            traj.energies.real.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +152,9 @@ _POPULATION_HEADER = ["time_fs", "p_photon", "p_qubits_total", "norm",
                       "energy_eV"]
 
 #: (experiment, model) -> (work unit, sample axis, output stem, CSV header);
-#: a work unit maps (cfg, width, realization, axis) to a tuple of columns
+#: a work unit maps (cfg, width, realization, axis) to a tuple of columns,
+#: each owning its memory (a view would carry its parent array through the
+#: pool's result queue)
 _ENSEMBLES = {
     ("dynamics", "tc"): (_tc_realization, _times, "population",
                          _POPULATION_HEADER),
@@ -168,14 +170,24 @@ def _run_ensemble(cfg: RunConfig, out_dir: str, workers: int, files: list):
     axis = axis_of(cfg)
     widths = cfg.disorder.width
     n_real = cfg.disorder.n_realizations
-    for width in widths:
-        rows = _map_ordered(work, [(cfg, width, r, axis)
-                                   for r in range(n_real)], workers)
-        mean = [sum(column) / n_real for column in zip(*rows)]
-        name = (f"{stem}.csv" if len(widths) == 1
-                else f"{stem}_W{_width_tag(width)}.csv")
-        _write_csv(os.path.join(out_dir, name), header, [axis, *mean])
-        files.append(name)
+    tasks = [(cfg, width, r, axis) for width in widths for r in range(n_real)]
+    with contextlib.ExitStack() as stack:
+        if workers > 1 and len(tasks) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            chunk = -(-len(tasks) // (4 * workers))
+            rows = pool.map(work, tasks, chunksize=chunk)
+        else:
+            rows = map(work, tasks)
+        for width in widths:
+            # running sum in realization order: bitwise equal to sum(column)
+            total = [0] * (len(header) - 1)
+            for _, columns in zip(range(n_real), rows):
+                total = [acc + c for acc, c in zip(total, columns)]
+            name = (f"{stem}.csv" if len(widths) == 1
+                    else f"{stem}_W{_width_tag(width)}.csv")
+            _write_csv(os.path.join(out_dir, name), header,
+                       [axis, *(acc / n_real for acc in total)])
+            files.append(name)
 
 
 def _run_dynamics_sf(cfg: RunConfig, out_dir: str, files: list):
@@ -311,7 +323,8 @@ def _oracle_pair(pair: str):
     tight = dict(rel_tol=1e-10, abs_tol=1e-12)
     if pair in ("tc", "corrupted-metric"):
         model = TCModel(8, 1.0, 1.0, 0.1)
-        ref = np.abs(solve_realization(model).amplitudes(times)[:, 0]) ** 2
+        amps = solve_realization(model).amplitudes(1.0, len(times))
+        ref = np.abs(amps[:, 0]) ** 2
         settings = (PropagationSettings(svd_cutoff=1e-2, **tight)
                     if pair == "corrupted-metric"
                     else PropagationSettings(**tight))

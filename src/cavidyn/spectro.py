@@ -287,8 +287,9 @@ def response_esa(
     (`propagate` with a leading batch axis): the cost is one integration
     per (n3, T_w), each as long as its slowest member.  With
     `checkpoint_dir`, the responses are saved to `esa_checkpoint.npz` there
-    after every (n3, T_w) batch and a rerun resumes after the last saved
-    batch.
+    after every (n3, T_w) batch, with the batch list and the tau/t grids,
+    and a rerun with the same batches and grids resumes after the last
+    saved batch (any other checkpoint is ignored and overwritten).
 
     Each transplant is propagated normalized and rescaled afterwards, which
     is exact because a global amplitude rescaling commutes with the
@@ -309,12 +310,19 @@ def response_esa(
 
     r1s = np.zeros(shape, dtype=complex)
     r2s = np.zeros(shape, dtype=complex)
+    batches = [(n3, w, tw) for n3 in bank.bright
+               for w, tw in enumerate(grid.tw_fs)]
+    # what a checkpoint must have been computed for to be resumed
+    stamp = {"batch_list": np.array([(n3, tw) for n3, _, tw in batches]),
+             "tau_fs": grid.tau_fs, "t_fs": grid.t_fs}
     done = 0
     checkpoint = (os.path.join(checkpoint_dir, "esa_checkpoint.npz")
                   if checkpoint_dir is not None else None)
     if checkpoint is not None and os.path.exists(checkpoint):
         with np.load(checkpoint) as chk:
-            r1s, r2s, done = chk["r1s"], chk["r2s"], int(chk["batches"])
+            if all(k in chk.files and np.array_equal(chk[k], v)
+                   for k, v in stamp.items()):
+                r1s, r2s, done = chk["r1s"], chk["r2s"], int(chk["batches"])
 
     def esa(n3, bra_times, a2, f2):
         """sum_n mu*_n mu_n3 <raised first leg n at bra_times | second leg>."""
@@ -328,8 +336,6 @@ def response_esa(
 
     tau = grid.tau_fs[:, None]
     t = grid.t_fs
-    batches = [(n3, w, tw) for n3 in bank.bright
-               for w, tw in enumerate(grid.tw_fs)]
     for b, (n3, w, tw) in enumerate(batches):
         if b < done:
             continue
@@ -351,7 +357,7 @@ def response_esa(
         r2s[:, w] += esa(n3, tw + t, a2[:, 1:].swapaxes(0, 1),
                          f2[:, 1:].swapaxes(0, 1))
         if checkpoint is not None:
-            _save_npz(checkpoint, r1s=r1s, r2s=r2s, batches=b + 1)
+            _save_npz(checkpoint, r1s=r1s, r2s=r2s, batches=b + 1, **stamp)
     return {"R1s": r1s, "R2s": r2s}
 
 

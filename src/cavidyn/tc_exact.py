@@ -6,18 +6,36 @@ energies on the remaining diagonal, and the per-emitter coupling g = omega_r /
 sqrt(N) along the first row/column.  Photon loss kappa and emitter loss gamma
 sit on the diagonal as -i*kappa / -i*gamma.  Starting from the photonic
 configuration, the survival amplitude and the transfer amplitude onto emitter
-n are sums over the complex poles E_m (eigenvalues of the arrowhead) with
-residues available in closed form:
+n are sums over the complex poles E_m (eigenvalues of the arrowhead).
 
-    photon:    w_m      = prod_n (E_m - w_n) / prod_{m' != m} (E_m - E_m')
-    emitter n: w_m^(n)  = g_n * prod_{k != n} (E_m - w_k) / prod_{m' != m} (E_m - E_m')
+The poles are found in O(N^2) from the secular function.  The uniform
+emitter loss is shifted out (z = E + i*gamma), which leaves real emitter
+poles w_n = omega_n and
 
-(w_n denotes the loss-shifted emitter energy omega_n - i*gamma).  The products
-are evaluated in complex log space so that N ~ 100 does not overflow, and the
-photon residues must resum to 1 (amplitude at t = 0).  When poles collide --
-e.g. the N-1 dark states of a disorder-free model -- the product form is
-replaced by an eigenvector decomposition of the arrowhead, which handles
-degeneracies without special-casing.
+    f(z) = z - (omega_c - i(kappa - gamma)) - g^2 sum_n 1 / (z - w_n),
+
+whose roots are those of the characteristic polynomial p = f * prod(z - w_n).
+The start is `eigvalsh` of the lossless real arrowhead, each eigenvalue moved
+by -i(kappa - gamma) times its photon weight (first-order loss).  Aberth-
+Ehrlich sweeps then move all poles at once,
+
+    z_m <- z_m - r_m / (1 - r_m sum_{k != m} 1 / (z_m - z_k)),
+    r_m  = p/p' = f / (f' + f sum_n 1 / (z_m - w_n))   (finite where f = 0),
+
+until no pole moves by more than STEP_TOL * max|z|, or MAX_SWEEPS is spent.
+The residues are closed forms at the converged poles:
+
+    photon:    1 / f'(z_m),    f'(z) = 1 + g^2 sum_n 1 / (z - w_n)^2
+    emitter n: g / ((z_m - w_n) f'(z_m))
+
+Photon residues must resum to 1 (amplitude at t = 0) and the poles to the
+trace.  A realization goes to an eigenvector decomposition of the full
+arrowhead instead when g = 0, when two emitter energies sit closer than
+DEGENERACY_GAP (this includes the N-1 exactly degenerate dark states of a
+disorder-free model), when the sweeps do not converge, or when either sum
+check fails; the eigenvector route handles degeneracies without
+special-casing and raises `ArithmeticError` if its own residues do not sum
+to 1.
 
 The same pole data gives the linear absorption lineshape
 
@@ -28,13 +46,17 @@ Loss provides the linewidth; with kappa = gamma = 0 the lineshape degenerates
 to a stick spectrum and F vanishes off the poles.
 
 `PoleDecomposition.amplitudes` is the one synthesis of the time-dependent
-state: one phase matrix exp(-i E_m t / hbar) times the stacked residues
-gives every amplitude at once, photon in column 0 as in `cavidyn.models`.
-Disorder ensembles are driven by `cavidyn.runner`, one realization at a time.
+state, on evenly spaced samples t_j = j*dt: with B = ceil(sqrt(n)) the phase
+matrix exp(-i E_m t_j / hbar) is a coarse table at t = jB*dt times a fine one
+at t = k*dt (2 sqrt(n) complex exponentials per pole instead of n), and its
+product with the stacked residues gives every amplitude at once, photon in
+column 0 as in `cavidyn.models`.  Disorder ensembles are driven by
+`cavidyn.runner`, one realization at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,12 +64,20 @@ import numpy as np
 from .constants import HBAR_EV_FS
 from .models import TCModel
 
-#: poles closer than this (eV) switch the residue evaluation to the
-#: eigenvector decomposition
+#: emitter energies closer than this (eV) switch the residue evaluation to
+#: the eigenvector decomposition; the uniform model's two-pole closed forms
+#: use it as their pole-collision threshold
 DEGENERACY_GAP = 1e-10
 
-#: tolerance on |sum of photon residues - 1|
+#: tolerance on |sum of photon residues - 1|, and on the relative trace
+#: mismatch of the secular poles
 RESIDUE_SUM_TOL = 1e-10
+
+#: Aberth sweeps after which the secular route gives up
+MAX_SWEEPS = 50
+
+#: the sweeps stop once no pole moves by more than this times max |pole|
+STEP_TOL = 1e-15
 
 #: default absorption grid: 0.6 .. 1.4 eV in 0.002 eV steps
 DEFAULT_OMEGA_GRID = np.linspace(0.6, 1.4, 401)
@@ -117,11 +147,14 @@ class PoleDecomposition:
     photon_weights: np.ndarray
     qubit_weights: np.ndarray
 
-    def amplitudes(self, times: np.ndarray) -> np.ndarray:
-        """<k| exp(-iHt/hbar) |photon>, shape (len(times), N+1), photon in
-        column 0 and emitter n in column n."""
-        t = np.asarray(times, dtype=float)
-        phases = np.exp(-1j * np.outer(t, self.energies) / HBAR_EV_FS)
+    def amplitudes(self, dt: float, n: int) -> np.ndarray:
+        """<k| exp(-iHt/hbar) |photon> at t_j = j*dt, j = 0..n-1: shape
+        (n, N+1), photon in column 0 and emitter k in column k."""
+        b = math.isqrt(max(n - 1, 0)) + 1  # ceil(sqrt(n))
+        rate = -1j * self.energies / HBAR_EV_FS
+        coarse = np.exp(np.multiply.outer(np.arange(0, n, b) * dt, rate))
+        fine = np.exp(np.multiply.outer(np.arange(b) * dt, rate))
+        phases = (coarse[:, None, :] * fine).reshape(-1, len(rate))[:n]
         return phases @ np.vstack([self.photon_weights, self.qubit_weights]).T
 
     def absorption(self, omega: np.ndarray) -> np.ndarray:
@@ -130,25 +163,44 @@ class PoleDecomposition:
         return np.real(1j * self.photon_weights[None, :] / (np.pi * denom)).sum(axis=1)
 
 
-def _product_residues(poles: np.ndarray, emitter_e: np.ndarray, couplings: np.ndarray):
-    """Log-space evaluation of the closed-form residue products."""
-    m = len(poles)
-    diff_pe = poles[:, None] - emitter_e[None, :]  # (M, N)
-    diff_pp = poles[:, None] - poles[None, :]  # (M, M)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_pe = np.log(diff_pe.astype(complex))
-        log_pp = np.log(diff_pp.astype(complex))
-    np.fill_diagonal(log_pp, 0.0)
-    log_den = log_pp.sum(axis=1)  # (M,)
-    log_num = log_pe.sum(axis=1)  # (M,)
-    with np.errstate(invalid="ignore", over="ignore"):
-        photon_w = np.where(np.isneginf(log_num.real), 0.0, np.exp(log_num - log_den))
-        # emitter n: drop the (E_m - w_n) factor from the numerator
-        log_qn = log_num[:, None] - log_pe  # (M, N)
-        qubit_w = couplings[None, :] * np.where(
-            np.isinf(log_qn.real), 0.0, np.exp(log_qn - log_den[:, None])
-        )
-    return photon_w, qubit_w.T  # (M,), (N, M)
+def _secular_residues(model: TCModel):
+    """(poles, photon residues, emitter residues) from the secular equation,
+    or None when the realization belongs to the eigenvector route."""
+    g = model.coupling
+    w = model.qubit_freqs
+    if g == 0 or (len(w) > 1 and np.diff(np.sort(w)).min() < DEGENERACY_GAP):
+        return None
+    g2 = g * g
+    # with the uniform emitter loss shifted out, the emitter poles w are real
+    c = model.omega_c - 1j * (model.kappa - model.gamma)
+    h = np.diag(np.concatenate([[model.omega_c], w]))
+    h[0, 1:] = h[1:, 0] = g
+    lam = np.linalg.eigvalsh(h)
+    with np.errstate(all="ignore"):
+        photon = 1.0 / (1.0 + g2 * ((lam[:, None] - w) ** -2).sum(axis=1))
+        z = lam - 1j * (model.kappa - model.gamma) * photon
+        for _ in range(MAX_SWEEPS):
+            inv_d = 1.0 / (z[:, None] - w)
+            s1 = inv_d.sum(axis=1)
+            f = z - c - g2 * s1
+            # Newton ratio p/p' of p = f * prod(z - w), finite where f = 0
+            newton = f / (1.0 + g2 * (inv_d * inv_d).sum(axis=1) + f * s1)
+            gaps = z[:, None] - z
+            np.fill_diagonal(gaps, np.inf)
+            step = newton / (1.0 - newton * (1.0 / gaps).sum(axis=1))
+            z = z - step
+            if np.max(np.abs(step)) <= STEP_TOL * np.max(np.abs(z)):
+                break
+        else:
+            return None
+        inv_d = 1.0 / (z[:, None] - w)
+        photon_w = 1.0 / (1.0 + g2 * (inv_d * inv_d).sum(axis=1))
+        qubit_w = g * inv_d.T * photon_w
+    if not (abs(photon_w.sum() - 1.0) <= RESIDUE_SUM_TOL
+            and abs(z.sum() - c - w.sum()) <= RESIDUE_SUM_TOL * np.abs(z).sum()
+            and np.all(np.isfinite(qubit_w))):
+        return None
+    return z - 1j * model.gamma, photon_w, qubit_w
 
 
 def _eigvec_residues(h: np.ndarray):
@@ -161,23 +213,10 @@ def _eigvec_residues(h: np.ndarray):
 
 def solve_realization(model: TCModel) -> PoleDecomposition:
     """Poles and residues for one (possibly disordered, lossy) realization."""
-    h = model.matrix()
-    emitter_e = model.qubit_freqs - 1j * model.gamma
-    couplings = np.full(model.n_qubits, model.coupling)
-
-    poles = np.linalg.eigvals(h)
-    gaps = np.abs(poles[:, None] - poles[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    use_products = gaps.min() >= DEGENERACY_GAP
-
-    if use_products:
-        photon_w, qubit_w = _product_residues(poles, emitter_e, couplings)
-        if abs(photon_w.sum() - 1.0) <= RESIDUE_SUM_TOL:
-            return PoleDecomposition(poles, photon_w, qubit_w)
-        # ill-conditioned products (clustered poles just above the gap
-        # threshold): fall through to the eigenvector route
-
-    vals, photon_w, qubit_w = _eigvec_residues(h)
+    secular = _secular_residues(model)
+    if secular is not None:
+        return PoleDecomposition(*secular)
+    vals, photon_w, qubit_w = _eigvec_residues(model.matrix())
     if abs(photon_w.sum() - 1.0) > RESIDUE_SUM_TOL:
         raise ArithmeticError(
             f"photon residues sum to {photon_w.sum()}, not 1: "

@@ -144,6 +144,21 @@ def test_outputs_do_not_depend_on_worker_count(tmp_path, capsys):
         assert len(files[0]) == 2 and files[0] == files[1]
 
 
+def test_chunked_pool_keeps_realization_order(tmp_path, capsys):
+    """18 realizations over 3 workers go out in chunks of 2; the means are
+    bytewise those of the serial run."""
+    path = _write(tmp_path, TINY_TC.replace("n_realizations = 3",
+                                            "n_realizations = 9"))
+    files = []
+    for workers in ("1", "3"):
+        out_dir = tmp_path / f"w{workers}"
+        code, _, _ = _run(capsys, "run", "--config", path, "--out",
+                          str(out_dir), "--workers", workers)
+        assert code == cli.EXIT_OK
+        files.append({p.name: p.read_bytes() for p in out_dir.glob("*.csv")})
+    assert len(files[0]) == 2 and files[0] == files[1]
+
+
 def _read_csv(path):
     return np.loadtxt(path, delimiter=",", skiprows=1)
 
@@ -171,6 +186,32 @@ def test_tc_dynamics_columns_match_brute_force(tmp_path, capsys):
         got = _read_csv(out_dir / f"population_W{width:g}.csv")
         np.testing.assert_array_equal(got[:, 0], times)
         assert np.max(np.abs(got[:, 1:] - ref / 3)) <= 1e-10
+
+
+def _owner(a):
+    """The array whose memory `a` lives in."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_work_units_return_owned_columns():
+    """No realization column keeps a larger array alive in the pool's result
+    queue or the running sums."""
+    from cavidyn import runner
+    from cavidyn.config import validate
+
+    absorption = TINY_TC.replace("kind = dynamics",
+                                 "kind = absorption\nomega_points = 41")
+    for text, work, axis_of in (
+            (TINY_TC, runner._tc_realization, runner._times),
+            (absorption, runner._tc_absorption_realization, runner._omegas),
+            (TINY_HTC, runner._htc_realization, runner._times)):
+        cfg = validate(text)
+        columns = work((cfg, cfg.disorder.width[0], 0, axis_of(cfg)))
+        for column in columns:
+            assert column.shape == axis_of(cfg).shape
+            assert _owner(column).nbytes <= column.nbytes
 
 
 @pytest.mark.parametrize("temperature_k", [0.0, 300.0])

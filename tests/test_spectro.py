@@ -294,6 +294,23 @@ def test_esa_checkpoint_resume(toy, tmp_path, monkeypatch):
     assert np.array_equal(resumed["R2s"], clean["R2s"])
 
 
+def test_esa_checkpoint_of_another_waiting_time_is_not_resumed(toy, tmp_path):
+    """A finished T_w = 0 checkpoint of the same shape is ignored by a
+    T_w = 8 fs run, which computes its own R1*, R2* and checkpoint."""
+    def esa(tw, **kw):
+        grid = ResponseGrid(np.arange(5) * 2.0, np.arange(5) * 2.0, (tw,), 0.01)
+        return response_esa(toy["bank"], toy["h2"], grid, toy["dip"], **kw)
+
+    at_zero = esa(0.0, checkpoint_dir=str(tmp_path))
+    clean = esa(8.0)
+    got = esa(8.0, checkpoint_dir=str(tmp_path))
+    assert np.abs(clean["R1s"] - at_zero["R1s"]).max() > 1e-2
+    assert np.array_equal(got["R1s"], clean["R1s"])
+    assert np.array_equal(got["R2s"], clean["R2s"])
+    assert np.array_equal(esa(8.0, checkpoint_dir=str(tmp_path))["R1s"],
+                          clean["R1s"])
+
+
 def test_bank_checkpoint_reuses_matching_legs(toy, tmp_path, monkeypatch):
     """Saved legs are reloaded bit-exactly without propagating; a grid whose
     sample times differ recomputes them."""

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from cavidyn import tc_exact
 from cavidyn.constants import HBAR_EV_FS
 from cavidyn.models import TCModel, disordered_tc
 from cavidyn.tc_exact import (
@@ -71,7 +72,7 @@ def test_degenerate_coupling_limit():
     t = np.linspace(0.0, 50.0, 7)
     amp = uniform_photon_amplitude(m, t)
     assert np.allclose(np.abs(amp), 1.0)
-    amps = solve_realization(m).amplitudes(t)
+    amps = solve_realization(m).amplitudes(t[1], len(t))
     assert np.allclose(np.abs(amps[:, 0]) ** 2, 1.0)
     assert np.allclose(amps[:, 1:], 0.0)
 
@@ -102,26 +103,95 @@ def test_trace_identity_over_poles(n, seed):
     assert np.isclose(d.energies.sum(), np.trace(m.matrix()), atol=1e-10)
 
 
-def test_product_and_eigenvector_routes_agree():
-    from cavidyn import tc_exact
+@given(
+    n=st.integers(1, 80),
+    width=st.floats(1e-3, 1.0),
+    kappa=st.floats(0.0, 0.1),
+    gamma=st.floats(0.0, 0.05),
+    omega_r=st.floats(0.01, 1.0),
+    omega_c=st.sampled_from([1.0, 1.5]),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=60, deadline=None)
+def test_secular_and_eigenvector_routes_agree(n, width, kappa, gamma, omega_r,
+                                              omega_c, seed):
+    m = disordered_tc(TCModel(n, omega_c, 1.0, omega_r, kappa=kappa, gamma=gamma),
+                      width, seed, realization=0)
+    # emitters closer than the gap belong to the eigenvector route
+    assume(n == 1 or np.diff(np.sort(m.qubit_freqs)).min() >= tc_exact.DEGENERACY_GAP)
+    secular = tc_exact._secular_residues(m)
+    assert secular is not None
+    poles, pw, qw = secular
+    vals, pw_ref, qw_ref = tc_exact._eigvec_residues(m.matrix())
+    match = np.abs(poles[:, None] - vals[None, :]).argmin(axis=1)
+    assert len(set(match)) == len(poles)
+    assert np.abs(vals[match] - poles).max() <= 1e-12
+    assert np.abs(pw_ref[match] - pw).max() <= 1e-9
+    assert np.abs(qw_ref[:, match] - qw).max() <= 1e-9
 
-    m = disordered_tc(TCModel(12, 1.0, 1.0, 0.1, kappa=0.005), 0.25, seed=9, realization=2)
-    d_prod = solve_realization(m)
+
+@pytest.fixture
+def eigvec_calls(monkeypatch):
+    """Records every call of the eigenvector route."""
+    calls = []
+    route = tc_exact._eigvec_residues
+
+    def counted(h):
+        calls.append(h.shape)
+        return route(h)
+
+    monkeypatch.setattr(tc_exact, "_eigvec_residues", counted)
+    return calls
+
+
+def test_near_degenerate_emitters_use_eigenvector_route(eigvec_calls):
+    m = TCModel(4, 1.0, [0.97, 1.0, 1.0 + 5e-11, 1.04], 0.1, kappa=0.005,
+                gamma=0.001)
+    t = np.arange(41) * 10.0
+    amps = solve_realization(m).amplitudes(10.0, len(t))
+    assert eigvec_calls == [(5, 5)]
+    assert np.abs(amps - brute_amplitudes(m, t)).max() < 1e-10
+
+
+def test_unconverged_sweeps_use_eigenvector_route(eigvec_calls, monkeypatch):
+    m = disordered_tc(TCModel(30, 1.0, 1.0, 0.1, kappa=0.005, gamma=0.001),
+                      0.05, seed=4, realization=0)
+    converged = solve_realization(m)
+    assert eigvec_calls == []
+    # this model needs three sweeps
+    monkeypatch.setattr(tc_exact, "MAX_SWEEPS", 2)
+    fallback = solve_realization(m)
+    assert eigvec_calls == [(31, 31)]
     vals, pw, qw = tc_exact._eigvec_residues(m.matrix())
-    order_a = np.argsort(vals.real)
-    order_b = np.argsort(d_prod.energies.real)
-    assert np.allclose(vals[order_a], d_prod.energies[order_b], atol=1e-12)
-    assert np.allclose(pw[order_a], d_prod.photon_weights[order_b], atol=1e-9)
-    assert np.allclose(qw[:, order_a], d_prod.qubit_weights[:, order_b], atol=1e-9)
+    np.testing.assert_array_equal(fallback.energies, vals)
+    np.testing.assert_array_equal(fallback.photon_weights, pw)
+    t = np.arange(101) * 4.0
+    assert np.abs(fallback.amplitudes(4.0, len(t))
+                  - converged.amplitudes(4.0, len(t))).max() < 1e-11
 
 
-def test_disorder_free_model_uses_degenerate_fallback():
+@pytest.mark.parametrize("n", [1, 64, 601])
+def test_factorised_phase_table_matches_direct_exponentials(n):
+    m = disordered_tc(TCModel(20, 1.0, 1.0, 0.1, kappa=0.005, gamma=0.001),
+                      0.2, seed=3, realization=0)
+    e = solve_realization(m).energies
+    # zero photon weights and identity emitter weights expose the phases
+    d = PoleDecomposition(e, np.zeros(len(e)), np.eye(len(e)))
+    dt = 1.0
+    direct = np.exp(-1j * np.outer(np.arange(n) * dt, e) / HBAR_EV_FS)
+    phases = d.amplitudes(dt, n)[:, 1:]
+    assert phases.shape == (n, len(e))
+    assert np.abs(phases - direct).max() <= 1e-12
+
+
+def test_disorder_free_model_uses_degenerate_fallback(eigvec_calls):
     # W = 0 leaves N-1 dark poles exactly degenerate; the decomposition must
     # still reproduce the closed-form two-pole result
     m = TCModel(6, 1.0, 1.0, 0.1)
     d = solve_realization(m)
+    assert eigvec_calls == [(7, 7)]
     t = np.linspace(0.0, 80.0, 81)
-    amps = d.amplitudes(t)
+    amps = d.amplitudes(1.0, len(t))
     assert np.abs(amps[:, 0] - uniform_photon_amplitude(m, t)).max() < 1e-11
     assert np.abs(amps[:, 1:] - uniform_qubit_amplitude(m, t)[:, None]).max() < 1e-11
 
@@ -130,20 +200,21 @@ def test_matches_brute_force_disordered_lossy():
     m = disordered_tc(TCModel(25, 1.0, 1.0, 0.1, kappa=0.006, gamma=0.001), 0.2, 17, 0)
     t = np.array([0.0, 10.0, 100.0, 400.0])
     brute = brute_amplitudes(m, t)
-    assert np.abs(solve_realization(m).amplitudes(t) - brute).max() < 1e-10
+    amps = solve_realization(m).amplitudes(10.0, 41)[[0, 1, 10, 40]]
+    assert np.abs(amps - brute).max() < 1e-10
 
 
 def test_lossless_total_population_is_conserved():
     m = disordered_tc(TCModel(10, 1.0, 1.0, 0.1), 0.15, seed=2, realization=1)
     t = np.linspace(0.0, 300.0, 31)
-    tot = (np.abs(solve_realization(m).amplitudes(t)) ** 2).sum(axis=1)
+    tot = (np.abs(solve_realization(m).amplitudes(10.0, len(t))) ** 2).sum(axis=1)
     assert np.abs(tot - 1.0).max() < 1e-10
 
 
 def test_lossy_total_population_decays():
     m = TCModel(10, 1.0, 1.0, 0.1, kappa=0.006)
     t = np.linspace(0.0, 500.0, 51)
-    tot = (np.abs(solve_realization(m).amplitudes(t)) ** 2).sum(axis=1)
+    tot = (np.abs(solve_realization(m).amplitudes(10.0, len(t))) ** 2).sum(axis=1)
     assert np.all(np.diff(tot) < 0)
     # photon-only loss on resonance decays at the shared rate kappa/2
     assert np.isclose(tot[-1], np.exp(-0.006 * 500.0 / 0.6582119569), rtol=0.05)
@@ -191,7 +262,6 @@ def test_pole_decomposition_rescaling_consistency():
         photon_weights=np.array([1.0 + 0j]),
         qubit_weights=np.zeros((0, 1), dtype=complex),
     )
-    t = np.array([0.0, 1.0])
-    amps = d.amplitudes(t)
+    amps = d.amplitudes(1.0, 2)
     assert amps.shape == (2, 1)
     assert np.allclose(np.abs(amps), 1.0)
