@@ -20,7 +20,7 @@ import argparse
 
 import numpy as np
 
-from cavidyn.sf import SFDimerSpec, label_has_tt, label_str, sf_matter_only
+from cavidyn.sf import SFDimerSpec, label_has_tt, sf_matter_only
 from cavidyn.varprop import PropagationSettings, init_state, propagate
 
 
@@ -30,10 +30,9 @@ def triplet_population_at(lam_ci, t_final=300.0, multiplicity=16, noise_seed=1):
     state = init_state(
         len(labels),
         h.n_modes,
-        "S1",
+        labels.index(("S1",)),
         multiplicity=multiplicity,
         noise_seed=noise_seed,
-        labels=tuple(label_str(lab) for lab in labels),
     )
     traj = propagate(h, state, t_final, PropagationSettings(sample_dt=1.0))
     pops = traj.system_populations()

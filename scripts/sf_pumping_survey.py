@@ -21,7 +21,6 @@ from cavidyn.sf import (
     SFCavityCoupling,
     SFDimerSpec,
     coherent_init,
-    label_str,
     sf_matter_only,
     sf_observables,
     sf_system_bath,
@@ -42,11 +41,11 @@ def dominant_period_fs(times, series):
 def cavity_free(multiplicity, seed, t_final):
     labels, h = sf_matter_only([SFDimerSpec()])
     state = init_state(
-        len(labels), h.n_modes, "S1", multiplicity=multiplicity,
-        noise_seed=seed, labels=tuple(label_str(lab) for lab in labels),
+        len(labels), h.n_modes, labels.index(("S1",)),
+        multiplicity=multiplicity, noise_seed=seed,
     )
     traj = propagate(h, state, t_final, PropagationSettings(sample_dt=1.0))
-    obs = sf_observables(traj, cavity_mode=None)
+    obs = sf_observables(traj, labels, cavity_mode=None)
     return obs["p_tt"]
 
 
@@ -59,7 +58,7 @@ def pumped(n_photons, multiplicity, seed, t_final):
         noise_seed=seed,
     )
     traj = propagate(h, state, t_final, PropagationSettings(sample_dt=0.5))
-    return sf_observables(traj)
+    return sf_observables(traj, labels)
 
 
 def main():

@@ -14,6 +14,7 @@ import argparse
 import sys
 
 from .config import (
+    EXPERIMENT_KINDS,
     ConfigConstraintError,
     ConfigParseError,
     resolved_text,
@@ -24,14 +25,6 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_PARSE = 2
 EXIT_CONSTRAINT = 3
-
-_FORCED_KIND = {
-    "absorption": "absorption",
-    "pes-scan": "pes-scan",
-    "spectra2d": "spectra2d",
-    "oracle-compare": "oracle-compare",
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -67,9 +60,8 @@ def _load_config(args):
     with open(args.config, encoding="utf-8") as fh:
         text = fh.read()
     overrides = {}
-    kind = _FORCED_KIND.get(args.command)
-    if kind is not None:
-        overrides.setdefault("experiment", {})["kind"] = kind
+    if args.command in EXPERIMENT_KINDS:
+        overrides.setdefault("experiment", {})["kind"] = args.command
     seed = getattr(args, "seed", None)
     if seed is not None:
         overrides.setdefault("run", {})["seed"] = str(seed)

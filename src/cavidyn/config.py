@@ -328,10 +328,10 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
                "model.omega_coupling: must be > 0")
         _check(model["eps_s1"] < model["eps_tt"], violations,
                "model.eps_s1: must be below eps_tt (uphill fission)")
-        if exp["kind"] == "dynamics":
+        if exp["kind"] in ("dynamics", "pes-scan"):
             _check(model["cavity_kappa"] == 0, violations,
-                   "model.cavity_kappa: loss is unsupported in the "
-                   "coherent-photon dynamics representation")
+                   f"model.cavity_kappa: sf {exp['kind']} runs need a "
+                   "lossless cavity")
         if exp["kind"] == "spectra2d":
             if "rwa" in sections.get("model", {}):
                 _check(model["rwa"], violations,

@@ -8,14 +8,16 @@ couples to site n with phase exp(+/- i k n).
 
 Vibration-coupled models are reduced to a generic "system + linear bath"
 container (`SystemBathHamiltonian`): a system matrix, a set of harmonic modes,
-and coupling coefficients of b_q^dagger / b_q between system labels.  The
-variational propagator and the dense reference propagator both consume it.
+and coupling coefficients of b_q^dagger between system labels; the b_q
+coefficients and the Hermiticity flag are derived from these by the container
+itself.  The variational propagator and the dense reference propagator both
+consume it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -74,10 +76,6 @@ class TCModel:
     def dim(self) -> int:
         return self.n_qubits + 1
 
-    @property
-    def lossy(self) -> bool:
-        return self.kappa > 0 or self.gamma > 0
-
     def matrix(self) -> np.ndarray:
         """Dense single-excitation Hamiltonian, (N+1) x (N+1).
 
@@ -94,9 +92,6 @@ class TCModel:
             h[0, j] = g
             h[j, 0] = g
         return h
-
-    def with_loss(self, kappa: float, gamma: float = 0.0) -> "TCModel":
-        return replace(self, kappa=kappa, gamma=gamma)
 
     def with_qubit_freqs(self, freqs: np.ndarray) -> "TCModel":
         return replace(self, omega_qubit=tuple(float(x) for x in freqs))
@@ -176,26 +171,32 @@ class SystemBathHamiltonian:
     coup_annihilate[n,n',q] b_q)) + sum_q mode_freqs[q] b_q^+ b_q.
 
     `mode_freqs` may contain negative entries (thermal-double partner modes).
+    `coup_annihilate` is derived: the conjugate of `coup_create` transposed
+    over the two system axes, so the coupling is Hermitian by construction.
     `e_sys` may be non-Hermitian (lifetime terms); `hermitian` records whether
-    the full operator is Hermitian.
+    it, and with it the full operator, is exactly Hermitian.
     """
 
     e_sys: np.ndarray
     mode_freqs: np.ndarray
     coup_create: np.ndarray
-    coup_annihilate: np.ndarray
-    hermitian: bool = True
+    coup_annihilate: np.ndarray = field(init=False)
+    hermitian: bool = field(init=False)
 
     def __post_init__(self):
         ns = self.e_sys.shape[0]
         nb = self.mode_freqs.shape[0]
         if self.e_sys.shape != (ns, ns):
             raise ValueError("e_sys must be square")
-        if self.coup_create.shape != (ns, ns, nb) or self.coup_annihilate.shape != (ns, ns, nb):
+        if self.coup_create.shape != (ns, ns, nb):
             raise ValueError(
-                f"coupling tensors must have shape ({ns},{ns},{nb}); got "
-                f"{self.coup_create.shape} / {self.coup_annihilate.shape}"
+                f"coupling tensor must have shape ({ns},{ns},{nb}); got "
+                f"{self.coup_create.shape}"
             )
+        object.__setattr__(self, "coup_annihilate",
+                           self.coup_create.conj().transpose(1, 0, 2))
+        object.__setattr__(self, "hermitian",
+                           bool(np.array_equal(self.e_sys, self.e_sys.conj().T)))
 
     @property
     def n_sys(self) -> int:
@@ -205,13 +206,6 @@ class SystemBathHamiltonian:
     def n_modes(self) -> int:
         return self.mode_freqs.shape[0]
 
-    def check_hermitian(self, tol: float = 0.0) -> bool:
-        """True if e_sys = e_sys^dagger and coup_annihilate[n,n',q] =
-        conj(coup_create[n',n,q]) to within `tol` (0 means exact)."""
-        d1 = np.abs(self.e_sys - self.e_sys.conj().T).max()
-        d2 = np.abs(self.coup_annihilate - self.coup_create.conj().transpose(1, 0, 2)).max()
-        return bool(d1 <= tol and d2 <= tol)
-
 
 def no_coupling(n_sys: int, n_modes: int) -> np.ndarray:
     return np.zeros((n_sys, n_sys, n_modes), dtype=complex)
@@ -219,32 +213,18 @@ def no_coupling(n_sys: int, n_modes: int) -> np.ndarray:
 
 def tc_system_bath(model: TCModel) -> SystemBathHamiltonian:
     """TC model as a bathless system (for the variational propagator)."""
-    e = model.matrix()
-    return SystemBathHamiltonian(
-        e_sys=e,
-        mode_freqs=np.zeros(0),
-        coup_create=no_coupling(model.dim, 0),
-        coup_annihilate=no_coupling(model.dim, 0),
-        hermitian=not model.lossy,
-    )
+    return SystemBathHamiltonian(model.matrix(), np.zeros(0),
+                                 no_coupling(model.dim, 0))
 
 
 def htc_system_bath(model: HTCModel) -> SystemBathHamiltonian:
-    e = model.tc.matrix()
     ns = model.tc.dim
-    nb = model.n_modes
-    create = no_coupling(ns, nb)
+    create = no_coupling(ns, model.n_modes)
     site = model.site_coupling()
     for j in range(1, ns):
         create[j, j, :] = site[j - 1]
-    annihilate = create.conj().transpose(1, 0, 2).copy()
-    return SystemBathHamiltonian(
-        e_sys=e,
-        mode_freqs=model.mode_freqs.astype(float),
-        coup_create=create,
-        coup_annihilate=annihilate,
-        hermitian=not model.tc.lossy,
-    )
+    return SystemBathHamiltonian(model.tc.matrix(),
+                                 model.mode_freqs.astype(float), create)
 
 
 def disorder_qubit_freqs(

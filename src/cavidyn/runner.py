@@ -15,7 +15,12 @@ column, added in realization-index order: the mean is bitwise that of
 realization's columns outlive their addition.  Each width's mean goes to one
 CSV, suffixed `_W<width>` when the config lists several widths.  A tc
 realization is one exact pole sum (`tc_exact`); an htc realization is one
-variational propagation, of the doubled thermofield Hamiltonian above 0 K.
+variational propagation.  Every htc run, absorption included, takes its
+Hamiltonian from `_htc_hamiltonian`: the doubled thermofield one above 0 K.
+
+`spectra2d --resume` keeps its resume files in `OUT/bank/`; the runner only
+creates that directory, and `cavidyn.spectro` decides from the digest each
+file carries whether it can be reused.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import hashlib
 import json
 import math
 import os
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -128,13 +132,20 @@ def _tc_absorption_realization(args):
     return (solve_realization(m_r).absorption(omega),)
 
 
+def _htc_hamiltonian(cfg: RunConfig, model: HTCModel):
+    """The Hamiltonian an htc run propagates: the doubled thermofield one
+    above 0 K, the bare one at 0 K."""
+    if cfg.temperature_k > 0:
+        return thermal_htc(model, cfg.temperature_k)
+    return htc_system_bath(model)
+
+
 def _htc_realization(args):
     cfg, width, r, times = args
     htc = cfg.htc
     tcr = disordered_tc(htc.tc, width, cfg.disorder.seed, r)
-    model = HTCModel(tcr, htc.lam, htc.phonon_base, htc.phonon_bandwidth)
-    h = (thermal_htc(model, cfg.temperature_k) if cfg.temperature_k > 0
-         else htc_system_bath(model))
+    h = _htc_hamiltonian(
+        cfg, HTCModel(tcr, htc.lam, htc.phonon_base, htc.phonon_bandwidth))
     state = init_state(h.n_sys, h.n_modes, 0, cfg.run.multiplicity,
                        noise_seed=cfg.run.seed + 7919 * r)
     traj = propagate(h, state, float(times[-1]), _settings(cfg), t_eval=times)
@@ -203,7 +214,7 @@ def _run_dynamics_sf(cfg: RunConfig, out_dir: str, files: list):
     state = coherent_init(mu1, labels, h.n_modes, cfg.run.multiplicity,
                           noise_seed=cfg.run.seed)
     traj = propagate(h, state, float(times[-1]), settings, t_eval=times)
-    obs = sf_observables(traj, cavity_mode=cavity_mode)
+    obs = sf_observables(traj, labels, cavity_mode=cavity_mode)
     _write_csv(os.path.join(out_dir, "population.csv"),
                ["time_fs", "p_tt", "p_s1", "norm", "energy_eV"],
                [obs["time_fs"], obs["p_tt"], obs["p_s1"], obs["norm"],
@@ -214,7 +225,7 @@ def _run_dynamics_sf(cfg: RunConfig, out_dir: str, files: list):
 def _run_absorption_htc(cfg: RunConfig, out_dir: str, files: list):
     """Autocorrelation of the photon-excited state (no ensemble)."""
     omega = _omegas(cfg)
-    h = htc_system_bath(cfg.htc)
+    h = _htc_hamiltonian(cfg, cfg.htc)
     mu = np.zeros(h.n_sys)
     mu[0] = 1.0
     intensity = linear_absorption(
@@ -240,41 +251,10 @@ def _run_pes_scan(cfg: RunConfig, out_dir: str, files: list):
     files.append("pes.csv")
 
 
-def _resume_dir(cfg: RunConfig, out_dir: str) -> str:
-    """`out_dir/bank`, holding the spectra2d resume files and `config.ini`,
-    the resolved config they were computed for.  When that stamp does not
-    match `cfg`, every other file in the directory is deleted, so nothing
-    computed for a different config is reused."""
-    from .config import resolved_text
-
-    bank_dir = os.path.join(out_dir, "bank")
-    os.makedirs(bank_dir, exist_ok=True)
-    stamp = os.path.join(bank_dir, "config.ini")
-    text = resolved_text(cfg)
-    if os.path.exists(stamp):
-        with open(stamp, encoding="utf-8") as fh:
-            if fh.read() == text:
-                return bank_dir
-    stale = [name for name in sorted(os.listdir(bank_dir))
-             if name != "config.ini"]
-    if stale:
-        print(f"resume: {stamp} does not match this config; deleting "
-              f"{len(stale)} stale resume file(s)", file=sys.stderr)
-    for name in stale:
-        os.remove(os.path.join(bank_dir, name))
-    with open(stamp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return bank_dir
-
-
 def _run_spectra2d(cfg: RunConfig, out_dir: str, resume: bool, files: list):
     opt = cfg.options
-    grid = ResponseGrid(
-        tau_fs=np.arange(opt["grid_points"]) * opt["grid_dt_fs"],
-        t_fs=np.arange(opt["grid_points"]) * opt["grid_dt_fs"],
-        tw_fs=np.asarray(opt["waiting_times_fs"], dtype=float),
-        gamma_prime=opt["gamma_prime"],
-    )
+    grid = ResponseGrid(opt["grid_points"], opt["grid_dt_fs"],
+                        opt["waiting_times_fs"], opt["gamma_prime"])
     labels0 = [(("g",) * len(cfg.sf_dimers), 0)]
     labels1, h1 = manifold_hamiltonian(cfg.sf_dimers, cfg.sf_cavity,
                                        cfg.sf_coupling, 1)
@@ -283,7 +263,11 @@ def _run_spectra2d(cfg: RunConfig, out_dir: str, resume: bool, files: list):
     dipoles = DipoleSet(mu=dipole_up(cfg.sf_dimers, labels0, labels1)[:, 0],
                         mu_up=dipole_up(cfg.sf_dimers, labels1, labels2))
     settings = _settings(cfg)
-    bank_dir = _resume_dir(cfg, out_dir) if resume else None
+    bank_dir = None
+    if resume:
+        # each resume file stamps its own inputs (cavidyn.spectro)
+        bank_dir = os.path.join(out_dir, "bank")
+        os.makedirs(bank_dir, exist_ok=True)
     bank = first_leg_bank(h1, dipoles, grid,
                           multiplicity=cfg.run.multiplicity,
                           noise_seed=cfg.run.seed, settings=settings,

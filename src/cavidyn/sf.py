@@ -21,12 +21,18 @@ potential-surface scans (frozen Q_t, Q_c) and for excitation-number blocks in
 response-function work (RWA only), and a boson mode inside the variational
 ansatz for pumped dynamics (`sf_matter_only` is the same projection without
 the photon mode).
+
+Electronic labels are tuples with one state per dimer, e.g. ("S1", "g").
+Each Hamiltonian function returns them next to its Hamiltonian, in
+system-index order, and the observables (`sf_observables`,
+`excitation_expectation`) take them from the caller: states and trajectories
+carry no labels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,13 +65,6 @@ def derive_kappas_from_ci(ci_q, ci_e, eps_s1, eps_tt, omega_tu):
     kappa_s1 = (ci_e - eps_s1 - harmonic) / ci_q
     kappa_tt = (ci_e - eps_tt - harmonic) / ci_q
     return kappa_s1, kappa_tt
-
-
-def rabi_splitting(omega_c, eps_s1, n_molecules, omega):
-    """sqrt((omega_c - eps_S1)^2 + N Omega^2)."""
-    if n_molecules <= 0 or omega < 0:
-        raise ValueError("need n_molecules >= 1 and omega >= 0")
-    return math.sqrt((omega_c - eps_s1) ** 2 + n_molecules * omega**2)
 
 
 # tuning-mode slopes fixed by the crossing anchor (Q_t=0.07, E=2.256 eV) of
@@ -161,10 +160,6 @@ def electronic_labels(n_dimers: int, five_state: bool):
     return [(s1, s2) for s1 in states for s2 in states]
 
 
-def label_str(label) -> str:
-    return "|".join(label)
-
-
 def label_weight(label) -> int:
     return sum(EXCITATION_WEIGHT[s] for s in label)
 
@@ -253,16 +248,6 @@ def _photon_block(graph: _LabelGraph, label_diag, cavity, coupling, n_max: int):
     return np.diag(diag.ravel()) + up + up.T
 
 
-def _system_bath(e_sys, mode_freqs, create, hermitian=True):
-    return SystemBathHamiltonian(
-        e_sys=e_sys,
-        mode_freqs=mode_freqs,
-        coup_create=create,
-        coup_annihilate=create.conj().transpose(1, 0, 2),
-        hermitian=hermitian,
-    )
-
-
 def sf_system_bath(
     dimers: Sequence[SFDimerSpec],
     cavity: CavitySpec,
@@ -286,7 +271,7 @@ def sf_system_bath(
                      else graph.raising.T + graph.raising)
     create = np.concatenate(
         [_vibronic_create(graph, 1), photon[:, :, None]], axis=2)
-    return graph.labels, _system_bath(
+    return graph.labels, SystemBathHamiltonian(
         np.diag(graph.energy.astype(complex)),
         np.append(graph.mode_freqs, cavity.omega_c),
         create,
@@ -297,7 +282,7 @@ def sf_matter_only(dimers: Sequence[SFDimerSpec]):
     """Cavity-free reference: the same matter Hamiltonian with only the
     2*n_dimers vibrational modes (three-state labels)."""
     graph = _label_graph(dimers, False)
-    return graph.labels, _system_bath(
+    return graph.labels, SystemBathHamiltonian(
         np.diag(graph.energy.astype(complex)),
         graph.mode_freqs,
         _vibronic_create(graph, 1),
@@ -334,22 +319,20 @@ def coherent_init(
         noise_seed=noise_seed,
         noise_scale=noise_scale,
         base_displacement=base,
-        labels=tuple(label_str(lab) for lab in labels),
     )
 
 
-def sf_observables(traj, cavity_mode=-1):
-    """Population series {p_tt, p_s1, p_g, p_cav} from a fission trajectory.
+def sf_observables(traj, labels, cavity_mode=-1):
+    """Population series {p_tt, p_s1, p_g, p_cav} from a fission trajectory
+    over the electronic `labels` its Hamiltonian was built on.
 
     `cavity_mode` indexes the photon mode within the trajectory's mode axis;
     pass None for cavity-free runs (p_cav is then identically zero).
     """
-    if traj.labels is None:
-        raise ValueError("trajectory carries no electronic labels")
     pops = traj.system_populations()
-    tt = np.array([any(s in TT_STATES for s in lab.split("|")) for lab in traj.labels])
-    s1 = np.array([lab.split("|").count("S1") > 0 for lab in traj.labels])
-    ground = np.array([all(s == "g" for s in lab.split("|")) for lab in traj.labels])
+    tt = np.array([label_has_tt(lab) for lab in labels])
+    s1 = np.array(["S1" in lab for lab in labels])
+    ground = np.array([all(s == "g" for s in lab) for lab in labels])
     if cavity_mode is None:
         p_cav = np.zeros_like(traj.times)
     else:
@@ -365,13 +348,9 @@ def sf_observables(traj, cavity_mode=-1):
     }
 
 
-def excitation_expectation(traj, cavity_mode: int = -1):
+def excitation_expectation(traj, labels, cavity_mode: int = -1):
     """<N_ex>(t) = photon occupation + weighted electronic populations."""
-    if traj.labels is None:
-        raise ValueError("trajectory carries no electronic labels")
-    weights = np.array(
-        [label_weight(tuple(lab.split("|"))) for lab in traj.labels], dtype=float
-    )
+    weights = np.array([label_weight(lab) for lab in labels], dtype=float)
     pops = traj.system_populations()
     return traj.mode_occupations()[:, cavity_mode] + pops @ weights
 
@@ -546,12 +525,8 @@ def manifold_hamiltonian(
     block = np.ix_(keep, keep)
     e_sys = _photon_block(graph, graph.energy, cavity, coupling, manifold)
     create = _vibronic_create(graph, manifold + 1)
-    return labels, _system_bath(
-        e_sys[block],
-        graph.mode_freqs,
-        create[block],
-        hermitian=cavity.kappa == 0.0,
-    )
+    return labels, SystemBathHamiltonian(
+        e_sys[block], graph.mode_freqs, create[block])
 
 
 def dipole_up(dimers, labels_lo, labels_hi):

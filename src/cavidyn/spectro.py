@@ -21,6 +21,12 @@ The workflow is bank -> response -> spectra:
      and the double one-sided transform, returning per-T_w SE/GSB/ESA/TOTAL
      maps (TOTAL = SE + GSB + ESA by construction).
 
+tau and t share one time axis, `ResponseGrid.times_fs`.  With a checkpoint
+directory, every first leg and the ESA responses are kept in `.npz` resume
+files, each stamped with a SHA-256 digest of all the inputs it was computed
+from and reused only when that digest matches: spectro alone decides whether
+a resume file is valid.
+
 Everything is impulsive-limit: pulse envelopes are delta functions, and all
 dipoles and pulse polarizations are parallel, so no orientation factor
 enters.
@@ -28,8 +34,9 @@ enters.
 
 from __future__ import annotations
 
+import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
@@ -66,62 +73,43 @@ class DipoleSet:
 
 @dataclass(frozen=True)
 class ResponseGrid:
-    """Uniform coherence/detection time grids (fs), waiting times, dephasing.
+    """One time axis for coherence (tau) and detection (t): n samples
+    0, dt, ..., (n-1) dt fs.  Waiting times must be multiples of dt (the
+    snapshot bank carries no interpolation); gamma_prime is the dephasing."""
 
-    tau and t must start at 0 with identical spacing; waiting times must be
-    multiples of that spacing (the snapshot bank carries no interpolation).
-    """
-
-    tau_fs: np.ndarray
-    t_fs: np.ndarray
+    n: int
+    dt: float
     tw_fs: tuple
     gamma_prime: float = 0.01
 
     def __post_init__(self):
-        tau = np.asarray(self.tau_fs, dtype=float)
-        t = np.asarray(self.t_fs, dtype=float)
-        object.__setattr__(self, "tau_fs", tau)
-        object.__setattr__(self, "t_fs", t)
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "tw_fs", tuple(float(w) for w in self.tw_fs))
-        for name, g in (("tau", tau), ("t", t)):
-            if g.ndim != 1 or len(g) < 2:
-                raise ValueError(f"{name} grid needs at least two points")
-            steps = np.diff(g)
-            if abs(g[0]) > 1e-12 or np.any(np.abs(steps - steps[0]) > 1e-9):
-                raise ValueError(f"{name} grid must be uniform and start at 0")
-            if steps[0] <= 0:
-                raise ValueError(f"{name} grid step must be > 0")
-        if abs(self.dt_tau - self.dt_t) > 1e-9:
-            raise ValueError("tau and t grids must share one step")
+        if self.n < 2:
+            raise ValueError("the time axis needs at least two points")
+        if self.dt <= 0:
+            raise ValueError("time step must be > 0")
         if not self.tw_fs:
             raise ValueError("at least one waiting time is needed")
         for w in self.tw_fs:
-            if w < 0 or abs(round(w / self.dt_t) * self.dt_t - w) > 1e-9:
+            if w < 0 or abs(round(w / self.dt) * self.dt - w) > 1e-9:
                 raise ValueError(
-                    f"waiting time {w} fs is not on the {self.dt_t} fs sample grid"
+                    f"waiting time {w} fs is not on the {self.dt} fs sample grid"
                 )
         if self.gamma_prime <= 0:
             raise ValueError("gamma_prime must be > 0")
 
     @property
-    def dt_tau(self) -> float:
-        return float(self.tau_fs[1] - self.tau_fs[0])
-
-    @property
-    def dt_t(self) -> float:
-        return float(self.t_fs[1] - self.t_fs[0])
+    def times_fs(self) -> np.ndarray:
+        """The tau and t axis."""
+        return np.arange(self.n) * self.dt
 
     @property
     def span_fs(self) -> float:
         """Longest composed first-leg time any response needs."""
-        return float(self.tau_fs[-1] + max(self.tw_fs) + self.t_fs[-1])
-
-
-def grid_2d(n: int = 64, dt: float = 0.5, tw=(0.0, 16.0, 32.0, 48.0),
-            gamma_prime: float = 0.01) -> ResponseGrid:
-    """Square n-point tau/t grid with step dt (fs)."""
-    axis = np.arange(n) * dt
-    return ResponseGrid(axis, axis.copy(), tw, gamma_prime)
+        t_max = self.times_fs[-1]
+        return float(t_max + max(self.tw_fs) + t_max)
 
 
 @dataclass
@@ -177,9 +165,10 @@ def first_leg_bank(
 
     Forward samples cover tau_max + max(T_w) + t_max; the backward branch
     (needed by R4's amplitudes at -t) covers -t_max.  With checkpoint_dir,
-    each leg is saved there as `leg<n>_<fwd|bwd>.npz` (times, amplitudes,
-    displacements) and reloaded instead of recomputed when the file exists
-    and its times equal the requested sample times.
+    each leg is saved there as `leg<n>_<fwd|bwd>.npz` (amplitudes,
+    displacements and the digest of its inputs: h1, the initial state, the
+    settings and the sample times) and reloaded instead of recomputed when
+    the stored digest matches.
     """
     if multiplicity > 1 and noise_scale == 0.0:
         noise_scale = 1e-4
@@ -187,22 +176,23 @@ def first_leg_bank(
     bright = tuple(int(i) for i in np.flatnonzero(np.abs(dipoles.mu) > 0))
     if not bright:
         raise ValueError("no bright singly-excited label (all dipoles zero)")
-    dt = grid.dt_t
+    dt = grid.dt
     fwd_times = np.arange(0.0, grid.span_fs + dt / 2, dt)
-    back_times = -np.arange(0.0, grid.t_fs[-1] + dt / 2, dt)
+    back_times = -np.arange(0.0, grid.times_fs[-1] + dt / 2, dt)
 
     def leg(st, times, tag):
         """(amplitudes, displacements) sampled at `times`."""
         path = (os.path.join(checkpoint_dir, f"leg{tag}.npz")
                 if checkpoint_dir is not None else None)
-        if path is not None and os.path.exists(path):
-            with np.load(path) as chk:
-                if np.array_equal(chk["times"], times):
-                    return chk["amplitudes"], chk["displacements"]
+        digest = _digest(*_hamiltonian_arrays(h1), st.amplitudes,
+                         st.displacements, astuple(settings), times)
+        saved = _load_npz(path, digest)
+        if saved is not None:
+            return saved["amplitudes"], saved["displacements"]
         traj = propagate(h1, st, times[-1], settings, t_eval=times)
         if path is not None:
-            _save_npz(path, times=times, amplitudes=traj.amplitudes,
-                      displacements=traj.displacements)
+            _save_npz(path, amplitudes=traj.amplitudes,
+                      displacements=traj.displacements, digest=digest)
         return traj.amplitudes, traj.displacements
 
     amps, disps, amps_b, disps_b = {}, {}, {}, {}
@@ -210,10 +200,7 @@ def first_leg_bank(
         st = init_state(h1.n_sys, h1.n_modes, n, multiplicity=multiplicity,
                         noise_seed=noise_seed, noise_scale=noise_scale)
         amps[n], disps[n] = leg(st, fwd_times, f"{n}_fwd")
-        if len(back_times) > 1:
-            amps_b[n], disps_b[n] = leg(st, back_times, f"{n}_bwd")
-        else:
-            amps_b[n], disps_b[n] = amps[n][:1], disps[n][:1]
+        amps_b[n], disps_b[n] = leg(st, back_times, f"{n}_bwd")
     return TrajectoryBank(dt, np.asarray(h1.mode_freqs, dtype=float), bright,
                           amps, disps, amps_b, disps_b)
 
@@ -230,9 +217,9 @@ def response_se_gsb(bank: TrajectoryBank, grid: ResponseGrid,
     exact because it leaves |f| unchanged.
     """
     mu = dipoles.mu
-    tau = grid.tau_fs[:, None]
-    t = grid.t_fs
-    shape = (len(grid.tau_fs), len(grid.tw_fs), len(t))
+    t = grid.times_fs
+    tau = t[:, None]
+    shape = (grid.n, len(grid.tw_fs), grid.n)
     out = {k: np.zeros(shape, dtype=complex) for k in ("R1", "R2", "R3", "R4")}
 
     def ground(s):
@@ -287,9 +274,10 @@ def response_esa(
     (`propagate` with a leading batch axis): the cost is one integration
     per (n3, T_w), each as long as its slowest member.  With
     `checkpoint_dir`, the responses are saved to `esa_checkpoint.npz` there
-    after every (n3, T_w) batch, with the batch list and the tau/t grids,
-    and a rerun with the same batches and grids resumes after the last
-    saved batch (any other checkpoint is ignored and overwritten).
+    after every (n3, T_w) batch, with the digest of every input (the bank's
+    forward arrays, h2, mu, mu_up, the settings, the batch list and the
+    grid), and a rerun whose inputs give the same digest resumes after the
+    last saved batch (any other checkpoint is ignored and overwritten).
 
     Each transplant is propagated normalized and rescaled afterwards, which
     is exact because a global amplitude rescaling commutes with the
@@ -300,9 +288,7 @@ def response_esa(
         raise ValueError("ESA needs upward dipoles (mu_up)")
     settings = settings or PropagationSettings()
     mu, mu_up = dipoles.mu, dipoles.mu_up
-    n_tau, n_t = len(grid.tau_fs), len(grid.t_fs)
-    n_tw = len(grid.tw_fs)
-    shape = (n_tau, n_tw, n_t)
+    shape = (grid.n, len(grid.tw_fs), grid.n)
 
     if np.all(np.abs(mu_up) == 0):
         return {"R1s": np.zeros(shape, dtype=complex),
@@ -312,17 +298,16 @@ def response_esa(
     r2s = np.zeros(shape, dtype=complex)
     batches = [(n3, w, tw) for n3 in bank.bright
                for w, tw in enumerate(grid.tw_fs)]
-    # what a checkpoint must have been computed for to be resumed
-    stamp = {"batch_list": np.array([(n3, tw) for n3, _, tw in batches]),
-             "tau_fs": grid.tau_fs, "t_fs": grid.t_fs}
-    done = 0
     checkpoint = (os.path.join(checkpoint_dir, "esa_checkpoint.npz")
                   if checkpoint_dir is not None else None)
-    if checkpoint is not None and os.path.exists(checkpoint):
-        with np.load(checkpoint) as chk:
-            if all(k in chk.files and np.array_equal(chk[k], v)
-                   for k, v in stamp.items()):
-                r1s, r2s, done = chk["r1s"], chk["r2s"], int(chk["batches"])
+    digest = _digest(
+        bank.dt, *(x for n in bank.bright for x in (bank.amps[n], bank.disps[n])),
+        *_hamiltonian_arrays(h2), mu, mu_up, astuple(settings),
+        [(n3, tw) for n3, _, tw in batches], grid.n, grid.dt, grid.tw_fs)
+    saved = _load_npz(checkpoint, digest)
+    done = 0
+    if saved is not None:
+        r1s, r2s, done = saved["r1s"], saved["r2s"], int(saved["batches"])
 
     def esa(n3, bra_times, a2, f2):
         """sum_n mu*_n mu_n3 <raised first leg n at bra_times | second leg>."""
@@ -334,18 +319,18 @@ def response_esa(
                 overlap_matrix(f_b, f2))
         return out
 
-    tau = grid.tau_fs[:, None]
-    t = grid.t_fs
+    t = grid.times_fs
+    tau = t[:, None]
     for b, (n3, w, tw) in enumerate(batches):
         if b < done:
             continue
         # member 0 is R1*'s transplant at T_w, member 1 + k R2*'s at tau_k + T_w
-        a1, f0 = bank.forward(n3, np.concatenate([[tw], grid.tau_fs + tw]))
+        a1, f0 = bank.forward(n3, np.concatenate([[tw], t + tw]))
         a0 = a1 @ mu_up.T
         scale = MultiD2State(a0, f0).norm()
         live = scale >= 1e-12
-        a2 = np.zeros((n_t,) + a0.shape, dtype=complex)
-        f2 = np.broadcast_to(f0, (n_t,) + f0.shape).copy()
+        a2 = np.zeros((grid.n,) + a0.shape, dtype=complex)
+        f2 = np.broadcast_to(f0, (grid.n,) + f0.shape).copy()
         if live.any():
             st = MultiD2State(a0[live] / scale[live, None, None], f0[live])
             traj = propagate(h2, st, float(t[-1]), settings, t_eval=t)
@@ -357,8 +342,36 @@ def response_esa(
         r2s[:, w] += esa(n3, tw + t, a2[:, 1:].swapaxes(0, 1),
                          f2[:, 1:].swapaxes(0, 1))
         if checkpoint is not None:
-            _save_npz(checkpoint, r1s=r1s, r2s=r2s, batches=b + 1, **stamp)
+            _save_npz(checkpoint, r1s=r1s, r2s=r2s, batches=b + 1,
+                      digest=digest)
     return {"R1s": r1s, "R2s": r2s}
+
+
+def _hamiltonian_arrays(h: SystemBathHamiltonian) -> tuple:
+    """The arrays that determine `h` (its adjoint coupling is derived)."""
+    return h.e_sys, h.mode_freqs, h.coup_create
+
+
+def _digest(*inputs) -> str:
+    """SHA-256 over the dtype, shape and bytes of every input, each taken as
+    a numpy array."""
+    sha = hashlib.sha256()
+    for x in inputs:
+        a = np.ascontiguousarray(x)
+        sha.update(f"{a.dtype.str}{a.shape}".encode())
+        sha.update(a.tobytes())
+    return sha.hexdigest()
+
+
+def _load_npz(path, digest: str) -> Optional[dict]:
+    """The arrays of the resume file `path`, if it exists and was stamped
+    with `digest`; None otherwise."""
+    if path is None or not os.path.exists(path):
+        return None
+    with np.load(path) as chk:
+        if "digest" not in chk.files or str(chk["digest"]) != digest:
+            return None
+        return {k: chk[k] for k in chk.files}
 
 
 def _save_npz(path, **arrays):
@@ -415,17 +428,15 @@ def spectra(
     """
     omega_tau = np.asarray(omega_tau, dtype=float)
     omega_t = np.asarray(omega_t, dtype=float)
-    e_t = _transform_kernels(grid.t_fs, omega_t, grid.dt_t)
-    e_tau_p = _transform_kernels(grid.tau_fs, omega_tau, grid.dt_tau)
+    times = grid.times_fs
+    e_t = _transform_kernels(times, omega_t, grid.dt)
+    e_tau_p = _transform_kernels(times, omega_tau, grid.dt)
     e_tau_m = e_tau_p.conj()
     apo = np.exp(
-        -grid.gamma_prime
-        * (grid.tau_fs[:, None] + grid.t_fs[None, :])
-        / HBAR_EV_FS
+        -grid.gamma_prime * (times[:, None] + times[None, :]) / HBAR_EV_FS
     )
 
-    zero = np.zeros((len(grid.tau_fs), len(grid.tw_fs), len(grid.t_fs)),
-                    dtype=complex)
+    zero = np.zeros((grid.n, len(grid.tw_fs), grid.n), dtype=complex)
     r1s = responses.get("R1s", zero)
     r2s = responses.get("R2s", zero)
 

@@ -81,30 +81,15 @@ def thermal_double(
             f"need one mixing angle per mode: got {theta.shape}, expected ({h.n_modes},)"
         )
     keep = theta >= prune_threshold
-    n_phys = h.n_modes
-    n_tilde = int(keep.sum())
-    ns = h.n_sys
-
-    mode_freqs = np.concatenate([h.mode_freqs, -h.mode_freqs[keep]])
-    cosh = np.cosh(theta)
-    sinh = np.sinh(theta)
-
-    create = np.zeros((ns, ns, n_phys + n_tilde), dtype=complex)
-    annihilate = np.zeros_like(create)
-    create[:, :, :n_phys] = h.coup_create * cosh[None, None, :]
-    annihilate[:, :, :n_phys] = h.coup_annihilate * cosh[None, None, :]
-    # tilde register: create couples through the physical annihilate
-    # coefficients (conjugate phases), scaled by sinh(theta)
-    create[:, :, n_phys:] = h.coup_annihilate[:, :, keep] * sinh[None, None, keep]
-    annihilate[:, :, n_phys:] = h.coup_create[:, :, keep] * sinh[None, None, keep]
-
+    # tilde register: b^+ couples through the physical b coefficients
+    # (conjugate phases), scaled by sinh(theta); the b coefficients of both
+    # registers follow as the adjoint
+    create = np.concatenate(
+        [h.coup_create * np.cosh(theta),
+         h.coup_annihilate[:, :, keep] * np.sinh(theta[keep])], axis=2)
     return SystemBathHamiltonian(
-        e_sys=h.e_sys.copy(),
-        mode_freqs=mode_freqs,
-        coup_create=create,
-        coup_annihilate=annihilate,
-        hermitian=h.hermitian,
-    )
+        h.e_sys.copy(), np.concatenate([h.mode_freqs, -h.mode_freqs[keep]]),
+        create)
 
 
 def thermal_htc(
@@ -116,13 +101,3 @@ def thermal_htc(
     h = htc_system_bath(model)
     theta = mixing_angles(beta_from_temperature(temperature_k), model.mode_freqs)
     return thermal_double(h, theta, prune_threshold)
-
-
-def polaron_decoupling_ratio(
-    n_qubits: int, omega_r: float, lam: float, omega_k: float
-) -> float:
-    """Reported diagnostic 2*N*omega_R / (lam^2 * omega_k); no behavior is
-    attached to its value."""
-    if lam <= 0 or omega_k <= 0:
-        raise ValueError("ratio needs lam > 0 and omega_k > 0")
-    return 2.0 * n_qubits * omega_r / (lam**2 * omega_k)

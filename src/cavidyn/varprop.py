@@ -93,11 +93,11 @@ class PropagationError(RuntimeError):
 class MultiD2State:
     """amplitudes: (..., M, n_sys) complex over normalized coherent states;
     displacements: (..., M, n_modes) complex.  Leading axes index a batch of
-    independent states."""
+    independent states.  System labels are plain indices; their names stay
+    with the model module that returned the Hamiltonian (e.g. `cavidyn.sf`)."""
 
     amplitudes: np.ndarray
     displacements: np.ndarray
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
@@ -107,8 +107,6 @@ class MultiD2State:
         if self.amplitudes.shape[:-1] != self.displacements.shape[:-1]:
             raise ValueError(
                 "amplitudes and displacements disagree on batch shape or multiplicity")
-        if self.labels is not None and len(self.labels) != self.n_sys:
-            raise ValueError("labels must match the system dimension")
 
     @property
     def multiplicity(self) -> int:
@@ -123,9 +121,7 @@ class MultiD2State:
         return self.displacements.shape[-1]
 
     def copy(self) -> "MultiD2State":
-        return MultiD2State(
-            self.amplitudes.copy(), self.displacements.copy(), self.labels
-        )
+        return MultiD2State(self.amplitudes.copy(), self.displacements.copy())
 
     def norm(self):
         """State norm: a float, or one per batch member."""
@@ -137,7 +133,7 @@ class MultiD2State:
         if np.any(n == 0):
             raise ValueError("cannot normalize the zero state")
         return MultiD2State(self.amplitudes / np.asarray(n)[..., None, None],
-                            self.displacements.copy(), self.labels)
+                            self.displacements.copy())
 
     def system_populations(self) -> np.ndarray:
         return system_populations(self.amplitudes, self.displacements)
@@ -336,13 +332,12 @@ def init_state(
     noise_seed: int = 0,
     noise_scale: float = DEFAULT_NOISE_SCALE,
     base_displacement: Optional[np.ndarray] = None,
-    labels: Optional[tuple[str, ...]] = None,
 ) -> MultiD2State:
     """Product initial state plus symmetry-breaking noise on the extra
     configurations.
 
-    `initial` selects the occupied system label: an index, a label string
-    (requires `labels`), or a full complex amplitude vector of length n_sys.
+    `initial` selects the occupied system label: an index, or a full complex
+    amplitude vector of length n_sys.
     Configuration 1 carries the state; every other amplitude and every
     displacement receives noise_scale * (complex unit-disk draw), on top of
     `base_displacement` if given.  The result is renormalized to unit norm.
@@ -358,11 +353,7 @@ def init_state(
         raise ValueError("noise_scale must be >= 0")
 
     a0 = np.zeros(n_sys, dtype=complex)
-    if isinstance(initial, str):
-        if labels is None:
-            raise ValueError("label-based initial state needs labels")
-        a0[labels.index(initial)] = 1.0
-    elif np.ndim(initial) == 0:
+    if np.ndim(initial) == 0:
         a0[int(initial)] = 1.0
     else:
         vec = np.asarray(initial, dtype=complex)
@@ -380,7 +371,7 @@ def init_state(
     if base_displacement is not None:
         f = f + np.asarray(base_displacement, dtype=complex)[None, :]
 
-    state = MultiD2State(a, f, labels).normalized_to_unit()
+    state = MultiD2State(a, f).normalized_to_unit()
     if abs(state.norm() - 1.0) > 1e-12:
         raise ArithmeticError("initial state failed to renormalize to 1 within 1e-12")
     return state
@@ -404,12 +395,9 @@ class Trajectory:
     displacements: np.ndarray
     norms: np.ndarray
     energies: np.ndarray
-    labels: Optional[tuple[str, ...]] = None
 
     def state_at(self, i: int) -> MultiD2State:
-        return MultiD2State(
-            self.amplitudes[i].copy(), self.displacements[i].copy(), self.labels
-        )
+        return MultiD2State(self.amplitudes[i].copy(), self.displacements[i].copy())
 
     def system_populations(self) -> np.ndarray:
         """(T, ..., n_sys) array of label populations."""
@@ -631,7 +619,7 @@ def propagate(
     norms = np.sqrt(state_norm_sq(amps, disps))
     theta = _theta(h, amps, disps)[0]
     energies = (overlap_matrix(disps, disps) * theta).sum(axis=(-2, -1))
-    return Trajectory(t_eval.copy(), amps, disps, norms, energies, state.labels)
+    return Trajectory(t_eval.copy(), amps, disps, norms, energies)
 
 
 # ---------------------------------------------------------------------------

@@ -239,13 +239,17 @@ def test_htc_dynamics_equals_library_calls(tmp_path, capsys, temperature_k):
     np.testing.assert_array_equal(got[:, 1:], (rows[0] + rows[1]) / 2)
 
 
+TINY_HTC_ABSORPTION = (
+    TINY_HTC.replace("kind = dynamics", "kind = absorption\n"
+                     "gamma_prime = 0.1\nomega_points = 41")
+    .replace("t_max_fs = 10", "t_max_fs = 40")
+    .replace("width = 0.05\nn_realizations = 2\n", ""))
+
+
 def test_htc_absorption_equals_library_call(tmp_path, capsys):
-    text = (TINY_HTC.replace("kind = dynamics", "kind = absorption\n"
-                             "gamma_prime = 0.1\nomega_points = 41")
-            .replace("t_max_fs = 10", "t_max_fs = 40")
-            .replace("width = 0.05\nn_realizations = 2\n", ""))
     out_dir = tmp_path / "out"
-    code, _, err = _run(capsys, "run", "--config", _write(tmp_path, text),
+    code, _, err = _run(capsys, "run", "--config",
+                        _write(tmp_path, TINY_HTC_ABSORPTION),
                         "--out", str(out_dir))
     assert code == cli.EXIT_OK, err
     h = htc_system_bath(HTCModel(TCModel(2, 1.0, 1.0, 0.1, kappa=0.002),
@@ -256,6 +260,30 @@ def test_htc_absorption_equals_library_call(tmp_path, capsys):
                             noise_seed=4, settings=RUN_SETTINGS)
     got = _read_csv(out_dir / "absorption.csv")
     np.testing.assert_array_equal(got, np.column_stack([omega, ref]))
+
+
+def test_htc_absorption_above_zero_kelvin_uses_the_thermal_double(tmp_path,
+                                                                  capsys):
+    """At 300 K the spectrum is that of the doubled thermofield Hamiltonian,
+    not the 0 K one."""
+    spectra = {}
+    for temperature_k in (0.0, 300.0):
+        text = (TINY_HTC_ABSORPTION
+                + f"\n[temperature]\ntemperature_k = {temperature_k}\n")
+        out_dir = tmp_path / f"out{temperature_k:g}"
+        code, _, err = _run(capsys, "run", "--config", _write(tmp_path, text),
+                            "--out", str(out_dir))
+        assert code == cli.EXIT_OK, err
+        spectra[temperature_k] = _read_csv(out_dir / "absorption.csv")
+    h = thermal_htc(HTCModel(TCModel(2, 1.0, 1.0, 0.1, kappa=0.002),
+                             0.3, 0.124, 0.3), 300.0)
+    omega = np.linspace(0.7, 1.3, 41)
+    ref = linear_absorption(h, DipoleSet(mu=np.eye(1, h.n_sys)[0]), omega,
+                            gamma_prime=0.1, t_max=40.0, multiplicity=2,
+                            noise_seed=4, settings=RUN_SETTINGS)
+    np.testing.assert_array_equal(spectra[300.0],
+                                  np.column_stack([omega, ref]))
+    assert np.max(np.abs(spectra[300.0][:, 1] - spectra[0.0][:, 1])) > 1e-4
 
 
 def test_cli_import_leaves_out_the_integrator():
@@ -318,8 +346,10 @@ def test_photon_cutoff_is_not_a_tc_key(tmp_path, capsys):
     (TINY_HTC.replace("n_qubits = 2", "n_qubits = 1"), "model.n_qubits"),
     ("[experiment]\nkind = pes-scan\nq_points = 3\nfock_cutoff = 5\n\n"
      "[model]\nkind = sf\n", "experiment.fock_cutoff"),
+    ("[experiment]\nkind = pes-scan\nq_points = 3\n\n"
+     "[model]\nkind = sf\ncavity_kappa = 0.01\n", "model.cavity_kappa"),
 ], ids=["downhill-fission", "above-nyquist", "off-grid-waiting-time",
-        "one-site-htc", "pes-scan-photon-cutoff"])
+        "one-site-htc", "pes-scan-photon-cutoff", "pes-scan-cavity-loss"])
 def test_validate_rejects_what_would_fail_at_run_time(tmp_path, capsys, text,
                                                      violation):
     code, _, err = _run(capsys, "validate", "--config", _write(tmp_path, text))
@@ -392,10 +422,9 @@ def test_resume_after_a_model_change_recomputes(tmp_path, capsys):
                             _write(tmp_path, text), "--out", str(out_dir),
                             *flags)
         assert code == cli.EXIT_OK, err
-        return {p.name: p.read_bytes() for p in out_dir.glob("*.csv")}, err
+        return {p.name: p.read_bytes() for p in out_dir.glob("*.csv")}
 
-    old, _ = csv_bytes(TINY_SPECTRA, tmp_path / "resumed", "--resume")
-    resumed, err = csv_bytes(changed, tmp_path / "resumed", "--resume")
-    plain, _ = csv_bytes(changed, tmp_path / "plain")
+    old = csv_bytes(TINY_SPECTRA, tmp_path / "resumed", "--resume")
+    resumed = csv_bytes(changed, tmp_path / "resumed", "--resume")
+    plain = csv_bytes(changed, tmp_path / "plain")
     assert len(plain) == 1 and resumed == plain != old
-    assert "stale" in err

@@ -22,12 +22,10 @@ from cavidyn.sf import (
     electronic_labels,
     excitation_expectation,
     label_has_tt,
-    label_str,
     label_weight,
     manifold_hamiltonian,
     manifold_labels,
     pes_scan,
-    rabi_splitting,
     sf_matter_only,
     sf_observables,
     sf_system_bath,
@@ -61,15 +59,6 @@ def test_kappa_derivation_errors_and_symmetry():
     assert ks == kt
 
 
-def test_rabi_splitting_values():
-    assert rabi_splitting(2.256, 2.256, 1, 0.2) == pytest.approx(0.2, abs=0)
-    assert abs(rabi_splitting(2.256, 2.23, 2, 0.2) - 0.284035209085071) < 1e-15
-    vals = [rabi_splitting(2.256, 2.23, n, 0.2) for n in (1, 2, 4, 8)]
-    assert all(a < b for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ValueError):
-        rabi_splitting(2.256, 2.23, 0, 0.2)
-
-
 def test_label_enumeration_and_manifold_counts():
     assert len(electronic_labels(1, False)) == 3
     assert len(electronic_labels(1, True)) == 5
@@ -96,14 +85,16 @@ def test_bright_pair_gap_matches_closed_form():
             _, h = manifold_hamiltonian(dimers, CavitySpec(omega_c=omega_c), coup, 1)
             ev = np.linalg.eigvalsh(h.e_sys)
             gap = ev.max() - ev.min()
-            assert abs(gap - rabi_splitting(omega_c, 2.23, nd, 0.2)) < 1e-12
+            # sqrt(detuning^2 + N Omega^2)
+            rabi = math.sqrt((omega_c - 2.23) ** 2 + nd * 0.2 ** 2)
+            assert abs(gap - rabi) < 1e-12
 
 
 def test_manifold_one_vertical_hamiltonian():
     # the cavity-coupled 2x2 block equals the single-emitter arrowhead matrix
     coup = SFCavityCoupling(omega=0.2, rwa=True)
     labs, h = manifold_hamiltonian([SFDimerSpec(lam_ci=0.0)], CavitySpec(), coup, 1)
-    assert [(label_str(l), nc) for l, nc in labs] == [("g", 1), ("S1", 0), ("TT", 0)]
+    assert labs == [(("g",), 1), (("S1",), 0), (("TT",), 0)]
     tc = TCModel(n_qubits=1, omega_c=2.256, omega_qubit=2.23, omega_r=0.1)
     np.testing.assert_allclose(h.e_sys[:2, :2], tc.matrix(), atol=0)
     assert h.e_sys[2, 2] == 2.28
@@ -145,7 +136,7 @@ def test_pumped_hamiltonian_structure():
     dimers = [SFDimerSpec()]
     labels, h = sf_system_bath(dimers, CavitySpec(), SFCavityCoupling())
     assert h.n_sys == 3 and h.n_modes == 3
-    assert h.check_hermitian()
+    assert h.hermitian
     assert h.mode_freqs[-1] == 2.256
     # non-RWA: photon-creating term present for both raising and lowering
     cav = h.coup_create[:, :, -1]
@@ -167,10 +158,9 @@ def test_cavity_decoupled_limit_equals_bare_model():
     labels, h_cav = sf_system_bath(dimers, CavitySpec(), SFCavityCoupling(omega=0.0))
     _, h_bare = sf_matter_only(dimers)
     tight = PropagationSettings(rel_tol=1e-9, abs_tol=1e-11, sample_dt=1.0)
-    s_cav = init_state(3, 3, "S1", noise_scale=0.0,
-                       labels=tuple(label_str(l) for l in labels))
-    s_bare = init_state(3, 2, "S1", noise_scale=0.0,
-                        labels=tuple(label_str(l) for l in labels))
+    s1 = labels.index(("S1",))
+    s_cav = init_state(3, 3, s1, noise_scale=0.0)
+    s_bare = init_state(3, 2, s1, noise_scale=0.0)
     t_cav = propagate(h_cav, s_cav, 80.0, tight)
     t_bare = propagate(h_bare, s_bare, 80.0, tight)
     assert np.max(np.abs(t_cav.system_populations() - t_bare.system_populations())) < 1e-7
@@ -197,7 +187,7 @@ def test_pumped_observables_and_excitation_number():
     tr_rwa = propagate(h_rwa, st.copy(), 50.0, settings)
     tr_full = propagate(h_full, st.copy(), 50.0, settings)
 
-    obs = sf_observables(tr_full)
+    obs = sf_observables(tr_full, labels)
     assert obs["p_tt"][0] < 1e-6
     assert abs(obs["p_cav"][0] - 2.0) < 1e-3
     total = obs["p_tt"] + obs["p_s1"] + obs["p_g"]
@@ -205,8 +195,8 @@ def test_pumped_observables_and_excitation_number():
     assert np.max(np.abs(total - obs["norm"] ** 2)) < 1e-10
     assert np.max(np.abs(obs["norm"] - 1.0)) < 1e-3
 
-    nex_rwa = excitation_expectation(tr_rwa)
-    nex_full = excitation_expectation(tr_full)
+    nex_rwa = excitation_expectation(tr_rwa, labels)
+    nex_full = excitation_expectation(tr_full, labels)
     assert np.max(np.abs(nex_rwa - nex_rwa[0])) < 5e-6
     assert np.max(np.abs(nex_full - nex_full[0])) > 1e-4
 

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import expm_multiply
 from scipy.stats import spearmanr
 
-from cavidyn.constants import KB_EV_PER_K
+from cavidyn.constants import HBAR_EV_FS, KB_EV_PER_K
 from cavidyn.dense_ref import DensePropagator, FockSpace, thermal_fock_weights
 from cavidyn.models import HTCModel, TCModel, htc_system_bath
 from cavidyn.thermofield import (
     ClassicalLimitError,
     beta_from_temperature,
     mixing_angles,
-    polaron_decoupling_ratio,
     thermal_double,
     thermal_htc,
 )
@@ -68,7 +68,7 @@ def test_doubled_hamiltonian_structure():
     assert np.array_equal(hd.mode_freqs[:2], h.mode_freqs)
     assert np.array_equal(hd.mode_freqs[2:], -h.mode_freqs)
     assert np.array_equal(hd.e_sys, h.e_sys)
-    assert hd.check_hermitian()
+    assert hd.hermitian
     # physical couplings scaled by cosh, tilde couplings are the conjugate
     # phases scaled by sinh
     np.testing.assert_allclose(
@@ -175,6 +175,43 @@ def test_finite_temperature_against_dense_thermal_average():
     assert np.max(np.abs(tr.photon_population() - ref)) <= 1e-2
 
 
+def test_thermal_autocorrelation_equals_dense_thermal_average():
+    """The photon autocorrelation behind htc absorption: the two-register
+    vacuum under the doubled Hamiltonian (Fock cutoff 7 per mode, Krylov
+    exponential) equals the Boltzmann-weighted sum over physical phonon
+    states, each with its ground-state phase exp(+i E_v t / hbar) (dense,
+    cutoff 8).  Both cutoffs are converged to ~3e-7; the 0 K curve is 1e-2
+    away."""
+    htc = HTCModel(tc=small_tc(), lam=0.5, phonon_base=0.124)
+    beta = beta_from_temperature(300.0)
+    times = np.arange(0.0, 100.0 + 1e-9, 1.0)
+
+    d = thermal_htc(htc, 300.0)
+    assert d.n_modes == 4
+    doubled = FockSpace(d.n_sys, (7,) * d.n_modes)
+    vacuum = np.eye(1, doubled.dim, dtype=complex)[0]
+    gen = (-1j / HBAR_EV_FS) * doubled.sparse_hamiltonian(d)
+    got = expm_multiply(gen, vacuum, start=0.0, stop=times[-1],
+                        num=len(times), endpoint=True)[:, 0]
+
+    h = htc_system_bath(htc)
+    cut = 8
+    fs = FockSpace(h.n_sys, (cut, cut))
+    prop = DensePropagator(fs.hamiltonian(h))
+    weights = thermal_fock_weights(0.124, beta, cut)
+    ref = np.zeros(len(times), dtype=complex)
+    for v1 in range(cut + 1):
+        for v2 in range(cut + 1):
+            i = np.ravel_multi_index((0, v1, v2), (h.n_sys, cut + 1, cut + 1))
+            ground = np.exp(1j * 0.124 * (v1 + v2) * times / HBAR_EV_FS)
+            ref += (weights[v1] * weights[v2] * ground
+                    * prop.trajectory(np.eye(1, fs.dim, i)[0], times)[:, i])
+    cold = prop.trajectory(np.eye(1, fs.dim, dtype=complex)[0], times)[:, 0]
+
+    assert np.max(np.abs(got - ref)) <= 1e-6
+    assert np.max(np.abs(cold - ref)) > 5e-3
+
+
 def test_low_temperature_matches_zero_temperature():
     htc = HTCModel(tc=small_tc(), lam=1.0, phonon_base=0.0124, phonon_bandwidth=0.5)
     d = thermal_htc(htc, 10.0)
@@ -218,9 +255,3 @@ def test_temperature_coupling_interchangeability_trend():
         assert abs(lam_b * np.cosh(th_b) - 2.0 * np.cosh(th300)) < 1e-12
         rho = spearmanr(ref, curve(lam_b, t_b)).statistic
         assert rho > 0.9
-
-
-def test_polaron_decoupling_ratio():
-    assert abs(polaron_decoupling_ratio(20, 0.1, 1.0, 0.0124) - 322.5806451612903) < 1e-10
-    with pytest.raises(ValueError):
-        polaron_decoupling_ratio(20, 0.1, 0.0, 0.0124)

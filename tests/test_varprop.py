@@ -52,7 +52,6 @@ def free_mode_hamiltonian(omega):
         e_sys=np.zeros((1, 1), dtype=complex),
         mode_freqs=np.array([omega]),
         coup_create=no_coupling(1, 1),
-        coup_annihilate=no_coupling(1, 1),
     )
 
 
@@ -131,8 +130,6 @@ def test_init_state_single_config_is_exact():
 
 
 def test_init_state_label_and_vector_forms():
-    s = init_state(3, 0, "b", multiplicity=1, noise_scale=0.0, labels=("a", "b", "c"))
-    assert s.amplitudes[0, 1] == 1.0
     vec = np.array([0.6, 0.8j, 0.0])
     s2 = init_state(3, 1, vec, multiplicity=1, noise_scale=0.0)
     assert np.allclose(s2.amplitudes[0], vec)
@@ -165,7 +162,7 @@ def test_init_state_base_displacement():
 
 def test_zero_hamiltonian_gives_zero_derivatives():
     h = SystemBathHamiltonian(
-        np.zeros((2, 2), complex), np.zeros(2), no_coupling(2, 2), no_coupling(2, 2)
+        np.zeros((2, 2), complex), np.zeros(2), no_coupling(2, 2)
     )
     s = init_state(2, 2, 0, multiplicity=3, noise_seed=1)
     adot, fdot = eom_rhs(h, s.amplitudes, s.displacements)
@@ -188,7 +185,6 @@ def test_single_surface_displaced_mode():
     h = SystemBathHamiltonian(
         np.zeros((1, 1), complex),
         np.array([w]),
-        np.full((1, 1, 1), c, complex),
         np.full((1, 1, 1), c, complex),
     )
     s = MultiD2State(np.array([[1.0 + 0j]]), np.zeros((1, 1), complex))
@@ -216,7 +212,7 @@ def test_carrier_offset_costs_nothing(monkeypatch):
     metric filter is exact.)"""
     hs = tc_system_bath(TCModel(4, 1.0, 1.0, 0.1))
     shifted = SystemBathHamiltonian(hs.e_sys + 5.0 * np.eye(5), hs.mode_freqs,
-                                    hs.coup_create, hs.coup_annihilate)
+                                    hs.coup_create)
     s = init_state(5, 0, 0, multiplicity=1, noise_scale=0.0)
     settings = PropagationSettings(1e-11, 1e-13, 10.0)
     calls = []
@@ -426,7 +422,7 @@ def test_batch_steps_for_its_worst_member():
     c, w = 0.05, 0.15
     coup = np.zeros((2, 2, 1), complex)
     coup[0, 0, 0], coup[1, 1, 0] = c, 4 * c
-    h = SystemBathHamiltonian(np.zeros((2, 2), complex), np.array([w]), coup, coup)
+    h = SystemBathHamiltonian(np.zeros((2, 2), complex), np.array([w]), coup)
     members = MultiD2State(np.eye(2, dtype=complex)[:, None, :],
                            np.zeros((2, 1, 1), complex))
     batched = propagate(h, members, 60.0, TIGHT)
@@ -591,7 +587,7 @@ def test_stepper_fails_on_blow_up():
 
 def test_zero_hamiltonian_lineshape_is_lorentzian_at_origin():
     h = SystemBathHamiltonian(
-        np.zeros((1, 1), complex), np.zeros(0), no_coupling(1, 0), no_coupling(1, 0)
+        np.zeros((1, 1), complex), np.zeros(0), no_coupling(1, 0)
     )
     s = init_state(1, 0, 0, multiplicity=1, noise_scale=0.0)
     traj = propagate(h, s, 800.0, PropagationSettings(sample_dt=0.5))
@@ -614,7 +610,8 @@ def test_tc_lineshape_peaks_match_pole_decomposition():
     corr = autocorrelation(traj, s)
     f = absorption_from_autocorrelation(traj.times, corr, 0.01, DEFAULT_OMEGA_GRID)
     got = sorted(w for w, _ in spectrum_peaks(DEFAULT_OMEGA_GRID, f)[:2])
-    ref_f = solve_realization(tc.with_loss(0.005, 0.005)).absorption(DEFAULT_OMEGA_GRID)
+    ref_f = solve_realization(
+        TCModel(20, 1.0, 1.0, 0.1, kappa=0.005, gamma=0.005)).absorption(DEFAULT_OMEGA_GRID)
     ref = sorted(w for w, _ in spectrum_peaks(DEFAULT_OMEGA_GRID, ref_f)[:2])
     assert abs(got[0] - ref[0]) <= 0.002 + 1e-12
     assert abs(got[1] - ref[1]) <= 0.002 + 1e-12
