@@ -6,6 +6,11 @@ subcommands override the config's experiment kind before validation.
 
 Exit codes: 0 success, 1 runtime failure, 2 config parse error,
 3 constraint violation.
+
+Each command imports only the code it executes.  `validate` loads this
+module and `cavidyn.config`, both numpy-free; the other commands then import
+`cavidyn.runner`, which imports the modules of the configured experiment
+alone (see its docstring).
 """
 
 from __future__ import annotations
@@ -17,14 +22,25 @@ from .config import (
     EXPERIMENT_KINDS,
     ConfigConstraintError,
     ConfigParseError,
+    load,
     resolved_text,
-    validate,
 )
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_PARSE = 2
 EXIT_CONSTRAINT = 3
+
+
+def _worker_count(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
+    return workers
+
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -47,7 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="output directory (default: config value)")
             p.add_argument("--seed", type=int, metavar="U64",
                            help="override the run seed")
-            p.add_argument("--workers", type=int, default=1, metavar="INT",
+            p.add_argument("--workers", type=_worker_count, default=1,
+                           metavar="INT",
                            help="process count for ensemble realizations")
             p.add_argument("--resume", action="store_true",
                            help="keep spectra2d first legs and the ESA "
@@ -57,22 +74,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
-    with open(args.config, encoding="utf-8") as fh:
-        text = fh.read()
     overrides = {}
     if args.command in EXPERIMENT_KINDS:
         overrides.setdefault("experiment", {})["kind"] = args.command
     seed = getattr(args, "seed", None)
     if seed is not None:
         overrides.setdefault("run", {})["seed"] = str(seed)
-    return validate(text, overrides=overrides)
+    return load(args.config, overrides=overrides)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except ConfigParseError as exc:

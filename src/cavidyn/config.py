@@ -6,6 +6,12 @@ with its key path (section.key) before reporting.  Parse problems (malformed
 INI, non-numeric values) and constraint violations (out-of-range, unknown
 keys, unsupported combinations) are distinct error types so the CLI can exit
 with different codes.
+
+This module imports no numpy: `validate` checks the values and builds no
+model objects, so `cavidyn validate` loads only the standard library.  The
+model objects of a `RunConfig` (`tc`, `htc`, `sf_dimers`, `sf_cavity`,
+`sf_coupling`) are built from the validated values on first access, which
+imports `cavidyn.models` or `cavidyn.sf` then.
 """
 
 from __future__ import annotations
@@ -13,11 +19,14 @@ from __future__ import annotations
 import configparser
 import io
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Optional
 
-from .constants import nyquist_ev
-from .models import HTCModel, TCModel
-from .sf import CavitySpec, SFCavityCoupling, SFDimerSpec
+from .constants import CLASSICAL_LIMIT_FLOOR, KB_EV_PER_K, nyquist_ev
+
+if TYPE_CHECKING:
+    from .models import HTCModel, TCModel
+    from .sf import CavitySpec, SFCavityCoupling
 
 EXPERIMENT_KINDS = ("dynamics", "absorption", "pes-scan", "spectra2d",
                     "oracle-compare")
@@ -167,9 +176,22 @@ class DisorderSection:
     seed: int
 
 
+def _tc_model(model: dict) -> TCModel:
+    from .models import TCModel
+
+    return TCModel(model["n_qubits"], model["omega_c"], model["omega_qubit"],
+                   model["omega_r"], kappa=model["kappa"],
+                   gamma=model["gamma"])
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved configuration; every field carries its final value."""
+    """Fully resolved configuration; every field carries its final value.
+
+    The model objects are cached properties built from the validated values
+    in `raw["model"]` on first access; each is None unless the model kind
+    uses it.
+    """
 
     experiment: str
     model_kind: str
@@ -178,13 +200,60 @@ class RunConfig:
     temperature_k: float
     out_dir: str
     options: dict = field(default_factory=dict)
-    tc: Optional[TCModel] = None
-    htc: Optional[HTCModel] = None
-    sf_dimers: Optional[tuple] = None
-    sf_cavity: Optional[CavitySpec] = None
-    sf_coupling: Optional[SFCavityCoupling] = None
     sf_n_photons: float = 0.0
     raw: dict = field(default_factory=dict)
+
+    @cached_property
+    def tc(self) -> Optional[TCModel]:
+        return _tc_model(self.raw["model"]) if self.model_kind == "tc" else None
+
+    @cached_property
+    def htc(self) -> Optional[HTCModel]:
+        if self.model_kind != "htc":
+            return None
+        from .models import HTCModel
+
+        model = self.raw["model"]
+        return HTCModel(_tc_model(model), model["lam"], model["phonon_base"],
+                        model["phonon_bandwidth"])
+
+    @cached_property
+    def sf_dimers(self) -> Optional[tuple]:
+        if self.model_kind != "sf":
+            return None
+        from .sf import SFDimerSpec
+
+        model = self.raw["model"]
+        kwargs = dict(
+            eps_s1=model["eps_s1"], eps_tt=model["eps_tt"],
+            eps_sn=model["eps_sn"], eps_ttn=model["eps_ttn"],
+            omega_tu=model["omega_tuning"], omega_cu=model["omega_coupling"],
+            eta_s=model["eta_s"], eta_t=model["eta_t"],
+        )
+        if "lam_ci" in model:
+            kwargs["lam_ci"] = model["lam_ci"]
+        return tuple(SFDimerSpec(**kwargs) for _ in range(model["n_dimers"]))
+
+    @cached_property
+    def sf_cavity(self) -> Optional[CavitySpec]:
+        if self.model_kind != "sf":
+            return None
+        from .sf import CavitySpec
+
+        model = self.raw["model"]
+        return CavitySpec(omega_c=model["cavity_omega_c"],
+                          kappa=model["cavity_kappa"])
+
+    @cached_property
+    def sf_coupling(self) -> Optional[SFCavityCoupling]:
+        if self.model_kind != "sf":
+            return None
+        from .sf import SFCavityCoupling
+
+        model = self.raw["model"]
+        return SFCavityCoupling(omega=model["coupling_omega"],
+                                rwa=model["rwa"],
+                                five_state=self.experiment == "spectra2d")
 
 
 def _read_sections(text: str) -> dict:
@@ -288,8 +357,6 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
     _check(temp_k >= 0, violations,
            "temperature.temperature_k: must be >= 0")
 
-    tc = htc = None
-    dimers = cavity = coupling = None
     if kind in ("tc", "htc"):
         # htc carries one phonon mode per emitter on a periodic register
         min_qubits = 2 if kind == "htc" else 1
@@ -306,9 +373,19 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
         _check(model["lam"] >= 0, violations, "model.lam: must be >= 0")
         _check(model["phonon_base"] > 0, violations,
                "model.phonon_base: must be > 0")
-        _check(0 <= model["phonon_bandwidth"] < 1, violations,
-               "model.phonon_bandwidth: must lie in [0, 1) so every mode "
-               "frequency stays positive")
+        bandwidth_ok = _check(
+            0 <= model["phonon_bandwidth"] < 1, violations,
+            "model.phonon_bandwidth: must lie in [0, 1) so every mode "
+            "frequency stays positive")
+        if temp_k > 0 and model["phonon_base"] > 0 and bandwidth_ok:
+            # the thermofield rule (thermofield.mixing_angles) on the lowest
+            # mode, k = 0, which every register of n_qubits >= 2 holds
+            omega_min = model["phonon_base"] * (1.0 - model["phonon_bandwidth"])
+            x = 1.0 / (KB_EV_PER_K * temp_k) * omega_min / 2.0
+            _check(x >= CLASSICAL_LIMIT_FLOOR, violations,
+                   f"temperature.temperature_k: beta*omega/2 = {x:.3e} of the "
+                   f"lowest phonon mode is below {CLASSICAL_LIMIT_FLOOR:.0e} "
+                   "(classical limit); reduce the temperature")
     if kind == "sf":
         _check(model["n_dimers"] in (1, 2), violations,
                "model.n_dimers: unsupported (only 1 or 2 dimers)")
@@ -401,32 +478,6 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
     if violations:
         raise ConfigConstraintError(violations)
 
-    if kind in ("tc", "htc"):
-        tc = TCModel(model["n_qubits"], model["omega_c"],
-                     model["omega_qubit"], model["omega_r"],
-                     kappa=model["kappa"], gamma=model["gamma"])
-    if kind == "htc":
-        htc = HTCModel(tc, model["lam"], model["phonon_base"],
-                       model["phonon_bandwidth"])
-        tc = None
-    if kind == "sf":
-        dimer_kwargs = dict(
-            eps_s1=model["eps_s1"], eps_tt=model["eps_tt"],
-            eps_sn=model["eps_sn"], eps_ttn=model["eps_ttn"],
-            omega_tu=model["omega_tuning"], omega_cu=model["omega_coupling"],
-            eta_s=model["eta_s"], eta_t=model["eta_t"],
-        )
-        if "lam_ci" in model:
-            dimer_kwargs["lam_ci"] = model["lam_ci"]
-        dimers = tuple(SFDimerSpec(**dimer_kwargs)
-                       for _ in range(model["n_dimers"]))
-        cavity = CavitySpec(omega_c=model["cavity_omega_c"],
-                            kappa=model["cavity_kappa"])
-        coupling = SFCavityCoupling(
-            omega=model["coupling_omega"], rwa=model["rwa"],
-            five_state=exp["kind"] == "spectra2d",
-        )
-
     raw["experiment"] = {k: v for k, v in exp.items()
                          if k in _EXPERIMENT_KEYS[exp["kind"]]}
     raw["model"] = {k: v for k, v in model.items()
@@ -443,16 +494,20 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
         temperature_k=temp_k,
         out_dir=out_dir,
         options=dict(exp),
-        tc=tc, htc=htc,
-        sf_dimers=dimers, sf_cavity=cavity, sf_coupling=coupling,
         sf_n_photons=model.get("n_photons", 0.0),
         raw=raw,
     )
 
 
-def load(path: str) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        return validate(fh.read())
+def load(path: str, overrides: Optional[dict] = None) -> RunConfig:
+    """Read and validate the config file at `path`; text that is not UTF-8
+    is a ConfigParseError, an unreadable path an OSError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"{path}: not UTF-8 text ({exc})") from exc
+    return validate(text, overrides=overrides)
 
 
 def resolved_text(cfg: RunConfig) -> str:

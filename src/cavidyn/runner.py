@@ -21,45 +21,30 @@ Hamiltonian from `_htc_hamiltonian`: the doubled thermofield one above 0 K.
 `spectra2d --resume` keeps its resume files in `OUT/bank/`; the runner only
 creates that directory, and `cavidyn.spectro` decides from the digest each
 file carries whether it can be reused.
+
+Importing this module loads numpy and no other cavidyn layer: each
+experiment imports its modules inside the function that runs it, so a tc
+ensemble loads `models` and `tc_exact` but not `sf`, `varprop`, `spectro`
+or `thermofield`, and `spectra2d` loads no `tc_exact`, `thermofield` or
+`concurrent.futures`.  An ensemble imports its work unit's modules
+(`_ENSEMBLES`) before its process pool forks, so the workers inherit them.
+The config's model objects are built on first access (`cavidyn.config`).
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
 import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .config import RunConfig
-from .models import HTCModel, TCModel, disordered_tc, htc_system_bath
-from .sf import (
-    coherent_init,
-    manifold_hamiltonian,
-    dipole_up,
-    pes_scan,
-    sf_matter_only,
-    sf_observables,
-    sf_system_bath,
-    surface_table,
-)
-from .spectro import (
-    DipoleSet,
-    ResponseGrid,
-    first_leg_bank,
-    linear_absorption,
-    response_esa,
-    response_se_gsb,
-    spectra,
-)
-from .tc_exact import solve_realization
-from .thermofield import thermal_htc
-from .varprop import PropagationSettings, init_state, propagate
+from .config import RunConfig, resolved_text
 
 
 #: CSV rows converted to Python floats at a time: one format per row is
@@ -93,7 +78,9 @@ def _width_tag(width: float) -> str:
     return ("%g" % width)
 
 
-def _settings(cfg: RunConfig) -> PropagationSettings:
+def _settings(cfg: RunConfig):
+    from .varprop import PropagationSettings
+
     return PropagationSettings(rel_tol=cfg.run.rel_tol, abs_tol=cfg.run.abs_tol)
 
 
@@ -113,6 +100,9 @@ def _omegas(cfg: RunConfig) -> np.ndarray:
 
 
 def _tc_realization(args):
+    from .models import disordered_tc
+    from .tc_exact import solve_realization
+
     cfg, width, r, times = args
     m_r = disordered_tc(cfg.tc, width, cfg.disorder.seed, r)
     amps = solve_realization(m_r).amplitudes(cfg.run.sample_dt_fs, len(times))
@@ -127,20 +117,29 @@ def _tc_realization(args):
 
 
 def _tc_absorption_realization(args):
+    from .models import disordered_tc
+    from .tc_exact import solve_realization
+
     cfg, width, r, omega = args
     m_r = disordered_tc(cfg.tc, width, cfg.disorder.seed, r)
     return (solve_realization(m_r).absorption(omega),)
 
 
-def _htc_hamiltonian(cfg: RunConfig, model: HTCModel):
+def _htc_hamiltonian(cfg: RunConfig, model):
     """The Hamiltonian an htc run propagates: the doubled thermofield one
     above 0 K, the bare one at 0 K."""
+    from .models import htc_system_bath
+    from .thermofield import thermal_htc
+
     if cfg.temperature_k > 0:
         return thermal_htc(model, cfg.temperature_k)
     return htc_system_bath(model)
 
 
 def _htc_realization(args):
+    from .models import HTCModel, disordered_tc
+    from .varprop import init_state, propagate
+
     cfg, width, r, times = args
     htc = cfg.htc
     tcr = disordered_tc(htc.tc, width, cfg.disorder.seed, r)
@@ -162,28 +161,40 @@ def _htc_realization(args):
 _POPULATION_HEADER = ["time_fs", "p_photon", "p_qubits_total", "norm",
                       "energy_eV"]
 
-#: (experiment, model) -> (work unit, sample axis, output stem, CSV header);
-#: a work unit maps (cfg, width, realization, axis) to a tuple of columns,
-#: each owning its memory (a view would carry its parent array through the
-#: pool's result queue)
+_TC_MODULES = ("models", "tc_exact")
+
+#: (experiment, model) -> (work unit, the cavidyn modules it imports, sample
+#: axis, output stem, CSV header); a work unit maps (cfg, width, realization,
+#: axis) to a tuple of columns, each owning its memory (a view would carry its
+#: parent array through the pool's result queue)
 _ENSEMBLES = {
-    ("dynamics", "tc"): (_tc_realization, _times, "population",
+    ("dynamics", "tc"): (_tc_realization, _TC_MODULES, _times, "population",
                          _POPULATION_HEADER),
-    ("dynamics", "htc"): (_htc_realization, _times, "population",
-                          _POPULATION_HEADER),
-    ("absorption", "tc"): (_tc_absorption_realization, _omegas, "absorption",
-                           ["omega_eV", "intensity"]),
+    ("dynamics", "htc"): (_htc_realization,
+                          ("models", "thermofield", "varprop"), _times,
+                          "population", _POPULATION_HEADER),
+    ("absorption", "tc"): (_tc_absorption_realization, _TC_MODULES, _omegas,
+                           "absorption", ["omega_eV", "intensity"]),
 }
 
 
 def _run_ensemble(cfg: RunConfig, out_dir: str, workers: int, files: list):
-    work, axis_of, stem, header = _ENSEMBLES[cfg.experiment, cfg.model_kind]
+    work, modules, axis_of, stem, header = _ENSEMBLES[cfg.experiment,
+                                                      cfg.model_kind]
+    # imported here, before the pool forks: the workers inherit the modules
+    # instead of compiling them again
+    for name in modules:
+        importlib.import_module(f".{name}", __package__)
     axis = axis_of(cfg)
     widths = cfg.disorder.width
     n_real = cfg.disorder.n_realizations
     tasks = [(cfg, width, r, axis) for width in widths for r in range(n_real)]
+    # a forked pool starts all its workers at once: no more than the tasks
+    workers = min(workers, len(tasks))
     with contextlib.ExitStack() as stack:
-        if workers > 1 and len(tasks) > 1:
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             chunk = -(-len(tasks) // (4 * workers))
             rows = pool.map(work, tasks, chunksize=chunk)
@@ -202,6 +213,10 @@ def _run_ensemble(cfg: RunConfig, out_dir: str, workers: int, files: list):
 
 
 def _run_dynamics_sf(cfg: RunConfig, out_dir: str, files: list):
+    from .sf import (coherent_init, sf_matter_only, sf_observables,
+                     sf_system_bath)
+    from .varprop import propagate
+
     times = _times(cfg)
     settings = _settings(cfg)
     if cfg.sf_coupling.omega == 0.0:
@@ -224,6 +239,8 @@ def _run_dynamics_sf(cfg: RunConfig, out_dir: str, files: list):
 
 def _run_absorption_htc(cfg: RunConfig, out_dir: str, files: list):
     """Autocorrelation of the photon-excited state (no ensemble)."""
+    from .spectro import DipoleSet, linear_absorption
+
     omega = _omegas(cfg)
     h = _htc_hamiltonian(cfg, cfg.htc)
     mu = np.zeros(h.n_sys)
@@ -238,6 +255,8 @@ def _run_absorption_htc(cfg: RunConfig, out_dir: str, files: list):
 
 
 def _run_pes_scan(cfg: RunConfig, out_dir: str, files: list):
+    from .sf import pes_scan, surface_table
+
     opt = cfg.options
     q_grid = np.linspace(opt["q_min"], opt["q_max"], opt["q_points"])
     rows = pes_scan(cfg.sf_dimers, cfg.sf_cavity, cfg.sf_coupling, q_grid,
@@ -252,6 +271,10 @@ def _run_pes_scan(cfg: RunConfig, out_dir: str, files: list):
 
 
 def _run_spectra2d(cfg: RunConfig, out_dir: str, resume: bool, files: list):
+    from .sf import dipole_up, manifold_hamiltonian
+    from .spectro import (DipoleSet, ResponseGrid, first_leg_bank,
+                          response_esa, response_se_gsb, spectra)
+
     opt = cfg.options
     grid = ResponseGrid(opt["grid_points"], opt["grid_dt_fs"],
                         opt["waiting_times_fs"], opt["gamma_prime"])
@@ -300,6 +323,9 @@ _ORACLE_TOL = {"tc": 1e-5, "htc-dense": 1e-3, "corrupted-metric": 1e-5}
 
 def _oracle_pair(pair: str):
     from .dense_ref import DensePropagator, FockSpace
+    from .models import HTCModel, TCModel, htc_system_bath
+    from .tc_exact import solve_realization
+    from .varprop import PropagationSettings, init_state, propagate
 
     times = np.arange(0.0, 200.0 + 1e-9, 1.0)
     # integration error must sit well below the comparison tolerance, so the
@@ -365,8 +391,6 @@ def _run_oracle_compare(cfg: RunConfig, out_dir: str, files: list):
 def run(cfg: RunConfig, out_dir: str | None = None, workers: int = 1,
         resume: bool = False) -> dict:
     """Execute the configured experiment; returns the manifest dict."""
-    from .config import resolved_text
-
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.time()

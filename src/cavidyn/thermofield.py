@@ -28,14 +28,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constants import KB_EV_PER_K
+from .constants import CLASSICAL_LIMIT_FLOOR, KB_EV_PER_K
 from .models import HTCModel, SystemBathHamiltonian, htc_system_bath
 
 #: tilde partners with mixing angle below this are dropped
 DEFAULT_PRUNE_THRESHOLD = 1e-3
-
-#: beta*omega/2 below this is out of the method's validated regime
-CLASSICAL_LIMIT_FLOOR = 1e-6
 
 
 class ClassicalLimitError(ValueError):

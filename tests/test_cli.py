@@ -1,8 +1,10 @@
 """Command line, config validation and the experiment runner, end to end."""
 
+import concurrent.futures
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -12,9 +14,10 @@ from scipy.linalg import expm
 
 import cavidyn
 from cavidyn import cli
-from cavidyn.config import ORACLE_PAIRS
-from cavidyn.constants import HBAR_EV_FS
+from cavidyn.config import ORACLE_PAIRS, validate
+from cavidyn.constants import HBAR_EV_FS, KB_EV_PER_K
 from cavidyn.models import HTCModel, TCModel, disordered_tc, htc_system_bath
+from cavidyn.sf import CavitySpec, SFCavityCoupling, SFDimerSpec
 from cavidyn.spectro import DipoleSet, linear_absorption
 from cavidyn.thermofield import thermal_htc
 from cavidyn.varprop import PropagationSettings, init_state, propagate
@@ -286,23 +289,172 @@ def test_htc_absorption_above_zero_kelvin_uses_the_thermal_double(tmp_path,
     assert np.max(np.abs(spectra[300.0][:, 1] - spectra[0.0][:, 1])) > 1e-4
 
 
+def _loaded_after(probe):
+    """Top-level packages and cavidyn modules a fresh interpreter holds after
+    running `probe`, whose standard output is discarded."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cavidyn.__file__)))
+    script = ("import contextlib, io, json, sys\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              + "".join(f"    {line}\n" for line in probe.splitlines())
+              + "print(json.dumps(sorted({m if m.startswith('cavidyn.') "
+              "else m.split('.')[0] for m in sys.modules})))\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return set(json.loads(out))
+
+
 def test_cli_import_leaves_out_the_integrator():
     """The CLI, the runner and the spectra need numpy only: no run pays for
     importing scipy (the integrator is in-package, and only the
     `oracle-compare` references load scipy.sparse, lazily)."""
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(cavidyn.__file__)))
-    probe = ("import sys, cavidyn.cli, cavidyn.runner, cavidyn.spectro; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    loaded = _loaded_after("import cavidyn.cli, cavidyn.runner, cavidyn.spectro")
+    assert "scipy" not in loaded
+
+
+def test_package_import_and_validate_leave_out_numpy(tmp_path):
+    """`import cavidyn` and `cavidyn validate` on every model kind build no
+    model objects, so they never import numpy."""
+    paths = []
+    for kind, text in (("tc", TINY_TC), ("htc", TINY_HTC),
+                       ("sf", TINY_SPECTRA)):
+        path = tmp_path / f"{kind}.ini"
+        path.write_text(text)
+        paths.append(str(path))
+    loaded = _loaded_after(
+        "from cavidyn import cli\n"
+        f"assert all(cli.main(['validate', '--config', p]) == 0 for p in {paths!r})")
+    assert "numpy" not in loaded
+    assert not {m for m in loaded if m.startswith("cavidyn.")} - {
+        "cavidyn.cli", "cavidyn.config", "cavidyn.constants"}
+
+
+@pytest.mark.parametrize("text,command,left_out", [
+    (TINY_TC, "run", {"cavidyn.sf", "cavidyn.varprop", "cavidyn.spectro",
+                      "cavidyn.thermofield"}),
+    (TINY_SPECTRA, "spectra2d", {"cavidyn.tc_exact", "cavidyn.thermofield",
+                                 "concurrent"}),
+], ids=["tc-run", "sf-spectra2d"])
+def test_run_imports_only_the_configured_experiment(tmp_path, text, command,
+                                                    left_out):
+    args = [command, "--config", _write(tmp_path, text), "--out",
+            str(tmp_path / "out"), "--workers", "2"]
+    loaded = _loaded_after("from cavidyn import cli\n"
+                           f"assert cli.main({args!r}) == 0")
+    assert not loaded & left_out
+
+
+def test_ensembles_preload_every_module_their_work_units_import(tmp_path):
+    """The parent imports what a work unit needs before the pool forks, so
+    no worker compiles a cavidyn module of its own."""
+    from cavidyn import runner
+
+    absorption = TINY_TC.replace("kind = dynamics", "kind = absorption")
+    for text in (TINY_TC, TINY_HTC, absorption):
+        cfg = validate(text)
+        work, modules, axis_of, _, _ = runner._ENSEMBLES[cfg.experiment,
+                                                         cfg.model_kind]
+        path = tmp_path / "cfg.pickle"
+        path.write_bytes(pickle.dumps((cfg, axis_of(cfg))))
+        probe = ("import importlib, pickle, sys\n"
+                 "from cavidyn import runner\n"
+                 f"cfg, axis = pickle.loads(open({str(path)!r}, 'rb').read())\n"
+                 f"for name in {modules!r}:\n"
+                 "    importlib.import_module('cavidyn.' + name)\n"
+                 "before = set(sys.modules)\n"
+                 f"runner.{work.__name__}((cfg, cfg.disorder.width[0], 0, axis))\n"
+                 "assert not {m for m in sys.modules if m.startswith('cavidyn')"
+                 "} - before, 'work unit imported a module'")
+        _loaded_after(probe)
+
+
+def test_every_exported_name_resolves():
+    for name in cavidyn.__all__:
+        assert getattr(cavidyn, name) is not None
+    from cavidyn import TCModel as exported
+
+    assert exported is TCModel
+    assert set(cavidyn.__all__) <= set(dir(cavidyn))
+    with pytest.raises(AttributeError):
+        cavidyn.no_such_name
+
+
+def test_run_config_models_are_built_on_access_and_pickle():
+    tc = validate(TINY_TC)
+    htc = validate(TINY_HTC)
+    sf = validate(TINY_SPECTRA)
+    for cfg in (tc, htc, sf):
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+    copy = pickle.loads(pickle.dumps(tc))
+    assert copy.tc == tc.tc == TCModel(3, 1.0, 1.0, 0.1, kappa=0.005)
+    assert tc.htc is None and tc.sf_dimers is None
+    assert htc.htc == HTCModel(TCModel(2, 1.0, 1.0, 0.1, kappa=0.002), 0.3,
+                               0.124, 0.3)
+    assert htc.tc is None and htc.sf_coupling is None
+    # a model accessed before pickling travels with the config
+    assert pickle.loads(pickle.dumps(htc)).__dict__["htc"] == htc.htc
+    assert sf.sf_dimers == (SFDimerSpec(),)
+    assert sf.sf_cavity == CavitySpec()
+    assert sf.sf_coupling == SFCavityCoupling(omega=0.2, rwa=True,
+                                              five_state=True)
+    assert sf.tc is None and sf.htc is None
+    lam = validate(TINY_SPECTRA.replace("kind = sf", "kind = sf\nlam_ci = 0.1"))
+    assert lam.sf_dimers == (SFDimerSpec(lam_ci=0.1),)
+
+
+@pytest.mark.parametrize("workers", ["0", "-2", "two"])
+def test_workers_below_one_is_a_parse_error(tmp_path, capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", _write(tmp_path, TINY_TC), "--workers",
+                  workers])
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_pool_never_exceeds_the_task_count(tmp_path, capsys, monkeypatch):
+    """3 realizations at --workers 8 start 3 processes, not 8."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    text = TINY_TC.replace("width = 0.05 0.1", "width = 0.05")
+    code, _, err = _run(capsys, "run", "--config", _write(tmp_path, text),
+                        "--out", str(tmp_path / "out"), "--workers", "8")
+    assert code == cli.EXIT_OK, err
+    assert sizes == [3]
 
 
 def test_missing_config_is_a_runtime_failure(tmp_path, capsys):
     code, _, err = _run(capsys, "run", "--config", str(tmp_path / "none.ini"))
     assert code == cli.EXIT_RUNTIME
     assert "error:" in err
+
+
+def test_directory_config_is_a_one_line_runtime_failure(tmp_path, capsys):
+    code, _, err = _run(capsys, "validate", "--config", str(tmp_path))
+    assert code == cli.EXIT_RUNTIME
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_config_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(TINY_TC.replace("kind = tc", "kind = tc\n# caf\xe9")
+                     .encode("latin-1"))
+    code, _, err = _run(capsys, "validate", "--config", str(path))
+    assert code == cli.EXIT_PARSE
+    assert "parse error" in err and "UTF-8" in err
 
 
 @pytest.mark.parametrize("text", [
@@ -348,13 +500,35 @@ def test_photon_cutoff_is_not_a_tc_key(tmp_path, capsys):
      "[model]\nkind = sf\n", "experiment.fock_cutoff"),
     ("[experiment]\nkind = pes-scan\nq_points = 3\n\n"
      "[model]\nkind = sf\ncavity_kappa = 0.01\n", "model.cavity_kappa"),
+    (TINY_HTC + "\n[temperature]\ntemperature_k = 1e9\n",
+     "temperature.temperature_k"),
 ], ids=["downhill-fission", "above-nyquist", "off-grid-waiting-time",
-        "one-site-htc", "pes-scan-photon-cutoff", "pes-scan-cavity-loss"])
+        "one-site-htc", "pes-scan-photon-cutoff", "pes-scan-cavity-loss",
+        "htc-classical-limit"])
 def test_validate_rejects_what_would_fail_at_run_time(tmp_path, capsys, text,
                                                      violation):
     code, _, err = _run(capsys, "validate", "--config", _write(tmp_path, text))
     assert code == cli.EXIT_CONSTRAINT
     assert violation in err
+
+
+def test_htc_temperature_floor_matches_the_thermofield():
+    """validate applies the thermofield's classical-limit rule to the lowest
+    phonon mode: it accepts a temperature just below the floor, where
+    `thermal_htc` still works, and rejects one just above it, where
+    `thermal_htc` raises."""
+    from cavidyn.config import ConfigConstraintError
+    from cavidyn.thermofield import ClassicalLimitError
+
+    base = TINY_HTC + "\n[temperature]\ntemperature_k = {!r}\n"
+    # beta*omega/2 of the k = 0 mode, 0.124 * (1 - 0.3) eV, at the 1e-6 floor
+    floor_k = 0.124 * 0.7 / (2.0 * KB_EV_PER_K * 1e-6)
+    below = validate(base.format(0.999 * floor_k))
+    thermal_htc(below.htc, below.temperature_k)
+    with pytest.raises(ConfigConstraintError, match="temperature_k"):
+        validate(base.format(1.001 * floor_k))
+    with pytest.raises(ClassicalLimitError):
+        thermal_htc(below.htc, 1.001 * floor_k)
 
 
 @pytest.mark.parametrize("pair", ORACLE_PAIRS)
