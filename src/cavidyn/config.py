@@ -301,6 +301,20 @@ def _check(cond: bool, violations: list, message: str) -> bool:
     return cond
 
 
+def file_tag(value: float) -> str:
+    """The `%g` tag that names one width's or waiting time's output file."""
+    return "%g" % value
+
+
+def _check_tags(values, violations: list, key: str) -> None:
+    tags = [file_tag(v) for v in values]
+    shared = sorted({t for t in tags if tags.count(t) > 1})
+    _check(not shared, violations,
+           f"{key}: values sharing the output file tag {', '.join(shared)} "
+           "would overwrite each other's file; make them differ in the "
+           "first 6 significant digits")
+
+
 def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
     """Parse + validate config text; raises ConfigParseError or
     ConfigConstraintError (with the full violation list).
@@ -352,6 +366,7 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
            "disorder.width: widths must be >= 0")
     _check(len(dis["width"]) >= 1, violations,
            "disorder.width: need at least one width")
+    _check_tags(dis["width"], violations, "disorder.width")
     _check(dis["n_realizations"] >= 1, violations,
            "disorder.n_realizations: must be >= 1")
     _check(temp_k >= 0, violations,
@@ -454,6 +469,7 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
                 w >= 0 and abs(round(w / dt) * dt - w) <= 1e-9 for w in tws),
                 violations, "experiment.waiting_times_fs: need one or more "
                 f"waiting times >= 0 on the {dt} fs grid")
+            _check_tags(tws, violations, "experiment.waiting_times_fs")
             nyquist = nyquist_ev(dt)
             _check(max(abs(exp["omega_min"]), abs(exp["omega_max"]))
                    <= nyquist + 1e-12, violations,

@@ -13,7 +13,8 @@ its own), consumes the results in task order and keeps one running sum per
 column, added in realization-index order: the mean is bitwise that of
 `sum(column)` and independent of worker count and scheduling, and no
 realization's columns outlive their addition.  Each width's mean goes to one
-CSV, suffixed `_W<width>` when the config lists several widths.  A tc
+CSV, suffixed `_W<width>` (`config.file_tag`, which validation keeps
+distinct per width) when the config lists several widths.  A tc
 realization is one exact pole sum (`tc_exact`); an htc realization is one
 variational propagation.  Every htc run, absorption included, takes its
 Hamiltonian from `_htc_hamiltonian`: the doubled thermofield one above 0 K.
@@ -44,7 +45,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, resolved_text
+from .config import RunConfig, file_tag, resolved_text
 
 
 #: CSV rows converted to Python floats at a time: one format per row is
@@ -72,10 +73,6 @@ def _sha256(path: str) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _width_tag(width: float) -> str:
-    return ("%g" % width)
 
 
 def _settings(cfg: RunConfig):
@@ -206,7 +203,7 @@ def _run_ensemble(cfg: RunConfig, out_dir: str, workers: int, files: list):
             for _, columns in zip(range(n_real), rows):
                 total = [acc + c for acc, c in zip(total, columns)]
             name = (f"{stem}.csv" if len(widths) == 1
-                    else f"{stem}_W{_width_tag(width)}.csv")
+                    else f"{stem}_W{file_tag(width)}.csv")
             _write_csv(os.path.join(out_dir, name), header,
                        [axis, *(acc / n_real for acc in total)])
             files.append(name)
@@ -303,7 +300,7 @@ def _run_spectra2d(cfg: RunConfig, out_dir: str, resume: bool, files: list):
     for spec in maps:
         w_tau, w_t = np.meshgrid(spec.omega_tau, spec.omega_t, indexing="ij")
         total = spec.total
-        name = f"spectrum2d_Tw{_width_tag(spec.tw_fs)}.csv"
+        name = f"spectrum2d_Tw{file_tag(spec.tw_fs)}.csv"
         _write_csv(os.path.join(out_dir, name),
                    ["omega_tau_eV", "omega_t_eV", "re_se", "im_se", "re_gsb",
                     "im_gsb", "re_esa", "im_esa", "re_total", "im_total"],

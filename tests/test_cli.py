@@ -512,6 +512,22 @@ def test_validate_rejects_what_would_fail_at_run_time(tmp_path, capsys, text,
     assert violation in err
 
 
+@pytest.mark.parametrize("text,key", [
+    (TINY_TC.replace("width = 0.05 0.1", "width = 0.1234567 0.1234568"),
+     "disorder.width"),
+    (TINY_SPECTRA.replace("waiting_times_fs = 0", "waiting_times_fs = 0 0"),
+     "experiment.waiting_times_fs"),
+], ids=["widths", "waiting-times"])
+def test_validate_rejects_values_that_share_an_output_file(tmp_path, capsys,
+                                                           text, key):
+    # both values would be computed and one file would hold only the last
+    code, _, err = _run(capsys, "run", "--config", _write(tmp_path, text),
+                        "--out", str(tmp_path / "out"))
+    assert code == cli.EXIT_CONSTRAINT
+    assert f"{key}: values sharing the output file tag" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_htc_temperature_floor_matches_the_thermofield():
     """validate applies the thermofield's classical-limit rule to the lowest
     phonon mode: it accepts a temperature just below the floor, where
