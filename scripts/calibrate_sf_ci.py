@@ -11,7 +11,7 @@ bisection to tight tolerance never terminates meaningfully.  This script
 instead scans a lam_ci ladder with the variational propagator (M = 16
 configurations), refines once around the best coarse point, and picks the
 scanned value closest to the target.  The result is what
-`cavidyn.sf.LAMBDA_CI_CALIBRATED` ships with.
+`cavidyn.constants.LAMBDA_CI_CALIBRATED` ships with.
 
 Usage: python3 scripts/calibrate_sf_ci.py [--target 0.14] [--coarse-step 0.005]
 """

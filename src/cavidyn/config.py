@@ -1,11 +1,24 @@
-"""Sectioned text configuration: schema, validation, and resolution.
+"""Sectioned text configuration: one schema, validation, and one store.
 
 Configs are INI files with sections [experiment], [model], [run], [disorder],
-[temperature], [output].  Validation is total: every violation is collected
-with its key path (section.key) before reporting.  Parse problems (malformed
-INI, non-numeric values) and constraint violations (out-of-range, unknown
-keys, unsupported combinations) are distinct error types so the CLI can exit
-with different codes.
+[temperature], [output].  `_SCHEMA` is the only list of their keys: each
+entry holds the key's type converter, its default (None: required) and its
+scope.  The scope of a [model] key is the model kinds it steers, that of an
+[experiment] key the experiments it steers; the keys of the other sections
+steer every run.  A [model] key outside the configured kind's scope is a
+violation.  A foreign [experiment] key is tolerated, since one config can
+serve several subcommands, but dropped.
+
+Validation is total: every violation is collected with its key path
+(section.key) before reporting.  Parse problems (malformed INI, non-numeric
+values) and constraint violations (out-of-range, unknown keys, unsupported
+combinations) are distinct error types so the CLI can exit with different
+codes.
+
+A `RunConfig` holds the only copy of the resolved values: `sections`, each
+section reduced to the keys in scope.  `run`, `disorder`, `options` and the
+other attributes read it, and `resolved_text` echoes it, so the `validate`
+output and every run manifest record exactly what determined the outputs.
 
 This module imports no numpy: `validate` checks the values and builds no
 model objects, so `cavidyn validate` loads only the standard library.  The
@@ -18,11 +31,13 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional
 
-from .constants import CLASSICAL_LIMIT_FLOOR, KB_EV_PER_K, nyquist_ev
+from .constants import (CLASSICAL_LIMIT_FLOOR, KB_EV_PER_K,
+                        LAMBDA_CI_CALIBRATED, nyquist_ev)
 
 if TYPE_CHECKING:
     from .models import HTCModel, TCModel
@@ -59,121 +74,84 @@ def _float_list(text: str):
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
-# (type converter, default) per key; None default means required
+_TC_HTC = ("tc", "htc")
+_WINDOWED = ("absorption", "spectra2d")
+
+# (type converter, default, scope) per key; a None default means required.
+# The scope of an [experiment] key is the experiments it steers, that of a
+# [model] key the model kinds it steers; None: the key steers every run.
 _SCHEMA = {
     "experiment": {
-        "kind": (str, "dynamics"),
-        # absorption / spectra2d windows
-        "gamma_prime": (float, 0.01),
-        "omega_min": (float, 0.7),
-        "omega_max": (float, 1.3),
-        "omega_points": (int, 601),
-        # pes-scan
-        "q_min": (float, -0.4),
-        "q_max": (float, 0.6),
-        "q_points": (int, 251),
-        "fock_cutoff": (int, 6),
-        "manifold_max": (int, 2),
-        # spectra2d
-        "grid_points": (int, 64),
-        "grid_dt_fs": (float, 0.5),
-        "waiting_times_fs": (_float_list, (0.0, 16.0, 32.0, 48.0)),
-        # oracle-compare
-        "pair": (str, "tc"),
+        "kind": (str, "dynamics", EXPERIMENT_KINDS),
+        "gamma_prime": (float, 0.01, _WINDOWED),
+        "omega_min": (float, 0.7, _WINDOWED),
+        "omega_max": (float, 1.3, _WINDOWED),
+        "omega_points": (int, 601, _WINDOWED),
+        "q_min": (float, -0.4, ("pes-scan",)),
+        "q_max": (float, 0.6, ("pes-scan",)),
+        "q_points": (int, 251, ("pes-scan",)),
+        "fock_cutoff": (int, 6, ("pes-scan",)),
+        "manifold_max": (int, 2, ("pes-scan",)),
+        "grid_points": (int, 64, ("spectra2d",)),
+        "grid_dt_fs": (float, 0.5, ("spectra2d",)),
+        "waiting_times_fs": (_float_list, (0.0, 16.0, 32.0, 48.0),
+                             ("spectra2d",)),
+        "pair": (str, "tc", ("oracle-compare",)),
     },
     "model": {
-        "kind": (str, None),
-        # tc / htc
-        "n_qubits": (int, 1),
-        "omega_c": (float, 1.0),
-        "omega_qubit": (float, 1.0),
-        "omega_r": (float, 0.1),
-        "kappa": (float, 0.0),
-        "gamma": (float, 0.0),
-        # htc extras
-        "lam": (float, 0.0),
-        "phonon_base": (float, 0.124),
-        "phonon_bandwidth": (float, 0.0),
-        # sf
-        "n_dimers": (int, 1),
-        "coupling_omega": (float, 0.2),
-        "rwa": (_bool, False),
-        "n_photons": (float, 6.0),
-        "cavity_omega_c": (float, 2.256),
-        "cavity_kappa": (float, 0.0),
-        "eps_s1": (float, 2.23),
-        "eps_tt": (float, 2.28),
-        "eps_sn": (float, 4.33),
-        "eps_ttn": (float, 4.68),
-        "omega_tuning": (float, 0.186),
-        "omega_coupling": (float, 0.0154),
-        "lam_ci": (float, None),   # defaulted from the calibrated value
-        "eta_s": (float, 1.0),
-        "eta_t": (float, 1.0),
+        "kind": (str, None, MODEL_KINDS),
+        "n_qubits": (int, 1, _TC_HTC),
+        "omega_c": (float, 1.0, _TC_HTC),
+        "omega_qubit": (float, 1.0, _TC_HTC),
+        "omega_r": (float, 0.1, _TC_HTC),
+        "kappa": (float, 0.0, _TC_HTC),
+        "gamma": (float, 0.0, _TC_HTC),
+        "lam": (float, 0.0, ("htc",)),
+        "phonon_base": (float, 0.124, ("htc",)),
+        "phonon_bandwidth": (float, 0.0, ("htc",)),
+        "n_dimers": (int, 1, ("sf",)),
+        "coupling_omega": (float, 0.2, ("sf",)),
+        "rwa": (_bool, False, ("sf",)),
+        "n_photons": (float, 6.0, ("sf",)),
+        "cavity_omega_c": (float, 2.256, ("sf",)),
+        "cavity_kappa": (float, 0.0, ("sf",)),
+        "eps_s1": (float, 2.23, ("sf",)),
+        "eps_tt": (float, 2.28, ("sf",)),
+        "eps_sn": (float, 4.33, ("sf",)),
+        "eps_ttn": (float, 4.68, ("sf",)),
+        "omega_tuning": (float, 0.186, ("sf",)),
+        "omega_coupling": (float, 0.0154, ("sf",)),
+        "lam_ci": (float, LAMBDA_CI_CALIBRATED, ("sf",)),
+        "eta_s": (float, 1.0, ("sf",)),
+        "eta_t": (float, 1.0, ("sf",)),
     },
     "run": {
-        "t_max_fs": (float, 300.0),
-        "sample_dt_fs": (float, 1.0),
-        "multiplicity": (int, 1),
-        "seed": (int, 0),
-        "rel_tol": (float, 1e-6),
-        "abs_tol": (float, 1e-8),
+        "t_max_fs": (float, 300.0, None),
+        "sample_dt_fs": (float, 1.0, None),
+        "multiplicity": (int, 1, None),
+        "seed": (int, 0, None),
+        "rel_tol": (float, 1e-6, None),
+        "abs_tol": (float, 1e-8, None),
     },
     "disorder": {
-        "width": (_float_list, (0.0,)),
-        "n_realizations": (int, 1),
-        "seed": (int, 0),
+        "width": (_float_list, (0.0,), None),
+        "n_realizations": (int, 1, None),
+        "seed": (int, 0, None),
     },
     "temperature": {
-        "temperature_k": (float, 0.0),
+        "temperature_k": (float, 0.0, None),
     },
     "output": {
-        "directory": (str, "out"),
+        "directory": (str, "out", None),
     },
 }
 
-_MODEL_KEYS = {
-    "tc": {"kind", "n_qubits", "omega_c", "omega_qubit", "omega_r", "kappa",
-           "gamma"},
-    "htc": {"kind", "n_qubits", "omega_c", "omega_qubit", "omega_r", "kappa",
-            "gamma", "lam", "phonon_base", "phonon_bandwidth"},
-    "sf": {"kind", "n_dimers", "coupling_omega", "rwa", "n_photons",
-           "cavity_omega_c", "cavity_kappa", "eps_s1", "eps_tt", "eps_sn",
-           "eps_ttn", "omega_tuning", "omega_coupling", "lam_ci", "eta_s",
-           "eta_t"},
-}
 
-# Experiment keys that actually steer each experiment kind.  Foreign keys are
-# tolerated (one config can serve several subcommands) but dropped from the
-# resolved echo so the manifest records only what determined the outputs.
-_EXPERIMENT_KEYS = {
-    "dynamics": {"kind"},
-    "absorption": {"kind", "gamma_prime", "omega_min", "omega_max",
-                   "omega_points"},
-    "pes-scan": {"kind", "q_min", "q_max", "q_points", "fock_cutoff",
-                 "manifold_max"},
-    "spectra2d": {"kind", "gamma_prime", "omega_min", "omega_max",
-                  "omega_points", "grid_points", "grid_dt_fs",
-                  "waiting_times_fs"},
-    "oracle-compare": {"kind", "pair"},
-}
-
-
-@dataclass(frozen=True)
-class RunSection:
-    t_max_fs: float
-    sample_dt_fs: float
-    multiplicity: int
-    seed: int
-    rel_tol: float
-    abs_tol: float
-
-
-@dataclass(frozen=True)
-class DisorderSection:
-    width: tuple
-    n_realizations: int
-    seed: int
+def _steers(name: str, key: str, kind: Optional[str]) -> bool:
+    """Whether `name.key` steers a run whose experiment (for [experiment])
+    or model kind (for [model]) is `kind`."""
+    scope = _SCHEMA[name][key][2]
+    return scope is None or kind in scope
 
 
 def _tc_model(model: dict) -> TCModel:
@@ -186,26 +164,52 @@ def _tc_model(model: dict) -> TCModel:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved configuration; every field carries its final value.
+    """A validated configuration.
 
-    The model objects are cached properties built from the validated values
-    in `raw["model"]` on first access; each is None unless the model kind
-    uses it.
+    `sections` maps each section name to its resolved {key: value}, holding
+    only the keys that steer this run (see `_SCHEMA`); it is the one copy of
+    every value, and the other attributes read it.  The model objects are
+    cached properties built from `sections["model"]` on first access; each
+    is None unless the model kind uses it.
     """
 
-    experiment: str
-    model_kind: str
-    run: RunSection
-    disorder: DisorderSection
-    temperature_k: float
-    out_dir: str
-    options: dict = field(default_factory=dict)
-    sf_n_photons: float = 0.0
-    raw: dict = field(default_factory=dict)
+    sections: dict
+
+    @property
+    def experiment(self) -> str:
+        return self.sections["experiment"]["kind"]
+
+    @property
+    def model_kind(self) -> Optional[str]:
+        """None for an oracle-compare config without a [model] section."""
+        return self.sections["model"].get("kind")
+
+    @property
+    def run(self) -> SimpleNamespace:
+        return SimpleNamespace(**self.sections["run"])
+
+    @property
+    def disorder(self) -> SimpleNamespace:
+        return SimpleNamespace(**self.sections["disorder"])
+
+    @property
+    def options(self) -> dict:
+        """The [experiment] keys that steer this experiment."""
+        return self.sections["experiment"]
+
+    @property
+    def temperature_k(self) -> float:
+        return self.sections["temperature"]["temperature_k"]
+
+    @property
+    def out_dir(self) -> str:
+        return self.sections["output"]["directory"]
 
     @cached_property
     def tc(self) -> Optional[TCModel]:
-        return _tc_model(self.raw["model"]) if self.model_kind == "tc" else None
+        if self.model_kind != "tc":
+            return None
+        return _tc_model(self.sections["model"])
 
     @cached_property
     def htc(self) -> Optional[HTCModel]:
@@ -213,7 +217,7 @@ class RunConfig:
             return None
         from .models import HTCModel
 
-        model = self.raw["model"]
+        model = self.sections["model"]
         return HTCModel(_tc_model(model), model["lam"], model["phonon_base"],
                         model["phonon_bandwidth"])
 
@@ -223,16 +227,14 @@ class RunConfig:
             return None
         from .sf import SFDimerSpec
 
-        model = self.raw["model"]
-        kwargs = dict(
+        model = self.sections["model"]
+        dimer = SFDimerSpec(
             eps_s1=model["eps_s1"], eps_tt=model["eps_tt"],
             eps_sn=model["eps_sn"], eps_ttn=model["eps_ttn"],
             omega_tu=model["omega_tuning"], omega_cu=model["omega_coupling"],
-            eta_s=model["eta_s"], eta_t=model["eta_t"],
+            lam_ci=model["lam_ci"], eta_s=model["eta_s"], eta_t=model["eta_t"],
         )
-        if "lam_ci" in model:
-            kwargs["lam_ci"] = model["lam_ci"]
-        return tuple(SFDimerSpec(**kwargs) for _ in range(model["n_dimers"]))
+        return (dimer,) * model["n_dimers"]
 
     @cached_property
     def sf_cavity(self) -> Optional[CavitySpec]:
@@ -240,7 +242,7 @@ class RunConfig:
             return None
         from .sf import CavitySpec
 
-        model = self.raw["model"]
+        model = self.sections["model"]
         return CavitySpec(omega_c=model["cavity_omega_c"],
                           kappa=model["cavity_kappa"])
 
@@ -250,7 +252,7 @@ class RunConfig:
             return None
         from .sf import SFCavityCoupling
 
-        model = self.raw["model"]
+        model = self.sections["model"]
         return SFCavityCoupling(omega=model["coupling_omega"],
                                 rwa=model["rwa"],
                                 five_state=self.experiment == "spectra2d")
@@ -289,7 +291,7 @@ def _convert(sections: dict) -> tuple[dict, list]:
         resolved[name] = out
     for name, schema in _SCHEMA.items():
         out = resolved.setdefault(name, {})
-        for key, (_, default) in schema.items():
+        for key, (_, default, _) in schema.items():
             if key not in out and default is not None:
                 out[key] = default
     return resolved, violations
@@ -304,6 +306,11 @@ def _check(cond: bool, violations: list, message: str) -> bool:
 def file_tag(value: float) -> str:
     """The `%g` tag that names one width's or waiting time's output file."""
     return "%g" % value
+
+
+def _on_grid(t: float, dt: float) -> bool:
+    """Whether `t` is a whole number of `dt` steps, to 1e-9 fs."""
+    return abs(round(t / dt) * dt - t) <= 1e-9
 
 
 def _check_tags(values, violations: list, key: str) -> None:
@@ -333,23 +340,21 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
     run = raw["run"]
     dis = raw["disorder"]
     temp_k = raw["temperature"]["temperature_k"]
-    out_dir = raw["output"]["directory"]
 
     _check(exp["kind"] in EXPERIMENT_KINDS, violations,
            f"experiment.kind: {exp['kind']!r} not one of {EXPERIMENT_KINDS}")
 
     kind = model.get("kind")
     if kind is None:
-        violations.append("model.kind: required")
+        # the oracle pairs build their own models
+        if exp["kind"] != "oracle-compare" or "model" in sections:
+            violations.append("model.kind: required")
     elif kind not in MODEL_KINDS:
         violations.append(f"model.kind: {kind!r} not one of {MODEL_KINDS}")
     else:
-        given = set(sections.get("model", {}))
-        extra = given - _MODEL_KEYS[kind]
-        for key in sorted(extra):
-            if key in _SCHEMA["model"]:
-                violations.append(
-                    f"model.{key}: not a {kind} model key")
+        for key in sorted(sections.get("model", {})):
+            if key in _SCHEMA["model"] and not _steers("model", key, kind):
+                violations.append(f"model.{key}: not a {kind} model key")
 
     # run section
     _check(run["t_max_fs"] > 0, violations, "run.t_max_fs: must be > 0")
@@ -360,6 +365,12 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
     _check(run["rel_tol"] > 0, violations, "run.rel_tol: must be > 0")
     _check(run["abs_tol"] > 0, violations, "run.abs_tol: must be > 0")
     _check(run["seed"] >= 0, violations, "run.seed: must be >= 0")
+    dt = run["sample_dt_fs"]
+    if exp["kind"] == "dynamics" and run["t_max_fs"] > 0 and dt > 0:
+        # the runner samples round(t_max_fs / dt) + 1 times
+        _check(_on_grid(run["t_max_fs"], dt), violations,
+               f"run.t_max_fs: must be a whole number of {dt} fs samples "
+               "(run.sample_dt_fs)")
 
     # disorder section
     _check(all(w >= 0 for w in dis["width"]), violations,
@@ -466,7 +477,7 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
         if _check(dt > 0, violations, "experiment.grid_dt_fs: must be > 0"):
             tws = exp["waiting_times_fs"]
             _check(len(tws) >= 1 and all(
-                w >= 0 and abs(round(w / dt) * dt - w) <= 1e-9 for w in tws),
+                w >= 0 and _on_grid(w, dt) for w in tws),
                 violations, "experiment.waiting_times_fs: need one or more "
                 f"waiting times >= 0 on the {dt} fs grid")
             _check_tags(tws, violations, "experiment.waiting_times_fs")
@@ -494,25 +505,11 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
     if violations:
         raise ConfigConstraintError(violations)
 
-    raw["experiment"] = {k: v for k, v in exp.items()
-                         if k in _EXPERIMENT_KEYS[exp["kind"]]}
-    raw["model"] = {k: v for k, v in model.items()
-                    if k in _MODEL_KEYS[kind]}
-
-    return RunConfig(
-        experiment=exp["kind"],
-        model_kind=kind,
-        run=RunSection(run["t_max_fs"], run["sample_dt_fs"],
-                       run["multiplicity"], run["seed"],
-                       run["rel_tol"], run["abs_tol"]),
-        disorder=DisorderSection(dis["width"], dis["n_realizations"],
-                                 dis["seed"]),
-        temperature_k=temp_k,
-        out_dir=out_dir,
-        options=dict(exp),
-        sf_n_photons=model.get("n_photons", 0.0),
-        raw=raw,
-    )
+    kinds = {"experiment": exp["kind"], "model": kind}
+    return RunConfig({
+        name: {key: value for key, value in values.items()
+               if _steers(name, key, kinds.get(name))}
+        for name, values in raw.items()})
 
 
 def load(path: str, overrides: Optional[dict] = None) -> RunConfig:
@@ -527,15 +524,11 @@ def load(path: str, overrides: Optional[dict] = None) -> RunConfig:
 
 
 def resolved_text(cfg: RunConfig) -> str:
-    """Canonical INI echo of the resolved configuration."""
+    """Canonical INI echo of the resolved configuration: its sections in
+    schema order, their keys sorted."""
     out = io.StringIO()
-    for name in ("experiment", "model", "run", "disorder", "temperature",
-                 "output"):
-        body = dict(cfg.raw.get(name, {}))
-        if name == "output":
-            body["directory"] = cfg.out_dir
-        if name == "run":
-            body["seed"] = cfg.run.seed
+    for name in _SCHEMA:
+        body = cfg.sections[name]
         if not body:
             continue
         out.write(f"[{name}]\n")

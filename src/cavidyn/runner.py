@@ -222,7 +222,7 @@ def _run_dynamics_sf(cfg: RunConfig, out_dir: str, files: list):
     else:
         labels, h = sf_system_bath(cfg.sf_dimers, cfg.sf_cavity,
                                    cfg.sf_coupling)
-        mu1, cavity_mode = math.sqrt(cfg.sf_n_photons), -1
+        mu1, cavity_mode = math.sqrt(cfg.sections["model"]["n_photons"]), -1
     state = coherent_init(mu1, labels, h.n_modes, cfg.run.multiplicity,
                           noise_seed=cfg.run.seed)
     traj = propagate(h, state, float(times[-1]), settings, t_eval=times)

@@ -37,6 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .constants import LAMBDA_CI_CALIBRATED
 from .models import SystemBathHamiltonian, UnsupportedModelError
 from .varprop import MultiD2State, init_state
 
@@ -72,16 +73,6 @@ def derive_kappas_from_ci(ci_q, ci_e, eps_s1, eps_tt, omega_tu):
 KAPPA_S1_RUBRENE, KAPPA_TT_RUBRENE = derive_kappas_from_ci(
     0.07, 2.256, 2.23, 2.28, 0.186
 )
-
-#: S1<->TT coupling-mode strength (eV) picked by the variational (M=16) scan of
-#: scripts/calibrate_sf_ci.py for a cavity-free triplet-pair population of 0.14
-#: at 300 fs from the vertical S1 start.  Exact propagation
-#: (scripts/sf_dense_oracle.py, dim 1056) gives P_TT(300 fs) = 0.0277 here; the
-#: exact curve is smooth in lambda and crosses 0.14 between 0.08 (0.0854) and
-#: 0.10 (0.1670).  The jumps the variational scan shows at fine lambda
-#: resolution are ansatz and integrator noise, not physics.  The value is kept
-#: because every fission output depends on it.
-LAMBDA_CI_CALIBRATED = 0.065
 
 
 @dataclass(frozen=True)

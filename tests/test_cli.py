@@ -14,10 +14,12 @@ from scipy.linalg import expm
 
 import cavidyn
 from cavidyn import cli
-from cavidyn.config import ORACLE_PAIRS, validate
+from cavidyn.config import ORACLE_PAIRS, resolved_text, validate
 from cavidyn.constants import HBAR_EV_FS, KB_EV_PER_K
 from cavidyn.models import HTCModel, TCModel, disordered_tc, htc_system_bath
-from cavidyn.sf import CavitySpec, SFCavityCoupling, SFDimerSpec
+from cavidyn.sf import (CavitySpec, SFCavityCoupling, SFDimerSpec,
+                        coherent_init, pes_scan, sf_observables,
+                        sf_system_bath, surface_table)
 from cavidyn.spectro import DipoleSet, linear_absorption
 from cavidyn.thermofield import thermal_htc
 from cavidyn.varprop import PropagationSettings, init_state, propagate
@@ -69,6 +71,36 @@ omega_points = 5
 [model]
 kind = sf
 n_dimers = 1
+"""
+
+
+TINY_PES = """[experiment]
+kind = pes-scan
+q_points = 5
+
+[model]
+kind = sf
+"""
+
+
+TINY_PUMPED_SF = """[experiment]
+kind = dynamics
+
+[model]
+kind = sf
+coupling_omega = 0.05
+n_photons = 4
+
+[run]
+t_max_fs = 3
+sample_dt_fs = 1.0
+seed = 3
+"""
+
+
+ORACLE_WITHOUT_MODEL = """[experiment]
+kind = oracle-compare
+pair = tc
 """
 
 
@@ -130,6 +162,22 @@ def test_validate_echoes_the_resolved_config(tmp_path, capsys):
                         _write(tmp_path, TINY_TC))
     assert code == cli.EXIT_OK
     assert "[disorder]\nn_realizations = 3\nseed = 7\nwidth = 0.05 0.1\n" in out
+
+
+def test_validate_echoes_the_fission_coupling(tmp_path, capsys):
+    """lam_ci sets the fission yield, so the echo and every manifest name it
+    even when the config leaves it at its calibrated default."""
+    code, out, _ = _run(capsys, "validate", "--config",
+                        _write(tmp_path, TINY_SPECTRA))
+    assert code == cli.EXIT_OK
+    assert "\nlam_ci = 0.065\n" in out
+
+
+def test_options_hold_only_their_experiments_keys():
+    assert validate(TINY_TC).options == {"kind": "dynamics"}
+    assert set(validate(TINY_SPECTRA).options) == {
+        "kind", "gamma_prime", "omega_min", "omega_max", "omega_points",
+        "grid_points", "grid_dt_fs", "waiting_times_fs"}
 
 
 def test_outputs_do_not_depend_on_worker_count(tmp_path, capsys):
@@ -368,17 +416,6 @@ def test_ensembles_preload_every_module_their_work_units_import(tmp_path):
         _loaded_after(probe)
 
 
-def test_every_exported_name_resolves():
-    for name in cavidyn.__all__:
-        assert getattr(cavidyn, name) is not None
-    from cavidyn import TCModel as exported
-
-    assert exported is TCModel
-    assert set(cavidyn.__all__) <= set(dir(cavidyn))
-    with pytest.raises(AttributeError):
-        cavidyn.no_such_name
-
-
 def test_run_config_models_are_built_on_access_and_pickle():
     tc = validate(TINY_TC)
     htc = validate(TINY_HTC)
@@ -502,9 +539,12 @@ def test_photon_cutoff_is_not_a_tc_key(tmp_path, capsys):
      "[model]\nkind = sf\ncavity_kappa = 0.01\n", "model.cavity_kappa"),
     (TINY_HTC + "\n[temperature]\ntemperature_k = 1e9\n",
      "temperature.temperature_k"),
+    # samples at 0, 6 and 12 fs would run past the 10 fs window
+    (TINY_TC.replace("t_max_fs = 20", "t_max_fs = 10")
+     .replace("sample_dt_fs = 2.0", "sample_dt_fs = 6"), "run.t_max_fs"),
 ], ids=["downhill-fission", "above-nyquist", "off-grid-waiting-time",
         "one-site-htc", "pes-scan-photon-cutoff", "pes-scan-cavity-loss",
-        "htc-classical-limit"])
+        "htc-classical-limit", "samples-past-window"])
 def test_validate_rejects_what_would_fail_at_run_time(tmp_path, capsys, text,
                                                      violation):
     code, _, err = _run(capsys, "validate", "--config", _write(tmp_path, text))
@@ -558,6 +598,68 @@ def test_oracle_pairs(tmp_path, capsys, pair):
     report = json.loads((out_dir / "oracle_compare.json").read_text())
     # the corrupted-metric pair breaks the solver on purpose: it must fail
     assert report["passed"] is (pair != "corrupted-metric")
+
+
+def test_oracle_compare_needs_no_model(tmp_path, capsys):
+    """The pairs build their own models, so a config without [model]
+    validates and runs."""
+    path = _write(tmp_path, ORACLE_WITHOUT_MODEL)
+    code, out, err = _run(capsys, "validate", "--config", path)
+    assert code == cli.EXIT_OK, err
+    assert "[model]" not in out
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, "oracle-compare", "--config", path, "--out",
+                        str(out_dir))
+    assert code == cli.EXIT_OK, err
+    report = json.loads((out_dir / "oracle_compare.json").read_text())
+    assert report["pair"] == "tc" and report["passed"] is True
+    # a [model] section that is given is still checked
+    code, _, err = _run(capsys, "validate", "--config",
+                        _write(tmp_path, ORACLE_WITHOUT_MODEL + "[model]\n"))
+    assert code == cli.EXIT_CONSTRAINT and "model.kind: required" in err
+
+
+def test_pes_scan_equals_library_call(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, "run", "--config", _write(tmp_path, TINY_PES),
+                        "--out", str(out_dir))
+    assert code == cli.EXIT_OK, err
+    ref = surface_table(pes_scan(
+        (SFDimerSpec(),), CavitySpec(), SFCavityCoupling(omega=0.2),
+        np.linspace(-0.4, 0.6, 5), n_max=6, manifold_max=2))
+    np.testing.assert_array_equal(_read_csv(out_dir / "pes.csv"), ref)
+
+
+def test_pumped_sf_dynamics_equals_library_calls(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, "run", "--config",
+                        _write(tmp_path, TINY_PUMPED_SF), "--out", str(out_dir))
+    assert code == cli.EXIT_OK, err
+    times = np.arange(4) * 1.0
+    labels, h = sf_system_bath((SFDimerSpec(),), CavitySpec(),
+                               SFCavityCoupling(omega=0.05))
+    state = coherent_init(np.sqrt(4.0), labels, h.n_modes, 1, noise_seed=3)
+    traj = propagate(h, state, 3.0, RUN_SETTINGS, t_eval=times)
+    obs = sf_observables(traj, labels, cavity_mode=-1)
+    np.testing.assert_array_equal(
+        _read_csv(out_dir / "population.csv"),
+        np.column_stack([obs["time_fs"], obs["p_tt"], obs["p_s1"],
+                         obs["norm"], obs["energy_ev"]]))
+
+
+@pytest.mark.parametrize("text", [
+    TINY_TC, SF_FREE_TWO_DIMERS, TINY_SPECTRA, TINY_HTC, TINY_HTC_ABSORPTION,
+    TINY_TC.replace("kind = dynamics", "kind = absorption\nomega_points = 41"),
+    TINY_HTC + "\n[temperature]\ntemperature_k = 300.0\n",
+    TINY_PES, TINY_PUMPED_SF, ORACLE_WITHOUT_MODEL,
+    "[experiment]\nkind = oracle-compare\npair = htc-dense\n\n"
+    "[model]\nkind = tc\n",
+], ids=["tc", "sf-free", "spectra", "htc", "htc-absorption", "tc-absorption",
+        "htc-300K", "pes-scan", "pumped-sf", "oracle-without-model",
+        "oracle-with-model"])
+def test_resolved_text_round_trips(text):
+    cfg = validate(text)
+    assert validate(resolved_text(cfg)) == cfg
 
 
 def test_cavity_free_two_dimer_dynamics(tmp_path, capsys):
