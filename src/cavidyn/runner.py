@@ -41,6 +41,7 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -387,8 +388,14 @@ def _run_oracle_compare(cfg: RunConfig, out_dir: str, files: list):
 
 def run(cfg: RunConfig, out_dir: str | None = None, workers: int = 1,
         resume: bool = False) -> dict:
-    """Execute the configured experiment; returns the manifest dict."""
-    out_dir = out_dir or cfg.out_dir
+    """Execute the configured experiment; returns the manifest dict.
+
+    A given `out_dir` replaces the config's `[output] directory`, so the
+    manifest's config echo names the directory the outputs went to."""
+    if out_dir:
+        output = dict(cfg.sections["output"], directory=os.fspath(out_dir))
+        cfg = replace(cfg, sections=dict(cfg.sections, output=output))
+    out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.time()
     files: list = []

@@ -267,12 +267,12 @@ def response_esa(
 ) -> dict:
     """R1*, R2* (excited-state absorption) on the (tau, T_w, t) grid.
 
-    Second legs: R1* needs one doubly-excited propagation per (ket label n3,
-    T_w), started at T_w, and R2* one per (n3, tau, T_w), started at
-    tau + T_w.  The 1 + n_tau legs of one (n3, T_w) share the Hamiltonian
-    and the detection grid, so they run as one batched integration
-    (`propagate` with a leading batch axis): the cost is one integration
-    per (n3, T_w), each as long as its slowest member.  With
+    Second legs: R2* needs one doubly-excited propagation per (ket label n3,
+    tau, T_w), started at tau + T_w; R1*'s leg, started at T_w, is R2*'s at
+    tau = 0.  The n_tau legs of one (n3, T_w) share the Hamiltonian and the
+    detection grid, so they run as one batched integration (`propagate`
+    with a leading batch axis): the cost is one integration per (n3, T_w),
+    each as long as its slowest member.  With
     `checkpoint_dir`, the responses are saved to `esa_checkpoint.npz` there
     after every (n3, T_w) batch, with the digest of every input (the bank's
     forward arrays, h2, mu, mu_up, the settings, the batch list and the
@@ -324,8 +324,8 @@ def response_esa(
     for b, (n3, w, tw) in enumerate(batches):
         if b < done:
             continue
-        # member 0 is R1*'s transplant at T_w, member 1 + k R2*'s at tau_k + T_w
-        a1, f0 = bank.forward(n3, np.concatenate([[tw], t + tw]))
+        # member k is R2*'s transplant at tau_k + T_w; member 0 (tau = 0) is R1*'s
+        a1, f0 = bank.forward(n3, t + tw)
         a0 = a1 @ mu_up.T
         scale = MultiD2State(a0, f0).norm()
         live = scale >= 1e-12
@@ -339,8 +339,7 @@ def response_esa(
         # R1*: bra = first leg at tau+T_w+t; R2*: bra = first leg at T_w+t,
         # ket rows moved to (tau, t)
         r1s[:, w] += esa(n3, tau + tw + t, a2[:, 0], f2[:, 0])
-        r2s[:, w] += esa(n3, tw + t, a2[:, 1:].swapaxes(0, 1),
-                         f2[:, 1:].swapaxes(0, 1))
+        r2s[:, w] += esa(n3, tw + t, a2.swapaxes(0, 1), f2.swapaxes(0, 1))
         if checkpoint is not None:
             _save_npz(checkpoint, r1s=r1s, r2s=r2s, batches=b + 1,
                       digest=digest)

@@ -22,7 +22,10 @@ restores the normalization-derivative piece,
 
 Every overlap, observable and energy is built from two kernels that broadcast
 over leading (e.g. time) axes: the coherent-state overlap `overlap_matrix` and
-the Hamiltonian contraction `_theta`.
+the Hamiltonian contraction `_theta`.  One `eom_rhs` evaluation forms S and
+Theta once, builds h from Theta's contractions, writes the blocks of G into
+one array and returns <psi|psi> = sum(A* A^T o S), which G_ff needs anyway,
+beside the derivatives: `propagate`'s norm guard reads it from there.
 
 Batches.  Amplitudes (..., M, n_sys) and displacements (..., M, n_modes) may
 carry leading batch axes: independent states of one Hamiltonian with the same
@@ -147,14 +150,20 @@ class MultiD2State:
 # axes, so (T, M, ...) trajectory arrays go through in one call
 
 
-def overlap_matrix(f_bra: np.ndarray, f_ket: np.ndarray) -> np.ndarray:
+def overlap_matrix(f_bra: np.ndarray,
+                   f_ket: Optional[np.ndarray] = None) -> np.ndarray:
     """S[..., i, j] = <f_bra_i | f_ket_j> for normalized coherent products.
 
-    f_bra: (..., M, q), f_ket: (..., M', q) -> (..., M, M').
+    f_bra: (..., M, q), f_ket: (..., M', q) -> (..., M, M'); without f_ket,
+    the self-overlap of f_bra, whose squared norms are the diagonal of the
+    cross term.
     """
-    r1 = np.sum(np.abs(f_bra) ** 2, axis=-1)
-    r2 = np.sum(np.abs(f_ket) ** 2, axis=-1)
-    cross = f_bra.conj() @ f_ket.swapaxes(-1, -2)
+    cross = f_bra.conj() @ (f_bra if f_ket is None else f_ket).swapaxes(-1, -2)
+    if f_ket is None:
+        r1 = r2 = cross.diagonal(axis1=-2, axis2=-1).real
+    else:
+        r1 = np.sum(np.abs(f_bra) ** 2, axis=-1)
+        r2 = np.sum(np.abs(f_ket) ** 2, axis=-1)
     return np.exp(-0.5 * (r1[..., :, None] + r2[..., None, :]) + cross)
 
 
@@ -173,13 +182,13 @@ def state_overlap(bra: MultiD2State, ket: MultiD2State) -> complex:
 
 def state_norm_sq(amplitudes: np.ndarray, displacements: np.ndarray):
     """<psi|psi>, one value per leading index."""
-    s = overlap_matrix(displacements, displacements)
+    s = overlap_matrix(displacements)
     return _label_weights(amplitudes, amplitudes, s).sum(axis=-1).real
 
 
 def system_populations(amplitudes: np.ndarray, displacements: np.ndarray) -> np.ndarray:
     """Per-label populations; raises if the imaginary residue is unhealthy."""
-    s = overlap_matrix(displacements, displacements)
+    s = overlap_matrix(displacements)
     pops = _label_weights(amplitudes, amplitudes, s)
     if pops.size and np.abs(pops.imag).max() > 1e-8:
         raise ArithmeticError(
@@ -192,7 +201,7 @@ def system_populations(amplitudes: np.ndarray, displacements: np.ndarray) -> np.
 def mode_occupations(amplitudes: np.ndarray, displacements: np.ndarray) -> np.ndarray:
     """<b_q^+ b_q> per mode."""
     a, f = amplitudes, displacements
-    ps = (a.conj() @ a.swapaxes(-1, -2)) * overlap_matrix(f, f)
+    ps = (a.conj() @ a.swapaxes(-1, -2)) * overlap_matrix(f)
     occ = np.einsum("...mM,...mq,...Mq->...q", ps, f.conj(), f)
     if occ.size and np.abs(occ.imag).max() > 1e-8:
         raise ArithmeticError("mode occupation acquired a large imaginary part")
@@ -202,29 +211,28 @@ def mode_occupations(amplitudes: np.ndarray, displacements: np.ndarray) -> np.nd
 def _theta(h: SystemBathHamiltonian, a: np.ndarray, f: np.ndarray):
     """Theta[..., m, m'] = sum_{nn'} A*_mn A_m'n' <f_m|H_{nn'}|f_m'> / S_mm'.
 
-    Returns (theta, w_ff, x1, x2, p), the pieces `eom_rhs` reuses:
-    w_ff = f*_m . (omega f_m'), x1[m, m', n] = sum_n' (c+ . f*_m)_nn' A_m'n',
-    x2[m, n] = sum_n' (c . f_m)_nn' A_mn', p = A* A^T.
+    Returns (theta, hx, x1, w_ff, p), the pieces `eom_rhs` reuses:
+    hx[m, n] = sum_n' (e_sys + c . f_m)_nn' A_mn',
+    x1[m, n, m'] = sum_n' (c+ . f*_m)_nn' A_m'n',
+    w_ff = f*_m . (omega f_m'), p = A* A^T.
     """
-    at = a.swapaxes(-1, -2)
-    w_ff = (f.conj() * h.mode_freqs) @ f.swapaxes(-1, -2)
-    cdf = np.einsum("nNq,...mq->...mnN", h.coup_create, f.conj())
-    cf = np.einsum("nNq,...mq->...mnN", h.coup_annihilate, f)
-    x1 = np.einsum("...mnN,...MN->...mMn", cdf, a)
-    x2 = np.einsum("...mnN,...mN->...mn", cf, a)
-    p = a.conj() @ at
-    theta = (
-        a.conj() @ h.e_sys @ at
-        + np.einsum("...mn,...mMn->...mM", a.conj(), x1)
-        + a.conj() @ x2.swapaxes(-1, -2)
-        + p * w_ff
-    )
-    return theta, w_ff, x1, x2, p
+    n_sys, n_modes = a.shape[-1], f.shape[-1]
+    ac, fc = a.conj(), f.conj()
+    # cdf[m] = c+ . f*_m; c . f_m is its adjoint
+    cdf = (fc @ h.coup_create.reshape(n_sys * n_sys, n_modes).T).reshape(
+        f.shape[:-1] + (n_sys, n_sys))
+    hx = a @ h.e_sys.T + (a[..., None, :] @ cdf.conj())[..., 0, :]
+    x1 = cdf @ a.swapaxes(-1, -2)[..., None, :, :]
+    w_ff = (fc * h.mode_freqs) @ f.swapaxes(-1, -2)
+    p = ac @ a.swapaxes(-1, -2)
+    theta = (ac @ hx.swapaxes(-1, -2) + (ac[..., None, :] @ x1)[..., 0, :]
+             + p * w_ff)
+    return theta, hx, x1, w_ff, p
 
 
 def energy_expectation(h: SystemBathHamiltonian, state: MultiD2State) -> complex:
     a, f = state.amplitudes, state.displacements
-    return complex((overlap_matrix(f, f) * _theta(h, a, f)[0]).sum())
+    return complex((overlap_matrix(f) * _theta(h, a, f)[0]).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -236,67 +244,56 @@ def eom_rhs(
     amplitudes: np.ndarray,
     displacements: np.ndarray,
     svd_cutoff: float = DEFAULT_SVD_CUTOFF,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivatives (Adot, Fdot) of the parameters.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Time derivatives (Adot, Fdot) of the parameters, and <psi|psi>.
 
     amplitudes (..., M, n_sys) and displacements (..., M, n_modes); leading
     axes are independent batch members, each with its own metric solve.
+    S and the contractions that Theta and h_A share (`_theta`) are formed
+    once; the S (x) 1 of G_AA and the (p o S) (x) 1 of G_ff are written into
+    G by strided assignment.  The third value, the per-member <psi|psi> =
+    sum(p o S), is what `propagate`'s norm guard reads.
     """
-    a = amplitudes
-    f = displacements
+    a, f = amplitudes, displacements
     m, n_sys = a.shape[-2:]
     n_modes = f.shape[-1]
     batch = a.shape[:-2]
-    w = h.mode_freqs
+    k = n_sys + n_modes
 
-    s = overlap_matrix(f, f)
-    theta, w_ff, x1, x2, p = _theta(h, a, f)
-
-    h_a = (
-        s @ (a @ h.e_sys.T)
-        + np.einsum("...mM,...mMn->...mn", s, x1)
-        + s @ x2
-        + (s * w_ff) @ a
-    )
-    y = np.einsum("...mn,nNq,...MN->...mMq", a.conj(), h.coup_create, a)
-    # [m, m', p] = f_m'p - f_mp/2
-    ket_f = f[..., None, :, :] - 0.5 * f[..., :, None, :]
-    h_f = np.einsum(
-        "...mM,...mMp->...mp",
-        s,
-        ket_f * theta[..., None] + y + w * f[..., None, :, :] * p[..., None],
-    )
-
-    # Gram matrix of the tangent vectors
-    # [m, m', p] = f*_mp - f*_m'p/2
-    bra_f = f.conj()[..., :, None, :] - 0.5 * f.conj()[..., None, :, :]
-    na = m * n_sys
-    g_aa = (s[..., :, None, :, None] * np.eye(n_sys)[:, None, :]).reshape(
-        batch + (na, na))
-    g_af = np.einsum("...Mn,...mM,...mMp->...mnMp", a, s, bra_f).reshape(
-        batch + (na, m * n_modes))
+    s = overlap_matrix(f)
+    theta, hx, x1, w_ff, p = _theta(h, a, f)
     ps = p * s
-    g_ff = (
-        np.einsum("...mM,...mMp,...mMq->...mpMq", ps, ket_f, bra_f)
-        + np.einsum("...mM,pq->...mpMq", ps, np.eye(n_modes))
-    ).reshape(batch + (m * n_modes, m * n_modes))
-    dim = m * (n_sys + n_modes)
-    g = np.empty(batch + (dim, dim), dtype=complex)
-    g[..., :na, :na] = g_aa
-    g[..., :na, na:] = g_af
-    g[..., na:, :na] = g_af.conj().swapaxes(-1, -2)
-    g[..., na:, na:] = g_ff
+    h_a = s @ hx + (x1 @ s[..., None])[..., 0] + (s * w_ff) @ a
+    y = np.einsum("...mn,nNq,...MN->...mMq", a.conj(), h.coup_create, a)
+    # [m, m', p] = f_m'p - f_mp/2 and its bra counterpart f*_mp - f*_m'p/2
+    ket_f = f[..., None, :, :] - 0.5 * f[..., :, None, :]
+    bra_f = ket_f.conj().swapaxes(-3, -2)
+    # h_f[m, p] = sum_m' S_mm' (ket_f theta + y + omega_p f_m'p p_mm')
+    h_f = (s[..., None, :] @ (ket_f * theta[..., None] + y + h.mode_freqs
+                              * f[..., None, :, :] * p[..., None]))[..., 0, :]
+    rhs = np.concatenate([h_a, h_f], axis=-1).reshape(batch + (m * k,))
+    rhs *= -1j / HBAR_EV_FS
 
-    rhs = np.concatenate(
-        [h_a.reshape(batch + (-1,)), h_f.reshape(batch + (-1,))], axis=-1
-    ) * (-1j / HBAR_EV_FS)
+    # Gram matrix of the tangent vectors, rows (m, n) then (m, p) for each
+    # configuration m
+    g = np.zeros(batch + (m, k, m, k), dtype=complex)
+    for i in range(n_sys):
+        g[..., :, i, :, i] = s
+    g_af = np.einsum("...Mn,...mM,...mMp->...mnMp", a, s, bra_f)
+    g[..., :, :n_sys, :, n_sys:] = g_af
+    g[..., :, n_sys:, :, :n_sys] = np.einsum("...mnMp->...Mpmn", g_af).conj()
+    g[..., :, n_sys:, :, n_sys:] = np.einsum(
+        "...mM,...mMp,...mMq->...mpMq", ps, ket_f, bra_f)
+    for i in range(n_sys, k):
+        g[..., :, i, :, i] += ps
+    g = g.reshape(batch + (m * k, m * k))
 
     # overflowing overlaps leave inf/nan in G, on which eigh fails to converge
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise AnsatzCollapseError("metric is not finite; state degenerated")
     vals, vecs = np.linalg.eigh(g)
     lam_max = vals[..., -1]
-    if not np.all(np.isfinite(lam_max) & (lam_max > 0)):
+    if not ((lam_max > 0) & (lam_max < np.inf)).all():
         raise AnsatzCollapseError("metric has no positive eigenvalues; state degenerated")
     eps = svd_cutoff * lam_max[..., None]
     # damped spectral inversion: eigendirections well above the cutoff are
@@ -306,12 +303,11 @@ def eom_rhs(
     # overcomplete configuration sets.
     inv_filtered = vals / (vals * vals + eps * eps)
     coef = (vecs.conj().swapaxes(-1, -2) @ rhs[..., None])[..., 0]
-    x = (vecs @ (inv_filtered * coef)[..., None])[..., 0]
+    x = (vecs @ (inv_filtered * coef)[..., None]).reshape(batch + (m, k))
 
-    adot_bare = x[..., :na].reshape(batch + (m, n_sys))
-    fdot = x[..., na:].reshape(batch + (m, n_modes))
-    adot = adot_bare + 0.5 * a * np.sum(f * fdot.conj(), axis=-1)[..., None]
-    return adot, fdot
+    fdot = x[..., n_sys:]
+    adot = x[..., :n_sys] + 0.5 * a * (f * fdot.conj()).sum(axis=-1)[..., None]
+    return adot, fdot, ps.sum(axis=(-2, -1)).real
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +357,14 @@ def init_state(
             raise ValueError("initial amplitude vector has the wrong length")
         a0 = vec
 
-    rng = np.random.default_rng(noise_seed)
-    a = noise_scale * _unit_disk(rng, (multiplicity, n_sys))
+    if noise_scale == 0:   # multiplicity 1 (checked above): nothing to draw
+        a, f = np.zeros((1, n_sys), complex), np.zeros((1, n_modes), complex)
+    else:
+        rng = np.random.default_rng(noise_seed)
+        a = noise_scale * _unit_disk(rng, (multiplicity, n_sys))
+        f = noise_scale * _unit_disk(rng, (multiplicity, n_modes))
     mask = a0 != 0
     a[0, mask] = a0[mask]
-    f = noise_scale * _unit_disk(rng, (multiplicity, n_modes))
-    if multiplicity == 1 and noise_scale == 0:
-        f = np.zeros((1, n_modes), dtype=complex)
     if base_displacement is not None:
         f = f + np.asarray(base_displacement, dtype=complex)[None, :]
 
@@ -560,7 +557,7 @@ def propagate(
     and returned in the lab frame.  A state with leading batch axes is
     integrated as one system under worst-member step control.  Both are
     described in the module docstring.  The guards on finite parameters and
-    on the norm of Hermitian runs apply to every member.
+    on the norm of Hermitian runs (read from `eom_rhs`) apply to every member.
     """
     settings = settings or PropagationSettings()
     m, n_sys, n_modes = state.multiplicity, state.n_sys, state.n_modes
@@ -581,20 +578,20 @@ def propagate(
     spin = 1j * e0 / HBAR_EV_FS
 
     def rhs(t, y):
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise PropagationError(f"non-finite parameters at t = {t:.6g} fs")
         z = y.view(np.complex128).reshape(members, -1)
         a = z[:, :na].reshape(batch + (m, n_sys))
         f = z[:, na:].reshape(batch + (m, n_modes))
+        adot, fdot, norm_sq = eom_rhs(h, a, f, settings.svd_cutoff)
         if hermitian_guard:
-            nrm = np.sqrt(state_norm_sq(a, f))
+            nrm = np.sqrt(norm_sq)
             bad = (nrm < 0.5) | (nrm > 1.5)
-            if np.any(bad):
+            if bad.any():
                 raise PropagationError(
                     f"norm ran away to {np.ravel(nrm[bad])[0]:.6g} at t = {t:.6g} fs "
                     "(Hermitian run)"
                 )
-        adot, fdot = eom_rhs(h, a, f, settings.svd_cutoff)
         return np.concatenate(
             [(adot + spin * a).reshape(members, -1), fdot.reshape(members, -1)],
             axis=1
@@ -618,7 +615,7 @@ def propagate(
 
     norms = np.sqrt(state_norm_sq(amps, disps))
     theta = _theta(h, amps, disps)[0]
-    energies = (overlap_matrix(disps, disps) * theta).sum(axis=(-2, -1))
+    energies = (overlap_matrix(disps) * theta).sum(axis=(-2, -1))
     return Trajectory(t_eval.copy(), amps, disps, norms, energies)
 
 

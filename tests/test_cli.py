@@ -157,6 +157,23 @@ def test_run_writes_outputs_with_matching_checksums(tmp_path, capsys):
     assert "[model]" in manifest["config"]
 
 
+def test_manifest_names_the_output_directory_used(tmp_path, capsys):
+    """`run --out DIR` and `runner.run(cfg, out_dir=DIR)` both echo DIR as
+    `[output] directory`, not the config's own value."""
+    from cavidyn.runner import run
+
+    cli_dir = tmp_path / "from_cli"
+    code, _, _ = _run(capsys, "run", "--config", _write(tmp_path, TINY_TC),
+                      "--out", str(cli_dir))
+    assert code == cli.EXIT_OK
+    lib_dir = tmp_path / "from_library"
+    run(validate(TINY_TC), out_dir=str(lib_dir))
+    for out_dir in (cli_dir, lib_dir):
+        echo = json.loads((out_dir / "run_manifest.json").read_text())["config"]
+        assert [line for line in echo.splitlines()
+                if line.startswith("directory")] == [f"directory = {out_dir}"]
+
+
 def test_validate_echoes_the_resolved_config(tmp_path, capsys):
     code, out, _ = _run(capsys, "validate", "--config",
                         _write(tmp_path, TINY_TC))
@@ -338,15 +355,17 @@ def test_htc_absorption_above_zero_kelvin_uses_the_thermal_double(tmp_path,
 
 
 def _loaded_after(probe):
-    """Top-level packages and cavidyn modules a fresh interpreter holds after
-    running `probe`, whose standard output is discarded."""
+    """Top-level packages, cavidyn modules and `numpy.random` that a fresh
+    interpreter holds after running `probe`, whose standard output is
+    discarded."""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(cavidyn.__file__)))
     script = ("import contextlib, io, json, sys\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               + "".join(f"    {line}\n" for line in probe.splitlines())
               + "print(json.dumps(sorted({m if m.startswith('cavidyn.') "
-              "else m.split('.')[0] for m in sys.modules})))\n")
+              "or m == 'numpy.random' else m.split('.')[0] "
+              "for m in sys.modules})))\n")
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     return set(json.loads(out))
@@ -380,8 +399,9 @@ def test_package_import_and_validate_leave_out_numpy(tmp_path):
 @pytest.mark.parametrize("text,command,left_out", [
     (TINY_TC, "run", {"cavidyn.sf", "cavidyn.varprop", "cavidyn.spectro",
                       "cavidyn.thermofield"}),
+    # an M = 1 start carries no noise, so nothing imports numpy.random
     (TINY_SPECTRA, "spectra2d", {"cavidyn.tc_exact", "cavidyn.thermofield",
-                                 "concurrent"}),
+                                 "concurrent", "numpy.random"}),
 ], ids=["tc-run", "sf-spectra2d"])
 def test_run_imports_only_the_configured_experiment(tmp_path, text, command,
                                                     left_out):
@@ -390,6 +410,16 @@ def test_run_imports_only_the_configured_experiment(tmp_path, text, command,
     loaded = _loaded_after("from cavidyn import cli\n"
                            f"assert cli.main({args!r}) == 0")
     assert not loaded & left_out
+
+
+def test_disorder_draws_still_load_numpy_random(tmp_path):
+    """The check above can see numpy.random: a tc run in one process loads
+    it for the disorder draws (numpy's Philox generator)."""
+    args = ["run", "--config", _write(tmp_path, TINY_TC), "--out",
+            str(tmp_path / "out"), "--workers", "1"]
+    loaded = _loaded_after("from cavidyn import cli\n"
+                           f"assert cli.main({args!r}) == 0")
+    assert "numpy.random" in loaded
 
 
 def test_ensembles_preload_every_module_their_work_units_import(tmp_path):

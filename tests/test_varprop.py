@@ -1,5 +1,7 @@
 """Variational propagator: exact-limit checks, conservation laws, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,7 @@ from cavidyn.varprop import (
     mode_occupations,
     overlap_matrix,
     propagate,
+    state_norm_sq,
     state_overlap,
     system_populations,
 )
@@ -96,6 +99,8 @@ def test_overlap_matrix_is_hermitian_and_unit_diagonal():
     s = overlap_matrix(f, f)
     assert np.abs(s - s.conj().T).max() < 1e-14
     assert np.abs(np.diag(s) - 1.0).max() < 1e-14
+    # the self-overlap takes the squared norms from the cross term
+    assert np.abs(overlap_matrix(f) - s).max() < 1e-14
 
 
 def test_state_norm_matches_dense_vector():
@@ -135,6 +140,24 @@ def test_init_state_label_and_vector_forms():
     assert np.allclose(s2.amplitudes[0], vec)
 
 
+@pytest.mark.parametrize("initial", [2, np.array([0.3, 0.4j, 0.0, -1.2])],
+                         ids=["label", "vector"])
+def test_noiseless_init_state_equals_the_scaled_draw(initial):
+    """noise_scale = 0 draws nothing, yet returns what zero times the
+    unit-disk draws gave: the initial amplitudes over the base displacement."""
+    base = np.array([0.2 - 0.1j, 0.0, 1.5j])
+    a0 = np.eye(4)[initial] if np.ndim(initial) == 0 else initial
+    s = init_state(4, 3, initial, multiplicity=1, noise_seed=9, noise_scale=0.0,
+                   base_displacement=base)
+    rng = np.random.default_rng(9)
+    a = 0.0 * varprop._unit_disk(rng, (1, 4))
+    a[0, a0 != 0] = a0[a0 != 0]
+    f = 0.0 * varprop._unit_disk(rng, (1, 3)) + base
+    ref = MultiD2State(a, f).normalized_to_unit()
+    assert np.array_equal(s.amplitudes, ref.amplitudes)
+    assert np.array_equal(s.displacements, ref.displacements)
+
+
 def test_init_state_noise_and_renormalization():
     s = init_state(3, 2, 0, multiplicity=5, noise_seed=7, noise_scale=1e-4)
     assert abs(s.norm() - 1.0) < 1e-12
@@ -165,7 +188,7 @@ def test_zero_hamiltonian_gives_zero_derivatives():
         np.zeros((2, 2), complex), np.zeros(2), no_coupling(2, 2)
     )
     s = init_state(2, 2, 0, multiplicity=3, noise_seed=1)
-    adot, fdot = eom_rhs(h, s.amplitudes, s.displacements)
+    adot, fdot, _ = eom_rhs(h, s.amplitudes, s.displacements)
     assert np.abs(adot).max() < 1e-12
     assert np.abs(fdot).max() < 1e-12
 
@@ -233,16 +256,15 @@ def test_carrier_offset_costs_nothing(monkeypatch):
     assert n_moved <= 1.2 * n_plain
 
 
-@pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batch"])
-@pytest.mark.parametrize("m", [1, 2, 4])
-@pytest.mark.parametrize("model", ["sf-manifold1", "sf-manifold2", "htc-lossy",
-                                   "thermofield"])
-def test_eom_rhs_is_phase_covariant(model, m, batch):
-    """eom_rhs(h, e^{i phi} A, f) = (e^{i phi} Adot, fdot): the identity that
-    makes propagate's carrier frame an exact change of variables.  Relative
-    to the largest derivative, 1e-12."""
+RHS_MODELS = ["sf-manifold1", "sf-manifold2", "htc-lossy", "thermofield"]
+
+
+def _rhs_model(name):
+    """Hamiltonians that exercise every term of eom_rhs: fission manifolds
+    with label-changing couplings, a lossy (non-Hermitian) HTC and a
+    thermofield double."""
     coupling = SFCavityCoupling(rwa=True, five_state=True)
-    h = {
+    return {
         "sf-manifold1": lambda: manifold_hamiltonian(
             [SFDimerSpec()], CavitySpec(), coupling, 1)[1],
         "sf-manifold2": lambda: manifold_hamiltonian(
@@ -251,7 +273,98 @@ def test_eom_rhs_is_phase_covariant(model, m, batch):
         "thermofield": lambda: thermal_htc(HTCModel(
             tc=TCModel(2, 1.0, 1.0, 0.1), lam=1.0, phonon_base=0.0124,
             phonon_bandwidth=0.5), 300.0),
-    }[model]()
+    }[name]()
+
+
+def _dirac_frenkel_reference(h, a, f):
+    """(Adot, Fdot, <psi|psi>) of one state (M, .) from its tangent vectors
+    in a number basis (module docstring of `cavidyn.varprop`): G x =
+    -(i/hbar) <t|H|psi> solved densely, then Adot = adot + A sum_p f fdot*/2.
+
+    Each mode is cut where the coherent weight beyond the cutoff,
+    |f|^(2c+2)/(c+1)!, is below 1e-20, so amplitudes are truncated by less
+    than 1e-10.  The metric must be well conditioned (cond < 1e4), so the
+    damped filter of eom_rhs inverts it to better than 1e-8."""
+    lam = np.max(np.abs(f)) ** 2
+    cutoff = next(c for c in range(1, 60)
+                  if lam ** (c + 1) / math.factorial(c + 1) < 1e-20)
+    fock = FockSpace(h.n_sys, (cutoff,) * h.n_modes)
+    dims = fock.mode_dims
+    ladder = np.sqrt(np.arange(1.0, cutoff + 1)).reshape(
+        (-1,) + (1,) * (h.n_modes - 1))
+
+    def create(v, p):
+        """b_p^+ v on the truncated ladder."""
+        t = np.moveaxis(v.reshape(dims), p, 0)
+        out = np.zeros_like(t)
+        out[1:] = ladder * t[:-1]
+        return np.moveaxis(out, 0, p).ravel()
+
+    baths = [fock.coherent_bath_vector(fm) for fm in f]
+    labels = np.eye(h.n_sys)
+    tangents = [np.kron(labels[n], v) for v in baths for n in range(h.n_sys)]
+    tangents += [np.kron(am, create(v, p) - 0.5 * np.conj(fm[p]) * v)
+                 for am, fm, v in zip(a, f, baths) for p in range(h.n_modes)]
+    t = np.array(tangents)
+    psi = fock.multiconfig_vector(a, f)
+    g = t.conj() @ t.T
+    assert np.linalg.cond(g) < 1e4
+    x = np.linalg.solve(
+        g, -1j / HBAR_EV_FS * (t.conj() @ (fock.sparse_hamiltonian(h) @ psi)))
+    adot = x[:a.size].reshape(a.shape)
+    fdot = x[a.size:].reshape(f.shape)
+    adot = adot + 0.5 * a * np.sum(f * fdot.conj(), axis=-1)[:, None]
+    return adot, fdot, np.vdot(psi, psi).real
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("model", RHS_MODELS)
+def test_eom_rhs_matches_the_number_basis(model, m):
+    """One evaluation against the dense Dirac-Frenkel solve in a truncated
+    number basis, relative to the largest derivative, 1e-8; the third value
+    is <psi|psi>, equal to state_norm_sq."""
+    h = _rhs_model(model)
+    rng = np.random.default_rng(m)
+    a = rng.normal(size=(m, h.n_sys)) + 1j * rng.normal(size=(m, h.n_sys))
+    # small displacements keep the number basis small for up to four modes
+    spread = 0.6 if h.n_modes < 4 else 0.3
+    f = spread * (rng.normal(size=(m, h.n_modes))
+                  + 1j * rng.normal(size=(m, h.n_modes)))
+    adot, fdot, norm_sq = eom_rhs(h, a, f)
+    ref_a, ref_f, ref_norm = _dirac_frenkel_reference(h, a, f)
+    scale = max(np.abs(ref_a).max(), np.abs(ref_f).max())
+    assert np.abs(adot - ref_a).max() <= 1e-8 * scale
+    assert np.abs(fdot - ref_f).max() <= 1e-8 * scale
+    assert abs(norm_sq - ref_norm) <= 1e-12 * ref_norm
+    assert abs(norm_sq - state_norm_sq(a, f)) <= 1e-12 * ref_norm
+
+
+def test_batched_eom_rhs_matches_the_number_basis():
+    """A batch of three M = 2 members, each against its own dense solve."""
+    h = _rhs_model("sf-manifold2")
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(3, 2, h.n_sys)) + 1j * rng.normal(size=(3, 2, h.n_sys))
+    f = 0.6 * (rng.normal(size=(3, 2, h.n_modes))
+               + 1j * rng.normal(size=(3, 2, h.n_modes)))
+    adot, fdot, norm_sq = eom_rhs(h, a, f)
+    assert norm_sq.shape == (3,)
+    assert np.abs(norm_sq - state_norm_sq(a, f)).max() <= 1e-12 * norm_sq.max()
+    for b in range(3):
+        ref_a, ref_f, ref_norm = _dirac_frenkel_reference(h, a[b], f[b])
+        scale = max(np.abs(ref_a).max(), np.abs(ref_f).max())
+        assert np.abs(adot[b] - ref_a).max() <= 1e-8 * scale
+        assert np.abs(fdot[b] - ref_f).max() <= 1e-8 * scale
+        assert abs(norm_sq[b] - ref_norm) <= 1e-12 * ref_norm
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batch"])
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("model", RHS_MODELS)
+def test_eom_rhs_is_phase_covariant(model, m, batch):
+    """eom_rhs(h, e^{i phi} A, f) = (e^{i phi} Adot, fdot): the identity that
+    makes propagate's carrier frame an exact change of variables.  Relative
+    to the largest derivative, 1e-12."""
+    h = _rhs_model(model)
     rng = np.random.default_rng(m)
     a = rng.normal(size=batch + (m, h.n_sys)) + 1j * rng.normal(size=batch + (m, h.n_sys))
     # spread configurations keep the metric well conditioned, so the rounding
@@ -259,8 +372,8 @@ def test_eom_rhs_is_phase_covariant(model, m, batch):
     f = 1.5 * (rng.normal(size=batch + (m, h.n_modes))
                + 1j * rng.normal(size=batch + (m, h.n_modes)))
     phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    adot, fdot = eom_rhs(h, a, f)
-    adot_r, fdot_r = eom_rhs(h, phase * a, f)
+    adot, fdot, _ = eom_rhs(h, a, f)
+    adot_r, fdot_r, _ = eom_rhs(h, phase * a, f)
     scale = max(np.abs(adot).max(), np.abs(fdot).max())
     assert np.abs(adot_r - phase * adot).max() <= 1e-12 * scale
     assert np.abs(fdot_r - fdot).max() <= 1e-12 * scale
@@ -391,10 +504,10 @@ def test_batched_rhs_equals_member_calls(m):
     a = rng.normal(size=(3, m, h.n_sys)) + 1j * rng.normal(size=(3, m, h.n_sys))
     f = 0.4 * (rng.normal(size=(3, m, h.n_modes))
                + 1j * rng.normal(size=(3, m, h.n_modes)))
-    adot, fdot = eom_rhs(h, a, f)
+    adot, fdot, _ = eom_rhs(h, a, f)
     assert adot.shape == a.shape and fdot.shape == f.shape
     for b in range(3):
-        ad, fd = eom_rhs(h, a[b], f[b])
+        ad, fd, _ = eom_rhs(h, a[b], f[b])
         assert np.abs(adot[b] - ad).max() < 1e-12
         assert np.abs(fdot[b] - fd).max() < 1e-12
 
