@@ -16,6 +16,7 @@ alone (see its docstring).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import (
@@ -39,6 +40,10 @@ def _worker_count(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if workers < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
+    if workers > 1 and not hasattr(os, "fork"):
+        raise argparse.ArgumentTypeError(
+            f"{workers} workers need os.fork, which this platform lacks; "
+            "use 1")
     return workers
 
 
@@ -65,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="override the run seed")
             p.add_argument("--workers", type=_worker_count, default=1,
                            metavar="INT",
-                           help="process count for ensemble realizations")
+                           help="worker processes; the parent only sums")
             p.add_argument("--resume", action="store_true",
                            help="keep spectra2d first legs and the ESA "
                                 "checkpoint in OUT/bank/ and reuse them if "

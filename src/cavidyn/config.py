@@ -380,6 +380,9 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
     _check_tags(dis["width"], violations, "disorder.width")
     _check(dis["n_realizations"] >= 1, violations,
            "disorder.n_realizations: must be >= 1")
+    # the seed is one word of the disorder draws' Philox key
+    _check(0 <= dis["seed"] < 2 ** 64, violations,
+           "disorder.seed: must lie in [0, 2**64 - 1]")
     _check(temp_k >= 0, violations,
            "temperature.temperature_k: must be >= 0")
 

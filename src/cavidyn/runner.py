@@ -7,17 +7,22 @@ rerunning the same config reproduces them byte for byte; the manifest is
 written last.  On failure, partially written outputs are removed.
 
 The disorder ensembles (tc and htc dynamics, tc absorption) share one loop,
-`_run_ensemble`: it maps every (width, realization) pair through one process
-pool per run (chunked, so a cheap tc realization does not pay a round trip of
-its own), consumes the results in task order and keeps one running sum per
-column, added in realization-index order: the mean is bitwise that of
-`sum(column)` and independent of worker count and scheduling, and no
-realization's columns outlive their addition.  Each width's mean goes to one
-CSV, suffixed `_W<width>` (`config.file_tag`, which validation keeps
+`_run_ensemble`: it keeps one running sum per column, added in task
+(width, realization) order, so the mean is bitwise that of `sum(column)`
+and no realization's columns outlive their addition.  Each width's mean goes
+to one CSV, suffixed `_W<width>` (`config.file_tag`, which validation keeps
 distinct per width) when the config lists several widths.  A tc
 realization is one exact pole sum (`tc_exact`); an htc realization is one
 variational propagation.  Every htc run, absorption included, takes its
 Hamiltonian from `_htc_hamiltonian`: the doubled thermofield one above 0 K.
+
+With W > 1 workers the ensemble forks W children (`_forked_results`): child
+k computes tasks k, k+W, k+2W, ... and writes each result's columns to its
+own pipe as raw float64 bytes, and the parent reads task i from child
+i mod W and only sums, so the CSVs are bitwise those of one worker.  The
+parent computes no realization and never loads `numpy.random` (the disorder
+draws do, in the children), so its imports, not a share of the work, set
+the run's peak memory.
 
 `spectra2d --resume` keeps its resume files in `OUT/bank/`; the runner only
 creates that directory, and `cavidyn.spectro` decides from the digest each
@@ -26,20 +31,21 @@ file carries whether it can be reused.
 Importing this module loads numpy and no other cavidyn layer: each
 experiment imports its modules inside the function that runs it, so a tc
 ensemble loads `models` and `tc_exact` but not `sf`, `varprop`, `spectro`
-or `thermofield`, and `spectra2d` loads no `tc_exact`, `thermofield` or
-`concurrent.futures`.  An ensemble imports its work unit's modules
-(`_ENSEMBLES`) before its process pool forks, so the workers inherit them.
+or `thermofield`, `spectra2d` loads no `tc_exact` or `thermofield`, and no
+run loads `concurrent.futures` or `multiprocessing`.  An ensemble imports
+its work unit's modules (`_ENSEMBLES`) before it forks, so the children
+inherit them.
 The config's model objects are built on first access (`cavidyn.config`).
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import importlib
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import replace
 
@@ -93,7 +99,7 @@ def _omegas(cfg: RunConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-realization work units (top level so they pickle for the process pool)
+# per-realization work units
 # ---------------------------------------------------------------------------
 
 
@@ -163,8 +169,8 @@ _TC_MODULES = ("models", "tc_exact")
 
 #: (experiment, model) -> (work unit, the cavidyn modules it imports, sample
 #: axis, output stem, CSV header); a work unit maps (cfg, width, realization,
-#: axis) to a tuple of columns, each owning its memory (a view would carry its
-#: parent array through the pool's result queue)
+#: axis) to a tuple of float64 columns of the axis's length, one per header
+#: entry after the first
 _ENSEMBLES = {
     ("dynamics", "tc"): (_tc_realization, _TC_MODULES, _times, "population",
                          _POPULATION_HEADER),
@@ -176,10 +182,87 @@ _ENSEMBLES = {
 }
 
 
+def _child(work, tasks, out_fd: int, inherited: list, shape):
+    """Body of a forked ensemble worker: writes the columns of each of
+    `tasks` to `out_fd` as one C-ordered float64 `shape` block, then ends
+    the process (exit 1, after a traceback on stderr, if anything raised)."""
+    code = 1
+    try:
+        for pipe in inherited:
+            pipe.close()
+        with open(out_fd, "wb") as out:
+            for task in tasks:
+                block = np.array(work(task), dtype=float)
+                if block.shape != shape:
+                    raise ValueError(f"work unit returned columns of shape "
+                                     f"{block.shape}, expected {shape}")
+                out.write(block)
+                out.flush()
+        code = 0
+    except (KeyboardInterrupt, BrokenPipeError):
+        pass  # the parent reports the interrupt, or is gone
+    except BaseException:
+        import traceback
+
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _forked_results(work, tasks, workers: int, shape):
+    """Yields every task's columns, as the rows of a `shape` array, in task
+    order; `workers` forked children compute them, child k tasks k, k+W, ...
+
+    The parent only reads: it takes task i from child i mod W and reaps each
+    child after its last task.  A child that ends early (or not with exit 0)
+    raises RuntimeError; on any exception, or when the generator is closed
+    early, every child still running gets SIGTERM, and every child is reaped.
+    """
+    import signal
+
+    nbytes = 8 * shape[0] * shape[1]
+    pids: dict = {}  # worker index -> pid of each child not yet reaped
+    pipes: list = []
+    try:
+        for k in range(workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(work, tasks[k::workers], write_fd, pipes, shape)
+            finally:
+                # a child that dies then reads as EOF
+                os.close(write_fd)
+            pids[k] = pid
+        for i in range(len(tasks)):
+            k = i % workers
+            data = pipes[k].read(nbytes)
+            if len(data) < nbytes or i + workers >= len(tasks):
+                _, status = os.waitpid(pids[k], 0)
+                del pids[k]
+                code = os.waitstatus_to_exitcode(status)
+                if code or len(data) < nbytes:
+                    raise RuntimeError(
+                        f"ensemble worker {k} exited with status {code} "
+                        f"at task {i} of {len(tasks)}")
+            yield np.frombuffer(data).reshape(shape)
+    except BaseException:
+        for pid in pids.values():
+            os.kill(pid, signal.SIGTERM)
+        raise
+    finally:
+        for pid in pids.values():
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
 def _run_ensemble(cfg: RunConfig, out_dir: str, workers: int, files: list):
     work, modules, axis_of, stem, header = _ENSEMBLES[cfg.experiment,
                                                       cfg.model_kind]
-    # imported here, before the pool forks: the workers inherit the modules
+    # imported here, before the fork: the children inherit the modules
     # instead of compiling them again
     for name in modules:
         importlib.import_module(f".{name}", __package__)
@@ -187,17 +270,13 @@ def _run_ensemble(cfg: RunConfig, out_dir: str, workers: int, files: list):
     widths = cfg.disorder.width
     n_real = cfg.disorder.n_realizations
     tasks = [(cfg, width, r, axis) for width in widths for r in range(n_real)]
-    # a forked pool starts all its workers at once: no more than the tasks
     workers = min(workers, len(tasks))
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            chunk = -(-len(tasks) // (4 * workers))
-            rows = pool.map(work, tasks, chunksize=chunk)
-        else:
-            rows = map(work, tasks)
+    if workers > 1:
+        rows = _forked_results(work, tasks, workers,
+                               (len(header) - 1, len(axis)))
+    else:
+        rows = (work(task) for task in tasks)
+    try:
         for width in widths:
             # running sum in realization order: bitwise equal to sum(column)
             total = [0] * (len(header) - 1)
@@ -208,6 +287,8 @@ def _run_ensemble(cfg: RunConfig, out_dir: str, workers: int, files: list):
             _write_csv(os.path.join(out_dir, name), header,
                        [axis, *(acc / n_real for acc in total)])
             files.append(name)
+    finally:
+        rows.close()
 
 
 def _run_dynamics_sf(cfg: RunConfig, out_dir: str, files: list):

@@ -1,6 +1,5 @@
 """Command line, config validation and the experiment runner, end to end."""
 
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -200,7 +199,9 @@ def test_options_hold_only_their_experiments_keys():
 def test_outputs_do_not_depend_on_worker_count(tmp_path, capsys):
     absorption = TINY_TC.replace("kind = dynamics",
                                  "kind = absorption\nomega_points = 41")
-    for kind, text in (("dynamics", TINY_TC), ("absorption", absorption)):
+    for kind, text, n_files in (("dynamics", TINY_TC, 2),
+                                ("absorption", absorption, 2),
+                                ("htc", TINY_HTC, 1)):
         path = _write(tmp_path, text)
         files = []
         for workers in ("1", "2"):
@@ -209,12 +210,12 @@ def test_outputs_do_not_depend_on_worker_count(tmp_path, capsys):
                               str(out_dir), "--workers", workers)
             assert code == cli.EXIT_OK
             files.append({p.name: p.read_bytes() for p in out_dir.glob("*.csv")})
-        assert len(files[0]) == 2 and files[0] == files[1]
+        assert len(files[0]) == n_files and files[0] == files[1]
 
 
-def test_chunked_pool_keeps_realization_order(tmp_path, capsys):
-    """18 realizations over 3 workers go out in chunks of 2; the means are
-    bytewise those of the serial run."""
+def test_round_robin_keeps_realization_order(tmp_path, capsys):
+    """18 realizations over 3 workers, each taking every third one: the
+    means are bytewise those of the serial run."""
     path = _write(tmp_path, TINY_TC.replace("n_realizations = 3",
                                             "n_realizations = 9"))
     files = []
@@ -264,8 +265,8 @@ def _owner(a):
 
 
 def test_work_units_return_owned_columns():
-    """No realization column keeps a larger array alive in the pool's result
-    queue or the running sums."""
+    """No realization column keeps a larger array alive while the next
+    realization is computed."""
     from cavidyn import runner
     from cavidyn.config import validate
 
@@ -397,8 +398,10 @@ def test_package_import_and_validate_leave_out_numpy(tmp_path):
 
 
 @pytest.mark.parametrize("text,command,left_out", [
+    # the forked workers alone draw the disorder (numpy.random)
     (TINY_TC, "run", {"cavidyn.sf", "cavidyn.varprop", "cavidyn.spectro",
-                      "cavidyn.thermofield"}),
+                      "cavidyn.thermofield", "concurrent", "multiprocessing",
+                      "numpy.random"}),
     # an M = 1 start carries no noise, so nothing imports numpy.random
     (TINY_SPECTRA, "spectra2d", {"cavidyn.tc_exact", "cavidyn.thermofield",
                                  "concurrent", "numpy.random"}),
@@ -423,8 +426,8 @@ def test_disorder_draws_still_load_numpy_random(tmp_path):
 
 
 def test_ensembles_preload_every_module_their_work_units_import(tmp_path):
-    """The parent imports what a work unit needs before the pool forks, so
-    no worker compiles a cavidyn module of its own."""
+    """The parent imports what a work unit needs before it forks, so no
+    worker compiles a cavidyn module of its own."""
     from cavidyn import runner
 
     absorption = TINY_TC.replace("kind = dynamics", "kind = absorption")
@@ -478,29 +481,57 @@ def test_workers_below_one_is_a_parse_error(tmp_path, capsys, workers):
     assert "--workers" in capsys.readouterr().err
 
 
-def test_pool_never_exceeds_the_task_count(tmp_path, capsys, monkeypatch):
+def test_forks_never_exceed_the_task_count(tmp_path, capsys, monkeypatch):
     """3 realizations at --workers 8 start 3 processes, not 8."""
-    sizes = []
+    forks = []
+    fork = os.fork
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counting_fork():
+        forks.append(None)
+        return fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     text = TINY_TC.replace("width = 0.05 0.1", "width = 0.05")
     code, _, err = _run(capsys, "run", "--config", _write(tmp_path, text),
                         "--out", str(tmp_path / "out"), "--workers", "8")
     assert code == cli.EXIT_OK, err
-    assert sizes == [3]
+    assert len(forks) == 3
+
+
+def test_failing_worker_fails_the_run_and_leaves_no_process(tmp_path, capsys,
+                                                            monkeypatch):
+    """A realization that raises in a worker ends the run with exit 1 and
+    one error line; the first width's finished CSV is removed and every
+    worker is reaped."""
+    from cavidyn import runner
+
+    key = ("dynamics", "tc")
+    work, *rest = runner._ENSEMBLES[key]
+
+    def failing(args):
+        _, width, r, _ = args
+        if width == 0.1 and r == 1:
+            raise FloatingPointError("realization failed on purpose")
+        return work(args)
+
+    monkeypatch.setitem(runner._ENSEMBLES, key, (failing, *rest))
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, "run", "--config", _write(tmp_path, TINY_TC),
+                        "--out", str(out_dir), "--workers", "2")
+    assert code == cli.EXIT_RUNTIME
+    assert err.count("error:") == 1 and "worker 0 exited with status 1" in err
+    assert not list(out_dir.glob("*.csv"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_workers_above_one_need_fork(tmp_path, capsys, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", _write(tmp_path, TINY_TC), "--workers",
+                  "2"])
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "os.fork" in capsys.readouterr().err
 
 
 def test_missing_config_is_a_runtime_failure(tmp_path, capsys):
@@ -572,14 +603,25 @@ def test_photon_cutoff_is_not_a_tc_key(tmp_path, capsys):
     # samples at 0, 6 and 12 fs would run past the 10 fs window
     (TINY_TC.replace("t_max_fs = 20", "t_max_fs = 10")
      .replace("sample_dt_fs = 2.0", "sample_dt_fs = 6"), "run.t_max_fs"),
+    # the disorder seed keys a 64-bit Philox generator
+    (TINY_TC.replace("seed = 7", "seed = -1"), "disorder.seed"),
+    (TINY_TC.replace("seed = 7", f"seed = {2 ** 64}"), "disorder.seed"),
 ], ids=["downhill-fission", "above-nyquist", "off-grid-waiting-time",
         "one-site-htc", "pes-scan-photon-cutoff", "pes-scan-cavity-loss",
-        "htc-classical-limit", "samples-past-window"])
+        "htc-classical-limit", "samples-past-window", "negative-disorder-seed",
+        "disorder-seed-past-u64"])
 def test_validate_rejects_what_would_fail_at_run_time(tmp_path, capsys, text,
                                                      violation):
     code, _, err = _run(capsys, "validate", "--config", _write(tmp_path, text))
     assert code == cli.EXIT_CONSTRAINT
     assert violation in err
+
+
+def test_largest_disorder_seed_runs(tmp_path, capsys):
+    text = TINY_TC.replace("seed = 7", f"seed = {2 ** 64 - 1}")
+    code, _, err = _run(capsys, "run", "--config", _write(tmp_path, text),
+                        "--out", str(tmp_path / "out"))
+    assert code == cli.EXIT_OK, err
 
 
 @pytest.mark.parametrize("text,key", [
