@@ -127,8 +127,6 @@ def main():
                       f"P_cav span=[{ph.min():.2f},{ph.max():.2f}] "
                       f"period~{period:.2f}fs ({time.time()-t0:.0f}s)",
                       flush=True)
-                np.savez(f"/tmp/dense_N{n:g}_lam{lam:.5f}.npz",
-                         times=times, p_tt=tt, p_cav=ph)
 
 if __name__ == "__main__":
     main()

@@ -24,7 +24,8 @@ This module imports no numpy: `validate` checks the values and builds no
 model objects, so `cavidyn validate` loads only the standard library.  The
 model objects of a `RunConfig` (`tc`, `htc`, `sf_dimers`, `sf_cavity`,
 `sf_coupling`) are built from the validated values on first access, which
-imports `cavidyn.models` or `cavidyn.sf` then.
+imports `cavidyn.models` or `cavidyn.sf` then.  They depend on [model] alone;
+each fission builder picks its own label set (`cavidyn.sf`).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ if TYPE_CHECKING:
 EXPERIMENT_KINDS = ("dynamics", "absorption", "pes-scan", "spectra2d",
                     "oracle-compare")
 MODEL_KINDS = ("tc", "htc", "sf")
-ORACLE_PAIRS = ("tc", "htc-dense", "corrupted-metric")
+ORACLE_PAIRS = ("tc", "htc-dense")
 
 
 class ConfigParseError(ValueError):
@@ -129,7 +130,7 @@ _SCHEMA = {
         "t_max_fs": (float, 300.0, None),
         "sample_dt_fs": (float, 1.0, None),
         "multiplicity": (int, 1, None),
-        "seed": (int, 0, None),
+        "seed": (int, 0, None),  # start noise, drawn only at multiplicity > 1
         "rel_tol": (float, 1e-6, None),
         "abs_tol": (float, 1e-8, None),
     },
@@ -254,8 +255,7 @@ class RunConfig:
 
         model = self.sections["model"]
         return SFCavityCoupling(omega=model["coupling_omega"],
-                                rwa=model["rwa"],
-                                five_state=self.experiment == "spectra2d")
+                                rwa=model["rwa"])
 
 
 def _read_sections(text: str) -> dict:

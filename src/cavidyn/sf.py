@@ -23,8 +23,10 @@ ansatz for pumped dynamics (`sf_matter_only` is the same projection without
 the photon mode).
 
 Electronic labels are tuples with one state per dimer, e.g. ("S1", "g").
-Each Hamiltonian function returns them next to its Hamiltonian, in
-system-index order, and the observables (`sf_observables`,
+Sn and TTn first appear in excitation manifold 2, so the manifold blocks
+(`manifold_hamiltonian`, `dipole_up`) use all five states and the other
+builders g, S1 and TT.  Each Hamiltonian function returns its labels next to
+its Hamiltonian, in system-index order, and the observables (`sf_observables`,
 `excitation_expectation`) take them from the caller: states and trajectories
 carry no labels.
 """
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -134,18 +136,17 @@ class CavitySpec:
 class SFCavityCoupling:
     omega: float = 0.2
     rwa: bool = False
-    five_state: bool = False
 
     def __post_init__(self):
         if self.omega < 0:
             raise ValueError("vacuum Rabi energy must be >= 0")
 
 
-def electronic_labels(n_dimers: int, five_state: bool):
-    """All electronic product labels as tuples, one entry per dimer."""
+def electronic_labels(n_dimers: int, states):
+    """All electronic product labels over `states` as tuples, one entry per
+    dimer."""
     if n_dimers not in (1, 2):
         raise UnsupportedModelError(f"unsupported dimer count {n_dimers}")
-    states = STATES_FIVE if five_state else STATES_THREE
     if n_dimers == 1:
         return [(s,) for s in states]
     return [(s1, s2) for s1 in states for s2 in states]
@@ -186,8 +187,8 @@ class _LabelGraph:
     mode_freqs: np.ndarray
 
 
-def _label_graph(dimers, five_state: bool) -> _LabelGraph:
-    labels = electronic_labels(len(dimers), five_state)
+def _label_graph(dimers, states) -> _LabelGraph:
+    labels = electronic_labels(len(dimers), states)
     index = {lab: a for a, lab in enumerate(labels)}
     lam = np.zeros((len(dimers), len(labels), len(labels)))
     raising = np.zeros((len(labels), len(labels)))
@@ -254,7 +255,7 @@ def sf_system_bath(
         raise UnsupportedModelError(
             "cavity loss is only available in the Fock photon representations"
         )
-    graph = _label_graph(dimers, coupling.five_state)
+    graph = _label_graph(dimers, STATES_THREE)
     half = coupling.omega / 2.0
     # C^+ X: photon created while the matter de-excites; without the RWA
     # also C^+ X^+
@@ -271,8 +272,8 @@ def sf_system_bath(
 
 def sf_matter_only(dimers: Sequence[SFDimerSpec]):
     """Cavity-free reference: the same matter Hamiltonian with only the
-    2*n_dimers vibrational modes (three-state labels)."""
-    graph = _label_graph(dimers, False)
+    2*n_dimers vibrational modes."""
+    graph = _label_graph(dimers, STATES_THREE)
     return graph.labels, SystemBathHamiltonian(
         np.diag(graph.energy.astype(complex)),
         graph.mode_freqs,
@@ -286,7 +287,6 @@ def coherent_init(
     n_modes: int,
     multiplicity: int = 1,
     noise_seed: int = 0,
-    noise_scale: float = 1e-4,
 ) -> MultiD2State:
     """Initial state for pumped runs: bright singlet excitation (symmetrized
     over dimers) with the photon mode displaced to mu1."""
@@ -302,15 +302,8 @@ def coherent_init(
     a0[bright] = 1.0 / math.sqrt(len(bright))
     base = np.zeros(n_modes, dtype=complex)
     base[-1] = mu1
-    return init_state(
-        len(labels),
-        n_modes,
-        a0,
-        multiplicity=multiplicity,
-        noise_seed=noise_seed,
-        noise_scale=noise_scale,
-        base_displacement=base,
-    )
+    return init_state(len(labels), n_modes, a0, multiplicity=multiplicity,
+                      noise_seed=noise_seed, base_displacement=base)
 
 
 def sf_observables(traj, labels, cavity_mode=-1):
@@ -383,7 +376,7 @@ def pes_scan(
     q_t_grid: np.ndarray,
     q_c: float = 0.0,
     n_max: int = 6,
-    manifold_max: Optional[int] = 2,
+    manifold_max: int = 2,
     leak_tol: float = 1e-6,
 ):
     """Adiabatic potential cuts along the common tuning coordinate.
@@ -393,17 +386,15 @@ def pes_scan(
     classified by excitation number, triplet-pair weight w_tt, pure-photon
     weight w_ph (all dimers electronically unexcited and n_c >= 1), and the
     looser any-photon weight w_ph_any (n_c >= 1 regardless of matter state).
-    manifold_max=None returns every eigenstate of the truncated space with no
-    cutoff-adequacy check (diagnostics only).
     """
-    if manifold_max is not None and n_max < manifold_max + 4:
+    if n_max < manifold_max + 4:
         raise ValueError(
             f"photon cutoff n_max={n_max} too small: need >= manifold_max + 4 "
             f"= {manifold_max + 4}"
         )
     if cavity.kappa != 0.0:
         raise UnsupportedModelError("surface scans require a lossless cavity")
-    graph = _label_graph(dimers, coupling.five_state)
+    graph = _label_graph(dimers, STATES_THREE)
     basis = _fock_basis(graph.labels, n_max)
     rows = []
     for q_t in np.asarray(q_t_grid, dtype=float):
@@ -420,16 +411,13 @@ def pes_scan(
         any_ph = np.array([nc >= 1 for lab, nc in basis])
         top = np.array([nc == n_max for lab, nc in basis])
         manifolds = weights.T @ n_ex
-        if manifold_max is None:
-            sel = np.arange(len(evals))
-        else:
-            sel = np.flatnonzero(manifolds <= manifold_max + 0.5)
-            leak = weights[top][:, sel].sum(axis=0)
-            if leak.size and leak.max() > leak_tol:
-                raise ArithmeticError(
-                    f"photon cutoff n_max={n_max} too small at Q_t={q_t:.4f}: "
-                    f"top-level occupation {leak.max():.2e} exceeds {leak_tol:.0e}"
-                )
+        sel = np.flatnonzero(manifolds <= manifold_max + 0.5)
+        leak = weights[top][:, sel].sum(axis=0)
+        if leak.size and leak.max() > leak_tol:
+            raise ArithmeticError(
+                f"photon cutoff n_max={n_max} too small at Q_t={q_t:.4f}: "
+                f"top-level occupation {leak.max():.2e} exceeds {leak_tol:.0e}"
+            )
         for s, k in enumerate(sel):
             rows.append(
                 SurfacePoint(
@@ -484,11 +472,11 @@ def adjacent_gap_minima(rows, surface_lo: int, flag_gap: float = 1e-4):
 # ---------------------------------------------------------------------------
 
 
-def manifold_labels(n_dimers: int, five_state: bool, manifold: int):
+def manifold_labels(n_dimers: int, manifold: int):
     """(electronic label, photon count) pairs with total excitation =
-    manifold."""
+    manifold, over the five-state labels."""
     out = []
-    for lab in electronic_labels(n_dimers, five_state):
+    for lab in electronic_labels(n_dimers, STATES_FIVE):
         nc = manifold - label_weight(lab)
         if nc >= 0:
             out.append((lab, nc))
@@ -509,8 +497,8 @@ def manifold_hamiltonian(
             "excitation-number blocks exist only under the rotating-wave "
             "approximation"
         )
-    graph = _label_graph(dimers, coupling.five_state)
-    labels = manifold_labels(len(dimers), coupling.five_state, manifold)
+    graph = _label_graph(dimers, STATES_FIVE)
+    labels = manifold_labels(len(dimers), manifold)
     basis = _fock_basis(graph.labels, manifold)
     keep = [basis.index(b) for b in labels]
     block = np.ix_(keep, keep)
@@ -523,8 +511,7 @@ def manifold_hamiltonian(
 def dipole_up(dimers, labels_lo, labels_hi):
     """Matter raising operator between adjacent excitation manifolds:
     D[hi, lo] with the photon count unchanged."""
-    # the five-state labels include the three-state ones
-    graph = _label_graph(dimers, True)
+    graph = _label_graph(dimers, STATES_FIVE)
     index = {lab: a for a, lab in enumerate(graph.labels)}
     hi = [index[lab] for lab, _ in labels_hi]
     lo = [index[lab] for lab, _ in labels_lo]

@@ -157,7 +157,6 @@ def first_leg_bank(
     grid: ResponseGrid,
     multiplicity: int = 1,
     noise_seed: int = 0,
-    noise_scale: float = 0.0,
     settings: Optional[PropagationSettings] = None,
     checkpoint_dir: Optional[str] = None,
 ) -> TrajectoryBank:
@@ -170,8 +169,6 @@ def first_leg_bank(
     settings and the sample times) and reloaded instead of recomputed when
     the stored digest matches.
     """
-    if multiplicity > 1 and noise_scale == 0.0:
-        noise_scale = 1e-4
     settings = settings or PropagationSettings()
     bright = tuple(int(i) for i in np.flatnonzero(np.abs(dipoles.mu) > 0))
     if not bright:
@@ -198,7 +195,7 @@ def first_leg_bank(
     amps, disps, amps_b, disps_b = {}, {}, {}, {}
     for n in bright:
         st = init_state(h1.n_sys, h1.n_modes, n, multiplicity=multiplicity,
-                        noise_seed=noise_seed, noise_scale=noise_scale)
+                        noise_seed=noise_seed)
         amps[n], disps[n] = leg(st, fwd_times, f"{n}_fwd")
         amps_b[n], disps_b[n] = leg(st, back_times, f"{n}_bwd")
     return TrajectoryBank(dt, np.asarray(h1.mode_freqs, dtype=float), bright,
@@ -468,9 +465,8 @@ def linear_absorption(
     strength = float(np.sum(np.abs(mu) ** 2))
     if strength == 0:
         return np.zeros_like(np.asarray(omega_grid, dtype=float))
-    noise = 1e-4 if multiplicity > 1 else 0.0
     st = init_state(h1.n_sys, h1.n_modes, mu, multiplicity=multiplicity,
-                    noise_seed=noise_seed, noise_scale=noise)
+                    noise_seed=noise_seed)
     traj = propagate(h1, st, t_max, settings or PropagationSettings())
     corr = autocorrelation(traj, st) * strength
     return absorption_from_autocorrelation(

@@ -27,6 +27,9 @@ Theta once, builds h from Theta's contractions, writes the blocks of G into
 one array and returns <psi|psi> = sum(A* A^T o S), which G_ff needs anyway,
 beside the derivatives: `propagate`'s norm guard reads it from there.
 
+Initial states.  `init_state` draws nothing at M = 1; at M > 1 it adds
+NOISE_SCALE-sized draws, since identical configurations make G singular.
+
 Batches.  Amplitudes (..., M, n_sys) and displacements (..., M, n_modes) may
 carry leading batch axes: independent states of one Hamiltonian with the same
 shape.  `eom_rhs` then assembles and solves one metric per member (stacked
@@ -76,8 +79,8 @@ from .models import SystemBathHamiltonian
 
 #: relative eigenvalue cutoff for the metric pseudo-inverse
 DEFAULT_SVD_CUTOFF = 1e-8
-#: default amplitude of the symmetry-breaking noise on extra configurations
-DEFAULT_NOISE_SCALE = 1e-4
+#: amplitude of the symmetry-breaking draws of a multi-configuration state
+NOISE_SCALE = 1e-4
 
 
 class AnsatzCollapseError(RuntimeError):
@@ -326,27 +329,19 @@ def init_state(
     initial,
     multiplicity: int = 1,
     noise_seed: int = 0,
-    noise_scale: float = DEFAULT_NOISE_SCALE,
     base_displacement: Optional[np.ndarray] = None,
 ) -> MultiD2State:
-    """Product initial state plus symmetry-breaking noise on the extra
-    configurations.
+    """Product initial state plus, at M > 1, symmetry-breaking noise.
 
     `initial` selects the occupied system label: an index, or a full complex
-    amplitude vector of length n_sys.
-    Configuration 1 carries the state; every other amplitude and every
-    displacement receives noise_scale * (complex unit-disk draw), on top of
-    `base_displacement` if given.  The result is renormalized to unit norm.
+    amplitude vector of length n_sys.  Configuration 1 carries the state, on
+    top of `base_displacement` if given.  At M = 1 nothing is drawn, whatever
+    `noise_seed`.  At M > 1 every other amplitude, then every displacement,
+    receives NOISE_SCALE * (complex unit-disk draw) from `noise_seed`.  The
+    result is renormalized to unit norm.
     """
     if multiplicity < 1:
         raise ValueError("multiplicity must be >= 1")
-    if multiplicity > 1 and noise_scale == 0:
-        raise ValueError(
-            "noise_scale = 0 with multiplicity > 1 gives a singular metric at t = 0; "
-            "identical configurations are unsupported"
-        )
-    if noise_scale < 0:
-        raise ValueError("noise_scale must be >= 0")
 
     a0 = np.zeros(n_sys, dtype=complex)
     if np.ndim(initial) == 0:
@@ -357,12 +352,12 @@ def init_state(
             raise ValueError("initial amplitude vector has the wrong length")
         a0 = vec
 
-    if noise_scale == 0:   # multiplicity 1 (checked above): nothing to draw
+    if multiplicity == 1:
         a, f = np.zeros((1, n_sys), complex), np.zeros((1, n_modes), complex)
     else:
         rng = np.random.default_rng(noise_seed)
-        a = noise_scale * _unit_disk(rng, (multiplicity, n_sys))
-        f = noise_scale * _unit_disk(rng, (multiplicity, n_modes))
+        a = NOISE_SCALE * _unit_disk(rng, (multiplicity, n_sys))
+        f = NOISE_SCALE * _unit_disk(rng, (multiplicity, n_modes))
     mask = a0 != 0
     a[0, mask] = a0[mask]
     if base_displacement is not None:

@@ -15,6 +15,8 @@ from cavidyn.sf import (
     CavitySpec,
     SFCavityCoupling,
     SFDimerSpec,
+    STATES_FIVE,
+    STATES_THREE,
     adjacent_gap_minima,
     coherent_init,
     derive_kappas_from_ci,
@@ -60,21 +62,30 @@ def test_kappa_derivation_errors_and_symmetry():
 
 
 def test_label_enumeration_and_manifold_counts():
-    assert len(electronic_labels(1, False)) == 3
-    assert len(electronic_labels(1, True)) == 5
-    assert len(electronic_labels(2, True)) == 25
+    assert len(electronic_labels(1, STATES_THREE)) == 3
+    assert len(electronic_labels(1, STATES_FIVE)) == 5
+    assert len(electronic_labels(2, STATES_FIVE)) == 25
 
-    def counts(nd, five_state):
-        return [len(manifold_labels(nd, five_state, n)) for n in range(3)]
+    def counts(nd):
+        return [len(manifold_labels(nd, n)) for n in range(3)]
 
-    assert counts(1, True) == [1, 3, 5]
-    assert counts(2, False) == [1, 5, 9]
+    assert counts(1) == [1, 3, 5]
     # ground / singly- / doubly-excited label counts for two five-state dimers
-    assert counts(2, True) == [1, 5, 13]
+    assert counts(2) == [1, 5, 13]
+    # pumped dynamics and surface scans keep the three-state labels
+    for nd in (1, 2):
+        labels, _ = sf_system_bath([SFDimerSpec()] * nd, CavitySpec(),
+                                   SFCavityCoupling())
+        assert labels == electronic_labels(nd, STATES_THREE)
+        assert sf_matter_only([SFDimerSpec()] * nd)[0] == labels
+    # manifolds 0-2 of g, S1, TT under the RWA: 1 + 3 + 3 surfaces (Sn and
+    # TTn would add 2)
+    assert len(pes_scan([SFDimerSpec()], CavitySpec(),
+                        SFCavityCoupling(rwa=True), [0.0])) == 7
     assert label_weight(("TTn", "S1")) == 3
     assert label_has_tt(("g", "TTn")) and not label_has_tt(("S1", "Sn"))
     with pytest.raises(UnsupportedModelError):
-        electronic_labels(3, False)
+        electronic_labels(3, STATES_THREE)
 
 
 def test_bright_pair_gap_matches_closed_form():
@@ -109,9 +120,9 @@ def test_manifold_hamiltonian_requires_rwa():
 
 def test_dipole_up_between_manifolds():
     dimers = [SFDimerSpec(eta_s=1.3, eta_t=0.7)]
-    l0 = manifold_labels(1, True, 0)
-    l1 = manifold_labels(1, True, 1)
-    l2 = manifold_labels(1, True, 2)
+    l0 = manifold_labels(1, 0)
+    l1 = manifold_labels(1, 1)
+    l2 = manifold_labels(1, 2)
     d01 = dipole_up(dimers, l0, l1)
     assert d01.shape == (3, 1)
     assert d01[l1.index((("S1",), 0)), 0] == 1.0
@@ -159,8 +170,8 @@ def test_cavity_decoupled_limit_equals_bare_model():
     _, h_bare = sf_matter_only(dimers)
     tight = PropagationSettings(rel_tol=1e-9, abs_tol=1e-11, sample_dt=1.0)
     s1 = labels.index(("S1",))
-    s_cav = init_state(3, 3, s1, noise_scale=0.0)
-    s_bare = init_state(3, 2, s1, noise_scale=0.0)
+    s_cav = init_state(3, 3, s1)
+    s_bare = init_state(3, 2, s1)
     t_cav = propagate(h_cav, s_cav, 80.0, tight)
     t_bare = propagate(h_bare, s_bare, 80.0, tight)
     assert np.max(np.abs(t_cav.system_populations() - t_bare.system_populations())) < 1e-7
@@ -273,20 +284,20 @@ def test_pes_pure_photon_classification():
 
 
 def test_pes_classification_completeness():
-    # summed pure-photon weight over all eigenstates equals the number of
-    # pure-photon basis states in the truncated space
-    n_max = 6
+    # under the RWA the excitation number is conserved, so the eigenstates
+    # kept up to manifold 2 span the pure-photon states |g, 1> and |g, 2>
+    # and their summed pure-photon weight is 2
     rows = pes_scan(
         [SFDimerSpec()],
         CavitySpec(),
         SFCavityCoupling(omega=0.2, rwa=True),
         np.array([0.0, 0.07, 0.2]),
-        n_max=n_max,
-        manifold_max=None,
+        n_max=6,
+        manifold_max=2,
     )
     for q in (0.0, 0.07, 0.2):
         tot = sum(r.w_ph for r in rows if r.q_t == q)
-        assert abs(tot - n_max) < 1e-8
+        assert abs(tot - 2.0) < 1e-8
 
 
 def test_pes_cutoff_guards():

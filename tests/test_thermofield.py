@@ -134,8 +134,8 @@ def test_pruned_tilde_modes_are_inert():
     d_pruned = thermal_double(h, theta)
     d_full = thermal_double(h, theta, prune_threshold=0.0)
     assert d_pruned.n_modes == 3 and d_full.n_modes == 4
-    s1 = init_state(3, d_pruned.n_modes, 0, multiplicity=1, noise_scale=0.0)
-    s2 = init_state(3, d_full.n_modes, 0, multiplicity=1, noise_scale=0.0)
+    s1 = init_state(3, d_pruned.n_modes, 0, multiplicity=1)
+    s2 = init_state(3, d_full.n_modes, 0, multiplicity=1)
     t1 = propagate(d_pruned, s1, 100.0, TIGHT)
     t2 = propagate(d_full, s2, 100.0, TIGHT)
     dev = np.max(np.abs(t1.photon_population() - t2.photon_population()))

@@ -27,6 +27,7 @@ from cavidyn.sf import (
     manifold_hamiltonian,
     sf_system_bath,
 )
+from cavidyn.tc_exact import solve_realization
 from cavidyn.thermofield import thermal_htc
 import cavidyn.varprop as varprop
 from cavidyn.varprop import (
@@ -127,7 +128,7 @@ def test_mode_occupation_closed_form():
 
 
 def test_init_state_single_config_is_exact():
-    s = init_state(4, 3, 2, multiplicity=1, noise_scale=0.0)
+    s = init_state(4, 3, 2, multiplicity=1)
     assert s.amplitudes.shape == (1, 4)
     assert s.displacements.shape == (1, 3)
     assert s.amplitudes[0, 2] == 1.0
@@ -137,41 +138,54 @@ def test_init_state_single_config_is_exact():
 
 def test_init_state_label_and_vector_forms():
     vec = np.array([0.6, 0.8j, 0.0])
-    s2 = init_state(3, 1, vec, multiplicity=1, noise_scale=0.0)
+    s2 = init_state(3, 1, vec, multiplicity=1)
     assert np.allclose(s2.amplitudes[0], vec)
 
 
 @pytest.mark.parametrize("initial", [2, np.array([0.3, 0.4j, 0.0, -1.2])],
                          ids=["label", "vector"])
-def test_noiseless_init_state_equals_the_scaled_draw(initial):
-    """noise_scale = 0 draws nothing, yet returns what zero times the
-    unit-disk draws gave: the initial amplitudes over the base displacement."""
+def test_init_state_draws_the_documented_noise(initial):
+    """At M > 1 every amplitude but the requested ones of configuration 1,
+    then every displacement, is 1e-4 * sqrt(u) * exp(2 pi i v), with u then
+    v drawn per array from numpy's default generator seeded by noise_seed,
+    over the base displacement and renormalized: bitwise what earlier
+    multi-configuration runs started from."""
     base = np.array([0.2 - 0.1j, 0.0, 1.5j])
     a0 = np.eye(4)[initial] if np.ndim(initial) == 0 else initial
-    s = init_state(4, 3, initial, multiplicity=1, noise_seed=9, noise_scale=0.0,
+    s = init_state(4, 3, initial, multiplicity=3, noise_seed=9,
                    base_displacement=base)
     rng = np.random.default_rng(9)
-    a = 0.0 * varprop._unit_disk(rng, (1, 4))
+
+    def disk(shape):
+        r = np.sqrt(rng.random(shape))
+        phi = 2.0 * np.pi * rng.random(shape)
+        return 1e-4 * (r * np.exp(1j * phi))
+
+    a = disk((3, 4))
     a[0, a0 != 0] = a0[a0 != 0]
-    f = 0.0 * varprop._unit_disk(rng, (1, 3)) + base
-    ref = MultiD2State(a, f).normalized_to_unit()
+    ref = MultiD2State(a, disk((3, 3)) + base).normalized_to_unit()
     assert np.array_equal(s.amplitudes, ref.amplitudes)
     assert np.array_equal(s.displacements, ref.displacements)
 
 
+def test_single_configuration_ignores_the_noise_seed():
+    """At M = 1 nothing is drawn: every seed gives the requested state over
+    the base displacement, exactly."""
+    base = np.array([0.5j, -0.25])
+    for seed in (0, 1, 2 ** 40):
+        s = init_state(3, 2, 1, noise_seed=seed, base_displacement=base)
+        assert np.array_equal(s.amplitudes, [[0.0, 1.0, 0.0]])
+        assert np.array_equal(s.displacements, base[None, :])
+
+
 def test_init_state_noise_and_renormalization():
-    s = init_state(3, 2, 0, multiplicity=5, noise_seed=7, noise_scale=1e-4)
+    s = init_state(3, 2, 0, multiplicity=5, noise_seed=7)
     assert abs(s.norm() - 1.0) < 1e-12
     assert np.all(np.abs(s.amplitudes[1:]) <= 1e-4 + 1e-12)
     assert np.all(np.abs(s.displacements) <= 1e-4 + 1e-12)
     # reproducible draws
-    s2 = init_state(3, 2, 0, multiplicity=5, noise_seed=7, noise_scale=1e-4)
+    s2 = init_state(3, 2, 0, multiplicity=5, noise_seed=7)
     assert np.array_equal(s.amplitudes, s2.amplitudes)
-
-
-def test_init_state_rejects_noiseless_multiplicity():
-    with pytest.raises(ValueError):
-        init_state(3, 2, 0, multiplicity=4, noise_scale=0.0)
 
 
 def test_init_state_base_displacement():
@@ -203,6 +217,27 @@ def test_free_mode_coherent_orbit():
     assert np.abs(traj.amplitudes[:, 0, 0] - 1.0).max() < 1e-8
 
 
+def test_metric_cutoff_decides_the_tc_oracle_pair():
+    """The setup of the `oracle-compare` tc pair (one configuration against
+    the exact pole sum, lossless resonant exchange) stays within the pair's
+    1e-5 tolerance at the default metric cutoff and leaves it when the
+    cutoff discards real metric directions: the pair sees a broken metric
+    inversion."""
+    times = np.arange(0.0, 201.0)
+    model = TCModel(8, 1.0, 1.0, 0.1)
+    amps = solve_realization(model).amplitudes(1.0, len(times))
+    h = htc_system_bath(HTCModel(model, 0.0, 0.124, 0.0))
+    state = init_state(h.n_sys, h.n_modes, 0)
+
+    def deviation(**cutoff):
+        settings = PropagationSettings(rel_tol=1e-10, abs_tol=1e-12, **cutoff)
+        traj = propagate(h, state, times[-1], settings, t_eval=times)
+        return np.abs(traj.system_populations()[:, 0]
+                      - np.abs(amps[:, 0]) ** 2).max()
+
+    assert deviation() <= 1e-5 < deviation(svd_cutoff=1e-2)
+
+
 def test_single_surface_displaced_mode():
     # H = c(b^+ + b) + w b^+ b from vacuum: f(t) = -(c/w)(1 - e^{-iwt/hbar})
     c, w = 0.05, 0.15
@@ -221,7 +256,7 @@ def test_single_surface_displaced_mode():
 def test_bathless_single_config_is_schroedinger():
     tc = TCModel(4, 1.0, 1.0, 0.1)
     hs = tc_system_bath(tc)
-    s = init_state(5, 0, 0, multiplicity=1, noise_scale=0.0)
+    s = init_state(5, 0, 0, multiplicity=1)
     traj = propagate(hs, s, 200.0, PropagationSettings(1e-11, 1e-13, 10.0))
     h = tc.matrix()
     for i, t in enumerate(traj.times):
@@ -237,7 +272,7 @@ def test_carrier_offset_costs_nothing(monkeypatch):
     hs = tc_system_bath(TCModel(4, 1.0, 1.0, 0.1))
     shifted = SystemBathHamiltonian(hs.e_sys + 5.0 * np.eye(5), hs.mode_freqs,
                                     hs.coup_create)
-    s = init_state(5, 0, 0, multiplicity=1, noise_scale=0.0)
+    s = init_state(5, 0, 0, multiplicity=1)
     settings = PropagationSettings(1e-11, 1e-13, 10.0)
     calls = []
     inner = varprop.eom_rhs
@@ -264,7 +299,7 @@ def _rhs_model(name):
     """Hamiltonians that exercise every term of eom_rhs: fission manifolds
     with label-changing couplings, a lossy (non-Hermitian) HTC and a
     thermofield double."""
-    coupling = SFCavityCoupling(rwa=True, five_state=True)
+    coupling = SFCavityCoupling(rwa=True)
     return {
         "sf-manifold1": lambda: manifold_hamiltonian(
             [SFDimerSpec()], CavitySpec(), coupling, 1)[1],
@@ -382,7 +417,7 @@ def test_eom_rhs_is_phase_covariant(model, m, batch):
 
 def test_resonant_rabi_photon_population():
     hs = tc_system_bath(TCModel(5, 1.0, 1.0, 0.1))
-    s = init_state(6, 0, 0, multiplicity=1, noise_scale=0.0)
+    s = init_state(6, 0, 0, multiplicity=1)
     traj = propagate(hs, s, 60.0, PropagationSettings(1e-9, 1e-11, 0.5))
     ref = np.cos(0.1 * traj.times / HBAR_EV_FS) ** 2
     assert np.abs(traj.photon_population() - ref).max() < 1e-6
@@ -391,9 +426,9 @@ def test_resonant_rabi_photon_population():
 def test_htc_zero_coupling_reduces_to_tc():
     tc = TCModel(3, 1.0, 1.0, 0.1)
     htc = HTCModel(tc=tc, lam=0.0, phonon_base=0.124, phonon_bandwidth=0.5)
-    s = init_state(4, 3, 0, multiplicity=1, noise_scale=0.0)
+    s = init_state(4, 3, 0, multiplicity=1)
     traj = propagate(htc_system_bath(htc), s, 80.0, TIGHT)
-    s2 = init_state(4, 0, 0, multiplicity=1, noise_scale=0.0)
+    s2 = init_state(4, 0, 0, multiplicity=1)
     traj2 = propagate(tc_system_bath(tc), s2, 80.0, TIGHT)
     assert np.abs(traj.photon_population() - traj2.photon_population()).max() < 1e-8
     assert np.abs(traj.mode_occupations()).max() < 1e-12
@@ -703,7 +738,7 @@ def test_zero_hamiltonian_lineshape_is_lorentzian_at_origin():
     h = SystemBathHamiltonian(
         np.zeros((1, 1), complex), np.zeros(0), no_coupling(1, 0)
     )
-    s = init_state(1, 0, 0, multiplicity=1, noise_scale=0.0)
+    s = init_state(1, 0, 0, multiplicity=1)
     traj = propagate(h, s, 800.0, PropagationSettings(sample_dt=0.5))
     corr = autocorrelation(traj, s)
     assert np.abs(corr - 1.0).max() < 1e-8
@@ -719,7 +754,7 @@ def test_tc_lineshape_peaks_match_pole_decomposition():
 
     tc = TCModel(20, 1.0, 1.0, 0.1)
     hs = tc_system_bath(tc)
-    s = init_state(21, 0, 0, multiplicity=1, noise_scale=0.0)
+    s = init_state(21, 0, 0, multiplicity=1)
     traj = propagate(hs, s, 400.0, PropagationSettings(1e-9, 1e-11, 0.5))
     corr = autocorrelation(traj, s)
     f = absorption_from_autocorrelation(traj.times, corr, 0.01, DEFAULT_OMEGA_GRID)
