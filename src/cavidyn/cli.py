@@ -5,7 +5,7 @@ Subcommands: validate, run, absorption, pes-scan, spectra2d, oracle-compare.
 subcommands override the config's experiment kind before validation.
 
 Exit codes: 0 success, 1 runtime failure, 2 config parse error,
-3 constraint violation.
+3 constraint violation; SIGTERM ends a run with status -15, outputs removed.
 
 Each command imports only the code it executes.  `validate` loads this
 module and `cavidyn.config`, both numpy-free; the other commands then import
@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", metavar="DIR",
                            help="output directory (default: config value)")
             p.add_argument("--seed", type=int, metavar="U64",
-                           help="override the run seed")
+                           help="override [run] seed (htc and sf runs)")
             p.add_argument("--workers", type=_worker_count, default=1,
                            metavar="INT",
                            help="worker processes; the parent only sums")

@@ -3,11 +3,11 @@
 Configs are INI files with sections [experiment], [model], [run], [disorder],
 [temperature], [output].  `_SCHEMA` is the only list of their keys: each
 entry holds the key's type converter, its default (None: required) and its
-scope.  The scope of a [model] key is the model kinds it steers, that of an
-[experiment] key the experiments it steers; the keys of the other sections
-steer every run.  A [model] key outside the configured kind's scope is a
-violation.  A foreign [experiment] key is tolerated, since one config can
-serve several subcommands, but dropped.
+scope.  The scope of an [experiment] key is the experiments it steers, that
+of any other key the model kinds it steers (None: every run).  A [model] key
+outside the configured kind's scope is a violation.  Any other key out of
+scope is tolerated, since one config can serve several subcommands and
+models, but left out of the echo.
 
 Validation is total: every violation is collected with its key path
 (section.key) before reporting.  Parse problems (malformed INI, non-numeric
@@ -15,10 +15,10 @@ values) and constraint violations (out-of-range, unknown keys, unsupported
 combinations) are distinct error types so the CLI can exit with different
 codes.
 
-A `RunConfig` holds the only copy of the resolved values: `sections`, each
-section reduced to the keys in scope.  `run`, `disorder`, `options` and the
-other attributes read it, and `resolved_text` echoes it, so the `validate`
-output and every run manifest record exactly what determined the outputs.
+A `RunConfig` holds the only copy of the resolved values, `sections`, with
+every schema key.  Its attributes read it; `options` and `resolved_text`
+keep only the keys in scope, so the `validate` output and every run
+manifest record exactly what determined the outputs.
 
 This module imports no numpy: `validate` checks the values and builds no
 model objects, so `cavidyn validate` loads only the standard library.  The
@@ -76,11 +76,12 @@ def _float_list(text: str):
 
 
 _TC_HTC = ("tc", "htc")
+_HTC_SF = ("htc", "sf")  # the variational runs
 _WINDOWED = ("absorption", "spectra2d")
 
 # (type converter, default, scope) per key; a None default means required.
-# The scope of an [experiment] key is the experiments it steers, that of a
-# [model] key the model kinds it steers; None: the key steers every run.
+# The scope of an [experiment] key is the experiments it steers, that of any
+# other key the model kinds it steers; None: the key steers every run.
 _SCHEMA = {
     "experiment": {
         "kind": (str, "dynamics", EXPERIMENT_KINDS),
@@ -129,15 +130,15 @@ _SCHEMA = {
     "run": {
         "t_max_fs": (float, 300.0, None),
         "sample_dt_fs": (float, 1.0, None),
-        "multiplicity": (int, 1, None),
-        "seed": (int, 0, None),  # start noise, drawn only at multiplicity > 1
-        "rel_tol": (float, 1e-6, None),
-        "abs_tol": (float, 1e-8, None),
+        "multiplicity": (int, 1, _HTC_SF),
+        "seed": (int, 0, _HTC_SF),  # start noise, drawn at multiplicity > 1
+        "rel_tol": (float, 1e-6, _HTC_SF),
+        "abs_tol": (float, 1e-8, _HTC_SF),
     },
     "disorder": {
         "width": (_float_list, (0.0,), None),
         "n_realizations": (int, 1, None),
-        "seed": (int, 0, None),
+        "seed": (int, 0, _TC_HTC),
     },
     "temperature": {
         "temperature_k": (float, 0.0, None),
@@ -146,13 +147,6 @@ _SCHEMA = {
         "directory": (str, "out", None),
     },
 }
-
-
-def _steers(name: str, key: str, kind: Optional[str]) -> bool:
-    """Whether `name.key` steers a run whose experiment (for [experiment])
-    or model kind (for [model]) is `kind`."""
-    scope = _SCHEMA[name][key][2]
-    return scope is None or kind in scope
 
 
 def _tc_model(model: dict) -> TCModel:
@@ -167,9 +161,9 @@ def _tc_model(model: dict) -> TCModel:
 class RunConfig:
     """A validated configuration.
 
-    `sections` maps each section name to its resolved {key: value}, holding
-    only the keys that steer this run (see `_SCHEMA`); it is the one copy of
-    every value, and the other attributes read it.  The model objects are
+    `sections` maps each section name to its resolved {key: value} for every
+    schema key; it is the one copy of every value, and the other attributes
+    read it (`steering` only the keys in scope).  The model objects are
     cached properties built from `sections["model"]` on first access; each
     is None unless the model kind uses it.
     """
@@ -193,10 +187,18 @@ class RunConfig:
     def disorder(self) -> SimpleNamespace:
         return SimpleNamespace(**self.sections["disorder"])
 
+    def steering(self, name: str) -> dict:
+        """Section `name` without the keys whose scope leaves out this
+        run's experiment ([experiment]) or model kind (other sections)."""
+        kind = self.experiment if name == "experiment" else self.model_kind
+        schema = _SCHEMA[name]
+        return {key: value for key, value in self.sections[name].items()
+                if schema[key][2] is None or kind in schema[key][2]}
+
     @property
     def options(self) -> dict:
         """The [experiment] keys that steer this experiment."""
-        return self.sections["experiment"]
+        return self.steering("experiment")
 
     @property
     def temperature_k(self) -> float:
@@ -353,7 +355,7 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
         violations.append(f"model.kind: {kind!r} not one of {MODEL_KINDS}")
     else:
         for key in sorted(sections.get("model", {})):
-            if key in _SCHEMA["model"] and not _steers("model", key, kind):
+            if key in _SCHEMA["model"] and kind not in _SCHEMA["model"][key][2]:
                 violations.append(f"model.{key}: not a {kind} model key")
 
     # run section
@@ -508,11 +510,7 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
     if violations:
         raise ConfigConstraintError(violations)
 
-    kinds = {"experiment": exp["kind"], "model": kind}
-    return RunConfig({
-        name: {key: value for key, value in values.items()
-               if _steers(name, key, kinds.get(name))}
-        for name, values in raw.items()})
+    return RunConfig(raw)
 
 
 def load(path: str, overrides: Optional[dict] = None) -> RunConfig:
@@ -531,7 +529,7 @@ def resolved_text(cfg: RunConfig) -> str:
     schema order, their keys sorted."""
     out = io.StringIO()
     for name in _SCHEMA:
-        body = cfg.sections[name]
+        body = cfg.steering(name)
         if not body:
             continue
         out.write(f"[{name}]\n")

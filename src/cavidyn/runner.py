@@ -1,13 +1,16 @@
 """Experiment driver: turns a resolved config into deterministic output files.
 
-Every experiment writes fixed-precision CSV data files plus a JSON manifest
-(resolved config, code version, seed, wall-clock time, SHA-256 checksum per
-output).  Data files are written atomically and depend only on the config, so
-rerunning the same config reproduces them byte for byte; the manifest is
-written last.  On failure, partially written outputs are removed.
+Each experiment is a generator of (file name, text) outputs; `run` alone
+writes them, each atomically (`_write_atomic`) as it is yielded, and then a
+JSON manifest (resolved config, code version, wall-clock time, SHA-256
+checksum per output).  Data files are fixed-precision CSV that depend only
+on the config, so rerunning it reproduces them byte for byte.  A run that
+fails or gets SIGTERM before its manifest is written leaves no output and no
+`.tmp` file; on SIGTERM, at any worker count, `run` ends and reaps the
+workers, removes the outputs and then dies by that signal (status -15).
 
 The disorder ensembles (tc and htc dynamics, tc absorption) share one loop,
-`_run_ensemble`: it keeps one running sum per column, added in task
+`_ensemble`: it keeps one running sum per column, added in task
 (width, realization) order, so the mean is bitwise that of `sum(column)`
 and no realization's columns outlive their addition.  Each width's mean goes
 to one CSV, suffixed `_W<width>` (`config.file_tag`, which validation keeps
@@ -22,8 +25,7 @@ own pipe as raw float64 bytes, and the parent reads task i from child
 i mod W and only sums, so the CSVs are bitwise those of one worker.  The
 parent computes no realization and never loads `numpy.random` (the disorder
 draws do, in the children), so its imports, not a share of the work, set
-the run's peak memory.  A SIGTERM to the parent ends and reaps the children
-and removes the finished CSVs before the parent dies by that signal.
+the run's peak memory.
 
 `spectra2d --resume` keeps its resume files in `OUT/bank/`; the runner only
 creates that directory, and `cavidyn.spectro` decides from the digest each
@@ -46,8 +48,10 @@ import importlib
 import json
 import math
 import os
+import signal
 import sys
 import time
+from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -61,31 +65,40 @@ from .config import RunConfig, file_tag, resolved_text
 _CSV_BLOCK_ROWS = 64
 
 
-def _write_csv(path: str, header, columns) -> None:
-    """Atomic fixed-precision CSV (%.17g floats); every column is a 1-d
-    array."""
+def _csv_text(header, columns):
+    """Fixed-precision CSV text (%.17g floats), in chunks of rows; every
+    column is a 1-d array."""
     cols = [np.asarray(c, dtype=float) for c in columns]
     row = ",".join(["%.17g"] * len(cols)) + "\n"
+    yield ",".join(header) + "\n"
+    for i in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
+        block = [c[i:i + _CSV_BLOCK_ROWS].tolist() for c in cols]
+        yield "".join(row % values for values in zip(*block))
+
+
+def _json_text(obj):
+    """Indented, key-sorted JSON text of `obj`."""
+    yield json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write_atomic(path: str, chunks) -> str:
+    """Writes the text `chunks` to `path` through `path.tmp`, renamed over
+    it once complete, so `path` is whole or untouched and no `.tmp` file
+    outlives an exception; returns the SHA-256 of the bytes written."""
+    digest = hashlib.sha256()
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for i in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
-                block = [c[i:i + _CSV_BLOCK_ROWS].tolist() for c in cols]
-                fh.writelines(row % values for values in zip(*block))
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                data = chunk.encode("utf-8")
+                digest.update(data)
+                fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-
-
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return digest.hexdigest()
 
 
 def _settings(cfg: RunConfig):
@@ -188,14 +201,6 @@ _ENSEMBLES = {
 }
 
 
-class _Terminated(BaseException):
-    """SIGTERM to the parent of forked workers, raised to unwind the run."""
-
-
-def _raise_terminated(signum, frame):
-    raise _Terminated(signum)
-
-
 def _child(work, tasks, out_fd: int, inherited: list, shape):
     """Body of a forked ensemble worker: writes the columns of each of
     `tasks` to `out_fd` as one C-ordered float64 `shape` block, then ends
@@ -232,16 +237,12 @@ def _forked_results(work, tasks, workers: int, shape):
     child after its last task.  A child that ends early (or not with exit 0)
     raises RuntimeError; on any exception, or when the generator is closed
     early, every child still running gets SIGTERM, and every child is reaped.
-    Meanwhile SIGTERM raises `_Terminated` in the parent (which must be the
-    main thread), and each child forks with it blocked until it has restored
-    the default action.
+    Each child forks with SIGTERM blocked until it has restored the default
+    action, so it dies by the signal rather than run the parent's handler.
     """
-    import signal
-
     nbytes = 8 * shape[0] * shape[1]
     pids: dict = {}  # worker index -> pid of each child not yet reaped
     pipes: list = []
-    previous = signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         for k in range(workers):
             read_fd, write_fd = os.pipe()
@@ -275,7 +276,6 @@ def _forked_results(work, tasks, workers: int, shape):
             os.kill(pid, signal.SIGTERM)
         raise
     finally:
-        signal.signal(signal.SIGTERM, previous)
         # closed first: a child the kill above missed then ends on EPIPE
         for pipe in pipes:
             pipe.close()
@@ -283,7 +283,7 @@ def _forked_results(work, tasks, workers: int, shape):
             os.waitpid(pid, 0)
 
 
-def _run_ensemble(cfg: RunConfig, out_dir: str, workers: int, files: list):
+def _ensemble(cfg: RunConfig, workers: int):
     work, modules, axis_of, stem, header = _ENSEMBLES[cfg.experiment,
                                                       cfg.model_kind]
     # imported here, before the fork: the children inherit the modules
@@ -308,14 +308,13 @@ def _run_ensemble(cfg: RunConfig, out_dir: str, workers: int, files: list):
                 total = [acc + c for acc, c in zip(total, columns)]
             name = (f"{stem}.csv" if len(widths) == 1
                     else f"{stem}_W{file_tag(width)}.csv")
-            _write_csv(os.path.join(out_dir, name), header,
-                       [axis, *(acc / n_real for acc in total)])
-            files.append(name)
+            yield name, _csv_text(header,
+                                  [axis, *(acc / n_real for acc in total)])
     finally:
         rows.close()
 
 
-def _run_dynamics_sf(cfg: RunConfig, out_dir: str, files: list):
+def _dynamics_sf(cfg: RunConfig, bank_dir):
     from .sf import (coherent_init, sf_matter_only, sf_observables,
                      sf_system_bath)
     from .varprop import propagate
@@ -333,14 +332,13 @@ def _run_dynamics_sf(cfg: RunConfig, out_dir: str, files: list):
                           noise_seed=cfg.run.seed)
     traj = propagate(h, state, float(times[-1]), settings, t_eval=times)
     obs = sf_observables(traj, labels, cavity_mode=cavity_mode)
-    _write_csv(os.path.join(out_dir, "population.csv"),
-               ["time_fs", "p_tt", "p_s1", "norm", "energy_eV"],
-               [obs["time_fs"], obs["p_tt"], obs["p_s1"], obs["norm"],
-                obs["energy_ev"]])
-    files.append("population.csv")
+    yield "population.csv", _csv_text(
+        ["time_fs", "p_tt", "p_s1", "norm", "energy_eV"],
+        [obs["time_fs"], obs["p_tt"], obs["p_s1"], obs["norm"],
+         obs["energy_ev"]])
 
 
-def _run_absorption_htc(cfg: RunConfig, out_dir: str, files: list):
+def _absorption_htc(cfg: RunConfig, bank_dir):
     """Autocorrelation of the photon-excited state (no ensemble)."""
     from .spectro import DipoleSet, linear_absorption
 
@@ -352,12 +350,11 @@ def _run_absorption_htc(cfg: RunConfig, out_dir: str, files: list):
         h, DipoleSet(mu=mu), omega, gamma_prime=cfg.options["gamma_prime"],
         t_max=cfg.run.t_max_fs, multiplicity=cfg.run.multiplicity,
         noise_seed=cfg.run.seed, settings=_settings(cfg))
-    _write_csv(os.path.join(out_dir, "absorption.csv"),
-               ["omega_eV", "intensity"], [omega, intensity])
-    files.append("absorption.csv")
+    yield "absorption.csv", _csv_text(["omega_eV", "intensity"],
+                                      [omega, intensity])
 
 
-def _run_pes_scan(cfg: RunConfig, out_dir: str, files: list):
+def _pes_scan(cfg: RunConfig, bank_dir):
     from .sf import pes_scan, surface_table
 
     opt = cfg.options
@@ -366,14 +363,12 @@ def _run_pes_scan(cfg: RunConfig, out_dir: str, files: list):
                     n_max=opt["fock_cutoff"],
                     manifold_max=opt["manifold_max"])
     table = surface_table(rows)
-    _write_csv(os.path.join(out_dir, "pes.csv"),
-               ["q_t", "surface", "energy_eV", "manifold", "w_tt", "w_ph",
-                "w_ph_any"],
-               [table[:, k] for k in range(7)])
-    files.append("pes.csv")
+    yield "pes.csv", _csv_text(
+        ["q_t", "surface", "energy_eV", "manifold", "w_tt", "w_ph",
+         "w_ph_any"], [table[:, k] for k in range(7)])
 
 
-def _run_spectra2d(cfg: RunConfig, out_dir: str, resume: bool, files: list):
+def _spectra2d(cfg: RunConfig, bank_dir):
     from .sf import dipole_up, manifold_hamiltonian
     from .spectro import (DipoleSet, ResponseGrid, first_leg_bank,
                           response_esa, response_se_gsb, spectra)
@@ -389,10 +384,8 @@ def _run_spectra2d(cfg: RunConfig, out_dir: str, resume: bool, files: list):
     dipoles = DipoleSet(mu=dipole_up(cfg.sf_dimers, labels0, labels1)[:, 0],
                         mu_up=dipole_up(cfg.sf_dimers, labels1, labels2))
     settings = _settings(cfg)
-    bank_dir = None
-    if resume:
+    if bank_dir is not None:
         # each resume file stamps its own inputs (cavidyn.spectro)
-        bank_dir = os.path.join(out_dir, "bank")
         os.makedirs(bank_dir, exist_ok=True)
     bank = first_leg_bank(h1, dipoles, grid,
                           multiplicity=cfg.run.multiplicity,
@@ -406,16 +399,14 @@ def _run_spectra2d(cfg: RunConfig, out_dir: str, resume: bool, files: list):
     for spec in maps:
         w_tau, w_t = np.meshgrid(spec.omega_tau, spec.omega_t, indexing="ij")
         total = spec.total
-        name = f"spectrum2d_Tw{file_tag(spec.tw_fs)}.csv"
-        _write_csv(os.path.join(out_dir, name),
-                   ["omega_tau_eV", "omega_t_eV", "re_se", "im_se", "re_gsb",
-                    "im_gsb", "re_esa", "im_esa", "re_total", "im_total"],
-                   [w_tau.ravel(), w_t.ravel(),
-                    spec.se.real.ravel(), spec.se.imag.ravel(),
-                    spec.gsb.real.ravel(), spec.gsb.imag.ravel(),
-                    spec.esa.real.ravel(), spec.esa.imag.ravel(),
-                    total.real.ravel(), total.imag.ravel()])
-        files.append(name)
+        yield f"spectrum2d_Tw{file_tag(spec.tw_fs)}.csv", _csv_text(
+            ["omega_tau_eV", "omega_t_eV", "re_se", "im_se", "re_gsb",
+             "im_gsb", "re_esa", "im_esa", "re_total", "im_total"],
+            [w_tau.ravel(), w_t.ravel(),
+             spec.se.real.ravel(), spec.se.imag.ravel(),
+             spec.gsb.real.ravel(), spec.gsb.imag.ravel(),
+             spec.esa.real.ravel(), spec.esa.imag.ravel(),
+             total.real.ravel(), total.imag.ravel()])
 
 
 # canonical solver-vs-oracle comparisons
@@ -460,24 +451,28 @@ def _oracle_pair(pair: str):
     return float(np.max(np.abs(got - ref))), detail
 
 
-def _run_oracle_compare(cfg: RunConfig, out_dir: str, files: list):
+def _oracle_compare(cfg: RunConfig, bank_dir):
     pair = cfg.options["pair"]
     deviation, detail = _oracle_pair(pair)
     tol = _ORACLE_TOL[pair]
-    report = {
+    yield "oracle_compare.json", _json_text({
         "pair": pair,
         "tolerance": tol,
         "deviation": deviation,
         "passed": bool(deviation <= tol),
         "detail": detail,
-    }
-    path = os.path.join(out_dir, "oracle_compare.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-    files.append("oracle_compare.json")
+    })
+
+
+#: each other experiment's generator of outputs from (cfg, bank_dir); bank_dir,
+#: None without `--resume`, is where spectra2d keeps its resume files
+_EXPERIMENTS = {
+    "dynamics": _dynamics_sf,
+    "absorption": _absorption_htc,
+    "pes-scan": _pes_scan,
+    "spectra2d": _spectra2d,
+    "oracle-compare": _oracle_compare,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -485,57 +480,61 @@ def _run_oracle_compare(cfg: RunConfig, out_dir: str, files: list):
 # ---------------------------------------------------------------------------
 
 
+class _Terminated(BaseException):
+    """SIGTERM during `run`, raised to unwind it."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated(signum)
+
+
 def run(cfg: RunConfig, out_dir: str | None = None, workers: int = 1,
         resume: bool = False) -> dict:
     """Execute the configured experiment; returns the manifest dict.
 
     A given `out_dir` replaces the config's `[output] directory`, so the
-    manifest's config echo names the directory the outputs went to."""
+    manifest's config echo names the directory the outputs went to.  Call
+    it from the main thread: until it returns, SIGTERM removes the outputs
+    and then ends the process by that signal."""
     if out_dir:
         output = dict(cfg.sections["output"], directory=os.fspath(out_dir))
         cfg = replace(cfg, sections=dict(cfg.sections, output=output))
     out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.time()
-    files: list = []
+    if (cfg.experiment, cfg.model_kind) in _ENSEMBLES:
+        outputs = _ensemble(cfg, workers)
+    else:
+        bank_dir = os.path.join(out_dir, "bank") if resume else None
+        outputs = _EXPERIMENTS[cfg.experiment](cfg, bank_dir)
+    written = []  # each path before its write starts, for the cleanup
+    digests = {}
+    previous = signal.signal(signal.SIGTERM, _raise_terminated)
     try:
-        if (cfg.experiment, cfg.model_kind) in _ENSEMBLES:
-            _run_ensemble(cfg, out_dir, workers, files)
-        elif cfg.experiment == "dynamics":
-            _run_dynamics_sf(cfg, out_dir, files)
-        elif cfg.experiment == "absorption":
-            _run_absorption_htc(cfg, out_dir, files)
-        elif cfg.experiment == "pes-scan":
-            _run_pes_scan(cfg, out_dir, files)
-        elif cfg.experiment == "spectra2d":
-            _run_spectra2d(cfg, out_dir, resume, files)
-        elif cfg.experiment == "oracle-compare":
-            _run_oracle_compare(cfg, out_dir, files)
-        else:  # pragma: no cover - config validation rejects this earlier
-            raise ValueError(f"unknown experiment {cfg.experiment!r}")
+        # closed on any exception, which ends and reaps the workers
+        with closing(outputs):
+            for name, text in outputs:
+                written.append(os.path.join(out_dir, name))
+                digests[name] = _write_atomic(written[-1], text)
+        manifest = {
+            "experiment": cfg.experiment,
+            "model": cfg.model_kind,
+            "code_version": __version__,
+            "config": resolved_text(cfg),
+            "wall_clock_s": round(time.time() - t0, 3),
+            "outputs": digests,
+        }
+        written.append(os.path.join(out_dir, "run_manifest.json"))
+        _write_atomic(written[-1], _json_text(manifest))
     except BaseException as exc:
-        for name in files:
-            path = os.path.join(out_dir, name)
+        for path in written:
             if os.path.exists(path):
                 os.remove(path)
         if isinstance(exc, _Terminated):
-            # workers reaped and outputs removed: hand the signal on
-            os.kill(os.getpid(), exc.args[0])
+            # outputs removed: hand the signal on
+            signal.signal(signal.SIGTERM, previous)
+            os.kill(os.getpid(), signal.SIGTERM)
         raise
-    manifest = {
-        "experiment": cfg.experiment,
-        "model": cfg.model_kind,
-        "code_version": __version__,
-        "seed": cfg.run.seed,
-        "config": resolved_text(cfg),
-        "wall_clock_s": round(time.time() - t0, 3),
-        "outputs": {name: _sha256(os.path.join(out_dir, name))
-                    for name in files},
-    }
-    path = os.path.join(out_dir, "run_manifest.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return manifest

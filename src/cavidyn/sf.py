@@ -359,14 +359,16 @@ def _fock_basis(labels, n_max):
     return [(lab, nc) for lab in labels for nc in range(n_max + 1)]
 
 
-def _potential_matrix(graph, cavity, coupling, n_max, q_t, q_c):
+#: top-Fock-level occupation of a scanned eigenstate that fails the cutoff
+_LEAK_TOL = 1e-6
+
+
+def _potential_matrix(graph, cavity, coupling, n_max, q_t):
     """Potential part (kinetic omitted) of the electronic x photon-Fock
-    Hamiltonian at frozen coordinates, on the basis _fock_basis(labels, n_max)."""
-    harm = sum(0.5 * w_t * q_t**2 + 0.5 * w_c * q_c**2
-               for w_t, w_c in graph.mode_freqs.reshape(-1, 2))
+    Hamiltonian at frozen Q_t and Q_c = 0, on _fock_basis(labels, n_max)."""
+    harm = sum(0.5 * w_t * q_t**2 for w_t in graph.mode_freqs[0::2])
     label_diag = graph.energy + graph.kappa.sum(axis=1) * q_t + harm
-    h = _photon_block(graph, label_diag, cavity, coupling, n_max)
-    return h + np.kron(graph.lam.sum(axis=0) * q_c, np.eye(n_max + 1))
+    return _photon_block(graph, label_diag, cavity, coupling, n_max)
 
 
 def pes_scan(
@@ -374,12 +376,10 @@ def pes_scan(
     cavity: CavitySpec,
     coupling: SFCavityCoupling,
     q_t_grid: np.ndarray,
-    q_c: float = 0.0,
     n_max: int = 6,
     manifold_max: int = 2,
-    leak_tol: float = 1e-6,
 ):
-    """Adiabatic potential cuts along the common tuning coordinate.
+    """Adiabatic potential cuts along the common tuning coordinate at Q_c = 0.
 
     Returns SurfacePoint rows for eigenstates whose excitation number is at
     most manifold_max + 1/2, sorted by (grid node, energy).  Eigenstates are
@@ -398,7 +398,7 @@ def pes_scan(
     basis = _fock_basis(graph.labels, n_max)
     rows = []
     for q_t in np.asarray(q_t_grid, dtype=float):
-        h = _potential_matrix(graph, cavity, coupling, n_max, q_t, q_c)
+        h = _potential_matrix(graph, cavity, coupling, n_max, q_t)
         evals, evecs = np.linalg.eigh(h)
         weights = np.abs(evecs) ** 2
         n_ex = np.array(
@@ -413,10 +413,10 @@ def pes_scan(
         manifolds = weights.T @ n_ex
         sel = np.flatnonzero(manifolds <= manifold_max + 0.5)
         leak = weights[top][:, sel].sum(axis=0)
-        if leak.size and leak.max() > leak_tol:
+        if leak.size and leak.max() > _LEAK_TOL:
             raise ArithmeticError(
                 f"photon cutoff n_max={n_max} too small at Q_t={q_t:.4f}: "
-                f"top-level occupation {leak.max():.2e} exceeds {leak_tol:.0e}"
+                f"top-level occupation {leak.max():.2e} exceeds {_LEAK_TOL:.0e}"
             )
         for s, k in enumerate(sel):
             rows.append(

@@ -154,6 +154,32 @@ def test_run_writes_outputs_with_matching_checksums(tmp_path, capsys):
         assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest
         assert name in out
     assert "[model]" in manifest["config"]
+    assert "seed" not in manifest  # the config echo holds the seeds in scope
+
+
+def test_interrupted_manifest_write_leaves_no_file(tmp_path, monkeypatch):
+    """A run whose manifest write fails removes its finished CSVs and the
+    manifest's half-written `.tmp` file."""
+    from cavidyn import runner
+
+    def failing_json(obj):
+        yield "{"
+        raise OSError("manifest write failed on purpose")
+
+    monkeypatch.setattr(runner, "_json_text", failing_json)
+    out_dir = tmp_path / "out"
+    with pytest.raises(OSError, match="on purpose"):
+        runner.run(validate(TINY_TC), out_dir=str(out_dir))
+    assert not list(out_dir.iterdir())
+
+
+def test_every_experiment_kind_has_one_runner():
+    """`run` dispatches every experiment that is not an ensemble through
+    `_EXPERIMENTS`, so it must name each kind that validation accepts."""
+    from cavidyn import runner
+    from cavidyn.config import EXPERIMENT_KINDS
+
+    assert sorted(runner._EXPERIMENTS) == sorted(EXPERIMENT_KINDS)
 
 
 def test_manifest_names_the_output_directory_used(tmp_path, capsys):
@@ -187,6 +213,21 @@ def test_validate_echoes_the_fission_coupling(tmp_path, capsys):
                         _write(tmp_path, TINY_SPECTRA))
     assert code == cli.EXIT_OK
     assert "\nlam_ci = 0.065\n" in out
+
+
+def test_validate_echoes_only_the_keys_that_steer_the_model(tmp_path, capsys):
+    """A tc run has no integrator and no start noise, and an sf run draws no
+    disorder: their keys are accepted but left out of the echo."""
+    tc = TINY_TC.replace("sample_dt_fs = 2.0", "sample_dt_fs = 2.0\n"
+                         "multiplicity = 2\nseed = 3\nrel_tol = 1e-7\n"
+                         "abs_tol = 1e-9")
+    code, out, err = _run(capsys, "validate", "--config", _write(tmp_path, tc))
+    assert code == cli.EXIT_OK, err
+    assert "[run]\nsample_dt_fs = 2.0\nt_max_fs = 20.0\n\n" in out
+    sf = TINY_PUMPED_SF + "\n[disorder]\nseed = 9\n"
+    code, out, err = _run(capsys, "validate", "--config", _write(tmp_path, sf))
+    assert code == cli.EXIT_OK, err
+    assert "seed = 3\n" in out and "seed = 9" not in out
 
 
 def test_options_hold_only_their_experiments_keys():
@@ -527,15 +568,18 @@ def test_failing_worker_fails_the_run_and_leaves_no_process(tmp_path, capsys,
 @pytest.mark.skipif(
     not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
     reason="needs the procfs list of a process's children")
-def test_sigterm_ends_the_workers_and_removes_the_outputs(tmp_path):
-    """SIGTERM to a `--workers 2` run that has written its first width's
-    CSV: the run dies by the signal, but only after both workers are gone
-    and the finished CSV is removed."""
+@pytest.mark.parametrize("workers,n_children", [("1", 0), ("2", 2)],
+                         ids=["workers-1", "workers-2"])
+def test_sigterm_ends_the_workers_and_removes_the_outputs(tmp_path, workers,
+                                                          n_children):
+    """SIGTERM to a run that has written its first width's CSV: the run
+    dies by the signal, but only after its workers are gone and the
+    finished CSV is removed."""
     import signal
     import time
 
     # 2 widths x 2 htc realizations of about a second each: the first CSV
-    # appears while both workers start on the second width
+    # appears while the second width is computed
     text = (TINY_HTC.replace("t_max_fs = 10", "t_max_fs = 1000")
             .replace("width = 0.05", "width = 0.05 0.1"))
     out_dir = tmp_path / "out"
@@ -543,7 +587,7 @@ def test_sigterm_ends_the_workers_and_removes_the_outputs(tmp_path):
                PYTHONPATH=os.path.dirname(os.path.dirname(cavidyn.__file__)))
     run = subprocess.Popen(
         [sys.executable, "-m", "cavidyn.cli", "run", "--config",
-         _write(tmp_path, text), "--out", str(out_dir), "--workers", "2"],
+         _write(tmp_path, text), "--out", str(out_dir), "--workers", workers],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     children = []
     try:
@@ -553,7 +597,7 @@ def test_sigterm_ends_the_workers_and_removes_the_outputs(tmp_path):
             time.sleep(0.01)
         with open(f"/proc/{run.pid}/task/{run.pid}/children") as fh:
             children = [int(pid) for pid in fh.read().split()]
-        assert len(children) == 2
+        assert len(children) == n_children
         run.send_signal(signal.SIGTERM)
         assert run.wait(timeout=30) == -signal.SIGTERM
         assert not [pid for pid in children if os.path.exists(f"/proc/{pid}")]
