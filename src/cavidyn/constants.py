@@ -16,14 +16,15 @@ KB_EV_PER_K = 8.617333262e-5
 #: regime (the mixing angle diverges in the classical limit)
 CLASSICAL_LIMIT_FLOOR = 1e-6
 
-#: S1<->TT coupling-mode strength (eV) picked by the variational (M=16) scan of
-#: scripts/calibrate_sf_ci.py for a cavity-free triplet-pair population of 0.14
-#: at 300 fs from the vertical S1 start.  Exact propagation
-#: (scripts/sf_dense_oracle.py, dim 1056) gives P_TT(300 fs) = 0.0277 here; the
-#: exact curve is smooth in lambda and crosses 0.14 between 0.08 (0.0854) and
-#: 0.10 (0.1670).  The jumps the variational scan shows at fine lambda
-#: resolution are ansatz and integrator noise, not physics.  The value is kept
-#: because every fission output depends on it.
+#: S1<->TT coupling-mode strength (eV) picked by a variational (M=16) scan
+#: for a cavity-free triplet-pair population of 0.14 at 300 fs from the
+#: vertical S1 start.  Exact propagation, `scripts/sf_dense_oracle.py scan
+#: --lam 0.065` (dim 1056), gives P_TT(300 fs) = 0.0277 here, which
+#: `test_exact_oracle_script_scan` pins; the exact curve is smooth in lambda
+#: and crosses 0.14 between 0.08 (0.0854) and 0.10 (0.1670).  The jumps the
+#: variational scan showed at fine lambda resolution are ansatz and
+#: integrator noise, not physics.  The value is kept because every fission
+#: output depends on it.
 LAMBDA_CI_CALIBRATED = 0.065
 
 

@@ -2,10 +2,12 @@
 
 Brute-force companion to the variational propagator: every mode is truncated
 at an explicit occupation cutoff and the Hamiltonian is assembled as a sparse
-operator over |system label> x |v_1 ... v_Nb>.  Small spaces evolve through a
-dense eigendecomposition (`DensePropagator`); larger ones can hand the sparse
-operator to a Krylov exponential.  Exponential scaling restricts this to a
-handful of modes, which is exactly its role -- an independent check, not a
+operator over |system label> x |v_1 ... v_Nb>.  `FockSpace.trajectory` is the
+one exact single-state propagation: up to `DENSE_MAX_DIM` states it evolves
+through one dense eigendecomposition (`DensePropagator`, of the real matrix
+when H is real), above that it steps the sparse operator with a Krylov
+exponential over evenly spaced times.  Exponential scaling restricts this to
+a handful of modes, which is exactly its role -- an independent check, not a
 production path.
 """
 
@@ -19,6 +21,10 @@ import scipy.sparse as sp
 
 from .constants import HBAR_EV_FS
 from .models import SystemBathHamiltonian
+
+#: largest Fock dimension `FockSpace.trajectory` propagates by one dense
+#: eigendecomposition; larger spaces step a sparse Krylov exponential
+DENSE_MAX_DIM = 4000
 
 
 def _on_mode(op, dims, q: int):
@@ -59,6 +65,24 @@ class FockSpace:
 
     def hamiltonian(self, h: SystemBathHamiltonian) -> np.ndarray:
         return self.sparse_hamiltonian(h).toarray()
+
+    def trajectory(self, h: SystemBathHamiltonian, psi0: np.ndarray,
+                   times) -> np.ndarray:
+        """exp(-iHt/hbar) psi0 at each of `times`, shape (len(times), dim).
+        The Krylov path, above `DENSE_MAX_DIM`, needs evenly spaced times."""
+        op = self.sparse_hamiltonian(h)
+        if abs(op.imag).max() == 0:
+            op = op.real  # a real eigendecomposition costs a quarter as much
+        times = np.asarray(times, float)
+        if self.dim <= DENSE_MAX_DIM:
+            return DensePropagator(op.toarray()).trajectory(psi0, times)
+        if not np.allclose(times, np.linspace(times[0], times[-1], len(times)),
+                           rtol=0.0, atol=1e-9):
+            raise ValueError("Krylov propagation needs evenly spaced times")
+        from scipy.sparse.linalg import expm_multiply
+
+        return expm_multiply((-1j / HBAR_EV_FS) * op, psi0, start=times[0],
+                             stop=times[-1], num=len(times), endpoint=True)
 
     def coherent_bath_vector(self, f: np.ndarray) -> np.ndarray:
         """Normalized coherent state prod_q |f_q> over the bath modes."""

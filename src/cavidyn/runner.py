@@ -414,7 +414,7 @@ _ORACLE_TOL = {"tc": 1e-5, "htc-dense": 1e-3}
 
 
 def _oracle_pair(pair: str):
-    from .dense_ref import DensePropagator, FockSpace
+    from .dense_ref import FockSpace
     from .models import HTCModel, TCModel, htc_system_bath
     from .tc_exact import solve_realization
     from .varprop import PropagationSettings, init_state, propagate
@@ -438,8 +438,7 @@ def _oracle_pair(pair: str):
         fock = FockSpace(h.n_sys, (10, 10))
         psi0 = fock.multiconfig_vector(np.eye(1, h.n_sys, dtype=complex),
                                        np.zeros((1, h.n_modes)))
-        dense = DensePropagator(fock.hamiltonian(h)).trajectory(psi0, times)
-        ref = fock.system_populations(dense)[:, 0]
+        ref = fock.system_populations(fock.trajectory(h, psi0, times))[:, 0]
         state = init_state(h.n_sys, h.n_modes, 0, 12, noise_seed=0)
         traj = propagate(h, state, times[-1],
                          PropagationSettings(rel_tol=1e-8, abs_tol=1e-10),

@@ -77,8 +77,9 @@ import numpy as np
 from .constants import HBAR_EV_FS
 from .models import SystemBathHamiltonian
 
-#: relative eigenvalue cutoff for the metric pseudo-inverse
-DEFAULT_SVD_CUTOFF = 1e-8
+#: relative eigenvalue cutoff for the metric pseudo-inverse, read by each
+#: `eom_rhs` call
+METRIC_CUTOFF = 1e-8
 #: amplitude of the symmetry-breaking draws of a multi-configuration state
 NOISE_SCALE = 1e-4
 
@@ -246,7 +247,6 @@ def eom_rhs(
     h: SystemBathHamiltonian,
     amplitudes: np.ndarray,
     displacements: np.ndarray,
-    svd_cutoff: float = DEFAULT_SVD_CUTOFF,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Time derivatives (Adot, Fdot) of the parameters, and <psi|psi>.
 
@@ -298,7 +298,7 @@ def eom_rhs(
     lam_max = vals[..., -1]
     if not ((lam_max > 0) & (lam_max < np.inf)).all():
         raise AnsatzCollapseError("metric has no positive eigenvalues; state degenerated")
-    eps = svd_cutoff * lam_max[..., None]
+    eps = METRIC_CUTOFF * lam_max[..., None]
     # damped spectral inversion: eigendirections well above the cutoff are
     # inverted exactly, those below are suppressed smoothly.  A hard
     # truncation would make the right-hand side discontinuous whenever an
@@ -408,7 +408,6 @@ class PropagationSettings:
     rel_tol: float = 1e-6
     abs_tol: float = 1e-8
     sample_dt: float = 0.1
-    svd_cutoff: float = DEFAULT_SVD_CUTOFF
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -578,7 +577,7 @@ def propagate(
         z = y.view(np.complex128).reshape(members, -1)
         a = z[:, :na].reshape(batch + (m, n_sys))
         f = z[:, na:].reshape(batch + (m, n_modes))
-        adot, fdot, norm_sq = eom_rhs(h, a, f, settings.svd_cutoff)
+        adot, fdot, norm_sq = eom_rhs(h, a, f)
         if hermitian_guard:
             nrm = np.sqrt(norm_sq)
             bad = (nrm < 0.5) | (nrm > 1.5)

@@ -327,17 +327,36 @@ def test_two_dimer_shared_coordinate_scan():
     assert any(abs(e - 2 * 2.256) < 1e-6 for e in e2)
 
 
-def test_exact_oracle_script_scan():
-    # exact Fock propagation of the cavity-free dimer at the default cutoffs
-    # (dim 1056); the value LAMBDA_CI_CALIBRATED's comment quotes
+def run_exact_oracle(*argv) -> str:
+    """stdout of scripts/sf_dense_oracle.py run on this checkout's package."""
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, str(root / "scripts" / "sf_dense_oracle.py"), "scan",
-         "--lam", "0.065"],
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / "sf_dense_oracle.py"), *argv],
         capture_output=True, text=True, check=True, timeout=300,
         env=dict(os.environ, PYTHONPATH=path),
     ).stdout
+
+
+def test_exact_oracle_script_scan():
+    # exact Fock propagation of the cavity-free dimer at the default cutoffs
+    # (dim 1056); the value LAMBDA_CI_CALIBRATED's comment quotes
+    out = run_exact_oracle("scan", "--lam", "0.065")
     p_tt = float(re.search(r"P_TT\(300\)=([0-9.]+)", out).group(1))
     assert abs(p_tt - 0.0277) <= 1e-4
+
+
+def test_exact_oracle_script_pumped_vacuum_equals_scan():
+    # an uncoupled cavity in its vacuum leaves the fission dynamics alone:
+    # the pumped mode (dim 4320, Krylov path) prints the cavity-free scan's
+    # P_TT (dim 360, dense path), under the label of the final time
+    cutoffs = ("--lam", "0.065", "--n-tu", "12", "--n-cu", "10",
+               "--t-max", "100")
+    pumped = run_exact_oracle("pumped", "--coupling", "0", "--n-photons", "0",
+                              "--n-cav", "12", *cutoffs)
+    scan = run_exact_oracle("scan", *cutoffs)
+    assert "dim=4320" in pumped and "dim=360" in scan
+    values = [re.search(r"P_TT\(100\)=([0-9.]+)", out).group(1)
+              for out in (pumped, scan)]
+    assert values[0] == values[1]

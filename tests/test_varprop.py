@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import RK45, solve_ivp
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 
+from cavidyn import dense_ref
 from cavidyn.constants import HBAR_EV_FS
-from cavidyn.dense_ref import FockSpace, DensePropagator
+from cavidyn.dense_ref import FockSpace
 from cavidyn.models import (
     HTCModel,
     SystemBathHamiltonian,
@@ -217,10 +217,10 @@ def test_free_mode_coherent_orbit():
     assert np.abs(traj.amplitudes[:, 0, 0] - 1.0).max() < 1e-8
 
 
-def test_metric_cutoff_decides_the_tc_oracle_pair():
+def test_metric_cutoff_decides_the_tc_oracle_pair(monkeypatch):
     """The setup of the `oracle-compare` tc pair (one configuration against
     the exact pole sum, lossless resonant exchange) stays within the pair's
-    1e-5 tolerance at the default metric cutoff and leaves it when the
+    1e-5 tolerance at the shipped metric cutoff and leaves it when the
     cutoff discards real metric directions: the pair sees a broken metric
     inversion."""
     times = np.arange(0.0, 201.0)
@@ -229,13 +229,15 @@ def test_metric_cutoff_decides_the_tc_oracle_pair():
     h = htc_system_bath(HTCModel(model, 0.0, 0.124, 0.0))
     state = init_state(h.n_sys, h.n_modes, 0)
 
-    def deviation(**cutoff):
-        settings = PropagationSettings(rel_tol=1e-10, abs_tol=1e-12, **cutoff)
+    def deviation():
+        settings = PropagationSettings(rel_tol=1e-10, abs_tol=1e-12)
         traj = propagate(h, state, times[-1], settings, t_eval=times)
         return np.abs(traj.system_populations()[:, 0]
                       - np.abs(amps[:, 0]) ** 2).max()
 
-    assert deviation() <= 1e-5 < deviation(svd_cutoff=1e-2)
+    assert deviation() <= 1e-5
+    monkeypatch.setattr(varprop, "METRIC_CUTOFF", 1e-2)
+    assert deviation() > 1e-5
 
 
 def test_single_surface_displaced_mode():
@@ -473,8 +475,7 @@ def test_seed_robustness_of_observables():
     fock = FockSpace(5, (7,) * 4)
     psi0 = np.zeros(fock.dim, complex)
     psi0[0] = 1.0   # the photon label over the phonon vacuum
-    exact = expm_multiply(-1j / HBAR_EV_FS * fock.sparse_hamiltonian(hs), psi0,
-                          start=0.0, stop=80.0, num=81, endpoint=True)
+    exact = fock.trajectory(hs, psi0, np.arange(0.0, 81.0))
     exact_pph = fock.system_populations(exact)[:, 0]
     curves = []
     for seed in (0, 1):
@@ -486,18 +487,30 @@ def test_seed_robustness_of_observables():
 
 
 def test_htc_brute_force_equivalence_short():
-    # short-window version of the dense-oracle check (full 200 fs window runs
-    # in the acceptance suite)
+    # short-window version of the number-basis check; the 200-fs window is
+    # the `htc-dense` oracle pair, at lam = 0.1 rather than this test's 0.5
     hs = htc_problem(2)
     fock = FockSpace(3, (10, 10))
-    prop = DensePropagator(fock.hamiltonian(hs))
     psi0 = fock.multiconfig_vector(np.array([[1.0, 0, 0]], complex), np.zeros((1, 2)))
     times = np.arange(0.0, 60.1, 0.5)
-    dense = prop.trajectory(psi0, times)
-    dense_pph = np.array([fock.system_populations(dense[i])[0] for i in range(len(times))])
+    dense_pph = fock.system_populations(fock.trajectory(hs, psi0, times))[:, 0]
     s = init_state(3, 2, 0, multiplicity=8, noise_seed=1)
     traj = propagate(hs, s, 60.0, PropagationSettings(sample_dt=0.5))
     assert np.abs(traj.photon_population() - dense_pph).max() <= 1e-3
+
+
+def test_fock_trajectory_krylov_path_matches_dense(monkeypatch):
+    """Both branches of `FockSpace.trajectory` agree; the Krylov one, forced
+    here on a dense-sized space, rejects uneven times."""
+    hs = htc_problem(2)
+    fock = FockSpace(3, (10, 10))
+    psi0 = fock.multiconfig_vector(np.array([[1.0, 0, 0]], complex), np.zeros((1, 2)))
+    times = np.arange(0.0, 40.1, 0.5)
+    dense = fock.trajectory(hs, psi0, times)
+    monkeypatch.setattr(dense_ref, "DENSE_MAX_DIM", 0)
+    assert np.abs(fock.trajectory(hs, psi0, times) - dense).max() <= 1e-10
+    with pytest.raises(ValueError, match="evenly spaced"):
+        fock.trajectory(hs, psi0, np.array([0.0, 1.0, 3.0]))
 
 
 def test_trajectory_observables_equal_per_snapshot_calls():
