@@ -368,11 +368,16 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
     _check(run["abs_tol"] > 0, violations, "run.abs_tol: must be > 0")
     _check(run["seed"] >= 0, violations, "run.seed: must be >= 0")
     dt = run["sample_dt_fs"]
-    if exp["kind"] == "dynamics" and run["t_max_fs"] > 0 and dt > 0:
+    # htc absorption samples its autocorrelation on the dynamics time axis
+    htc_absorption = (exp["kind"], kind) == ("absorption", "htc")
+    if (exp["kind"] == "dynamics" or htc_absorption) and run["t_max_fs"] > 0 \
+            and dt > 0:
         # the runner samples round(t_max_fs / dt) + 1 times
         _check(_on_grid(run["t_max_fs"], dt), violations,
                f"run.t_max_fs: must be a whole number of {dt} fs samples "
                "(run.sample_dt_fs)")
+    # the step (and its key) of the samples behind an omega window
+    window_step = (dt, "run.sample_dt_fs") if htc_absorption and dt > 0 else None
 
     # disorder section
     _check(all(w >= 0 for w in dis["width"]), violations,
@@ -486,11 +491,14 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
                 violations, "experiment.waiting_times_fs: need one or more "
                 f"waiting times >= 0 on the {dt} fs grid")
             _check_tags(tws, violations, "experiment.waiting_times_fs")
-            nyquist = nyquist_ev(dt)
-            _check(max(abs(exp["omega_min"]), abs(exp["omega_max"]))
-                   <= nyquist + 1e-12, violations,
-                   f"experiment.omega_max: the omega window exceeds the "
-                   f"Nyquist limit {nyquist:.3f} eV of the {dt} fs grid")
+            window_step = (dt, "experiment.grid_dt_fs")
+    if window_step is not None:
+        nyquist = nyquist_ev(window_step[0])
+        _check(max(abs(exp["omega_min"]), abs(exp["omega_max"]))
+               <= nyquist + 1e-12, violations,
+               f"experiment.omega_max: the omega window exceeds the Nyquist "
+               f"limit {nyquist:.3f} eV of the {window_step[0]} fs steps "
+               f"({window_step[1]})")
     if exp["kind"] in ("absorption", "spectra2d"):
         _check(exp["gamma_prime"] > 0, violations,
                "experiment.gamma_prime: must be > 0")

@@ -17,7 +17,8 @@ to one CSV, suffixed `_W<width>` (`config.file_tag`, which validation keeps
 distinct per width) when the config lists several widths.  A tc
 realization is one exact pole sum (`tc_exact`); an htc realization is one
 variational propagation.  Every htc run, absorption included, takes its
-Hamiltonian from `_htc_hamiltonian`: the doubled thermofield one above 0 K.
+Hamiltonian from `_htc_hamiltonian` (the doubled thermofield one above
+0 K) and its sample times from `_times` (every `run.sample_dt_fs`).
 
 With W > 1 workers the ensemble forks W children (`_forked_results`): child
 k computes tasks k, k+W, k+2W, ... and writes each result's columns to its
@@ -170,7 +171,7 @@ def _htc_realization(args):
         cfg, HTCModel(tcr, htc.lam, htc.phonon_base, htc.phonon_bandwidth))
     state = init_state(h.n_sys, h.n_modes, 0, cfg.run.multiplicity,
                        noise_seed=cfg.run.seed + 7919 * r)
-    traj = propagate(h, state, float(times[-1]), _settings(cfg), t_eval=times)
+    traj = propagate(h, state, times, _settings(cfg))
     pops = traj.system_populations()
     return (pops[:, 0].copy(), pops[:, 1:].sum(axis=1), traj.norms,
             traj.energies.real.copy())
@@ -330,7 +331,7 @@ def _dynamics_sf(cfg: RunConfig, bank_dir):
         mu1, cavity_mode = math.sqrt(cfg.sections["model"]["n_photons"]), -1
     state = coherent_init(mu1, labels, h.n_modes, cfg.run.multiplicity,
                           noise_seed=cfg.run.seed)
-    traj = propagate(h, state, float(times[-1]), settings, t_eval=times)
+    traj = propagate(h, state, times, settings)
     obs = sf_observables(traj, labels, cavity_mode=cavity_mode)
     yield "population.csv", _csv_text(
         ["time_fs", "p_tt", "p_s1", "norm", "energy_eV"],
@@ -347,8 +348,9 @@ def _absorption_htc(cfg: RunConfig, bank_dir):
     mu = np.zeros(h.n_sys)
     mu[0] = 1.0
     intensity = linear_absorption(
-        h, DipoleSet(mu=mu), omega, gamma_prime=cfg.options["gamma_prime"],
-        t_max=cfg.run.t_max_fs, multiplicity=cfg.run.multiplicity,
+        h, DipoleSet(mu=mu), omega, _times(cfg),
+        gamma_prime=cfg.options["gamma_prime"],
+        multiplicity=cfg.run.multiplicity,
         noise_seed=cfg.run.seed, settings=_settings(cfg))
     yield "absorption.csv", _csv_text(["omega_eV", "intensity"],
                                       [omega, intensity])
@@ -428,9 +430,8 @@ def _oracle_pair(pair: str):
         ref = np.abs(amps[:, 0]) ** 2
         h = htc_system_bath(HTCModel(model, 0.0, 0.124, 0.0))
         state = init_state(h.n_sys, h.n_modes, 0, 1)
-        traj = propagate(h, state, times[-1],
-                         PropagationSettings(rel_tol=1e-10, abs_tol=1e-12),
-                         t_eval=times)
+        traj = propagate(h, state, times,
+                         PropagationSettings(rel_tol=1e-10, abs_tol=1e-12))
         got = traj.system_populations()[:, 0]
         detail = "photon survival, lossless resonant exchange vs pole sum"
     elif pair == "htc-dense":
@@ -440,9 +441,8 @@ def _oracle_pair(pair: str):
                                        np.zeros((1, h.n_modes)))
         ref = fock.system_populations(fock.trajectory(h, psi0, times))[:, 0]
         state = init_state(h.n_sys, h.n_modes, 0, 12, noise_seed=0)
-        traj = propagate(h, state, times[-1],
-                         PropagationSettings(rel_tol=1e-8, abs_tol=1e-10),
-                         t_eval=times)
+        traj = propagate(h, state, times,
+                         PropagationSettings(rel_tol=1e-8, abs_tol=1e-10))
         got = traj.system_populations()[:, 0]
         detail = "photon population, two emitters + two modes vs number basis"
     else:

@@ -105,12 +105,6 @@ class ResponseGrid:
         """The tau and t axis."""
         return np.arange(self.n) * self.dt
 
-    @property
-    def span_fs(self) -> float:
-        """Longest composed first-leg time any response needs."""
-        t_max = self.times_fs[-1]
-        return float(t_max + max(self.tw_fs) + t_max)
-
 
 @dataclass
 class TrajectoryBank:
@@ -162,31 +156,34 @@ def first_leg_bank(
 ) -> TrajectoryBank:
     """Propagate one singly-excited trajectory per bright label.
 
-    Forward samples cover tau_max + max(T_w) + t_max; the backward branch
-    (needed by R4's amplitudes at -t) covers -t_max.  With checkpoint_dir,
-    each leg is saved there as `leg<n>_<fwd|bwd>.npz` (amplitudes,
-    displacements and the digest of its inputs: h1, the initial state, the
-    settings and the sample times) and reloaded instead of recomputed when
-    the stored digest matches.
+    Forward samples cover tau_max + max(T_w) + t_max.  R4's backward branch
+    (amplitudes at -t) is the conjugate of the conjugated problem's forward
+    leg (`cavidyn.varprop`), which is the forward leg itself when h1 and the
+    start state are real.  With checkpoint_dir, each integrated leg is saved
+    there as `leg<n>_<fwd|bwd>.npz` (amplitudes, displacements and the digest
+    of its inputs: its Hamiltonian, the initial state, the settings and the
+    sample times) and reloaded instead of recomputed when the digest matches.
     """
     settings = settings or PropagationSettings()
     bright = tuple(int(i) for i in np.flatnonzero(np.abs(dipoles.mu) > 0))
     if not bright:
         raise ValueError("no bright singly-excited label (all dipoles zero)")
-    dt = grid.dt
-    fwd_times = np.arange(0.0, grid.span_fs + dt / 2, dt)
-    back_times = -np.arange(0.0, grid.times_fs[-1] + dt / 2, dt)
+    dt, t_max = grid.dt, grid.times_fs[-1]
+    fwd_times = np.arange(0.0, t_max + max(grid.tw_fs) + t_max + dt / 2, dt)
+    h1_conj = SystemBathHamiltonian(h1.e_sys.conj(), h1.mode_freqs,
+                                    h1.coup_create.conj())
 
-    def leg(st, times, tag):
+    def leg(h, st, times, tag):
         """(amplitudes, displacements) sampled at `times`."""
-        path = (os.path.join(checkpoint_dir, f"leg{tag}.npz")
-                if checkpoint_dir is not None else None)
-        digest = _digest(*_hamiltonian_arrays(h1), st.amplitudes,
-                         st.displacements, astuple(settings), times)
-        saved = _load_npz(path, digest)
-        if saved is not None:
-            return saved["amplitudes"], saved["displacements"]
-        traj = propagate(h1, st, times[-1], settings, t_eval=times)
+        path = digest = None
+        if checkpoint_dir is not None:
+            path = os.path.join(checkpoint_dir, f"leg{tag}.npz")
+            digest = _digest(*_hamiltonian_arrays(h), st.amplitudes,
+                             st.displacements, astuple(settings), times)
+            saved = _load_npz(path, digest)
+            if saved is not None:
+                return saved["amplitudes"], saved["displacements"]
+        traj = propagate(h, st, times, settings)
         if path is not None:
             _save_npz(path, amplitudes=traj.amplitudes,
                       displacements=traj.displacements, digest=digest)
@@ -196,8 +193,15 @@ def first_leg_bank(
     for n in bright:
         st = init_state(h1.n_sys, h1.n_modes, n, multiplicity=multiplicity,
                         noise_seed=noise_seed)
-        amps[n], disps[n] = leg(st, fwd_times, f"{n}_fwd")
-        amps_b[n], disps_b[n] = leg(st, back_times, f"{n}_bwd")
+        amps[n], disps[n] = leg(h1, st, fwd_times, f"{n}_fwd")
+        if any(x.imag.any() for x in (h1.e_sys, h1.coup_create,
+                                      st.amplitudes, st.displacements)):
+            a, f = leg(h1_conj, MultiD2State(st.amplitudes.conj(),
+                                             st.displacements.conj()),
+                       fwd_times[:grid.n], f"{n}_bwd")
+        else:
+            a, f = amps[n][:grid.n], disps[n][:grid.n]
+        amps_b[n], disps_b[n] = a.conj(), f.conj()
     return TrajectoryBank(dt, np.asarray(h1.mode_freqs, dtype=float), bright,
                           amps, disps, amps_b, disps_b)
 
@@ -295,16 +299,18 @@ def response_esa(
     r2s = np.zeros(shape, dtype=complex)
     batches = [(n3, w, tw) for n3 in bank.bright
                for w, tw in enumerate(grid.tw_fs)]
-    checkpoint = (os.path.join(checkpoint_dir, "esa_checkpoint.npz")
-                  if checkpoint_dir is not None else None)
-    digest = _digest(
-        bank.dt, *(x for n in bank.bright for x in (bank.amps[n], bank.disps[n])),
-        *_hamiltonian_arrays(h2), mu, mu_up, astuple(settings),
-        [(n3, tw) for n3, _, tw in batches], grid.n, grid.dt, grid.tw_fs)
-    saved = _load_npz(checkpoint, digest)
+    checkpoint = digest = None
     done = 0
-    if saved is not None:
-        r1s, r2s, done = saved["r1s"], saved["r2s"], int(saved["batches"])
+    if checkpoint_dir is not None:
+        checkpoint = os.path.join(checkpoint_dir, "esa_checkpoint.npz")
+        digest = _digest(
+            bank.dt,
+            *(x for n in bank.bright for x in (bank.amps[n], bank.disps[n])),
+            *_hamiltonian_arrays(h2), mu, mu_up, astuple(settings),
+            [(n3, tw) for n3, _, tw in batches], grid.n, grid.dt, grid.tw_fs)
+        saved = _load_npz(checkpoint, digest)
+        if saved is not None:
+            r1s, r2s, done = saved["r1s"], saved["r2s"], int(saved["batches"])
 
     def esa(n3, bra_times, a2, f2):
         """sum_n mu*_n mu_n3 <raised first leg n at bra_times | second leg>."""
@@ -330,7 +336,7 @@ def response_esa(
         f2 = np.broadcast_to(f0, (grid.n,) + f0.shape).copy()
         if live.any():
             st = MultiD2State(a0[live] / scale[live, None, None], f0[live])
-            traj = propagate(h2, st, float(t[-1]), settings, t_eval=t)
+            traj = propagate(h2, st, t, settings)
             a2[:, live] = traj.amplitudes * scale[live, None, None]
             f2[:, live] = traj.displacements
         # R1*: bra = first leg at tau+T_w+t; R2*: bra = first leg at T_w+t,
@@ -362,7 +368,7 @@ def _digest(*inputs) -> str:
 def _load_npz(path, digest: str) -> Optional[dict]:
     """The arrays of the resume file `path`, if it exists and was stamped
     with `digest`; None otherwise."""
-    if path is None or not os.path.exists(path):
+    if not os.path.exists(path):
         return None
     with np.load(path) as chk:
         if "digest" not in chk.files or str(chk["digest"]) != digest:
@@ -454,20 +460,20 @@ def linear_absorption(
     h1: SystemBathHamiltonian,
     dipoles: DipoleSet,
     omega_grid: np.ndarray,
+    times: np.ndarray,
     gamma_prime: float = 0.01,
-    t_max: float = 400.0,
     multiplicity: int = 1,
     noise_seed: int = 0,
     settings: Optional[PropagationSettings] = None,
 ) -> np.ndarray:
-    """F(omega) from the dipole autocorrelation of the singly-excited band."""
+    """F(omega) from the singly-excited dipole autocorrelation at `times`."""
     mu = np.asarray(dipoles.mu, dtype=complex)
     strength = float(np.sum(np.abs(mu) ** 2))
     if strength == 0:
         return np.zeros_like(np.asarray(omega_grid, dtype=float))
     st = init_state(h1.n_sys, h1.n_modes, mu, multiplicity=multiplicity,
                     noise_seed=noise_seed)
-    traj = propagate(h1, st, t_max, settings or PropagationSettings())
+    traj = propagate(h1, st, times, settings)
     corr = autocorrelation(traj, st) * strength
     return absorption_from_autocorrelation(
         traj.times, corr, gamma_prime, omega_grid)

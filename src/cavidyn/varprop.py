@@ -27,6 +27,10 @@ Theta once, builds h from Theta's contractions, writes the blocks of G into
 one array and returns <psi|psi> = sum(A* A^T o S), which G_ff needs anyway,
 beside the derivatives: `propagate`'s norm guard reads it from there.
 
+Time reversal.  `propagate` integrates forward only.  (A(-t), f(-t)) is the
+conjugate of the forward solution of the conjugated problem (e_sys, the
+couplings and the start state conjugated), since G(z*) = G(z)*.
+
 Initial states.  `init_state` draws nothing at M = 1; at M > 1 it adds
 NOISE_SCALE-sized draws, since identical configurations make G singular.
 
@@ -49,12 +53,12 @@ amplitudes a~ = exp(i*E0*t/hbar) * A under
 
     da~/dt = Adot(a~, f) + (i*E0/hbar) * a~,    fdot = fdot(a~, f),
 
-and multiplies every sampled a~ by exp(-i*E0*t/hbar) (negative t included)
-before norms, energies and the `Trajectory` are built.  E0 is one real scalar
-per call: the population-weighted mean of Re diag(e_sys) over the initial
-state, with the populations of all batch members summed.  This is an exact
-change of variables, not a different ODE, because `eom_rhs` is covariant
-under a global amplitude phase: A -> exp(i*phi) A maps G -> U G U^+ and
+and multiplies every sampled a~ by exp(-i*E0*t/hbar) before norms, energies
+and the `Trajectory` are built.  E0 is one real scalar per call: the
+population-weighted mean of Re diag(e_sys) over the initial state, with the
+populations of all batch members summed.  This is an exact change of
+variables, not a different ODE, because `eom_rhs` is covariant under a
+global amplitude phase: A -> exp(i*phi) A maps G -> U G U^+ and
 h -> U h with U = diag(exp(i*phi) 1_A, 1_f), and the damped spectral filter
 is a function of G, so it commutes with U and the solve returns
 (exp(i*phi) Adot, fdot).  Shifting the Hamiltonian instead (e_sys - E0*1)
@@ -407,23 +411,10 @@ class Trajectory:
 class PropagationSettings:
     rel_tol: float = 1e-6
     abs_tol: float = 1e-8
-    sample_dt: float = 0.1
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be > 0")
-        if self.sample_dt <= 0:
-            raise ValueError("sample_dt must be > 0")
-
-
-def _sample_times(t_final: float, dt: float) -> np.ndarray:
-    n = int(round(abs(t_final) / dt))
-    ts = np.arange(n + 1) * dt * np.sign(t_final if t_final != 0 else 1.0)
-    if abs(ts[-1]) < abs(t_final) - 1e-9:
-        ts = np.append(ts, t_final)
-    else:
-        ts[-1] = t_final
-    return ts
 
 
 # Dormand-Prince 5(4) tableau and the quartic dense-output matrix (optimal
@@ -456,47 +447,46 @@ def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _dormand_prince(fun, y0, t_final, t_eval, rtol, atol, members=1):
+def _dormand_prince(fun, y0, t_eval, rtol, atol, members=1):
     """Samples at `t_eval` of y' = fun(t, y), y(0) = y0: a (len(t_eval), n) array.
 
     Dormand-Prince 5(4) with local extrapolation, the initial-step heuristic
     and step-size controller of Hairer, Nørsett & Wanner, "Solving Ordinary
     Differential Equations I", Sec. II.4, and the quartic continuous
     extension of Sec. II.5 (Shampine's optimal c_6).  Every operation follows
-    scipy.integrate.solve_ivp(method="RK45", t_eval=...): the safety factor
-    0.9, step factors within [0.2, 10], no growth right after a rejection,
-    failure below 10 ulp of t, first-same-as-last stages.  The one difference
-    is the error norm: the largest RMS norm over `members` equal-length
-    slices of y, so a step is accepted only when every member passes the
-    test it would face integrated alone.  Negative t_final integrates
-    backwards; t_eval must run monotonically from 0 toward t_final.
+    scipy.integrate.solve_ivp(method="RK45", t_eval=...) over
+    (0, t_eval[-1]): the safety factor 0.9, step factors within [0.2, 10],
+    no growth right after a rejection, failure below 10 ulp of t,
+    first-same-as-last stages.  The one difference is the error norm: the
+    largest RMS norm over `members` equal-length slices of y, so a step is
+    accepted only when every member passes the test it would face
+    integrated alone.
     """
-    direction = np.sign(t_final) if t_final != 0 else 1.0
-    span = abs(t_final)
-    reach = direction * t_eval
-    if np.any(reach < 0) or np.any(reach > span) or np.any(np.diff(reach) <= 0):
-        raise ValueError("t_eval must run monotonically from 0 toward t_final")
+    if t_eval.ndim != 1 or not len(t_eval) or t_eval[0] < 0 \
+            or np.any(np.diff(t_eval) <= 0):
+        raise ValueError("sample times must be non-negative and increasing")
+    t_final = t_eval[-1]
     # scipy's floor: below 100 eps rounding alone fails the error test
     rtol = max(rtol, 100 * np.finfo(float).eps)
 
     t, y = 0.0, y0
     f = fun(t, y)
-    if span == 0:
+    if t_final == 0:
         return np.tile(y0, (len(t_eval), 1))
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    d2 = _rms((fun(t + h0 * direction, y + h0 * direction * f) - f) / scale) / h0
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_final)
+    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100 * h0, h1, span)
+    h_abs = min(100 * h0, h1, t_final)
 
     k = np.empty((7, y.size), dtype=y.dtype)
     samples, i = [], 0
-    while direction * (t - t_final) < 0:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+    while t < t_final:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -504,11 +494,8 @@ def _dormand_prince(fun, y0, t_final, t_eval, rtol, atol, members=1):
                 raise PropagationError(
                     f"integration aborted: step size fell below {min_step:.3g} fs "
                     f"at t = {t:.6g} fs")
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_final) > 0:
-                t_new = t_final
-            h = t_new - t
-            h_abs = np.abs(h)
+            t_new = min(t + h_abs, t_final)
+            h_abs = h = t_new - t
             k[0] = f
             for s in range(1, 6):
                 k[s] = fun(t + _DP_C[s] * h, y + np.dot(k[:s].T, _DP_A[s, :s]) * h)
@@ -524,7 +511,7 @@ def _dormand_prince(fun, y0, t_final, t_eval, rtol, atol, members=1):
             h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
             rejected = True
 
-        i_new = np.searchsorted(reach, direction * t_new, side="right")
+        i_new = np.searchsorted(t_eval, t_new, side="right")
         if i_new > i:
             x = (t_eval[i:i_new] - t) / h
             q = k.T.dot(_DP_P)
@@ -539,29 +526,25 @@ def _dormand_prince(fun, y0, t_final, t_eval, rtol, atol, members=1):
 def propagate(
     h: SystemBathHamiltonian,
     state: MultiD2State,
-    t_final: float,
+    times,
     settings: Optional[PropagationSettings] = None,
-    t_eval: Optional[np.ndarray] = None,
 ) -> Trajectory:
-    """Integrate the Dirac-Frenkel equations from t = 0 to t_final (fs).
+    """Integrate the Dirac-Frenkel equations from t = 0 to times[-1] (fs).
 
-    Negative t_final integrates backwards.  Samples are taken from the
-    integrator's dense output at `t_eval` (default: every settings.sample_dt).
-    The amplitudes are integrated in the carrier frame of the initial state
-    and returned in the lab frame.  A state with leading batch axes is
+    Samples are taken from the integrator's dense output at `times`, which
+    must be non-negative and increasing (else ValueError).  The amplitudes
+    are integrated in the carrier frame of the initial state and returned
+    in the lab frame.  A state with leading batch axes is
     integrated as one system under worst-member step control.  Both are
     described in the module docstring.  The guards on finite parameters and
     on the norm of Hermitian runs (read from `eom_rhs`) apply to every member.
     """
     settings = settings or PropagationSettings()
+    times = np.asarray(times, dtype=float)
     m, n_sys, n_modes = state.multiplicity, state.n_sys, state.n_modes
     batch = state.amplitudes.shape[:-2]
     members = int(np.prod(batch))
     na = m * n_sys
-
-    if t_eval is None:
-        t_eval = _sample_times(t_final, settings.sample_dt)
-    t_eval = np.asarray(t_eval, dtype=float)
 
     hermitian_guard = h.hermitian
     # carrier frame (module docstring): y holds exp(i*e0*t/hbar) * A
@@ -596,13 +579,13 @@ def propagate(
          state.displacements.reshape(members, -1)], axis=1
     ).reshape(-1).view(np.float64)
 
-    ys = _dormand_prince(rhs, y0, t_final, t_eval, settings.rel_tol,
-                         settings.abs_tol, members)
+    ys = _dormand_prince(rhs, y0, times, settings.rel_tol, settings.abs_tol,
+                         members)
 
-    n_t = len(t_eval)
+    n_t = len(times)
     z = ys.view(np.complex128).reshape(n_t, members, -1)
     amps = z[:, :, :na].reshape((n_t,) + batch + (m, n_sys))
-    amps *= np.exp(-spin * t_eval).reshape((n_t,) + (1,) * (amps.ndim - 1))
+    amps *= np.exp(-spin * times).reshape((n_t,) + (1,) * (amps.ndim - 1))
     disps = z[:, :, na:].reshape((n_t,) + batch + (m, n_modes))
     if not (np.all(np.isfinite(amps)) and np.all(np.isfinite(disps))):
         raise PropagationError("non-finite parameters in sampled trajectory")
@@ -610,7 +593,7 @@ def propagate(
     norms = np.sqrt(state_norm_sq(amps, disps))
     theta = _theta(h, amps, disps)[0]
     energies = (overlap_matrix(disps) * theta).sum(axis=(-2, -1))
-    return Trajectory(t_eval.copy(), amps, disps, norms, energies)
+    return Trajectory(times.copy(), amps, disps, norms, energies)
 
 
 # ---------------------------------------------------------------------------

@@ -340,7 +340,7 @@ def test_htc_dynamics_equals_library_calls(tmp_path, capsys, temperature_k):
              else htc_system_bath(model))
         assert h.n_modes == (4 if temperature_k else 2)
         state = init_state(h.n_sys, h.n_modes, 0, 2, noise_seed=4 + 7919 * r)
-        traj = propagate(h, state, 10.0, RUN_SETTINGS, t_eval=times)
+        traj = propagate(h, state, times, RUN_SETTINGS)
         pops = traj.system_populations()
         rows.append(np.column_stack([pops[:, 0], pops[:, 1:].sum(axis=1),
                                      traj.norms, traj.energies.real]))
@@ -366,10 +366,32 @@ def test_htc_absorption_equals_library_call(tmp_path, capsys):
                                  0.3, 0.124, 0.3))
     omega = np.linspace(0.7, 1.3, 41)
     ref = linear_absorption(h, DipoleSet(mu=np.eye(1, h.n_sys)[0]), omega,
-                            gamma_prime=0.1, t_max=40.0, multiplicity=2,
+                            np.arange(41.0), gamma_prime=0.1, multiplicity=2,
                             noise_seed=4, settings=RUN_SETTINGS)
     got = _read_csv(out_dir / "absorption.csv")
     np.testing.assert_array_equal(got, np.column_stack([omega, ref]))
+
+
+def test_htc_absorption_samples_every_sample_dt(tmp_path, capsys):
+    """The autocorrelation is sampled every `run.sample_dt_fs`: 1 fs and
+    0.5 fs give different spectra, and 2 fs, whose Nyquist limit (1.03 eV)
+    lies below the 1.3 eV window, is refused."""
+    spectra = []
+    for dt in ("1.0", "0.5"):
+        text = TINY_HTC_ABSORPTION.replace("sample_dt_fs = 1.0",
+                                           f"sample_dt_fs = {dt}")
+        out_dir = tmp_path / f"out{dt}"
+        code, _, err = _run(capsys, "run", "--config", _write(tmp_path, text),
+                            "--out", str(out_dir))
+        assert code == cli.EXIT_OK, err
+        spectra.append((out_dir / "absorption.csv").read_bytes())
+    assert spectra[0] != spectra[1]
+    text = TINY_HTC_ABSORPTION.replace("sample_dt_fs = 1.0",
+                                       "sample_dt_fs = 2.0")
+    code, _, err = _run(capsys, "run", "--config", _write(tmp_path, text),
+                        "--out", str(tmp_path / "out2"))
+    assert code == cli.EXIT_CONSTRAINT
+    assert "experiment.omega_max" in err and "1.034 eV" in err
 
 
 def test_htc_absorption_above_zero_kelvin_uses_the_thermal_double(tmp_path,
@@ -389,7 +411,7 @@ def test_htc_absorption_above_zero_kelvin_uses_the_thermal_double(tmp_path,
                              0.3, 0.124, 0.3), 300.0)
     omega = np.linspace(0.7, 1.3, 41)
     ref = linear_absorption(h, DipoleSet(mu=np.eye(1, h.n_sys)[0]), omega,
-                            gamma_prime=0.1, t_max=40.0, multiplicity=2,
+                            np.arange(41.0), gamma_prime=0.1, multiplicity=2,
                             noise_seed=4, settings=RUN_SETTINGS)
     np.testing.assert_array_equal(spectra[300.0],
                                   np.column_stack([omega, ref]))
@@ -411,6 +433,27 @@ def _loaded_after(probe):
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     return set(json.loads(out))
+
+
+def test_every_traced_function_exists():
+    """The benchmark's tracer (`bench/tracing.py`, loaded by path and left
+    as it is) wraps every function its WRAPPED list names with `getattr`, so
+    each must resolve to a callable in cavidyn."""
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.WRAPPED
+    for entry in tracing.WRAPPED:
+        mod_name, qualname = entry.split(":")
+        target = importlib.import_module("cavidyn." + mod_name)
+        for attr in qualname.split("."):
+            target = getattr(target, attr, None)
+        assert callable(target), f"{entry} does not resolve to a callable"
 
 
 def test_cli_import_leaves_out_the_integrator():
@@ -697,10 +740,14 @@ def test_photon_cutoff_is_not_a_tc_key(tmp_path, capsys):
     # the solver-breaking check is a test, not an oracle pair
     (ORACLE_WITHOUT_MODEL.replace("pair = tc", "pair = corrupted-metric"),
      "experiment.pair"),
+    # htc absorption samples on the run's time axis, like dynamics
+    (TINY_HTC_ABSORPTION.replace("sample_dt_fs = 1.0", "sample_dt_fs = 3.0"),
+     "run.t_max_fs"),
 ], ids=["downhill-fission", "above-nyquist", "off-grid-waiting-time",
         "one-site-htc", "pes-scan-photon-cutoff", "pes-scan-cavity-loss",
         "htc-classical-limit", "samples-past-window", "negative-disorder-seed",
-        "disorder-seed-past-u64", "corrupted-metric-pair"])
+        "disorder-seed-past-u64", "corrupted-metric-pair",
+        "htc-absorption-samples-past-window"])
 def test_validate_rejects_what_would_fail_at_run_time(tmp_path, capsys, text,
                                                      violation):
     code, _, err = _run(capsys, "validate", "--config", _write(tmp_path, text))
@@ -801,7 +848,7 @@ def test_pumped_sf_dynamics_equals_library_calls(tmp_path, capsys):
     labels, h = sf_system_bath((SFDimerSpec(),), CavitySpec(),
                                SFCavityCoupling(omega=0.05))
     state = coherent_init(np.sqrt(4.0), labels, h.n_modes, 1, noise_seed=3)
-    traj = propagate(h, state, 3.0, RUN_SETTINGS, t_eval=times)
+    traj = propagate(h, state, times, RUN_SETTINGS)
     obs = sf_observables(traj, labels, cavity_mode=-1)
     np.testing.assert_array_equal(
         _read_csv(out_dir / "population.csv"),
@@ -856,6 +903,22 @@ def test_resume_reuses_bank_legs(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(spectro, "propagate", no_propagate)
     again = csv_bytes(tmp_path / "resumed", "--resume")
     assert len(plain) == 1 and plain == first == again
+
+
+def test_plain_spectra_run_computes_no_resume_digest(tmp_path, capsys,
+                                                     monkeypatch):
+    """Only a resume file reads a digest, so a run without `--resume`
+    never hashes its inputs."""
+    from cavidyn import spectro
+
+    def no_digest(*_):
+        raise AssertionError("a digest was computed without --resume")
+
+    monkeypatch.setattr(spectro, "_digest", no_digest)
+    code, _, err = _run(capsys, "spectra2d", "--config",
+                        _write(tmp_path, TINY_SPECTRA),
+                        "--out", str(tmp_path / "out"))
+    assert code == cli.EXIT_OK, err
 
 
 def test_plain_spectra_run_leaves_only_its_outputs(tmp_path, capsys):

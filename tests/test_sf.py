@@ -34,8 +34,6 @@ from cavidyn.sf import (
 )
 from cavidyn.varprop import PropagationSettings, init_state, propagate
 
-SET = PropagationSettings(sample_dt=1.0)
-
 
 def test_kappa_derivation_reference_values():
     ks, kt = derive_kappas_from_ci(0.07, 2.256, 2.23, 2.28, 0.186)
@@ -168,12 +166,12 @@ def test_cavity_decoupled_limit_equals_bare_model():
     dimers = [SFDimerSpec()]
     labels, h_cav = sf_system_bath(dimers, CavitySpec(), SFCavityCoupling(omega=0.0))
     _, h_bare = sf_matter_only(dimers)
-    tight = PropagationSettings(rel_tol=1e-9, abs_tol=1e-11, sample_dt=1.0)
+    tight = PropagationSettings(rel_tol=1e-9, abs_tol=1e-11)
     s1 = labels.index(("S1",))
     s_cav = init_state(3, 3, s1)
     s_bare = init_state(3, 2, s1)
-    t_cav = propagate(h_cav, s_cav, 80.0, tight)
-    t_bare = propagate(h_bare, s_bare, 80.0, tight)
+    t_cav = propagate(h_cav, s_cav, np.arange(81.0), tight)
+    t_bare = propagate(h_bare, s_bare, np.arange(81.0), tight)
     assert np.max(np.abs(t_cav.system_populations() - t_bare.system_populations())) < 1e-7
 
 
@@ -194,9 +192,9 @@ def test_pumped_observables_and_excitation_number():
     labels, h_rwa = sf_system_bath(dimers, CavitySpec(), SFCavityCoupling(rwa=True))
     _, h_full = sf_system_bath(dimers, CavitySpec(), SFCavityCoupling(rwa=False))
     st = coherent_init(math.sqrt(2.0), labels, 3, multiplicity=6, noise_seed=3)
-    settings = PropagationSettings(rel_tol=1e-8, abs_tol=1e-10, sample_dt=1.0)
-    tr_rwa = propagate(h_rwa, st.copy(), 50.0, settings)
-    tr_full = propagate(h_full, st.copy(), 50.0, settings)
+    settings = PropagationSettings(rel_tol=1e-8, abs_tol=1e-10)
+    tr_rwa = propagate(h_rwa, st.copy(), np.arange(51.0), settings)
+    tr_full = propagate(h_full, st.copy(), np.arange(51.0), settings)
 
     obs = sf_observables(tr_full, labels)
     assert obs["p_tt"][0] < 1e-6

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from cavidyn.constants import HBAR_EV_FS
-from cavidyn.models import SystemBathHamiltonian
+from cavidyn.dense_ref import DensePropagator
+from cavidyn.models import SystemBathHamiltonian, TCModel, tc_system_bath
 from cavidyn.spectro import (
     DipoleSet,
     ResponseGrid,
@@ -304,9 +305,11 @@ def test_esa_checkpoint_of_another_waiting_time_is_not_resumed(toy, tmp_path):
 
 def test_bank_checkpoint_reuses_matching_legs(toy, tmp_path, monkeypatch):
     """Saved legs are reloaded bit-exactly without propagating; a grid whose
-    sample times differ recomputes them."""
+    sample times differ recomputes them.  The noisy M = 2 start state is
+    complex, so the conjugated leg behind the backward branch is integrated
+    and saved too (a real bank saves only its forward legs)."""
     grid = ResponseGrid(4, 2.0, (0.0,), 0.01)
-    args = (toy["h1"], toy["dip"], grid)
+    args = (toy["h1"], toy["dip"], grid, 2, 1)
     plain = first_leg_bank(*args)
     first_leg_bank(*args, checkpoint_dir=str(tmp_path))
     assert sorted(os.listdir(tmp_path)) == ["leg0_bwd.npz", "leg0_fwd.npz"]
@@ -329,10 +332,40 @@ def test_bank_checkpoint_reuses_matching_legs(toy, tmp_path, monkeypatch):
 
     monkeypatch.setattr(spectro, "propagate", counting)
     longer = ResponseGrid(5, 2.0, (0.0,), 0.01)
-    bank = first_leg_bank(toy["h1"], toy["dip"], longer,
+    bank = first_leg_bank(toy["h1"], toy["dip"], longer, 2, 1,
                           checkpoint_dir=str(tmp_path))
     assert calls["n"] == 2   # forward and backward legs both recomputed
     assert len(bank.amps[0]) == 9 and len(bank.amps_back[0]) == 5
+
+
+@pytest.mark.parametrize("kappa, legs", [(0.0, 2), (0.01, 4)],
+                         ids=["real", "lossy"])
+def test_backward_branch_equals_exact_negative_time_propagation(
+        monkeypatch, kappa, legs):
+    """On a bathless Tavis-Cummings system one configuration is exact, so
+    the bank's backward branch equals exp(+iHt/hbar) on each bright label.
+    The real system reuses the forward legs (two integrations); the lossy,
+    non-Hermitian one integrates one conjugated leg per bright label."""
+    model = TCModel(3, 1.0, 1.02, 0.1, kappa=kappa, gamma=kappa / 5)
+    h1 = tc_system_bath(model)
+    dip = DipoleSet(mu=np.array([1.0, 0.5, 0.0, 0.0]))
+    grid = ResponseGrid(6, 2.0, (4.0,), 0.01)
+    calls = {"n": 0}
+    real = spectro.propagate
+
+    def counting(*a, **kw):
+        calls["n"] += 1
+        return real(*a, **kw)
+
+    monkeypatch.setattr(spectro, "propagate", counting)
+    bank = first_leg_bank(h1, dip, grid, settings=TIGHT)
+    assert calls["n"] == legs
+    exact = DensePropagator(model.matrix(), hermitian=kappa == 0)
+    t = grid.times_fs
+    for n in bank.bright:
+        amps, _ = bank.backward(n, -t)
+        ref = exact.trajectory(np.eye(1, h1.n_sys, n)[0], -t)
+        assert np.abs(amps[:, 0] - ref).max() <= 1e-8
 
 
 def test_bank_leg_of_another_hamiltonian_is_recomputed(toy, tmp_path):
@@ -426,11 +459,12 @@ def test_linear_absorption_lorentzian_peak():
     h1 = monomer_hamiltonian(EPS_E, 0.0)
     dip = DipoleSet(mu=np.array([1.5]))
     w = np.linspace(1.9, 2.1, 201)
-    f = linear_absorption(h1, dip, w, gamma_prime=0.01, t_max=400.0)
+    f = linear_absorption(h1, dip, w, np.arange(4001) * 0.1, gamma_prime=0.01)
     assert abs(w[np.argmax(f)] - EPS_E) < 1.1e-3
     height = 1.5 ** 2 / (np.pi * 0.01)
     assert abs(f.max() - height) / height < 0.05
-    dark = linear_absorption(h1, DipoleSet(mu=np.array([0.0])), w)
+    dark = linear_absorption(h1, DipoleSet(mu=np.array([0.0])), w,
+                             np.arange(11.0))
     assert np.all(dark == 0)
 
 

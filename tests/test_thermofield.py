@@ -18,8 +18,7 @@ from cavidyn.thermofield import (
 )
 from cavidyn.varprop import PropagationSettings, init_state, propagate
 
-SET = PropagationSettings(sample_dt=1.0)
-TIGHT = PropagationSettings(rel_tol=1e-10, abs_tol=1e-12, sample_dt=1.0)
+TIGHT = PropagationSettings(rel_tol=1e-10, abs_tol=1e-12)
 
 
 def small_tc(n=2):
@@ -118,8 +117,8 @@ def test_zero_angle_reduces_to_bare_hamiltonian_and_trajectory():
     # same seeds, same shapes -> parameter-by-parameter identical trajectories
     s_plain = init_state(3, 2, 0, multiplicity=4, noise_seed=7)
     s_doubled = init_state(d.n_sys, d.n_modes, 0, multiplicity=4, noise_seed=7)
-    t_plain = propagate(h, s_plain, 60.0, SET)
-    t_doubled = propagate(d, s_doubled, 60.0, SET)
+    t_plain = propagate(h, s_plain, np.arange(61.0))
+    t_doubled = propagate(d, s_doubled, np.arange(61.0))
     assert np.max(np.abs(t_plain.amplitudes - t_doubled.amplitudes)) <= 1e-10
     assert np.max(np.abs(t_plain.displacements - t_doubled.displacements)) <= 1e-10
 
@@ -135,8 +134,8 @@ def test_pruned_tilde_modes_are_inert():
     assert d_pruned.n_modes == 3 and d_full.n_modes == 4
     s1 = init_state(3, d_pruned.n_modes, 0, multiplicity=1)
     s2 = init_state(3, d_full.n_modes, 0, multiplicity=1)
-    t1 = propagate(d_pruned, s1, 100.0, TIGHT)
-    t2 = propagate(d_full, s2, 100.0, TIGHT)
+    t1 = propagate(d_pruned, s1, np.arange(101.0), TIGHT)
+    t2 = propagate(d_full, s2, np.arange(101.0), TIGHT)
     dev = np.max(np.abs(t1.photon_population() - t2.photon_population()))
     assert dev <= 1e-6
 
@@ -170,7 +169,7 @@ def test_finite_temperature_against_dense_thermal_average():
 
     d = thermal_htc(htc, t_k, prune_threshold=0.0)
     st = init_state(d.n_sys, d.n_modes, 0, multiplicity=10, noise_seed=3)
-    tr = propagate(d, st, 100.0, SET, t_eval=times)
+    tr = propagate(d, st, times)
     assert np.max(np.abs(tr.photon_population() - ref)) <= 1e-2
 
 
@@ -213,9 +212,9 @@ def test_low_temperature_matches_zero_temperature():
     htc = HTCModel(tc=small_tc(), lam=1.0, phonon_base=0.0124, phonon_bandwidth=0.5)
     d = thermal_htc(htc, 10.0)
     st = init_state(d.n_sys, d.n_modes, 0, multiplicity=8, noise_seed=2)
-    tr_cold = propagate(d, st, 200.0, SET)
+    tr_cold = propagate(d, st, np.arange(201.0))
     s0 = init_state(3, 2, 0, multiplicity=8, noise_seed=2)
-    tr_zero = propagate(htc_system_bath(htc), s0, 200.0, SET)
+    tr_zero = propagate(htc_system_bath(htc), s0, np.arange(201.0))
     dev = np.max(np.abs(tr_cold.photon_population() - tr_zero.photon_population()))
     assert dev <= 5e-3
 
@@ -226,9 +225,8 @@ def test_norm_conserved_at_finite_temperature():
     htc = HTCModel(tc=small_tc(), lam=1.0, phonon_base=0.0124, phonon_bandwidth=0.5)
     d = thermal_htc(htc, 300.0)
     st = init_state(d.n_sys, d.n_modes, 0, multiplicity=6, noise_seed=4)
-    tr = propagate(
-        d, st, 100.0, PropagationSettings(rel_tol=1e-8, abs_tol=1e-10, sample_dt=1.0)
-    )
+    tr = propagate(d, st, np.arange(101.0),
+                   PropagationSettings(rel_tol=1e-8, abs_tol=1e-10))
     assert np.max(np.abs(tr.norms**2 - 1.0)) <= 1e-6
 
 
@@ -243,7 +241,7 @@ def test_temperature_coupling_interchangeability_trend():
         m = HTCModel(tc=tc, lam=lam, phonon_base=base, phonon_bandwidth=0.0)
         d = thermal_htc(m, t_k, prune_threshold=0.0)
         st = init_state(d.n_sys, d.n_modes, 0, multiplicity=8, noise_seed=5)
-        return propagate(d, st, 100.0, SET).photon_population()
+        return propagate(d, st, np.arange(101.0)).photon_population()
 
     ref = curve(2.0, 300.0)
     for lam_b in (2.2, 1.8):

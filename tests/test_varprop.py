@@ -48,7 +48,7 @@ from cavidyn.varprop import (
     system_populations,
 )
 
-TIGHT = PropagationSettings(rel_tol=1e-10, abs_tol=1e-12, sample_dt=1.0)
+TIGHT = PropagationSettings(rel_tol=1e-10, abs_tol=1e-12)
 
 
 def free_mode_hamiltonian(omega):
@@ -211,7 +211,7 @@ def test_zero_hamiltonian_gives_zero_derivatives():
 def test_free_mode_coherent_orbit():
     h = free_mode_hamiltonian(0.2)
     s = MultiD2State(np.array([[1.0 + 0j]]), np.array([[0.8 + 0.4j]]))
-    traj = propagate(h, s, 30.0, TIGHT)
+    traj = propagate(h, s, np.arange(31.0), TIGHT)
     ref = (0.8 + 0.4j) * np.exp(-1j * 0.2 * traj.times / HBAR_EV_FS)
     assert np.abs(traj.displacements[:, 0, 0] - ref).max() < 1e-8
     assert np.abs(traj.amplitudes[:, 0, 0] - 1.0).max() < 1e-8
@@ -231,7 +231,7 @@ def test_metric_cutoff_decides_the_tc_oracle_pair(monkeypatch):
 
     def deviation():
         settings = PropagationSettings(rel_tol=1e-10, abs_tol=1e-12)
-        traj = propagate(h, state, times[-1], settings, t_eval=times)
+        traj = propagate(h, state, times, settings)
         return np.abs(traj.system_populations()[:, 0]
                       - np.abs(amps[:, 0]) ** 2).max()
 
@@ -249,7 +249,7 @@ def test_single_surface_displaced_mode():
         np.full((1, 1, 1), c, complex),
     )
     s = MultiD2State(np.array([[1.0 + 0j]]), np.zeros((1, 1), complex))
-    traj = propagate(h, s, 60.0, TIGHT)
+    traj = propagate(h, s, np.arange(61.0), TIGHT)
     ref = -(c / w) * (1.0 - np.exp(-1j * w * traj.times / HBAR_EV_FS))
     assert np.abs(traj.displacements[:, 0, 0] - ref).max() < 1e-8
     assert np.abs(traj.energies - traj.energies[0]).max() < 1e-10
@@ -259,7 +259,7 @@ def test_bathless_single_config_is_schroedinger():
     tc = TCModel(4, 1.0, 1.0, 0.1)
     hs = tc_system_bath(tc)
     s = init_state(5, 0, 0, multiplicity=1)
-    traj = propagate(hs, s, 200.0, PropagationSettings(1e-11, 1e-13, 10.0))
+    traj = propagate(hs, s, np.arange(21) * 10.0, PropagationSettings(1e-11, 1e-13))
     h = tc.matrix()
     for i, t in enumerate(traj.times):
         u = expm(-1j * h * t / HBAR_EV_FS)
@@ -275,7 +275,8 @@ def test_carrier_offset_costs_nothing(monkeypatch):
     shifted = SystemBathHamiltonian(hs.e_sys + 5.0 * np.eye(5), hs.mode_freqs,
                                     hs.coup_create)
     s = init_state(5, 0, 0, multiplicity=1)
-    settings = PropagationSettings(1e-11, 1e-13, 10.0)
+    settings = PropagationSettings(1e-11, 1e-13)
+    times = np.arange(21) * 10.0
     calls = []
     inner = varprop.eom_rhs
 
@@ -284,10 +285,10 @@ def test_carrier_offset_costs_nothing(monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(varprop, "eom_rhs", counted)
-    plain = propagate(hs, s, 200.0, settings)
+    plain = propagate(hs, s, times, settings)
     n_plain = len(calls)
     calls.clear()
-    moved = propagate(shifted, s, 200.0, settings)
+    moved = propagate(shifted, s, times, settings)
     n_moved = len(calls)
     phase = np.exp(-1j * 5.0 * plain.times / HBAR_EV_FS)
     assert np.abs(moved.amplitudes - phase[:, None, None] * plain.amplitudes).max() < 1e-8
@@ -420,7 +421,7 @@ def test_eom_rhs_is_phase_covariant(model, m, batch):
 def test_resonant_rabi_photon_population():
     hs = tc_system_bath(TCModel(5, 1.0, 1.0, 0.1))
     s = init_state(6, 0, 0, multiplicity=1)
-    traj = propagate(hs, s, 60.0, PropagationSettings(1e-9, 1e-11, 0.5))
+    traj = propagate(hs, s, np.arange(121) * 0.5, PropagationSettings(1e-9, 1e-11))
     ref = np.cos(0.1 * traj.times / HBAR_EV_FS) ** 2
     assert np.abs(traj.photon_population() - ref).max() < 1e-6
 
@@ -429,9 +430,9 @@ def test_htc_zero_coupling_reduces_to_tc():
     tc = TCModel(3, 1.0, 1.0, 0.1)
     htc = HTCModel(tc=tc, lam=0.0, phonon_base=0.124, phonon_bandwidth=0.5)
     s = init_state(4, 3, 0, multiplicity=1)
-    traj = propagate(htc_system_bath(htc), s, 80.0, TIGHT)
+    traj = propagate(htc_system_bath(htc), s, np.arange(81.0), TIGHT)
     s2 = init_state(4, 0, 0, multiplicity=1)
-    traj2 = propagate(tc_system_bath(tc), s2, 80.0, TIGHT)
+    traj2 = propagate(tc_system_bath(tc), s2, np.arange(81.0), TIGHT)
     assert np.abs(traj.photon_population() - traj2.photon_population()).max() < 1e-8
     assert np.abs(traj.mode_occupations()).max() < 1e-12
 
@@ -453,7 +454,7 @@ def htc_problem(n, lam=0.5, kappa=0.0):
 def test_norm_and_energy_conservation_multiconfig():
     hs = htc_problem(4)
     s = init_state(5, 4, 0, multiplicity=8, noise_seed=3)
-    traj = propagate(hs, s, 150.0, PropagationSettings(sample_dt=1.0))
+    traj = propagate(hs, s, np.arange(151.0))
     assert np.abs(traj.norms - 1.0).max() <= 1e-4
     assert np.abs(traj.energies.real - traj.energies[0].real).max() <= 1e-4
     assert np.abs(traj.energies.imag).max() <= 1e-6
@@ -462,7 +463,7 @@ def test_norm_and_energy_conservation_multiconfig():
 def test_lossy_norm_monotone_nonincreasing():
     hs = htc_problem(3, lam=0.1, kappa=0.006)
     s = init_state(4, 3, 0, multiplicity=4, noise_seed=2)
-    traj = propagate(hs, s, 80.0, PropagationSettings(1e-9, 1e-12, 0.5))
+    traj = propagate(hs, s, np.arange(161) * 0.5, PropagationSettings(1e-9, 1e-12))
     assert np.all(np.diff(traj.norms**2) <= 1e-10)
 
 
@@ -480,7 +481,7 @@ def test_seed_robustness_of_observables():
     curves = []
     for seed in (0, 1):
         s = init_state(5, 4, 0, multiplicity=8, noise_seed=seed)
-        traj = propagate(hs, s, 80.0, PropagationSettings(sample_dt=1.0))
+        traj = propagate(hs, s, np.arange(81.0))
         curves.append(traj.photon_population())
         assert np.abs(curves[-1] - exact_pph).max() <= 2e-2
     assert np.abs(curves[0] - curves[1]).max() <= 1e-3
@@ -495,7 +496,7 @@ def test_htc_brute_force_equivalence_short():
     times = np.arange(0.0, 60.1, 0.5)
     dense_pph = fock.system_populations(fock.trajectory(hs, psi0, times))[:, 0]
     s = init_state(3, 2, 0, multiplicity=8, noise_seed=1)
-    traj = propagate(hs, s, 60.0, PropagationSettings(sample_dt=0.5))
+    traj = propagate(hs, s, np.arange(121) * 0.5)
     assert np.abs(traj.photon_population() - dense_pph).max() <= 1e-3
 
 
@@ -518,7 +519,7 @@ def test_trajectory_observables_equal_per_snapshot_calls():
     snapshot, with more than one configuration on the config axes."""
     hs = htc_problem(2)
     s = init_state(3, 2, 0, multiplicity=2, noise_seed=4)
-    traj = propagate(hs, s, 10.0, PropagationSettings(sample_dt=1.0))
+    traj = propagate(hs, s, np.arange(11.0))
     pops, occ = traj.system_populations(), traj.mode_occupations()
     corr = autocorrelation(traj, s)
     assert np.abs(occ).max() > 1e-4   # the modes are displaced
@@ -530,16 +531,6 @@ def test_trajectory_observables_equal_per_snapshot_calls():
         assert abs(traj.norms[i] - snap.norm()) < 1e-12
         assert abs(traj.energies[i] - energy_expectation(hs, snap)) < 1e-12
         assert abs(corr[i] - state_overlap(s, snap)) < 1e-12
-
-
-def test_backward_propagation_retraces_forward():
-    hs = htc_problem(2)
-    s = init_state(3, 2, 0, multiplicity=2, noise_seed=5)
-    fwd = propagate(hs, s, 20.0, TIGHT)
-    end = fwd.state_at(-1)
-    back = propagate(hs, end, -20.0, TIGHT)
-    assert np.isclose(back.times[-1], -20.0)
-    assert abs(state_overlap(back.state_at(-1), s) - 1.0) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +578,7 @@ def test_batch_steps_for_its_worst_member():
     h = SystemBathHamiltonian(np.zeros((2, 2), complex), np.array([w]), coup)
     members = MultiD2State(np.eye(2, dtype=complex)[:, None, :],
                            np.zeros((2, 1, 1), complex))
-    batched = propagate(h, members, 60.0, TIGHT)
+    batched = propagate(h, members, np.arange(61.0), TIGHT)
     assert batched.amplitudes.shape == (61, 2, 1, 2)
     assert batched.norms.shape == batched.energies.shape == (61, 2)
     phase = 1.0 - np.exp(-1j * w * batched.times / HBAR_EV_FS)
@@ -597,7 +588,8 @@ def test_batch_steps_for_its_worst_member():
 
     for b, coupling in enumerate((c, 4 * c)):
         alone = propagate(h, MultiD2State(members.amplitudes[b],
-                                          members.displacements[b]), 60.0, TIGHT)
+                                          members.displacements[b]),
+                          np.arange(61.0), TIGHT)
         err_batch = error(batched.displacements[:, b, 0, 0], coupling)
         assert err_batch < 1e-8
         assert np.abs(batched.energies[:, b] - batched.energies[0, b]).max() < 1e-10
@@ -612,11 +604,11 @@ def test_batched_propagation_matches_member_runs():
     states = [init_state(3, 2, n, multiplicity=2, noise_seed=n) for n in range(3)]
     batch = MultiD2State(np.stack([s.amplitudes for s in states]),
                          np.stack([s.displacements for s in states]))
-    settings = PropagationSettings(sample_dt=1.0)
-    traj = propagate(hs, batch, 20.0, settings)
+    times = np.arange(21.0)
+    traj = propagate(hs, batch, times)
     pops = traj.system_populations()
     for b, s in enumerate(states):
-        alone = propagate(hs, s, 20.0, settings)
+        alone = propagate(hs, s, times)
         assert np.abs(pops[:, b] - alone.system_populations()).max() < 1e-5
         assert np.abs(traj.energies[:, b] - alone.energies).max() < 1e-5
         assert np.abs(traj.norms[:, b] - alone.norms).max() < 1e-5
@@ -627,20 +619,33 @@ def test_runaway_norm_guard():
     s = init_state(3, 2, 0, multiplicity=2, noise_seed=1)
     bad = MultiD2State(3.0 * s.amplitudes, s.displacements)
     with pytest.raises(PropagationError, match="norm"):
-        propagate(hs, bad, 1.0)
+        propagate(hs, bad, np.arange(11) * 0.1)
 
 
 def test_propagation_rejects_bad_settings():
     with pytest.raises(ValueError):
         PropagationSettings(rel_tol=0.0)
     with pytest.raises(ValueError):
-        PropagationSettings(sample_dt=-1.0)
+        PropagationSettings(abs_tol=-1.0)
+
+
+@pytest.mark.parametrize("times", [[-1.0, 0.0], [0.0, 2.0, 1.0],
+                                   [0.0, 1.0, 1.0], [], -5.0],
+                         ids=["negative", "decreasing", "repeated", "empty",
+                              "scalar"])
+def test_propagate_integrates_forward_only(times):
+    """Sample times must be non-negative and increasing: there is no
+    backward integration."""
+    hs = htc_problem(2)
+    s = init_state(3, 2, 0, multiplicity=2, noise_seed=1)
+    with pytest.raises(ValueError, match="non-negative and increasing"):
+        propagate(hs, s, times)
 
 
 def test_zero_span_returns_the_initial_state():
     hs = htc_problem(2)
     s = init_state(3, 2, 0, multiplicity=2, noise_seed=1)
-    traj = propagate(hs, s, 0.0)
+    traj = propagate(hs, s, [0.0])
     assert np.array_equal(traj.times, [0.0])
     assert np.array_equal(traj.amplitudes, s.amplitudes[None])
     assert np.array_equal(traj.displacements, s.displacements[None])
@@ -683,21 +688,19 @@ def _counted(fun):
     return wrapped, calls
 
 
-@pytest.mark.parametrize("t_final, t_eval", [
-    (6.0, np.linspace(0.0, 6.0, 13)),
-    (-6.0, np.linspace(0.0, -6.0, 13)),
-    (6.0, np.array([0.35, 1.7, 2.25, 4.0])),
-], ids=["forward", "backward", "no-origin"])
-def test_stepper_matches_scipy_rk45(t_final, t_eval):
-    """A nonlinear complex ODE (norm-conserving, so it runs both ways): same
-    samples to 1e-13, same evaluations."""
+@pytest.mark.parametrize("t_eval", [
+    np.linspace(0.0, 6.0, 13),
+    np.array([0.35, 1.7, 2.25, 4.0]),
+], ids=["forward", "no-origin"])
+def test_stepper_matches_scipy_rk45(t_eval):
+    """A nonlinear complex ODE: same samples to 1e-13, same evaluations."""
     def fun(t, z):
         return 1j * ((1.0 + np.abs(z) ** 2) * z + 0.3 * np.sin(t) * z[::-1])
 
     z0 = np.array([1.0 + 0.5j, -0.3 + 0.8j, 0.2 - 0.1j])
     ours, n_ours = _counted(fun)
-    got = varprop._dormand_prince(ours, z0, t_final, t_eval, 1e-6, 1e-8)
-    ref = solve_ivp(fun, (0.0, t_final), z0, method="RK45", rtol=1e-6,
+    got = varprop._dormand_prince(ours, z0, t_eval, 1e-6, 1e-8)
+    ref = solve_ivp(fun, (0.0, t_eval[-1]), z0, method="RK45", rtol=1e-6,
                     atol=1e-8, t_eval=t_eval)
     assert ref.success
     assert got.shape == (len(t_eval), 3)
@@ -708,8 +711,8 @@ def test_stepper_matches_scipy_rk45(t_final, t_eval):
 def test_batched_propagate_matches_scipy_worst_member(monkeypatch):
     """The stepper in `propagate` against scipy's RK45 with the same
     worst-member norm, on a batch of three M=2 members."""
-    def scipy_stepper(fun, y0, t_final, t_eval, rtol, atol, members=1):
-        sol = solve_ivp(fun, (0.0, t_final), y0, method=_WorstMemberRK45,
+    def scipy_stepper(fun, y0, t_eval, rtol, atol, members=1):
+        sol = solve_ivp(fun, (0.0, t_eval[-1]), y0, method=_WorstMemberRK45,
                         rtol=rtol, atol=atol, t_eval=t_eval, members=members)
         assert sol.success
         return sol.y.T.copy()
@@ -720,11 +723,11 @@ def test_batched_propagate_matches_scipy_worst_member(monkeypatch):
                          np.stack([s.displacements for s in states]))
     counted, calls = _counted(varprop.eom_rhs)
     monkeypatch.setattr(varprop, "eom_rhs", counted)
-    ours = propagate(hs, batch, 20.0)
+    ours = propagate(hs, batch, np.arange(201) * 0.1)
     n_ours = len(calls)
     calls.clear()
     monkeypatch.setattr(varprop, "_dormand_prince", scipy_stepper)
-    ref = propagate(hs, batch, 20.0)
+    ref = propagate(hs, batch, np.arange(201) * 0.1)
     assert np.array_equal(ours.times, ref.times)
     assert np.abs(ours.amplitudes - ref.amplitudes).max() < 1e-12
     assert np.abs(ours.displacements - ref.displacements).max() < 1e-12
@@ -739,7 +742,7 @@ def test_stepper_fails_on_blow_up():
     with np.errstate(all="ignore"):
         assert not solve_ivp(fun, (0.0, 2.0), [1.0], method="RK45").success
         with pytest.raises(PropagationError, match="step size"):
-            varprop._dormand_prince(fun, np.array([1.0]), 2.0, np.array([0.0, 2.0]),
+            varprop._dormand_prince(fun, np.array([1.0]), np.array([0.0, 2.0]),
                                     1e-6, 1e-8)
 
 
@@ -752,7 +755,7 @@ def test_zero_hamiltonian_lineshape_is_lorentzian_at_origin():
         np.zeros((1, 1), complex), np.zeros(0), no_coupling(1, 0)
     )
     s = init_state(1, 0, 0, multiplicity=1)
-    traj = propagate(h, s, 800.0, PropagationSettings(sample_dt=0.5))
+    traj = propagate(h, s, np.arange(1601) * 0.5)
     corr = autocorrelation(traj, s)
     assert np.abs(corr - 1.0).max() < 1e-8
     omega = np.linspace(-0.2, 0.2, 801)
@@ -768,7 +771,7 @@ def test_tc_lineshape_peaks_match_pole_decomposition():
     tc = TCModel(20, 1.0, 1.0, 0.1)
     hs = tc_system_bath(tc)
     s = init_state(21, 0, 0, multiplicity=1)
-    traj = propagate(hs, s, 400.0, PropagationSettings(1e-9, 1e-11, 0.5))
+    traj = propagate(hs, s, np.arange(801) * 0.5, PropagationSettings(1e-9, 1e-11))
     corr = autocorrelation(traj, s)
     f = absorption_from_autocorrelation(traj.times, corr, 0.01, DEFAULT_OMEGA_GRID)
     got = sorted(w for w, _ in spectrum_peaks(DEFAULT_OMEGA_GRID, f)[:2])
