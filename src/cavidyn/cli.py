@@ -70,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="override [run] seed (htc and sf runs)")
             p.add_argument("--workers", type=_worker_count, default=1,
                            metavar="INT",
-                           help="worker processes; the parent only sums")
+                           help="worker processes for the realizations "
+                                "of dynamics and absorption runs")
             p.add_argument("--resume", action="store_true",
                            help="keep spectra2d first legs and the ESA "
                                 "checkpoint in OUT/bank/ and reuse them if "

@@ -18,7 +18,10 @@ codes.
 A `RunConfig` holds the only copy of the resolved values, `sections`, with
 every schema key.  Its attributes read it; `options` and `resolved_text`
 keep only the keys in scope, so the `validate` output and every run
-manifest record exactly what determined the outputs.
+manifest name every key that determined the outputs, and may name more:
+outside [experiment] scope follows the model kind, so a pes-scan run echoes
+[run] and `n_photons`, which it never reads, and `lam_ci`, `eta_s` and
+`omega_coupling`, which leave its cuts at Q_c = 0 unchanged.
 
 This module imports no numpy: `validate` checks the values and builds no
 model objects, so `cavidyn validate` loads only the standard library.  The
@@ -473,10 +476,6 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
             _check(model["kappa"] + model["gamma"] > 0, violations,
                    "model.kappa: the pole lineshape needs a linewidth — set "
                    "kappa or gamma > 0 for a tc absorption run")
-        if kind == "htc":
-            _check(dis["width"] == (0.0,) and dis["n_realizations"] == 1,
-                   violations,
-                   "disorder: htc absorption has no ensemble path")
     if exp["kind"] == "oracle-compare":
         _check(exp["pair"] in ORACLE_PAIRS, violations,
                f"experiment.pair: {exp['pair']!r} not one of {ORACLE_PAIRS}")

@@ -249,6 +249,8 @@ def disorder_qubit_freqs(
 
 
 def disordered_tc(model: TCModel, width: float, seed: int, realization: int) -> TCModel:
+    if width == 0:  # the mean of equal energies can be an ulp off them
+        return model
     freqs = disorder_qubit_freqs(
         float(np.mean(model.qubit_freqs)), width, model.n_qubits, seed, realization
     )

@@ -9,16 +9,16 @@ fails or gets SIGTERM before its manifest is written leaves no output and no
 `.tmp` file; on SIGTERM, at any worker count, `run` ends and reaps the
 workers, removes the outputs and then dies by that signal (status -15).
 
-The disorder ensembles (tc and htc dynamics, tc absorption) share one loop,
-`_ensemble`: it keeps one running sum per column, added in task
-(width, realization) order, so the mean is bitwise that of `sum(column)`
-and no realization's columns outlive their addition.  Each width's mean goes
-to one CSV, suffixed `_W<width>` (`config.file_tag`, which validation keeps
-distinct per width) when the config lists several widths.  A tc
-realization is one exact pole sum (`tc_exact`); an htc realization is one
-variational propagation.  Every htc run, absorption included, takes its
-Hamiltonian from `_htc_hamiltonian` (the doubled thermofield one above
-0 K) and its sample times from `_times` (every `run.sample_dt_fs`).
+Every dynamics and absorption run goes through one ensemble loop,
+`_ensemble`; a model without disorder (every sf one) has one realization.
+The loop sums each column in task (width, realization) order, so the mean
+is bitwise that of `sum(column)` and no realization's columns outlive their
+addition, and writes each width's mean to one CSV, suffixed `_W<width>`
+(`config.file_tag`) when the config lists several widths.  A tc realization
+is one exact pole sum (`tc_exact`), an htc or sf one a variational
+propagation whose start noise realization r seeds with `run.seed + 7919*r`.
+Each htc realization takes its Hamiltonian from `_htc_hamiltonian`
+(thermofield above 0 K) and its sample times from `_times`.
 
 With W > 1 workers the ensemble forks W children (`_forked_results`): child
 k computes tasks k, k+W, k+2W, ... and writes each result's columns to its
@@ -149,32 +149,64 @@ def _tc_absorption_realization(args):
     return (solve_realization(m_r).absorption(omega),)
 
 
-def _htc_hamiltonian(cfg: RunConfig, model):
-    """The Hamiltonian an htc run propagates: the doubled thermofield one
-    above 0 K, the bare one at 0 K."""
-    from .models import htc_system_bath
+def _htc_hamiltonian(cfg: RunConfig, width: float, r: int):
+    """Realization r's htc Hamiltonian at `width`: the doubled thermofield
+    one above 0 K, the bare one at 0 K."""
+    from .models import disordered_tc, htc_system_bath
     from .thermofield import thermal_htc
 
+    htc = cfg.htc
+    model = replace(htc, tc=disordered_tc(htc.tc, width, cfg.disorder.seed, r))
     if cfg.temperature_k > 0:
         return thermal_htc(model, cfg.temperature_k)
     return htc_system_bath(model)
 
 
 def _htc_realization(args):
-    from .models import HTCModel, disordered_tc
     from .varprop import init_state, propagate
 
     cfg, width, r, times = args
-    htc = cfg.htc
-    tcr = disordered_tc(htc.tc, width, cfg.disorder.seed, r)
-    h = _htc_hamiltonian(
-        cfg, HTCModel(tcr, htc.lam, htc.phonon_base, htc.phonon_bandwidth))
+    h = _htc_hamiltonian(cfg, width, r)
     state = init_state(h.n_sys, h.n_modes, 0, cfg.run.multiplicity,
                        noise_seed=cfg.run.seed + 7919 * r)
     traj = propagate(h, state, times, _settings(cfg))
     pops = traj.system_populations()
     return (pops[:, 0].copy(), pops[:, 1:].sum(axis=1), traj.norms,
             traj.energies.real.copy())
+
+
+def _htc_absorption_realization(args):
+    """Autocorrelation lineshape of the photon-excited state."""
+    from .spectro import DipoleSet, linear_absorption
+
+    cfg, width, r, omega = args
+    h = _htc_hamiltonian(cfg, width, r)
+    return (linear_absorption(
+        h, DipoleSet(mu=np.eye(1, h.n_sys)[0]), omega, _times(cfg),
+        gamma_prime=cfg.options["gamma_prime"],
+        multiplicity=cfg.run.multiplicity,
+        noise_seed=cfg.run.seed + 7919 * r, settings=_settings(cfg)),)
+
+
+def _sf_realization(args):
+    """Bright-singlet start; a coupled cavity is coherent, `n_photons` mean."""
+    from .sf import (coherent_init, sf_matter_only, sf_observables,
+                     sf_system_bath)
+    from .varprop import propagate
+
+    cfg, _, r, times = args
+    if cfg.sf_coupling.omega == 0.0:
+        labels, h = sf_matter_only(cfg.sf_dimers)
+        mu1, cavity_mode = 0.0, None
+    else:
+        labels, h = sf_system_bath(cfg.sf_dimers, cfg.sf_cavity,
+                                   cfg.sf_coupling)
+        mu1, cavity_mode = math.sqrt(cfg.sections["model"]["n_photons"]), -1
+    state = coherent_init(mu1, labels, h.n_modes, cfg.run.multiplicity,
+                          noise_seed=cfg.run.seed + 7919 * r)
+    obs = sf_observables(propagate(h, state, times, _settings(cfg)), labels,
+                         cavity_mode=cavity_mode)
+    return obs["p_tt"], obs["p_s1"], obs["norm"], obs["energy_ev"].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +218,7 @@ _POPULATION_HEADER = ["time_fs", "p_photon", "p_qubits_total", "norm",
                       "energy_eV"]
 
 _TC_MODULES = ("models", "tc_exact")
+_HTC_MODULES = ("models", "thermofield", "varprop")
 
 #: (experiment, model) -> (work unit, the cavidyn modules it imports, sample
 #: axis, output stem, CSV header); a work unit maps (cfg, width, realization,
@@ -194,11 +227,16 @@ _TC_MODULES = ("models", "tc_exact")
 _ENSEMBLES = {
     ("dynamics", "tc"): (_tc_realization, _TC_MODULES, _times, "population",
                          _POPULATION_HEADER),
-    ("dynamics", "htc"): (_htc_realization,
-                          ("models", "thermofield", "varprop"), _times,
+    ("dynamics", "htc"): (_htc_realization, _HTC_MODULES, _times,
                           "population", _POPULATION_HEADER),
+    ("dynamics", "sf"): (_sf_realization, ("sf", "varprop"), _times,
+                         "population",
+                         ["time_fs", "p_tt", "p_s1", "norm", "energy_eV"]),
     ("absorption", "tc"): (_tc_absorption_realization, _TC_MODULES, _omegas,
                            "absorption", ["omega_eV", "intensity"]),
+    ("absorption", "htc"): (_htc_absorption_realization,
+                            (*_HTC_MODULES, "spectro"), _omegas, "absorption",
+                            ["omega_eV", "intensity"]),
 }
 
 
@@ -315,47 +353,6 @@ def _ensemble(cfg: RunConfig, workers: int):
         rows.close()
 
 
-def _dynamics_sf(cfg: RunConfig, bank_dir):
-    from .sf import (coherent_init, sf_matter_only, sf_observables,
-                     sf_system_bath)
-    from .varprop import propagate
-
-    times = _times(cfg)
-    settings = _settings(cfg)
-    if cfg.sf_coupling.omega == 0.0:
-        labels, h = sf_matter_only(cfg.sf_dimers)
-        mu1, cavity_mode = 0.0, None
-    else:
-        labels, h = sf_system_bath(cfg.sf_dimers, cfg.sf_cavity,
-                                   cfg.sf_coupling)
-        mu1, cavity_mode = math.sqrt(cfg.sections["model"]["n_photons"]), -1
-    state = coherent_init(mu1, labels, h.n_modes, cfg.run.multiplicity,
-                          noise_seed=cfg.run.seed)
-    traj = propagate(h, state, times, settings)
-    obs = sf_observables(traj, labels, cavity_mode=cavity_mode)
-    yield "population.csv", _csv_text(
-        ["time_fs", "p_tt", "p_s1", "norm", "energy_eV"],
-        [obs["time_fs"], obs["p_tt"], obs["p_s1"], obs["norm"],
-         obs["energy_ev"]])
-
-
-def _absorption_htc(cfg: RunConfig, bank_dir):
-    """Autocorrelation of the photon-excited state (no ensemble)."""
-    from .spectro import DipoleSet, linear_absorption
-
-    omega = _omegas(cfg)
-    h = _htc_hamiltonian(cfg, cfg.htc)
-    mu = np.zeros(h.n_sys)
-    mu[0] = 1.0
-    intensity = linear_absorption(
-        h, DipoleSet(mu=mu), omega, _times(cfg),
-        gamma_prime=cfg.options["gamma_prime"],
-        multiplicity=cfg.run.multiplicity,
-        noise_seed=cfg.run.seed, settings=_settings(cfg))
-    yield "absorption.csv", _csv_text(["omega_eV", "intensity"],
-                                      [omega, intensity])
-
-
 def _pes_scan(cfg: RunConfig, bank_dir):
     from .sf import pes_scan, surface_table
 
@@ -466,8 +463,6 @@ def _oracle_compare(cfg: RunConfig, bank_dir):
 #: each other experiment's generator of outputs from (cfg, bank_dir); bank_dir,
 #: None without `--resume`, is where spectra2d keeps its resume files
 _EXPERIMENTS = {
-    "dynamics": _dynamics_sf,
-    "absorption": _absorption_htc,
     "pes-scan": _pes_scan,
     "spectra2d": _spectra2d,
     "oracle-compare": _oracle_compare,

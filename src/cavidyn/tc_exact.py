@@ -185,7 +185,8 @@ class PoleDecomposition:
             # one (block, M) temporary, reused for every step
             terms = w[start:start + OMEGA_BLOCK, None] - self.energies
             terms *= np.pi
-            np.divide(weights, terms, out=terms)
+            # a real pole on the grid is (given any loss) dark: residue 0
+            np.divide(weights, terms, out=terms, where=terms != 0)
             out[start:start + OMEGA_BLOCK] = terms.real.sum(axis=1)
         return out
 

@@ -615,16 +615,17 @@ def absorption_from_autocorrelation(
     """F(omega) = Re integral dt C(t) exp((i*omega - gamma')t/hbar) / (pi*hbar).
 
     One-sided transform over the sampled window, trapezoid rule.  gamma' > 0
-    (eV) damps the tail; a window too short for the damping to die out
-    (gamma'*t_max/hbar < 5) triggers a truncation warning.
+    (eV) damps the tail; a window that ends before the damping envelope
+    exp(-gamma'*t/hbar) falls to 2 % triggers a truncation warning.
     """
     if gamma_prime <= 0:
         raise ValueError("gamma_prime must be > 0")
     t = np.asarray(times, dtype=float)
-    if gamma_prime * t[-1] / HBAR_EV_FS < 5.0:
+    envelope = np.exp(-gamma_prime * t[-1] / HBAR_EV_FS)
+    if envelope > 0.02:
         warnings.warn(
-            "autocorrelation window shorter than 5 damping times: expect "
-            "truncation ringing in the lineshape",
+            f"autocorrelation window ends at {envelope:.1%} of the damping "
+            "envelope (above 2%): expect truncation ringing in the lineshape",
             stacklevel=2,
         )
     kernel = np.exp(

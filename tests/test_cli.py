@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,30 @@ n_realizations = 2
 seed = 5
 """
 
+TINY_TC_ABSORPTION = TINY_TC.replace("kind = dynamics",
+                                     "kind = absorption\nomega_points = 41")
+
+
+TINY_HTC_ABSORPTION = (
+    TINY_HTC.replace("kind = dynamics", "kind = absorption\n"
+                     "gamma_prime = 0.1\nomega_points = 41")
+    .replace("t_max_fs = 10", "t_max_fs = 40")
+    .replace("width = 0.05\nn_realizations = 2\n", ""))
+
+
+DISORDERED_HTC_ABSORPTION = TINY_HTC_ABSORPTION.replace(
+    "seed = 5", "width = 0.05 0.1\nn_realizations = 3\nseed = 5")
+
+
+#: one config per ensemble (experiment, model) pair of the runner
+ENSEMBLE_CONFIGS = {
+    ("dynamics", "tc"): TINY_TC,
+    ("dynamics", "htc"): TINY_HTC,
+    ("dynamics", "sf"): TINY_PUMPED_SF,
+    ("absorption", "tc"): TINY_TC_ABSORPTION,
+    ("absorption", "htc"): DISORDERED_HTC_ABSORPTION,
+}
+
 #: the run tolerances every config above resolves to
 RUN_SETTINGS = PropagationSettings(rel_tol=1e-6, abs_tol=1e-8)
 
@@ -174,12 +199,38 @@ def test_interrupted_manifest_write_leaves_no_file(tmp_path, monkeypatch):
 
 
 def test_every_experiment_kind_has_one_runner():
-    """`run` dispatches every experiment that is not an ensemble through
-    `_EXPERIMENTS`, so it must name each kind that validation accepts."""
+    """`run` takes every (experiment, model) pair in `_ENSEMBLES` through
+    the ensemble loop and every other through `_EXPERIMENTS`: each pair
+    that validation accepts must have exactly one runner, and no runner
+    may serve a pair that validation refuses."""
     from cavidyn import runner
-    from cavidyn.config import EXPERIMENT_KINDS
+    from cavidyn.config import (EXPERIMENT_KINDS, MODEL_KINDS,
+                                ConfigConstraintError)
 
-    assert sorted(runner._EXPERIMENTS) == sorted(EXPERIMENT_KINDS)
+    # the keys every model kind needs to pass validation
+    needs = {"tc": "kappa = 0.01\n", "htc": "n_qubits = 2\n", "sf": ""}
+    accepted = set()
+    for experiment in EXPERIMENT_KINDS:
+        for model in MODEL_KINDS:
+            try:
+                validate(f"[experiment]\nkind = {experiment}\n\n"
+                         f"[model]\nkind = {model}\n{needs[model]}")
+            except ConfigConstraintError:
+                continue
+            accepted.add((experiment, model))
+            assert ((experiment, model) in runner._ENSEMBLES) != (
+                experiment in runner._EXPERIMENTS), (experiment, model)
+    assert {experiment for experiment, _ in accepted} == set(EXPERIMENT_KINDS)
+    assert set(runner._ENSEMBLES) <= accepted
+    assert set(runner._EXPERIMENTS) <= set(EXPERIMENT_KINDS)
+
+
+def test_oracle_pairs_have_one_list():
+    """validation names the pairs `config.ORACLE_PAIRS` accepts, the runner
+    holds a tolerance per pair: both must list the same pairs."""
+    from cavidyn import runner
+
+    assert sorted(runner._ORACLE_TOL) == sorted(ORACLE_PAIRS)
 
 
 def test_manifest_names_the_output_directory_used(tmp_path, capsys):
@@ -238,11 +289,11 @@ def test_options_hold_only_their_experiments_keys():
 
 
 def test_outputs_do_not_depend_on_worker_count(tmp_path, capsys):
-    absorption = TINY_TC.replace("kind = dynamics",
-                                 "kind = absorption\nomega_points = 41")
     for kind, text, n_files in (("dynamics", TINY_TC, 2),
-                                ("absorption", absorption, 2),
-                                ("htc", TINY_HTC, 1)):
+                                ("absorption", TINY_TC_ABSORPTION, 2),
+                                ("htc", TINY_HTC, 1),
+                                ("htc-absorption", DISORDERED_HTC_ABSORPTION,
+                                 2)):
         path = _write(tmp_path, text)
         files = []
         for workers in ("1", "2"):
@@ -309,19 +360,14 @@ def test_work_units_return_owned_columns():
     """No realization column keeps a larger array alive while the next
     realization is computed."""
     from cavidyn import runner
-    from cavidyn.config import validate
 
-    absorption = TINY_TC.replace("kind = dynamics",
-                                 "kind = absorption\nomega_points = 41")
-    for text, work, axis_of in (
-            (TINY_TC, runner._tc_realization, runner._times),
-            (absorption, runner._tc_absorption_realization, runner._omegas),
-            (TINY_HTC, runner._htc_realization, runner._times)):
-        cfg = validate(text)
+    for key, (work, _, axis_of, _, header) in runner._ENSEMBLES.items():
+        cfg = validate(ENSEMBLE_CONFIGS[key])
         columns = work((cfg, cfg.disorder.width[0], 0, axis_of(cfg)))
+        assert len(columns) == len(header) - 1
         for column in columns:
             assert column.shape == axis_of(cfg).shape
-            assert _owner(column).nbytes <= column.nbytes
+            assert _owner(column).nbytes <= column.nbytes, key
 
 
 @pytest.mark.parametrize("temperature_k", [0.0, 300.0])
@@ -349,13 +395,6 @@ def test_htc_dynamics_equals_library_calls(tmp_path, capsys, temperature_k):
     np.testing.assert_array_equal(got[:, 1:], (rows[0] + rows[1]) / 2)
 
 
-TINY_HTC_ABSORPTION = (
-    TINY_HTC.replace("kind = dynamics", "kind = absorption\n"
-                     "gamma_prime = 0.1\nomega_points = 41")
-    .replace("t_max_fs = 10", "t_max_fs = 40")
-    .replace("width = 0.05\nn_realizations = 2\n", ""))
-
-
 def test_htc_absorption_equals_library_call(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code, _, err = _run(capsys, "run", "--config",
@@ -370,6 +409,43 @@ def test_htc_absorption_equals_library_call(tmp_path, capsys):
                             noise_seed=4, settings=RUN_SETTINGS)
     got = _read_csv(out_dir / "absorption.csv")
     np.testing.assert_array_equal(got, np.column_stack([omega, ref]))
+
+
+def test_disordered_htc_absorption_equals_library_calls(tmp_path, capsys):
+    """Each width's spectrum is the mean of one `linear_absorption` per
+    realization, with start noise seeded 4 + 7919*r."""
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, "run", "--config",
+                        _write(tmp_path, DISORDERED_HTC_ABSORPTION),
+                        "--out", str(out_dir))
+    assert code == cli.EXIT_OK, err
+    omega = np.linspace(0.7, 1.3, 41)
+    for width in (0.05, 0.1):
+        spectra = []
+        for r in range(3):
+            tc = disordered_tc(TCModel(2, 1.0, 1.0, 0.1, kappa=0.002), width,
+                               5, r)
+            h = htc_system_bath(HTCModel(tc, 0.3, 0.124, 0.3))
+            spectra.append(linear_absorption(
+                h, DipoleSet(mu=np.eye(1, h.n_sys)[0]), omega,
+                np.arange(41.0), gamma_prime=0.1, multiplicity=2,
+                noise_seed=4 + 7919 * r, settings=RUN_SETTINGS))
+        got = _read_csv(out_dir / f"absorption_W{width:g}.csv")
+        np.testing.assert_array_equal(
+            got, np.column_stack([omega, sum(spectra) / 3]))
+
+
+def test_default_htc_absorption_run_does_not_warn(tmp_path):
+    """The default window (300 fs) and damping (0.01 eV) leave 1 % of the
+    damping envelope, inside the truncation warning's bound."""
+    from cavidyn.runner import run
+
+    cfg = validate("[experiment]\nkind = absorption\n\n"
+                   "[model]\nkind = htc\nn_qubits = 2\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run(cfg, out_dir=str(tmp_path / "out"))
+    assert not [str(w.message) for w in caught]
 
 
 def test_htc_absorption_samples_every_sample_dt(tmp_path, capsys):
@@ -514,11 +590,8 @@ def test_ensembles_preload_every_module_their_work_units_import(tmp_path):
     worker compiles a cavidyn module of its own."""
     from cavidyn import runner
 
-    absorption = TINY_TC.replace("kind = dynamics", "kind = absorption")
-    for text in (TINY_TC, TINY_HTC, absorption):
-        cfg = validate(text)
-        work, modules, axis_of, _, _ = runner._ENSEMBLES[cfg.experiment,
-                                                         cfg.model_kind]
+    for key, (work, modules, axis_of, _, _) in runner._ENSEMBLES.items():
+        cfg = validate(ENSEMBLE_CONFIGS[key])
         path = tmp_path / "cfg.pickle"
         path.write_bytes(pickle.dumps((cfg, axis_of(cfg))))
         probe = ("import importlib, pickle, sys\n"
@@ -858,7 +931,7 @@ def test_pumped_sf_dynamics_equals_library_calls(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", [
     TINY_TC, SF_FREE_TWO_DIMERS, TINY_SPECTRA, TINY_HTC, TINY_HTC_ABSORPTION,
-    TINY_TC.replace("kind = dynamics", "kind = absorption\nomega_points = 41"),
+    TINY_TC_ABSORPTION,
     TINY_HTC + "\n[temperature]\ntemperature_k = 300.0\n",
     TINY_PES, TINY_PUMPED_SF, ORACLE_WITHOUT_MODEL,
     "[experiment]\nkind = oracle-compare\npair = htc-dense\n\n"

@@ -177,3 +177,11 @@ def test_disordered_tc_keeps_mean_frequency_center():
     assert d.qubit_freqs.shape == (50,)
     assert abs(d.qubit_freqs.mean() - 1.0) < 0.05
     assert np.all(np.abs(d.qubit_freqs - 1.0) <= 0.1)
+
+
+def test_disordered_tc_at_zero_width_is_the_model():
+    """The mean of seven 0.9 eV emitters is 1 ulp off 0.9; a width-0
+    realization must keep the configured energies, not rebuild them."""
+    m = TCModel(7, 1.0, 0.9, 0.1)
+    assert np.mean(m.qubit_freqs) != 0.9
+    assert disordered_tc(m, width=0.0, seed=3, realization=2) is m

@@ -248,6 +248,18 @@ def test_absorption_matches_direct_pole_sum():
     assert np.abs(f - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
+def test_absorption_on_a_dark_pole_is_finite():
+    """Without emitter loss the N-1 dark poles sit on the real axis at the
+    emitter energy; a grid point there reads the bright polaritons' value,
+    which the exact photon Green's function puts at 0."""
+    m = TCModel(7, 1.0, 0.9, 0.1, kappa=0.005)
+    w = np.linspace(0.7, 1.3, 601)
+    assert 0.9 in w
+    f = solve_realization(m).absorption(w)
+    assert np.all(np.isfinite(f))
+    assert abs(f[w == 0.9][0]) <= 1e-12 * f.max()
+
+
 @pytest.mark.parametrize("synthesis", ["amplitudes", "absorption"])
 def test_synthesis_scratch_stays_below_its_result(synthesis):
     # a temporary the size of the result makes glibc return and re-map pages
