@@ -3,10 +3,11 @@
 
 Expands the package's own three-state (g, S1, TT) dimer Hamiltonian --
 `sf_matter_only` without the cavity, `sf_system_bath` with the cavity as the
-last boson mode -- in the shared sparse Fock oracle
-(`cavidyn.dense_ref.FockSpace`) and propagates exactly with
-`FockSpace.trajectory`: dense eigendecomposition when the dimension is small
-(cavity-free), sparse Krylov stepping otherwise.  Used to pin the
+last boson mode -- and the runner's start state (`sf.coherent_init`) in the
+shared sparse Fock oracle (`cavidyn.dense_ref.FockSpace`), propagates exactly
+with `FockSpace.propagate` (dense eigendecomposition when the dimension is
+small, sparse Krylov stepping otherwise) and reads P_TT and the photon number
+through `sf.sf_observables`.  Used to pin the
 intersection coupling strength and the pumped-cavity triplet yields
 independently of the variational integrator.  At the default cutoffs,
 `scan --lam 0.065` gives P_TT(300 fs) = 0.02771.  P_TT is printed at
@@ -20,36 +21,14 @@ Examples:
 from __future__ import annotations
 
 import argparse
-import math
 import time
 
 import numpy as np
 
 from cavidyn.dense_ref import FockSpace
-from cavidyn.sf import (
-    CavitySpec,
-    SFCavityCoupling,
-    SFDimerSpec,
-    label_has_tt,
-    sf_matter_only,
-    sf_system_bath,
-)
-
-
-def initial_state(fock: FockSpace, labels, mu1: float = 0.0) -> np.ndarray:
-    """|S1> x |0_tu> x |0_cu> [x |coherent mu1>], renormalized after the
-    photon cutoff; mu1 displaces the last mode, the photon when present."""
-    amps = np.zeros((1, len(labels)), dtype=complex)
-    amps[0, labels.index(("S1",))] = 1.0
-    disp = np.zeros((1, len(fock.cutoffs)), dtype=complex)
-    disp[0, -1] = mu1
-    psi = fock.multiconfig_vector(amps, disp)
-    return psi / np.linalg.norm(psi)
-
-
-def p_tt(fock: FockSpace, labels, states) -> np.ndarray:
-    tt = [label_has_tt(lab) for lab in labels]
-    return fock.system_populations(states)[:, tt].sum(axis=1)
+from cavidyn.sf import (CavitySpec, SFCavityCoupling, SFDimerSpec,
+                        coherent_init, sf_matter_only, sf_observables,
+                        sf_system_bath)
 
 
 def dominant_period(times, signal):
@@ -84,8 +63,9 @@ def main():
             labels, h = sf_matter_only([SFDimerSpec(lam_ci=lam)])
             fock = FockSpace(len(labels), vib)
             t0 = time.time()
-            states = fock.trajectory(h, initial_state(fock, labels), times)
-            tt = p_tt(fock, labels, states)
+            traj = fock.propagate(h, coherent_init(0.0, labels, h.n_modes),
+                                  times)
+            tt = sf_observables(traj, labels, cavity_mode=None)["p_tt"]
             print(f"lam={lam:.5f} dim={fock.dim} "
                   f"{at_end}={tt[-1]:.5f} max={tt.max():.4f} "
                   f"({time.time()-t0:.0f}s)", flush=True)
@@ -96,11 +76,10 @@ def main():
                                        coupling)
             fock = FockSpace(len(labels), vib + (args.n_cav - 1,))
             for n in args.n_photons:
-                psi0 = initial_state(fock, labels, math.sqrt(n))
+                state = coherent_init(np.sqrt(n), labels, h.n_modes)
                 t0 = time.time()
-                states = fock.trajectory(h, psi0, times)
-                tt = p_tt(fock, labels, states)
-                ph = fock.mode_occupation(states, 2)
+                obs = sf_observables(fock.propagate(h, state, times), labels)
+                tt, ph = obs["p_tt"], obs["p_cav"]
                 early = times <= 60.0
                 period = dominant_period(times[early], ph[early])
                 print(f"lam={lam:.5f} N={n:g} dim={fock.dim} "

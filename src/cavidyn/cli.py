@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("absorption", "run a linear absorption experiment"),
         ("pes-scan", "run a potential-surface scan"),
         ("spectra2d", "run a third-order 2D spectra experiment"),
-        ("oracle-compare", "compare a solver against its reference oracle"),
+        ("oracle-compare", "check htc/sf dynamics against an exact Fock twin"),
     ):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, metavar="PATH")

@@ -23,6 +23,9 @@ outside [experiment] scope follows the model kind, so a pes-scan run echoes
 [run] and `n_photons`, which it never reads, and `lam_ci`, `eta_s` and
 `omega_coupling`, which leave its cuts at Q_c = 0 unchanged.
 
+Every config has a [model] section; an oracle-compare config is checked as
+htc or sf dynamics, with `fock_cutoff` for its exact Fock twin.
+
 This module imports no numpy: `validate` checks the values and builds no
 model objects, so `cavidyn validate` loads only the standard library.  The
 model objects of a `RunConfig` (`tc`, `htc`, `sf_dimers`, `sf_cavity`,
@@ -50,7 +53,6 @@ if TYPE_CHECKING:
 EXPERIMENT_KINDS = ("dynamics", "absorption", "pes-scan", "spectra2d",
                     "oracle-compare")
 MODEL_KINDS = ("tc", "htc", "sf")
-ORACLE_PAIRS = ("tc", "htc-dense")
 
 
 class ConfigParseError(ValueError):
@@ -95,13 +97,12 @@ _SCHEMA = {
         "q_min": (float, -0.4, ("pes-scan",)),
         "q_max": (float, 0.6, ("pes-scan",)),
         "q_points": (int, 251, ("pes-scan",)),
-        "fock_cutoff": (int, 6, ("pes-scan",)),
+        "fock_cutoff": (int, 6, ("pes-scan", "oracle-compare")),
         "manifold_max": (int, 2, ("pes-scan",)),
         "grid_points": (int, 64, ("spectra2d",)),
         "grid_dt_fs": (float, 0.5, ("spectra2d",)),
         "waiting_times_fs": (_float_list, (0.0, 16.0, 32.0, 48.0),
                              ("spectra2d",)),
-        "pair": (str, "tc", ("oracle-compare",)),
     },
     "model": {
         "kind": (str, None, MODEL_KINDS),
@@ -178,9 +179,8 @@ class RunConfig:
         return self.sections["experiment"]["kind"]
 
     @property
-    def model_kind(self) -> Optional[str]:
-        """None for an oracle-compare config without a [model] section."""
-        return self.sections["model"].get("kind")
+    def model_kind(self) -> str:
+        return self.sections["model"]["kind"]
 
     @property
     def run(self) -> SimpleNamespace:
@@ -351,9 +351,7 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
 
     kind = model.get("kind")
     if kind is None:
-        # the oracle pairs build their own models
-        if exp["kind"] != "oracle-compare" or "model" in sections:
-            violations.append("model.kind: required")
+        violations.append("model.kind: required")
     elif kind not in MODEL_KINDS:
         violations.append(f"model.kind: {kind!r} not one of {MODEL_KINDS}")
     else:
@@ -371,10 +369,10 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
     _check(run["abs_tol"] > 0, violations, "run.abs_tol: must be > 0")
     _check(run["seed"] >= 0, violations, "run.seed: must be >= 0")
     dt = run["sample_dt_fs"]
+    dynamics = exp["kind"] in ("dynamics", "oracle-compare")  # run as such
     # htc absorption samples its autocorrelation on the dynamics time axis
     htc_absorption = (exp["kind"], kind) == ("absorption", "htc")
-    if (exp["kind"] == "dynamics" or htc_absorption) and run["t_max_fs"] > 0 \
-            and dt > 0:
+    if (dynamics or htc_absorption) and run["t_max_fs"] > 0 and dt > 0:
         # the runner samples round(t_max_fs / dt) + 1 times
         _check(_on_grid(run["t_max_fs"], dt), violations,
                f"run.t_max_fs: must be a whole number of {dt} fs samples "
@@ -444,7 +442,7 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
                "model.omega_coupling: must be > 0")
         _check(model["eps_s1"] < model["eps_tt"], violations,
                "model.eps_s1: must be below eps_tt (uphill fission)")
-        if exp["kind"] in ("dynamics", "pes-scan"):
+        if dynamics or exp["kind"] == "pes-scan":
             _check(model["cavity_kappa"] == 0, violations,
                    f"model.cavity_kappa: sf {exp['kind']} runs need a "
                    "lossless cavity")
@@ -477,9 +475,16 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
                    "model.kappa: the pole lineshape needs a linewidth — set "
                    "kappa or gamma > 0 for a tc absorption run")
     if exp["kind"] == "oracle-compare":
-        _check(exp["pair"] in ORACLE_PAIRS, violations,
-               f"experiment.pair: {exp['pair']!r} not one of {ORACLE_PAIRS}")
+        _check(kind in _HTC_SF, violations,
+               "experiment.kind: oracle-compare requires the htc or sf "
+               "model; tc dynamics already is the exact pole sum")
+        _check(exp["fock_cutoff"] >= 1, violations,
+               "experiment.fock_cutoff: must be >= 1")
     if exp["kind"] == "spectra2d":
+        _check({"omega_min", "omega_max"} <= set(sections["experiment"]),
+               violations, "experiment.omega_min, experiment.omega_max: "
+               "spectra2d needs its window set; the default 0.7-1.3 eV "
+               "holds no transition of the fission dimer")
         _check(exp["grid_points"] >= 2, violations,
                "experiment.grid_points: must be >= 2")
         dt = exp["grid_dt_fs"]

@@ -5,16 +5,16 @@ at an explicit occupation cutoff and the Hamiltonian is assembled as a sparse
 operator over |system label> x |v_1 ... v_Nb>.  `FockSpace.trajectory` is the
 one exact single-state propagation: up to `DENSE_MAX_DIM` states it evolves
 through one dense eigendecomposition (`DensePropagator`, of the real matrix
-when H is real), above that it steps the sparse operator with a Krylov
-exponential over evenly spaced times.  Exponential scaling restricts this to
-a handful of modes, which is exactly its role -- an independent check, not a
-production path.
+when H is real, by `eig` when H is lossy), above that it steps the sparse
+operator with a Krylov exponential over evenly spaced times.
+`FockSpace.propagate` wraps it as the exact twin of `varprop.propagate`.
+Exponential scaling restricts this to a handful of modes, which is exactly
+its role -- an independent check, not a production path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,7 +75,8 @@ class FockSpace:
             op = op.real  # a real eigendecomposition costs a quarter as much
         times = np.asarray(times, float)
         if self.dim <= DENSE_MAX_DIM:
-            return DensePropagator(op.toarray()).trajectory(psi0, times)
+            return DensePropagator(op.toarray(), hermitian=h.hermitian
+                                   ).trajectory(psi0, times)
         if not np.allclose(times, np.linspace(times[0], times[-1], len(times)),
                            rtol=0.0, atol=1e-9):
             raise ValueError("Krylov propagation needs evenly spaced times")
@@ -84,35 +85,34 @@ class FockSpace:
         return expm_multiply((-1j / HBAR_EV_FS) * op, psi0, start=times[0],
                              stop=times[-1], num=len(times), endpoint=True)
 
+    def propagate(self, h: SystemBathHamiltonian, state, times):
+        """Exact twin of `varprop.propagate`: `state` expanded in this basis,
+        renormalized after the truncation and evolved by `trajectory`."""
+        psi0 = self.multiconfig_vector(state.amplitudes, state.displacements)
+        states = self.trajectory(h, psi0 / np.linalg.norm(psi0), times)
+        op = self.sparse_hamiltonian(h)
+        # <psi|H|psi> 64 samples at a time: H psi never holds all of them
+        energies = np.concatenate([
+            np.einsum("ti,it->t", s.conj(), op @ s.T)
+            for s in np.split(states, range(64, len(states), 64))])
+        return FockTrajectory(self, np.asarray(times, float), states,
+                              np.linalg.norm(states, axis=1), energies)
+
     def coherent_bath_vector(self, f: np.ndarray) -> np.ndarray:
         """Normalized coherent state prod_q |f_q> over the bath modes."""
         out = np.ones(1, dtype=complex)
-        for q, c in enumerate(self.cutoffs):
-            v = np.arange(c + 1)
-            if f[q] == 0:
-                amp = np.zeros(c + 1, dtype=complex)
-                amp[0] = 1.0
-            else:
-                lf = np.log(complex(f[q]))
-                amp = np.exp(v * lf - 0.5 * np.array([lgamma(k + 1) for k in v]))
-                amp *= np.exp(-0.5 * abs(f[q]) ** 2)
-            out = np.kron(out, amp)
+        for fq, c in zip(f, self.cutoffs):
+            v = np.arange(c + 1)  # f^v / sqrt(v!), with 0^0 = 1
+            out = np.kron(out, np.exp(-0.5 * abs(fq) ** 2) * complex(fq) ** v
+                          / np.sqrt(np.cumprod(np.maximum(v, 1.0))))
         return out
 
     def multiconfig_vector(self, amplitudes: np.ndarray, displacements: np.ndarray) -> np.ndarray:
-        """Dense vector of sum_{m,n} A_mn |n> x |f_m> (normalized coherent states).
-
-        amplitudes: (M, n_sys); displacements: (M, n_modes).
-        """
+        """Dense vector of sum_{m,n} A_mn |n> x |f_m> (normalized coherent
+        states); amplitudes (M, n_sys), displacements (M, n_modes)."""
         out = np.zeros(self.dim, dtype=complex)
-        for m in range(amplitudes.shape[0]):
-            bath = self.coherent_bath_vector(displacements[m])
-            for n in range(self.n_sys):
-                if amplitudes[m, n] == 0:
-                    continue
-                sys_vec = np.zeros(self.n_sys, dtype=complex)
-                sys_vec[n] = amplitudes[m, n]
-                out += np.kron(sys_vec, bath)
+        for a, f in zip(amplitudes, displacements):
+            out += np.kron(a, self.coherent_bath_vector(f))
         return out
 
     def system_populations(self, psi: np.ndarray) -> np.ndarray:
@@ -120,12 +120,31 @@ class FockSpace:
         probs = np.abs(psi.reshape(psi.shape[:-1] + (self.n_sys, -1))) ** 2
         return probs.sum(axis=-1)
 
-    def mode_occupation(self, psi: np.ndarray, q: int):
-        """<b_q^+ b_q>; psi may carry leading axes."""
-        dims = self.mode_dims
-        before = self.n_sys * int(np.prod(dims[:q], dtype=np.int64))
-        probs = np.abs(psi.reshape(psi.shape[:-1] + (before, dims[q], -1))) ** 2
-        return probs.sum(axis=(-3, -1)) @ np.arange(dims[q])
+    def mode_occupations(self, psi: np.ndarray) -> np.ndarray:
+        """<b_q^+ b_q> of each mode q on the last axis; psi may carry
+        leading axes."""
+        probs = np.abs(psi.reshape(psi.shape[:-1] + (self.n_sys, -1))) ** 2
+        occupied = np.indices(self.mode_dims).reshape(len(self.cutoffs), -1)
+        return probs.sum(axis=-2) @ occupied.T
+
+
+@dataclass(frozen=True)
+class FockTrajectory:
+    """Sampled exact states, (T, dim), with the members of a
+    `varprop.Trajectory` that observables read: `times`, `norms`, complex
+    `energies` <psi|H|psi>, `system_populations()` and `mode_occupations()`."""
+
+    fock: FockSpace
+    times: np.ndarray
+    states: np.ndarray
+    norms: np.ndarray
+    energies: np.ndarray
+
+    def system_populations(self) -> np.ndarray:
+        return self.fock.system_populations(self.states)
+
+    def mode_occupations(self) -> np.ndarray:
+        return self.fock.mode_occupations(self.states)
 
 
 class DensePropagator:

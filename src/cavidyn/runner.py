@@ -20,6 +20,12 @@ propagation whose start noise realization r seeds with `run.seed + 7919*r`.
 Each htc realization takes its Hamiltonian from `_htc_hamiltonian`
 (thermofield above 0 K) and its sample times from `_times`.
 
+The htc and sf dynamics work units take a propagation function (default:
+`varprop.propagate`, looked up per call).  `oracle-compare` runs the config's
+dynamics ensemble with it and twice with the exact `dense_ref.FockSpace.
+propagate`, on the same Hamiltonians, start states and times, and reports the
+largest |variational - exact| and |exact(c) - exact(c+1)| per file and column.
+
 With W > 1 workers the ensemble forks W children (`_forked_results`): child
 k computes tasks k, k+W, k+2W, ... and writes each result's columns to its
 own pipe as raw float64 bytes, and the parent reads task i from child
@@ -44,6 +50,7 @@ The config's model objects are built on first access (`cavidyn.config`).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib
 import json
@@ -162,14 +169,14 @@ def _htc_hamiltonian(cfg: RunConfig, width: float, r: int):
     return htc_system_bath(model)
 
 
-def _htc_realization(args):
-    from .varprop import init_state, propagate
+def _htc_realization(args, propagate=None):
+    from . import varprop
 
     cfg, width, r, times = args
     h = _htc_hamiltonian(cfg, width, r)
-    state = init_state(h.n_sys, h.n_modes, 0, cfg.run.multiplicity,
-                       noise_seed=cfg.run.seed + 7919 * r)
-    traj = propagate(h, state, times, _settings(cfg))
+    state = varprop.init_state(h.n_sys, h.n_modes, 0, cfg.run.multiplicity,
+                               noise_seed=cfg.run.seed + 7919 * r)
+    traj = (propagate or varprop.propagate)(h, state, times, _settings(cfg))
     pops = traj.system_populations()
     return (pops[:, 0].copy(), pops[:, 1:].sum(axis=1), traj.norms,
             traj.energies.real.copy())
@@ -188,11 +195,11 @@ def _htc_absorption_realization(args):
         noise_seed=cfg.run.seed + 7919 * r, settings=_settings(cfg)),)
 
 
-def _sf_realization(args):
+def _sf_realization(args, propagate=None):
     """Bright-singlet start; a coupled cavity is coherent, `n_photons` mean."""
+    from . import varprop
     from .sf import (coherent_init, sf_matter_only, sf_observables,
                      sf_system_bath)
-    from .varprop import propagate
 
     cfg, _, r, times = args
     if cfg.sf_coupling.omega == 0.0:
@@ -204,8 +211,8 @@ def _sf_realization(args):
         mu1, cavity_mode = math.sqrt(cfg.sections["model"]["n_photons"]), -1
     state = coherent_init(mu1, labels, h.n_modes, cfg.run.multiplicity,
                           noise_seed=cfg.run.seed + 7919 * r)
-    obs = sf_observables(propagate(h, state, times, _settings(cfg)), labels,
-                         cavity_mode=cavity_mode)
+    obs = sf_observables((propagate or varprop.propagate)(
+        h, state, times, _settings(cfg)), labels, cavity_mode=cavity_mode)
     return obs["p_tt"], obs["p_s1"], obs["norm"], obs["energy_ev"].copy()
 
 
@@ -322,13 +329,18 @@ def _forked_results(work, tasks, workers: int, shape):
             os.waitpid(pid, 0)
 
 
-def _ensemble(cfg: RunConfig, workers: int):
-    work, modules, axis_of, stem, header = _ENSEMBLES[cfg.experiment,
-                                                      cfg.model_kind]
+def _ensemble(cfg: RunConfig, workers: int, experiment=None, propagate=None):
+    """Yields (file name, header, [axis, *mean columns]) per width of the
+    `experiment` (default: the config's) ensemble; a given `propagate` goes
+    to each call of its (htc or sf dynamics) work unit."""
+    work, modules, axis_of, stem, header = _ENSEMBLES[
+        experiment or cfg.experiment, cfg.model_kind]
     # imported here, before the fork: the children inherit the modules
     # instead of compiling them again
     for name in modules:
         importlib.import_module(f".{name}", __package__)
+    if propagate is not None:
+        work = functools.partial(work, propagate=propagate)
     axis = axis_of(cfg)
     widths = cfg.disorder.width
     n_real = cfg.disorder.n_realizations
@@ -347,10 +359,15 @@ def _ensemble(cfg: RunConfig, workers: int):
                 total = [acc + c for acc, c in zip(total, columns)]
             name = (f"{stem}.csv" if len(widths) == 1
                     else f"{stem}_W{file_tag(width)}.csv")
-            yield name, _csv_text(header,
-                                  [axis, *(acc / n_real for acc in total)])
+            yield name, header, [axis, *(acc / n_real for acc in total)]
     finally:
         rows.close()
+
+
+def _ensemble_csv(cfg: RunConfig, workers: int):
+    with closing(_ensemble(cfg, workers)) as means:
+        for name, header, columns in means:
+            yield name, _csv_text(header, columns)
 
 
 def _pes_scan(cfg: RunConfig, bank_dir):
@@ -408,56 +425,36 @@ def _spectra2d(cfg: RunConfig, bank_dir):
              total.real.ravel(), total.imag.ravel()])
 
 
-# canonical solver-vs-oracle comparisons
-_ORACLE_TOL = {"tc": 1e-5, "htc-dense": 1e-3}
-
-
-def _oracle_pair(pair: str):
-    from .dense_ref import FockSpace
-    from .models import HTCModel, TCModel, htc_system_bath
-    from .tc_exact import solve_realization
-    from .varprop import PropagationSettings, init_state, propagate
-
-    times = np.arange(0.0, 200.0 + 1e-9, 1.0)
-    # integration error must sit well below the comparison tolerance, so the
-    # pairs run tighter than the production defaults
-    if pair == "tc":
-        model = TCModel(8, 1.0, 1.0, 0.1)
-        amps = solve_realization(model).amplitudes(1.0, len(times))
-        ref = np.abs(amps[:, 0]) ** 2
-        h = htc_system_bath(HTCModel(model, 0.0, 0.124, 0.0))
-        state = init_state(h.n_sys, h.n_modes, 0, 1)
-        traj = propagate(h, state, times,
-                         PropagationSettings(rel_tol=1e-10, abs_tol=1e-12))
-        got = traj.system_populations()[:, 0]
-        detail = "photon survival, lossless resonant exchange vs pole sum"
-    elif pair == "htc-dense":
-        h = htc_system_bath(HTCModel(TCModel(2, 1.0, 1.0, 0.1), 0.1, 0.124, 0.5))
-        fock = FockSpace(h.n_sys, (10, 10))
-        psi0 = fock.multiconfig_vector(np.eye(1, h.n_sys, dtype=complex),
-                                       np.zeros((1, h.n_modes)))
-        ref = fock.system_populations(fock.trajectory(h, psi0, times))[:, 0]
-        state = init_state(h.n_sys, h.n_modes, 0, 12, noise_seed=0)
-        traj = propagate(h, state, times,
-                         PropagationSettings(rel_tol=1e-8, abs_tol=1e-10))
-        got = traj.system_populations()[:, 0]
-        detail = "photon population, two emitters + two modes vs number basis"
-    else:
-        raise ValueError(f"unknown oracle pair {pair!r}")
-    return float(np.max(np.abs(got - ref))), detail
-
-
 def _oracle_compare(cfg: RunConfig, bank_dir):
-    pair = cfg.options["pair"]
-    deviation, detail = _oracle_pair(pair)
-    tol = _ORACLE_TOL[pair]
+    """The config's dynamics run, variational and through its exact Fock
+    twin at `fock_cutoff` and at one more quantum per active mode."""
+    from .dense_ref import FockSpace
+
+    cutoffs = {}  # the twins' cutoffs, in first-use order
+
+    def twin(cutoff):
+        def fock_propagate(h, state, times, settings):
+            # a mode that nothing couples or displaces stays in its vacuum
+            active = (h.coup_create.any(axis=(0, 1))
+                      | state.displacements.any(axis=0))
+            fock = FockSpace(h.n_sys, tuple((cutoff * active).tolist()))
+            cutoffs[fock.cutoffs] = None
+            return fock.propagate(h, state, times)
+        return fock_propagate
+
+    cutoff = cfg.options["fock_cutoff"]
+    # in this process, so that the twins record their cutoffs here
+    variational, exact, finer = (
+        list(_ensemble(cfg, 1, "dynamics", propagate=propagate))
+        for propagate in (None, twin(cutoff), twin(cutoff + 1)))
+    deviations = {
+        name: {column: {"variational": float(np.max(np.abs(v - e))),
+                        "cutoff": float(np.max(np.abs(e - f)))}
+               for column, v, e, f in zip(header[1:], vs[1:], es[1:], fs[1:])}
+        for (name, header, vs), (_, _, es), (_, _, fs)
+        in zip(variational, exact, finer)}
     yield "oracle_compare.json", _json_text({
-        "pair": pair,
-        "tolerance": tol,
-        "deviation": deviation,
-        "passed": bool(deviation <= tol),
-        "detail": detail,
-    })
+        "cutoffs": [list(c) for c in cutoffs], "deviations": deviations})
 
 
 #: each other experiment's generator of outputs from (cfg, bank_dir); bank_dir,
@@ -497,7 +494,7 @@ def run(cfg: RunConfig, out_dir: str | None = None, workers: int = 1,
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.time()
     if (cfg.experiment, cfg.model_kind) in _ENSEMBLES:
-        outputs = _ensemble(cfg, workers)
+        outputs = _ensemble_csv(cfg, workers)
     else:
         bank_dir = os.path.join(out_dir, "bank") if resume else None
         outputs = _EXPERIMENTS[cfg.experiment](cfg, bank_dir)

@@ -14,7 +14,7 @@ from scipy.linalg import expm
 
 import cavidyn
 from cavidyn import cli
-from cavidyn.config import ORACLE_PAIRS, resolved_text, validate
+from cavidyn.config import resolved_text, validate
 from cavidyn.constants import HBAR_EV_FS, KB_EV_PER_K
 from cavidyn.models import HTCModel, TCModel, disordered_tc, htc_system_bath
 from cavidyn.sf import (CavitySpec, SFCavityCoupling, SFDimerSpec,
@@ -98,9 +98,41 @@ seed = 3
 """
 
 
-ORACLE_WITHOUT_MODEL = """[experiment]
+#: two emitters and two phonon modes, twelve configurations against the
+#: number basis at cutoffs 10 and 11
+ORACLE_HTC_DENSE = """[experiment]
 kind = oracle-compare
-pair = tc
+fock_cutoff = 10
+
+[model]
+kind = htc
+n_qubits = 2
+lam = 0.1
+phonon_bandwidth = 0.5
+
+[run]
+t_max_fs = 200
+multiplicity = 12
+seed = 0
+rel_tol = 1e-8
+abs_tol = 1e-10
+"""
+
+
+#: at lam = 0 an htc run is the tc model: one configuration is exact, and
+#: the eight phonon modes stay in their vacuum (Fock cutoff 0)
+ORACLE_TC = """[experiment]
+kind = oracle-compare
+
+[model]
+kind = htc
+n_qubits = 8
+lam = 0
+
+[run]
+t_max_fs = 200
+rel_tol = 1e-10
+abs_tol = 1e-12
 """
 
 
@@ -207,13 +239,15 @@ def test_every_experiment_kind_has_one_runner():
     from cavidyn.config import (EXPERIMENT_KINDS, MODEL_KINDS,
                                 ConfigConstraintError)
 
-    # the keys every model kind needs to pass validation
-    needs = {"tc": "kappa = 0.01\n", "htc": "n_qubits = 2\n", "sf": ""}
+    # the keys every model kind and spectra2d need to pass validation
+    needs = {"tc": "kappa = 0.01\n", "htc": "n_qubits = 2\n", "sf": "",
+             "spectra2d": "omega_min = 1.9\nomega_max = 2.6\n"}
     accepted = set()
     for experiment in EXPERIMENT_KINDS:
         for model in MODEL_KINDS:
             try:
-                validate(f"[experiment]\nkind = {experiment}\n\n"
+                validate(f"[experiment]\nkind = {experiment}\n"
+                         f"{needs.get(experiment, '')}\n"
                          f"[model]\nkind = {model}\n{needs[model]}")
             except ConfigConstraintError:
                 continue
@@ -223,14 +257,6 @@ def test_every_experiment_kind_has_one_runner():
     assert {experiment for experiment, _ in accepted} == set(EXPERIMENT_KINDS)
     assert set(runner._ENSEMBLES) <= accepted
     assert set(runner._EXPERIMENTS) <= set(EXPERIMENT_KINDS)
-
-
-def test_oracle_pairs_have_one_list():
-    """validation names the pairs `config.ORACLE_PAIRS` accepts, the runner
-    holds a tolerance per pair: both must list the same pairs."""
-    from cavidyn import runner
-
-    assert sorted(runner._ORACLE_TOL) == sorted(ORACLE_PAIRS)
 
 
 def test_manifest_names_the_output_directory_used(tmp_path, capsys):
@@ -811,8 +837,9 @@ def test_photon_cutoff_is_not_a_tc_key(tmp_path, capsys):
     (TINY_TC.replace("seed = 7", "seed = -1"), "disorder.seed"),
     (TINY_TC.replace("seed = 7", f"seed = {2 ** 64}"), "disorder.seed"),
     # the solver-breaking check is a test, not an oracle pair
-    (ORACLE_WITHOUT_MODEL.replace("pair = tc", "pair = corrupted-metric"),
-     "experiment.pair"),
+    (ORACLE_TC.replace("kind = oracle-compare",
+                       "kind = oracle-compare\npair = corrupted-metric"),
+     "experiment.pair: unknown key"),
     # htc absorption samples on the run's time axis, like dynamics
     (TINY_HTC_ABSORPTION.replace("sample_dt_fs = 1.0", "sample_dt_fs = 3.0"),
      "run.t_max_fs"),
@@ -870,35 +897,127 @@ def test_htc_temperature_floor_matches_the_thermofield():
         thermal_htc(below.htc, 1.001 * floor_k)
 
 
-@pytest.mark.parametrize("pair", ORACLE_PAIRS)
-def test_oracle_pairs(tmp_path, capsys, pair):
-    text = f"[experiment]\nkind = oracle-compare\npair = {pair}\n\n" \
-           "[model]\nkind = tc\n"
+def _oracle_report(tmp_path, capsys, text):
     out_dir = tmp_path / "out"
-    code, _, _ = _run(capsys, "oracle-compare", "--config",
-                      _write(tmp_path, text), "--out", str(out_dir))
-    assert code == cli.EXIT_OK
-    report = json.loads((out_dir / "oracle_compare.json").read_text())
-    assert report["passed"] is True
+    code, _, err = _run(capsys, "oracle-compare", "--config",
+                        _write(tmp_path, text), "--out", str(out_dir))
+    assert code == cli.EXIT_OK, err
+    manifest = json.loads((out_dir / "run_manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == ["oracle_compare.json"]
+    return json.loads((out_dir / "oracle_compare.json").read_text())
 
 
-def test_oracle_compare_needs_no_model(tmp_path, capsys):
-    """The pairs build their own models, so a config without [model]
-    validates and runs."""
-    path = _write(tmp_path, ORACLE_WITHOUT_MODEL)
-    code, out, err = _run(capsys, "validate", "--config", path)
-    assert code == cli.EXIT_OK, err
-    assert "[model]" not in out
-    out_dir = tmp_path / "out"
-    code, _, err = _run(capsys, "oracle-compare", "--config", path, "--out",
-                        str(out_dir))
-    assert code == cli.EXIT_OK, err
-    report = json.loads((out_dir / "oracle_compare.json").read_text())
-    assert report["pair"] == "tc" and report["passed"] is True
-    # a [model] section that is given is still checked
-    code, _, err = _run(capsys, "validate", "--config",
-                        _write(tmp_path, ORACLE_WITHOUT_MODEL + "[model]\n"))
-    assert code == cli.EXIT_CONSTRAINT and "model.kind: required" in err
+def _figures(report, figure):
+    """{(file, column): figure} over every output column of the report."""
+    return {(name, column): values[figure]
+            for name, columns in report["deviations"].items()
+            for column, values in columns.items()}
+
+
+@pytest.mark.parametrize("text,cutoffs", [
+    (ORACLE_TC, [[0] * 8]),
+    (ORACLE_HTC_DENSE, [[10, 10], [11, 11]]),
+], ids=["tc", "htc-dense"])
+def test_oracle_pairs(tmp_path, capsys, text, cutoffs):
+    """Every column of the variational run lies within 1e-5 of its exact
+    twin, which a cutoff one quantum higher leaves unchanged to 1e-10."""
+    report = _oracle_report(tmp_path, capsys, text)
+    assert report["cutoffs"] == cutoffs
+    variational = _figures(report, "variational")
+    assert [column for _, column in variational] == [
+        "energy_eV", "norm", "p_photon", "p_qubits_total"]
+    assert max(variational.values()) <= 1e-5
+    assert max(_figures(report, "cutoff").values()) <= 1e-10
+
+
+def test_lossy_htc_oracle_compare(tmp_path, capsys):
+    """Cavity loss, which the twin's dense path must keep, and a disordered
+    ensemble: the twin agrees per width."""
+    text = (ORACLE_HTC_DENSE.replace("fock_cutoff = 10", "fock_cutoff = 6")
+            .replace("lam = 0.1", "lam = 0.1\nkappa = 0.01")
+            .replace("t_max_fs = 200", "t_max_fs = 30\nsample_dt_fs = 2")
+            .replace("multiplicity = 12", "multiplicity = 4")
+            + "\n[disorder]\nwidth = 0 0.05\nn_realizations = 2\n")
+    report = _oracle_report(tmp_path, capsys, text)
+    assert report["cutoffs"] == [[6, 6], [7, 7]]
+    assert sorted(report["deviations"]) == ["population_W0.05.csv",
+                                            "population_W0.csv"]
+    assert max(_figures(report, "variational").values()) <= 1e-5
+    assert max(_figures(report, "cutoff").values()) <= 1e-10
+
+
+def test_pumped_sf_oracle_compare(tmp_path, capsys):
+    """A coherent pump on the fission dimer: its twin resolves the one-
+    configuration error, which six configurations shrink tenfold."""
+    text = """[experiment]
+kind = oracle-compare
+fock_cutoff = 7
+
+[model]
+kind = sf
+coupling_omega = 0.05
+n_photons = 1
+
+[run]
+t_max_fs = 5
+rel_tol = 1e-8
+abs_tol = 1e-10
+"""
+    worst = []
+    for multiplicity in (1, 6):
+        report = _oracle_report(
+            tmp_path, capsys,
+            text + f"multiplicity = {multiplicity}\nseed = 3\n")
+        # the tuning, coupling and cavity modes are all coupled
+        assert report["cutoffs"] == [[7, 7, 7], [8, 8, 8]]
+        variational = _figures(report, "variational")
+        cutoff = _figures(report, "cutoff")
+        for key in (("population.csv", "p_tt"), ("population.csv", "p_s1")):
+            assert cutoff[key] <= 1e-4
+        worst.append(max(variational[key] for key in cutoff
+                         if key[1] != "energy_eV"))
+    assert worst[1] <= worst[0] / 10
+
+
+def test_oracle_twin_keeps_every_displaced_mode(tmp_path, capsys):
+    """At lam = 0 nothing couples the phonon modes, but the start noise of
+    two configurations displaces them: the twin truncates them at the
+    cutoff, not at 0."""
+    text = (ORACLE_TC.replace("n_qubits = 8", "n_qubits = 2")
+            .replace("t_max_fs = 200", "t_max_fs = 20\nmultiplicity = 2"))
+    report = _oracle_report(tmp_path, capsys, text)
+    assert report["cutoffs"] == [[6, 6], [7, 7]]
+    assert max(_figures(report, "variational").values()) <= 1e-5
+
+
+@pytest.mark.parametrize("text,violation", [
+    (ORACLE_TC.replace("kind = htc\nn_qubits = 8\nlam = 0",
+                       "kind = tc\nn_qubits = 8"),
+     "oracle-compare requires the htc or sf model"),
+    (ORACLE_TC.split("[model]")[0], "model.kind: required"),
+    (ORACLE_TC.replace("kind = oracle-compare",
+                       "kind = oracle-compare\npair = tc"),
+     "experiment.pair: unknown key"),
+    (ORACLE_HTC_DENSE.replace("fock_cutoff = 10", "fock_cutoff = 0"),
+     "experiment.fock_cutoff: must be >= 1"),
+], ids=["tc-model", "no-model", "pair-key", "zero-cutoff"])
+def test_oracle_compare_needs_a_variational_config(tmp_path, capsys, text,
+                                                   violation):
+    code, _, err = _run(capsys, "oracle-compare", "--config",
+                        _write(tmp_path, text), "--out", str(tmp_path / "out"))
+    assert code == cli.EXIT_CONSTRAINT
+    assert violation in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_spectra2d_needs_its_omega_window(tmp_path, capsys):
+    """The default window, 0.7-1.3 eV, lies far below the dimer's S1 at
+    2.23 eV: a spectra2d config must set both ends."""
+    for key in ("omega_min = 1.9\n", "omega_max = 2.6\n"):
+        code, _, err = _run(capsys, "validate", "--config",
+                            _write(tmp_path, TINY_SPECTRA.replace(key, "")))
+        assert code == cli.EXIT_CONSTRAINT
+        assert "experiment.omega_min, experiment.omega_max" in err
 
 
 def test_pes_scan_equals_library_call(tmp_path, capsys):
@@ -933,12 +1052,9 @@ def test_pumped_sf_dynamics_equals_library_calls(tmp_path, capsys):
     TINY_TC, SF_FREE_TWO_DIMERS, TINY_SPECTRA, TINY_HTC, TINY_HTC_ABSORPTION,
     TINY_TC_ABSORPTION,
     TINY_HTC + "\n[temperature]\ntemperature_k = 300.0\n",
-    TINY_PES, TINY_PUMPED_SF, ORACLE_WITHOUT_MODEL,
-    "[experiment]\nkind = oracle-compare\npair = htc-dense\n\n"
-    "[model]\nkind = tc\n",
+    TINY_PES, TINY_PUMPED_SF, ORACLE_HTC_DENSE,
 ], ids=["tc", "sf-free", "spectra", "htc", "htc-absorption", "tc-absorption",
-        "htc-300K", "pes-scan", "pumped-sf", "oracle-without-model",
-        "oracle-with-model"])
+        "htc-300K", "pes-scan", "pumped-sf", "oracle-with-model"])
 def test_resolved_text_round_trips(text):
     cfg = validate(text)
     assert validate(resolved_text(cfg)) == cfg

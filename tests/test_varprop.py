@@ -218,11 +218,11 @@ def test_free_mode_coherent_orbit():
 
 
 def test_metric_cutoff_decides_the_tc_oracle_pair(monkeypatch):
-    """The setup of the `oracle-compare` tc pair (one configuration against
-    the exact pole sum, lossless resonant exchange) stays within the pair's
-    1e-5 tolerance at the shipped metric cutoff and leaves it when the
-    cutoff discards real metric directions: the pair sees a broken metric
-    inversion."""
+    """The tc oracle config (`test_oracle_pairs[tc]`: eight emitters at
+    lam = 0, one configuration, lossless resonant exchange), checked here
+    against the exact pole sum, stays within that test's 1e-5 bound at the
+    shipped metric cutoff and leaves it when the cutoff discards real
+    metric directions: the config sees a broken metric inversion."""
     times = np.arange(0.0, 201.0)
     model = TCModel(8, 1.0, 1.0, 0.1)
     amps = solve_realization(model).amplitudes(1.0, len(times))
@@ -489,7 +489,7 @@ def test_seed_robustness_of_observables():
 
 def test_htc_brute_force_equivalence_short():
     # short-window version of the number-basis check; the 200-fs window is
-    # the `htc-dense` oracle pair, at lam = 0.1 rather than this test's 0.5
+    # the `htc-dense` oracle config, at lam = 0.1 rather than this test's 0.5
     hs = htc_problem(2)
     fock = FockSpace(3, (10, 10))
     psi0 = fock.multiconfig_vector(np.array([[1.0, 0, 0]], complex), np.zeros((1, 2)))
@@ -512,6 +512,41 @@ def test_fock_trajectory_krylov_path_matches_dense(monkeypatch):
     assert np.abs(fock.trajectory(hs, psi0, times) - dense).max() <= 1e-10
     with pytest.raises(ValueError, match="evenly spaced"):
         fock.trajectory(hs, psi0, np.array([0.0, 1.0, 3.0]))
+
+
+@pytest.mark.parametrize("krylov", [False, True], ids=["dense", "krylov"])
+def test_fock_trajectory_keeps_the_loss(monkeypatch, krylov):
+    """A lossy Hamiltonian evolves as expm(-iHt/hbar) on both branches of
+    `FockSpace.trajectory`; the norm falls to about 0.5 by 100 fs."""
+    hs = htc_problem(2, kappa=0.01)
+    fock = FockSpace(3, (6, 6))
+    psi0 = np.zeros(fock.dim, complex)
+    psi0[0] = 1.0   # the photon label over the phonon vacuum
+    times = np.array([0.0, 50.0, 100.0])
+    h_matrix = fock.hamiltonian(hs)
+    ref = np.array([expm(-1j * h_matrix * t / HBAR_EV_FS) @ psi0
+                    for t in times])
+    assert np.linalg.norm(ref[-1]) < 0.6
+    if krylov:
+        monkeypatch.setattr(dense_ref, "DENSE_MAX_DIM", 0)
+    assert np.abs(fock.trajectory(hs, psi0, times) - ref).max() <= 1e-10
+
+
+def test_fock_propagate_is_the_exact_twin_of_propagate():
+    """At lam = 0 one configuration is exact, also for displaced modes and
+    with loss: the twin's members match those of `propagate`."""
+    hs = htc_problem(2, lam=0.0, kappa=0.01)
+    state = init_state(3, 2, 0, base_displacement=np.array([0.5, 0.3j]))
+    times = np.arange(0.0, 41.0, 2.0)
+    twin = FockSpace(3, (12, 12)).propagate(hs, state, times)
+    traj = propagate(hs, state, times, TIGHT)
+    np.testing.assert_array_equal(twin.times, times)
+    assert twin.norms[-1] < 0.9
+    for name in ("norms", "energies"):
+        assert np.abs(getattr(twin, name) - getattr(traj, name)).max() <= 1e-7
+    for name in ("system_populations", "mode_occupations"):
+        assert np.abs(getattr(twin, name)() - getattr(traj, name)()).max() \
+            <= 1e-7
 
 
 def test_trajectory_observables_equal_per_snapshot_calls():
