@@ -2,7 +2,11 @@
 
 Subcommands: validate, run, absorption, pes-scan, spectra2d, oracle-compare.
 `run` executes whatever experiment the config declares; the named experiment
-subcommands override the config's experiment kind before validation.
+subcommands override the config's experiment kind before validation.  A
+run's only inputs are its config file and `--out` (plus `--workers`, which
+never changes a byte of an ensemble's outputs): every other setting, the
+seeds included, is a config key, so rerunning a config into a fresh
+directory reproduces its outputs.
 
 Exit codes: 0 success, 1 runtime failure, 2 config parse error,
 3 constraint violation; SIGTERM ends a run with status -15, outputs removed.
@@ -50,7 +54,8 @@ def _worker_count(text: str) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cavidyn",
-        description="cavity exciton dynamics and spectra",
+        description="cavity exciton dynamics and spectra; every setting "
+                    "of a run, its seeds included, is a config key",
     )
     sub = ap.add_subparsers(dest="command", required=True)
     for name, summary in (
@@ -66,33 +71,18 @@ def _build_parser() -> argparse.ArgumentParser:
         if name != "validate":
             p.add_argument("--out", metavar="DIR",
                            help="output directory (default: config value)")
-            p.add_argument("--seed", type=int, metavar="U64",
-                           help="override [run] seed (htc and sf runs)")
             p.add_argument("--workers", type=_worker_count, default=1,
                            metavar="INT",
                            help="worker processes for the realizations "
                                 "of dynamics and absorption runs")
-            p.add_argument("--resume", action="store_true",
-                           help="keep spectra2d first legs and the ESA "
-                                "checkpoint in OUT/bank/ and reuse them if "
-                                "they match the config")
     return ap
-
-
-def _load_config(args):
-    overrides = {}
-    if args.command in EXPERIMENT_KINDS:
-        overrides.setdefault("experiment", {})["kind"] = args.command
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        overrides.setdefault("run", {})["seed"] = str(seed)
-    return load(args.config, overrides=overrides)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
+        cfg = load(args.config, experiment=(
+            args.command if args.command in EXPERIMENT_KINDS else None))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -112,8 +102,7 @@ def main(argv=None) -> int:
     from .runner import run
 
     try:
-        manifest = run(cfg, out_dir=args.out, workers=args.workers,
-                       resume=args.resume)
+        manifest = run(cfg, out_dir=args.out, workers=args.workers)
     except Exception as exc:  # noqa: BLE001 - report and signal failure
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -26,6 +26,18 @@ outside [experiment] scope follows the model kind, so a pes-scan run echoes
 Every config has a [model] section; an oracle-compare config is checked as
 htc or sf dynamics, with `fock_cutoff` for its exact Fock twin.
 
+The shipped `run.multiplicity = 1` (one coherent configuration, M = 1) is
+the cheapest variational run, not a converged one.  For sf dynamics it
+cannot show fission: the S1 -> TT transfer sits on a symmetry fixed point,
+so P_TT stays exactly 0.  Even a weak one-photon pump (`coupling_omega =
+0.05`, `n_photons = 1`) puts P_S1 0.058 off the exact result within 5 fs,
+against 0.0022 at M = 6, because one configuration misses the photon-number
+spread of the Rabi exchange.  M = 1 sf runs are therefore good for smoke
+tests and timings, and for the uncoupled limit (`coupling_omega = 0`,
+`lam_ci = 0`), where one configuration is exact.  To pick M for a
+result, run the config as `oracle-compare` (when its Fock space fits) and
+raise M until the variational deviation is below the effect reported.
+
 This module imports no numpy: `validate` checks the values and builds no
 model objects, so `cavidyn validate` loads only the standard library.  The
 model objects of a `RunConfig` (`tc`, `htc`, `sf_dimers`, `sf_cavity`,
@@ -327,17 +339,16 @@ def _check_tags(values, violations: list, key: str) -> None:
            "first 6 significant digits")
 
 
-def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
+def validate(text: str, experiment: Optional[str] = None) -> RunConfig:
     """Parse + validate config text; raises ConfigParseError or
     ConfigConstraintError (with the full violation list).
 
-    overrides: {section: {key: raw string}} applied over the parsed text
-    (used by the CLI for --seed and the experiment subcommands).
+    experiment: replaces the text's `[experiment] kind` (the CLI's named
+    experiment subcommands).
     """
     sections = _read_sections(text)
-    for name, keys in (overrides or {}).items():
-        sections.setdefault(name, {}).update(
-            {k: str(v) for k, v in keys.items()})
+    if experiment is not None:
+        sections.setdefault("experiment", {})["kind"] = experiment
     raw, violations = _convert(sections)
 
     exp = raw["experiment"]
@@ -515,6 +526,8 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
                "experiment.q_points: must be >= 2")
         _check(exp["q_max"] > exp["q_min"], violations,
                "experiment.q_max: must exceed q_min")
+        _check(exp["manifold_max"] >= 0, violations,
+               "experiment.manifold_max: must be >= 0")
         _check(exp["fock_cutoff"] >= exp["manifold_max"] + 4, violations,
                "experiment.fock_cutoff: must be >= manifold_max + 4 = "
                f"{exp['manifold_max'] + 4}")
@@ -525,7 +538,7 @@ def validate(text: str, overrides: Optional[dict] = None) -> RunConfig:
     return RunConfig(raw)
 
 
-def load(path: str, overrides: Optional[dict] = None) -> RunConfig:
+def load(path: str, experiment: Optional[str] = None) -> RunConfig:
     """Read and validate the config file at `path`; text that is not UTF-8
     is a ConfigParseError, an unreadable path an OSError."""
     try:
@@ -533,7 +546,7 @@ def load(path: str, overrides: Optional[dict] = None) -> RunConfig:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigParseError(f"{path}: not UTF-8 text ({exc})") from exc
-    return validate(text, overrides=overrides)
+    return validate(text, experiment=experiment)
 
 
 def resolved_text(cfg: RunConfig) -> str:

@@ -5,8 +5,8 @@ at an explicit occupation cutoff and the Hamiltonian is assembled as a sparse
 operator over |system label> x |v_1 ... v_Nb>.  `FockSpace.trajectory` is the
 one exact single-state propagation: up to `DENSE_MAX_DIM` states it evolves
 through one dense eigendecomposition (`DensePropagator`, of the real matrix
-when H is real, by `eig` when H is lossy), above that it steps the sparse
-operator with a Krylov exponential over evenly spaced times.
+when H is real to rounding, by `eig` when H is lossy), above that it steps
+the sparse operator with a Krylov exponential over evenly spaced times.
 `FockSpace.propagate` wraps it as the exact twin of `varprop.propagate`.
 Exponential scaling restricts this to a handful of modes, which is exactly
 its role -- an independent check, not a production path.
@@ -71,8 +71,11 @@ class FockSpace:
         """exp(-iHt/hbar) psi0 at each of `times`, shape (len(times), dim).
         The Krylov path, above `DENSE_MAX_DIM`, needs evenly spaced times."""
         op = self.sparse_hamiltonian(h)
-        if abs(op.imag).max() == 0:
-            op = op.real  # a real eigendecomposition costs a quarter as much
+        if abs(op.imag).max() <= 16 * np.finfo(float).eps * abs(op).max():
+            # imaginary parts within a few ulps, such as the k = pi phase
+            # leaves on a two-site register, are rounding, not loss: a real
+            # eigendecomposition costs a tenth as much
+            op = op.real
         times = np.asarray(times, float)
         if self.dim <= DENSE_MAX_DIM:
             return DensePropagator(op.toarray(), hermitian=h.hermitian

@@ -4,7 +4,8 @@ Each experiment is a generator of (file name, text) outputs; `run` alone
 writes them, each atomically (`_write_atomic`) as it is yielded, and then a
 JSON manifest (resolved config, code version, wall-clock time, SHA-256
 checksum per output).  Data files are fixed-precision CSV that depend only
-on the config, so rerunning it reproduces them byte for byte.  A run that
+on the config, so rerunning it reproduces them byte for byte; a run reads
+nothing back from its output directory or an earlier run.  A run that
 fails or gets SIGTERM before its manifest is written leaves no output and no
 `.tmp` file; on SIGTERM, at any worker count, `run` ends and reaps the
 workers, removes the outputs and then dies by that signal (status -15).
@@ -33,10 +34,6 @@ i mod W and only sums, so the CSVs are bitwise those of one worker.  The
 parent computes no realization and never loads `numpy.random` (the disorder
 draws do, in the children), so its imports, not a share of the work, set
 the run's peak memory.
-
-`spectra2d --resume` keeps its resume files in `OUT/bank/`; the runner only
-creates that directory, and `cavidyn.spectro` decides from the digest each
-file carries whether it can be reused.
 
 Importing this module loads numpy and no other cavidyn layer: each
 experiment imports its modules inside the function that runs it, so a tc
@@ -370,7 +367,7 @@ def _ensemble_csv(cfg: RunConfig, workers: int):
             yield name, _csv_text(header, columns)
 
 
-def _pes_scan(cfg: RunConfig, bank_dir):
+def _pes_scan(cfg: RunConfig):
     from .sf import pes_scan, surface_table
 
     opt = cfg.options
@@ -384,7 +381,7 @@ def _pes_scan(cfg: RunConfig, bank_dir):
          "w_ph_any"], [table[:, k] for k in range(7)])
 
 
-def _spectra2d(cfg: RunConfig, bank_dir):
+def _spectra2d(cfg: RunConfig):
     from .sf import dipole_up, manifold_hamiltonian
     from .spectro import (DipoleSet, ResponseGrid, first_leg_bank,
                           response_esa, response_se_gsb, spectra)
@@ -400,16 +397,11 @@ def _spectra2d(cfg: RunConfig, bank_dir):
     dipoles = DipoleSet(mu=dipole_up(cfg.sf_dimers, labels0, labels1)[:, 0],
                         mu_up=dipole_up(cfg.sf_dimers, labels1, labels2))
     settings = _settings(cfg)
-    if bank_dir is not None:
-        # each resume file stamps its own inputs (cavidyn.spectro)
-        os.makedirs(bank_dir, exist_ok=True)
     bank = first_leg_bank(h1, dipoles, grid,
                           multiplicity=cfg.run.multiplicity,
-                          noise_seed=cfg.run.seed, settings=settings,
-                          checkpoint_dir=bank_dir)
+                          noise_seed=cfg.run.seed, settings=settings)
     responses = response_se_gsb(bank, grid, dipoles)
-    responses.update(response_esa(bank, h2, grid, dipoles, settings=settings,
-                                  checkpoint_dir=bank_dir))
+    responses.update(response_esa(bank, h2, grid, dipoles, settings=settings))
     omega = _omegas(cfg)
     maps = spectra(responses, grid, omega, omega)
     for spec in maps:
@@ -425,7 +417,7 @@ def _spectra2d(cfg: RunConfig, bank_dir):
              total.real.ravel(), total.imag.ravel()])
 
 
-def _oracle_compare(cfg: RunConfig, bank_dir):
+def _oracle_compare(cfg: RunConfig):
     """The config's dynamics run, variational and through its exact Fock
     twin at `fock_cutoff` and at one more quantum per active mode."""
     from .dense_ref import FockSpace
@@ -457,8 +449,7 @@ def _oracle_compare(cfg: RunConfig, bank_dir):
         "cutoffs": [list(c) for c in cutoffs], "deviations": deviations})
 
 
-#: each other experiment's generator of outputs from (cfg, bank_dir); bank_dir,
-#: None without `--resume`, is where spectra2d keeps its resume files
+#: each other experiment's generator of (file name, text) outputs from cfg
 _EXPERIMENTS = {
     "pes-scan": _pes_scan,
     "spectra2d": _spectra2d,
@@ -479,8 +470,7 @@ def _raise_terminated(signum, frame):
     raise _Terminated(signum)
 
 
-def run(cfg: RunConfig, out_dir: str | None = None, workers: int = 1,
-        resume: bool = False) -> dict:
+def run(cfg: RunConfig, out_dir: str | None = None, workers: int = 1) -> dict:
     """Execute the configured experiment; returns the manifest dict.
 
     A given `out_dir` replaces the config's `[output] directory`, so the
@@ -496,8 +486,7 @@ def run(cfg: RunConfig, out_dir: str | None = None, workers: int = 1,
     if (cfg.experiment, cfg.model_kind) in _ENSEMBLES:
         outputs = _ensemble_csv(cfg, workers)
     else:
-        bank_dir = os.path.join(out_dir, "bank") if resume else None
-        outputs = _EXPERIMENTS[cfg.experiment](cfg, bank_dir)
+        outputs = _EXPERIMENTS[cfg.experiment](cfg)
     written = []  # each path before its write starts, for the cleanup
     digests = {}
     previous = signal.signal(signal.SIGTERM, _raise_terminated)

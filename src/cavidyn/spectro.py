@@ -21,11 +21,7 @@ The workflow is bank -> response -> spectra:
      and the double one-sided transform, returning per-T_w SE/GSB/ESA/TOTAL
      maps (TOTAL = SE + GSB + ESA by construction).
 
-tau and t share one time axis, `ResponseGrid.times_fs`.  With a checkpoint
-directory, every first leg and the ESA responses are kept in `.npz` resume
-files, each stamped with a SHA-256 digest of all the inputs it was computed
-from and reused only when that digest matches: spectro alone decides whether
-a resume file is valid.
+tau and t share one time axis, `ResponseGrid.times_fs`.
 
 Everything is impulsive-limit: pulse envelopes are delta functions, and all
 dipoles and pulse polarizations are parallel, so no orientation factor
@@ -34,9 +30,7 @@ enters.
 
 from __future__ import annotations
 
-import hashlib
-import os
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -152,17 +146,13 @@ def first_leg_bank(
     multiplicity: int = 1,
     noise_seed: int = 0,
     settings: Optional[PropagationSettings] = None,
-    checkpoint_dir: Optional[str] = None,
 ) -> TrajectoryBank:
     """Propagate one singly-excited trajectory per bright label.
 
     Forward samples cover tau_max + max(T_w) + t_max.  R4's backward branch
     (amplitudes at -t) is the conjugate of the conjugated problem's forward
     leg (`cavidyn.varprop`), which is the forward leg itself when h1 and the
-    start state are real.  With checkpoint_dir, each integrated leg is saved
-    there as `leg<n>_<fwd|bwd>.npz` (amplitudes, displacements and the digest
-    of its inputs: its Hamiltonian, the initial state, the settings and the
-    sample times) and reloaded instead of recomputed when the digest matches.
+    start state are real.
     """
     settings = settings or PropagationSettings()
     bright = tuple(int(i) for i in np.flatnonzero(np.abs(dipoles.mu) > 0))
@@ -173,32 +163,21 @@ def first_leg_bank(
     h1_conj = SystemBathHamiltonian(h1.e_sys.conj(), h1.mode_freqs,
                                     h1.coup_create.conj())
 
-    def leg(h, st, times, tag):
+    def leg(h, st, times):
         """(amplitudes, displacements) sampled at `times`."""
-        path = digest = None
-        if checkpoint_dir is not None:
-            path = os.path.join(checkpoint_dir, f"leg{tag}.npz")
-            digest = _digest(*_hamiltonian_arrays(h), st.amplitudes,
-                             st.displacements, astuple(settings), times)
-            saved = _load_npz(path, digest)
-            if saved is not None:
-                return saved["amplitudes"], saved["displacements"]
         traj = propagate(h, st, times, settings)
-        if path is not None:
-            _save_npz(path, amplitudes=traj.amplitudes,
-                      displacements=traj.displacements, digest=digest)
         return traj.amplitudes, traj.displacements
 
     amps, disps, amps_b, disps_b = {}, {}, {}, {}
     for n in bright:
         st = init_state(h1.n_sys, h1.n_modes, n, multiplicity=multiplicity,
                         noise_seed=noise_seed)
-        amps[n], disps[n] = leg(h1, st, fwd_times, f"{n}_fwd")
+        amps[n], disps[n] = leg(h1, st, fwd_times)
         if any(x.imag.any() for x in (h1.e_sys, h1.coup_create,
                                       st.amplitudes, st.displacements)):
             a, f = leg(h1_conj, MultiD2State(st.amplitudes.conj(),
                                              st.displacements.conj()),
-                       fwd_times[:grid.n], f"{n}_bwd")
+                       fwd_times[:grid.n])
         else:
             a, f = amps[n][:grid.n], disps[n][:grid.n]
         amps_b[n], disps_b[n] = a.conj(), f.conj()
@@ -264,7 +243,6 @@ def response_esa(
     grid: ResponseGrid,
     dipoles: DipoleSet,
     settings: Optional[PropagationSettings] = None,
-    checkpoint_dir: Optional[str] = None,
 ) -> dict:
     """R1*, R2* (excited-state absorption) on the (tau, T_w, t) grid.
 
@@ -273,12 +251,7 @@ def response_esa(
     tau = 0.  The n_tau legs of one (n3, T_w) share the Hamiltonian and the
     detection grid, so they run as one batched integration (`propagate`
     with a leading batch axis): the cost is one integration per (n3, T_w),
-    each as long as its slowest member.  With
-    `checkpoint_dir`, the responses are saved to `esa_checkpoint.npz` there
-    after every (n3, T_w) batch, with the digest of every input (the bank's
-    forward arrays, h2, mu, mu_up, the settings, the batch list and the
-    grid), and a rerun whose inputs give the same digest resumes after the
-    last saved batch (any other checkpoint is ignored and overwritten).
+    each as long as its slowest member.
 
     Each transplant is propagated normalized and rescaled afterwards, which
     is exact because a global amplitude rescaling commutes with the
@@ -297,20 +270,6 @@ def response_esa(
 
     r1s = np.zeros(shape, dtype=complex)
     r2s = np.zeros(shape, dtype=complex)
-    batches = [(n3, w, tw) for n3 in bank.bright
-               for w, tw in enumerate(grid.tw_fs)]
-    checkpoint = digest = None
-    done = 0
-    if checkpoint_dir is not None:
-        checkpoint = os.path.join(checkpoint_dir, "esa_checkpoint.npz")
-        digest = _digest(
-            bank.dt,
-            *(x for n in bank.bright for x in (bank.amps[n], bank.disps[n])),
-            *_hamiltonian_arrays(h2), mu, mu_up, astuple(settings),
-            [(n3, tw) for n3, _, tw in batches], grid.n, grid.dt, grid.tw_fs)
-        saved = _load_npz(checkpoint, digest)
-        if saved is not None:
-            r1s, r2s, done = saved["r1s"], saved["r2s"], int(saved["batches"])
 
     def esa(n3, bra_times, a2, f2):
         """sum_n mu*_n mu_n3 <raised first leg n at bra_times | second leg>."""
@@ -324,63 +283,26 @@ def response_esa(
 
     t = grid.times_fs
     tau = t[:, None]
-    for b, (n3, w, tw) in enumerate(batches):
-        if b < done:
-            continue
-        # member k is R2*'s transplant at tau_k + T_w; member 0 (tau = 0) is R1*'s
-        a1, f0 = bank.forward(n3, t + tw)
-        a0 = a1 @ mu_up.T
-        scale = MultiD2State(a0, f0).norm()
-        live = scale >= 1e-12
-        a2 = np.zeros((grid.n,) + a0.shape, dtype=complex)
-        f2 = np.broadcast_to(f0, (grid.n,) + f0.shape).copy()
-        if live.any():
-            st = MultiD2State(a0[live] / scale[live, None, None], f0[live])
-            traj = propagate(h2, st, t, settings)
-            a2[:, live] = traj.amplitudes * scale[live, None, None]
-            f2[:, live] = traj.displacements
-        # R1*: bra = first leg at tau+T_w+t; R2*: bra = first leg at T_w+t,
-        # ket rows moved to (tau, t)
-        r1s[:, w] += esa(n3, tau + tw + t, a2[:, 0], f2[:, 0])
-        r2s[:, w] += esa(n3, tw + t, a2.swapaxes(0, 1), f2.swapaxes(0, 1))
-        if checkpoint is not None:
-            _save_npz(checkpoint, r1s=r1s, r2s=r2s, batches=b + 1,
-                      digest=digest)
+    for n3 in bank.bright:
+        for w, tw in enumerate(grid.tw_fs):
+            # member k is R2*'s transplant at tau_k + T_w; member 0
+            # (tau = 0) is R1*'s
+            a1, f0 = bank.forward(n3, t + tw)
+            a0 = a1 @ mu_up.T
+            scale = MultiD2State(a0, f0).norm()
+            live = scale >= 1e-12
+            a2 = np.zeros((grid.n,) + a0.shape, dtype=complex)
+            f2 = np.broadcast_to(f0, (grid.n,) + f0.shape).copy()
+            if live.any():
+                st = MultiD2State(a0[live] / scale[live, None, None], f0[live])
+                traj = propagate(h2, st, t, settings)
+                a2[:, live] = traj.amplitudes * scale[live, None, None]
+                f2[:, live] = traj.displacements
+            # R1*: bra = first leg at tau+T_w+t; R2*: bra = first leg at
+            # T_w+t, ket rows moved to (tau, t)
+            r1s[:, w] += esa(n3, tau + tw + t, a2[:, 0], f2[:, 0])
+            r2s[:, w] += esa(n3, tw + t, a2.swapaxes(0, 1), f2.swapaxes(0, 1))
     return {"R1s": r1s, "R2s": r2s}
-
-
-def _hamiltonian_arrays(h: SystemBathHamiltonian) -> tuple:
-    """The arrays that determine `h` (its adjoint coupling is derived)."""
-    return h.e_sys, h.mode_freqs, h.coup_create
-
-
-def _digest(*inputs) -> str:
-    """SHA-256 over the dtype, shape and bytes of every input, each taken as
-    a numpy array."""
-    sha = hashlib.sha256()
-    for x in inputs:
-        a = np.ascontiguousarray(x)
-        sha.update(f"{a.dtype.str}{a.shape}".encode())
-        sha.update(a.tobytes())
-    return sha.hexdigest()
-
-
-def _load_npz(path, digest: str) -> Optional[dict]:
-    """The arrays of the resume file `path`, if it exists and was stamped
-    with `digest`; None otherwise."""
-    if not os.path.exists(path):
-        return None
-    with np.load(path) as chk:
-        if "digest" not in chk.files or str(chk["digest"]) != digest:
-            return None
-        return {k: chk[k] for k in chk.files}
-
-
-def _save_npz(path, **arrays):
-    """Write `arrays` to the .npz file `path` atomically (tmp file, rename)."""
-    tmp = path + ".tmp.npz"   # explicit suffix so numpy does not append one
-    np.savez(tmp, **arrays)
-    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)

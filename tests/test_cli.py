@@ -663,6 +663,21 @@ def test_workers_below_one_is_a_parse_error(tmp_path, capsys, workers):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("spectra2d", ["--resume"]),
+    ("run", ["--seed", "1"]),
+], ids=["resume", "seed"])
+def test_removed_flags_are_parse_errors(tmp_path, capsys, command, flags):
+    """A run's inputs are its config and --out (and --workers): the seed is
+    a config key, and there is no resume state to reuse."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", _write(tmp_path, TINY_SPECTRA),
+                  "--out", str(tmp_path / "out"), *flags])
+    assert exc.value.code == cli.EXIT_PARSE
+    assert flags[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_forks_never_exceed_the_task_count(tmp_path, capsys, monkeypatch):
     """3 realizations at --workers 8 start 3 processes, not 8."""
     forks = []
@@ -828,6 +843,9 @@ def test_photon_cutoff_is_not_a_tc_key(tmp_path, capsys):
      "[model]\nkind = sf\n", "experiment.fock_cutoff"),
     ("[experiment]\nkind = pes-scan\nq_points = 3\n\n"
      "[model]\nkind = sf\ncavity_kappa = 0.01\n", "model.cavity_kappa"),
+    # no manifold at all: the scan would keep no surface
+    (TINY_PES.replace("q_points = 5", "q_points = 5\nmanifold_max = -1"),
+     "experiment.manifold_max: must be >= 0"),
     (TINY_HTC + "\n[temperature]\ntemperature_k = 1e9\n",
      "temperature.temperature_k"),
     # samples at 0, 6 and 12 fs would run past the 10 fs window
@@ -845,6 +863,7 @@ def test_photon_cutoff_is_not_a_tc_key(tmp_path, capsys):
      "run.t_max_fs"),
 ], ids=["downhill-fission", "above-nyquist", "off-grid-waiting-time",
         "one-site-htc", "pes-scan-photon-cutoff", "pes-scan-cavity-loss",
+        "pes-scan-negative-manifold",
         "htc-classical-limit", "samples-past-window", "negative-disorder-seed",
         "disorder-seed-past-u64", "corrupted-metric-pair",
         "htc-absorption-samples-past-window"])
@@ -1071,45 +1090,6 @@ def test_cavity_free_two_dimer_dynamics(tmp_path, capsys):
     assert abs(float(rows[1].split(",")[2]) - 1.0) < 1e-6
 
 
-def test_resume_reuses_bank_legs(tmp_path, capsys, monkeypatch):
-    from cavidyn import spectro
-
-    path = _write(tmp_path, TINY_SPECTRA)
-
-    def csv_bytes(out_dir, *flags):
-        code, _, err = _run(capsys, "spectra2d", "--config", path, "--out",
-                            str(out_dir), *flags)
-        assert code == cli.EXIT_OK, err
-        return {p.name: p.read_bytes() for p in out_dir.glob("*.csv")}
-
-    plain = csv_bytes(tmp_path / "plain")
-    first = csv_bytes(tmp_path / "resumed", "--resume")
-    assert list((tmp_path / "resumed" / "bank").glob("leg*.npz"))
-
-    def no_propagate(*_, **__):
-        raise AssertionError("a complete run's result was recomputed")
-
-    monkeypatch.setattr(spectro, "propagate", no_propagate)
-    again = csv_bytes(tmp_path / "resumed", "--resume")
-    assert len(plain) == 1 and plain == first == again
-
-
-def test_plain_spectra_run_computes_no_resume_digest(tmp_path, capsys,
-                                                     monkeypatch):
-    """Only a resume file reads a digest, so a run without `--resume`
-    never hashes its inputs."""
-    from cavidyn import spectro
-
-    def no_digest(*_):
-        raise AssertionError("a digest was computed without --resume")
-
-    monkeypatch.setattr(spectro, "_digest", no_digest)
-    code, _, err = _run(capsys, "spectra2d", "--config",
-                        _write(tmp_path, TINY_SPECTRA),
-                        "--out", str(tmp_path / "out"))
-    assert code == cli.EXIT_OK, err
-
-
 def test_plain_spectra_run_leaves_only_its_outputs(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code, _, err = _run(capsys, "spectra2d", "--config",
@@ -1120,17 +1100,3 @@ def test_plain_spectra_run_leaves_only_its_outputs(tmp_path, capsys):
         [*manifest["outputs"], "run_manifest.json"])
 
 
-def test_resume_after_a_model_change_recomputes(tmp_path, capsys):
-    changed = TINY_SPECTRA + "coupling_omega = 0.1\n"
-
-    def csv_bytes(text, out_dir, *flags):
-        code, _, err = _run(capsys, "spectra2d", "--config",
-                            _write(tmp_path, text), "--out", str(out_dir),
-                            *flags)
-        assert code == cli.EXIT_OK, err
-        return {p.name: p.read_bytes() for p in out_dir.glob("*.csv")}
-
-    old = csv_bytes(TINY_SPECTRA, tmp_path / "resumed", "--resume")
-    resumed = csv_bytes(changed, tmp_path / "resumed", "--resume")
-    plain = csv_bytes(changed, tmp_path / "plain")
-    assert len(plain) == 1 and resumed == plain != old

@@ -7,8 +7,6 @@ diagonalization.  For linear mode coupling a single-configuration coherent
 ansatz is exact, so agreement is limited only by integrator tolerance.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -27,7 +25,7 @@ from cavidyn.spectro import (
     spectra,
 )
 from cavidyn import spectro
-from cavidyn.varprop import PropagationSettings
+from cavidyn.varprop import MultiD2State, PropagationSettings, init_state
 
 TIGHT = PropagationSettings(rel_tol=1e-9, abs_tol=1e-11)
 
@@ -258,86 +256,6 @@ def test_bank_rejects_offgrid_times(toy):
         bank.forward(0, 1e6)
 
 
-def test_esa_checkpoint_resume(toy, tmp_path, monkeypatch):
-    """A run killed after its first (n3, T_w) batch resumes from the
-    checkpoint bit-exactly, without repeating the saved batch."""
-    grid = ResponseGrid(5, 2.0, (0.0, 4.0), 0.01)
-    args = (toy["bank"], toy["h2"], grid, toy["dip"])
-    clean = response_esa(*args)
-
-    calls = {"n": 0}
-    real = spectro.propagate
-
-    def flaky(*a, **kw):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise RuntimeError("simulated kill")
-        return real(*a, **kw)
-
-    monkeypatch.setattr(spectro, "propagate", flaky)
-    with pytest.raises(RuntimeError, match="simulated kill"):
-        response_esa(*args, checkpoint_dir=str(tmp_path))
-    assert os.path.exists(tmp_path / "esa_checkpoint.npz")
-
-    calls["n"] = 2   # the resumed run must need only the second batch
-    resumed = response_esa(*args, checkpoint_dir=str(tmp_path))
-    assert calls["n"] == 3
-    assert np.array_equal(resumed["R1s"], clean["R1s"])
-    assert np.array_equal(resumed["R2s"], clean["R2s"])
-
-
-def test_esa_checkpoint_of_another_waiting_time_is_not_resumed(toy, tmp_path):
-    """A finished T_w = 0 checkpoint of the same shape is ignored by a
-    T_w = 8 fs run, which computes its own R1*, R2* and checkpoint."""
-    def esa(tw, **kw):
-        grid = ResponseGrid(5, 2.0, (tw,), 0.01)
-        return response_esa(toy["bank"], toy["h2"], grid, toy["dip"], **kw)
-
-    at_zero = esa(0.0, checkpoint_dir=str(tmp_path))
-    clean = esa(8.0)
-    got = esa(8.0, checkpoint_dir=str(tmp_path))
-    assert np.abs(clean["R1s"] - at_zero["R1s"]).max() > 1e-2
-    assert np.array_equal(got["R1s"], clean["R1s"])
-    assert np.array_equal(got["R2s"], clean["R2s"])
-    assert np.array_equal(esa(8.0, checkpoint_dir=str(tmp_path))["R1s"],
-                          clean["R1s"])
-
-
-def test_bank_checkpoint_reuses_matching_legs(toy, tmp_path, monkeypatch):
-    """Saved legs are reloaded bit-exactly without propagating; a grid whose
-    sample times differ recomputes them.  The noisy M = 2 start state is
-    complex, so the conjugated leg behind the backward branch is integrated
-    and saved too (a real bank saves only its forward legs)."""
-    grid = ResponseGrid(4, 2.0, (0.0,), 0.01)
-    args = (toy["h1"], toy["dip"], grid, 2, 1)
-    plain = first_leg_bank(*args)
-    first_leg_bank(*args, checkpoint_dir=str(tmp_path))
-    assert sorted(os.listdir(tmp_path)) == ["leg0_bwd.npz", "leg0_fwd.npz"]
-
-    real = spectro.propagate
-
-    def forbidden(*a, **kw):
-        raise AssertionError("a saved leg was recomputed")
-
-    monkeypatch.setattr(spectro, "propagate", forbidden)
-    reused = first_leg_bank(*args, checkpoint_dir=str(tmp_path))
-    for name in ("amps", "disps", "amps_back", "disps_back"):
-        assert np.array_equal(getattr(reused, name)[0], getattr(plain, name)[0])
-
-    calls = {"n": 0}
-
-    def counting(*a, **kw):
-        calls["n"] += 1
-        return real(*a, **kw)
-
-    monkeypatch.setattr(spectro, "propagate", counting)
-    longer = ResponseGrid(5, 2.0, (0.0,), 0.01)
-    bank = first_leg_bank(toy["h1"], toy["dip"], longer, 2, 1,
-                          checkpoint_dir=str(tmp_path))
-    assert calls["n"] == 2   # forward and backward legs both recomputed
-    assert len(bank.amps[0]) == 9 and len(bank.amps_back[0]) == 5
-
-
 @pytest.mark.parametrize("kappa, legs", [(0.0, 2), (0.01, 4)],
                          ids=["real", "lossy"])
 def test_backward_branch_equals_exact_negative_time_propagation(
@@ -368,30 +286,35 @@ def test_backward_branch_equals_exact_negative_time_propagation(
         assert np.abs(amps[:, 0] - ref).max() <= 1e-8
 
 
-def test_bank_leg_of_another_hamiltonian_is_recomputed(toy, tmp_path):
-    """Legs saved for one h1 are not reused for another h1 on the same
-    sample times: the rerun equals a bank computed without checkpoints."""
+def test_complex_start_on_a_real_hamiltonian_integrates_the_conjugated_leg(
+        toy, monkeypatch):
+    """The noisy M = 2 start is complex although h1 is real, so the bank
+    integrates the conjugated leg (two integrations for one bright label),
+    and its backward branch is the conjugate of that leg: the forward
+    propagation of the conjugated start under conj(h1) = h1."""
     grid = ResponseGrid(4, 2.0, (0.0,), 0.01)
-    saved = first_leg_bank(toy["h1"], toy["dip"], grid,
-                           checkpoint_dir=str(tmp_path))
-    other = monomer_hamiltonian(EPS_E, 2.0 * KAP_E)
-    clean = first_leg_bank(other, toy["dip"], grid)
-    got = first_leg_bank(other, toy["dip"], grid, checkpoint_dir=str(tmp_path))
-    assert np.abs(clean.disps[0] - saved.disps[0]).max() > 1e-2
-    for name in ("amps", "disps", "amps_back", "disps_back"):
-        assert np.array_equal(getattr(got, name)[0], getattr(clean, name)[0])
+    calls = {"n": 0}
+    real = spectro.propagate
 
+    def counting(*a, **kw):
+        calls["n"] += 1
+        return real(*a, **kw)
 
-def test_esa_checkpoint_of_another_bank_is_not_resumed(toy, toy_m2, tmp_path):
-    """A finished M = 1 checkpoint on the same grid and batches is ignored
-    by the M = 2 bank, which computes its own R1*, R2*."""
-    args = (toy["h2"], toy["grid"], toy["dip"])
-    at_m1 = response_esa(toy["bank"], *args, checkpoint_dir=str(tmp_path))
-    got = response_esa(toy_m2["bank"], *args, checkpoint_dir=str(tmp_path))
-    assert np.array_equal(at_m1["R1s"], toy["es"]["R1s"])
-    assert not np.array_equal(toy_m2["es"]["R1s"], toy["es"]["R1s"])
-    assert np.array_equal(got["R1s"], toy_m2["es"]["R1s"])
-    assert np.array_equal(got["R2s"], toy_m2["es"]["R2s"])
+    monkeypatch.setattr(spectro, "propagate", counting)
+    bank = first_leg_bank(toy["h1"], toy["dip"], grid, 2, 1)
+    assert calls["n"] == 2
+    start = init_state(toy["h1"].n_sys, toy["h1"].n_modes, 0, multiplicity=2,
+                       noise_seed=1)
+    assert start.amplitudes.imag.any() and not toy["h1"].e_sys.imag.any()
+    leg = real(toy["h1"], MultiD2State(start.amplitudes.conj(),
+                                       start.displacements.conj()),
+               grid.times_fs)
+    amps, disps = bank.backward(0, -grid.times_fs)
+    np.testing.assert_array_equal(amps, leg.amplitudes.conj())
+    np.testing.assert_array_equal(disps, leg.displacements.conj())
+    # the real-start shortcut, the conjugated forward leg, would differ
+    shortcut = bank.forward(0, grid.times_fs)[0].conj()
+    assert np.abs(amps - shortcut).max() > 1e-6
 
 
 def test_spectra_total_identity(toy):

@@ -532,6 +532,38 @@ def test_fock_trajectory_keeps_the_loss(monkeypatch, krylov):
     assert np.abs(fock.trajectory(hs, psi0, times) - ref).max() <= 1e-10
 
 
+@pytest.mark.parametrize("n, kappa, real", [
+    (2, 0.0, True),     # k = pi phase: imaginary parts of about 6e-18
+    (3, 0.0, False),    # complex phases: imaginary parts of about 1e-2
+    (2, 0.01, False),   # cavity loss
+], ids=["two-sites", "three-sites", "lossy"])
+def test_fock_trajectory_takes_the_real_path_for_rounding_only(
+        monkeypatch, n, kappa, real):
+    """`FockSpace.trajectory` decomposes H as a real matrix when its
+    imaginary parts are rounding, and then agrees with the complex
+    decomposition; a genuinely complex or a lossy H stays complex."""
+    hs = htc_problem(n, lam=0.1, kappa=kappa)
+    fock = FockSpace(n + 1, (3,) * n)
+    assert abs(fock.sparse_hamiltonian(hs).imag).max() > 0
+    psi0 = fock.multiconfig_vector(np.eye(1, n + 1, dtype=complex),
+                                   np.full((1, n), 0.3))
+    times = np.arange(0.0, 41.0, 2.0)
+    dtypes = []
+    real_propagator = dense_ref.DensePropagator
+
+    class Recording(real_propagator):
+        def __init__(self, h_matrix, hermitian=True):
+            dtypes.append(h_matrix.dtype)
+            super().__init__(h_matrix, hermitian)
+
+    monkeypatch.setattr(dense_ref, "DensePropagator", Recording)
+    got = fock.trajectory(hs, psi0, times)
+    assert dtypes == [np.float64 if real else np.complex128]
+    ref = real_propagator(fock.hamiltonian(hs), hermitian=hs.hermitian
+                          ).trajectory(psi0, times)
+    assert np.abs(got - ref).max() <= 1e-12
+
+
 def test_fock_propagate_is_the_exact_twin_of_propagate():
     """At lam = 0 one configuration is exact, also for displaced modes and
     with loss: the twin's members match those of `propagate`."""
