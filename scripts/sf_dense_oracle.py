@@ -5,8 +5,8 @@ Expands the package's own three-state (g, S1, TT) dimer Hamiltonian --
 `sf_matter_only` without the cavity, `sf_system_bath` with the cavity as the
 last boson mode -- and the runner's start state (`sf.coherent_init`) in the
 shared sparse Fock oracle (`cavidyn.dense_ref.FockSpace`), propagates exactly
-with `FockSpace.propagate` (dense eigendecomposition when the dimension is
-small, sparse Krylov stepping otherwise) and reads P_TT and the photon number
+with `FockSpace.propagate` (the exponential of the sparse operator applied
+over the evenly spaced `--dt` grid) and reads P_TT and the photon number
 through `sf.sf_observables`.  Used to pin the
 intersection coupling strength and the pumped-cavity triplet yields
 independently of the variational integrator.  At the default cutoffs,

@@ -3,13 +3,14 @@
 Brute-force companion to the variational propagator: every mode is truncated
 at an explicit occupation cutoff and the Hamiltonian is assembled as a sparse
 operator over |system label> x |v_1 ... v_Nb>.  `FockSpace.trajectory` is the
-one exact single-state propagation: up to `DENSE_MAX_DIM` states it evolves
-through one dense eigendecomposition (`DensePropagator`, of the real matrix
-when H is real to rounding, by `eig` when H is lossy), above that it steps
-the sparse operator with a Krylov exponential over evenly spaced times.
-`FockSpace.propagate` wraps it as the exact twin of `varprop.propagate`.
-Exponential scaling restricts this to a handful of modes, which is exactly
-its role -- an independent check, not a production path.
+one exact single-state propagation for every Hamiltonian, lossy or not, at
+any dimension: `expm_multiply` (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+488 (2011)) applies the exponential of the sparse operator over evenly
+spaced times, and no dense matrix is built.  `FockSpace.propagate` wraps it
+as the exact twin of `varprop.propagate`.  Exponential scaling restricts
+this to a handful of modes, which is exactly its role -- an independent
+check, not a production path.  `DensePropagator` is a dense reference for
+small matrices.
 """
 
 from __future__ import annotations
@@ -18,13 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from .constants import HBAR_EV_FS
 from .models import SystemBathHamiltonian
-
-#: largest Fock dimension `FockSpace.trajectory` propagates by one dense
-#: eigendecomposition; larger spaces step a sparse Krylov exponential
-DENSE_MAX_DIM = 4000
 
 
 def _on_mode(op, dims, q: int):
@@ -68,32 +66,16 @@ class FockSpace:
 
     def trajectory(self, h: SystemBathHamiltonian, psi0: np.ndarray,
                    times) -> np.ndarray:
-        """exp(-iHt/hbar) psi0 at each of `times`, shape (len(times), dim).
-        The Krylov path, above `DENSE_MAX_DIM`, needs evenly spaced times."""
-        op = self.sparse_hamiltonian(h)
-        if abs(op.imag).max() <= 16 * np.finfo(float).eps * abs(op).max():
-            # imaginary parts within a few ulps, such as the k = pi phase
-            # leaves on a two-site register, are rounding, not loss: a real
-            # eigendecomposition costs a tenth as much
-            op = op.real
-        times = np.asarray(times, float)
-        if self.dim <= DENSE_MAX_DIM:
-            return DensePropagator(op.toarray(), hermitian=h.hermitian
-                                   ).trajectory(psi0, times)
-        if not np.allclose(times, np.linspace(times[0], times[-1], len(times)),
-                           rtol=0.0, atol=1e-9):
-            raise ValueError("Krylov propagation needs evenly spaced times")
-        from scipy.sparse.linalg import expm_multiply
-
-        return expm_multiply((-1j / HBAR_EV_FS) * op, psi0, start=times[0],
-                             stop=times[-1], num=len(times), endpoint=True)
+        """exp(-iHt/hbar) psi0 at each of two or more evenly spaced `times`,
+        shape (len(times), dim); other times raise ValueError."""
+        return _evolve(self.sparse_hamiltonian(h), psi0, times)
 
     def propagate(self, h: SystemBathHamiltonian, state, times):
         """Exact twin of `varprop.propagate`: `state` expanded in this basis,
-        renormalized after the truncation and evolved by `trajectory`."""
-        psi0 = self.multiconfig_vector(state.amplitudes, state.displacements)
-        states = self.trajectory(h, psi0 / np.linalg.norm(psi0), times)
+        renormalized after the truncation and evolved as by `trajectory`."""
         op = self.sparse_hamiltonian(h)
+        psi0 = self.multiconfig_vector(state.amplitudes, state.displacements)
+        states = _evolve(op, psi0 / np.linalg.norm(psi0), times)
         # <psi|H|psi> 64 samples at a time: H psi never holds all of them
         energies = np.concatenate([
             np.einsum("ti,it->t", s.conj(), op @ s.T)
@@ -150,11 +132,26 @@ class FockTrajectory:
         return self.fock.mode_occupations(self.states)
 
 
+def _evolve(op, psi0: np.ndarray, times) -> np.ndarray:
+    """exp(-i op t/hbar) psi0 at each of two or more evenly spaced `times`."""
+    times = np.asarray(times, float)
+    if len(times) < 2 or not np.allclose(
+            times, np.linspace(times[0], times[-1], len(times)), rtol=0.0, atol=1e-9):
+        raise ValueError("Fock propagation needs two or more evenly spaced times")
+    return expm_multiply((-1j / HBAR_EV_FS) * op, psi0, start=times[0],
+                         stop=times[-1], num=len(times), endpoint=True)
+
+
 class DensePropagator:
-    """exp(-iHt/hbar) through a one-time eigendecomposition."""
+    """exp(-iHt/hbar) through a one-time eigendecomposition of a dense
+    matrix: `eigh` when `hermitian`, which the matrix must then be exactly
+    (else ValueError), `eig` plus an inverse otherwise."""
 
     def __init__(self, h_matrix: np.ndarray, hermitian: bool = True):
         if hermitian:
+            if not np.array_equal(h_matrix, h_matrix.conj().T):
+                raise ValueError("hermitian=True needs an exactly Hermitian "
+                                 "matrix; pass hermitian=False")
             self.vals, self.vecs = np.linalg.eigh(h_matrix)
             self.vinv = self.vecs.conj().T
         else:

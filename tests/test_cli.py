@@ -950,7 +950,7 @@ def test_oracle_pairs(tmp_path, capsys, text, cutoffs):
 
 
 def test_lossy_htc_oracle_compare(tmp_path, capsys):
-    """Cavity loss, which the twin's dense path must keep, and a disordered
+    """Cavity loss, which the twin's propagation must keep, and a disordered
     ensemble: the twin agrees per width."""
     text = (ORACLE_HTC_DENSE.replace("fock_cutoff = 10", "fock_cutoff = 6")
             .replace("lam = 0.1", "lam = 0.1\nkappa = 0.01")
@@ -963,6 +963,18 @@ def test_lossy_htc_oracle_compare(tmp_path, capsys):
                                             "population_W0.csv"]
     assert max(_figures(report, "variational").values()) <= 1e-5
     assert max(_figures(report, "cutoff").values()) <= 1e-10
+
+
+def test_lossy_thermofield_oracle_compare(tmp_path, capsys):
+    """Cavity loss at 300 K: the thermofield double's four modes at cutoffs
+    4 and 5 (dimensions 1,875 and 3,888) agree to 1e-7."""
+    text = (TINY_HTC.replace("kind = dynamics",
+                             "kind = oracle-compare\nfock_cutoff = 4")
+            .split("[disorder]")[0]
+            + "[temperature]\ntemperature_k = 300\n")
+    report = _oracle_report(tmp_path, capsys, text)
+    assert report["cutoffs"] == [[4] * 4, [5] * 4]
+    assert max(_figures(report, "cutoff").values()) <= 1e-7
 
 
 def test_pumped_sf_oracle_compare(tmp_path, capsys):

@@ -347,8 +347,8 @@ def test_exact_oracle_script_scan():
 
 def test_exact_oracle_script_pumped_vacuum_equals_scan():
     # an uncoupled cavity in its vacuum leaves the fission dynamics alone:
-    # the pumped mode (dim 4320, Krylov path) prints the cavity-free scan's
-    # P_TT (dim 360, dense path), under the label of the final time
+    # the pumped mode (dim 4320) prints the cavity-free scan's P_TT
+    # (dim 360), under the label of the final time
     cutoffs = ("--lam", "0.065", "--n-tu", "12", "--n-cu", "10",
                "--t-max", "100")
     pumped = run_exact_oracle("pumped", "--coupling", "0", "--n-photons", "0",

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import RK45, solve_ivp
 from scipy.linalg import expm
 
-from cavidyn import dense_ref
 from cavidyn.constants import HBAR_EV_FS
-from cavidyn.dense_ref import FockSpace
+from cavidyn.dense_ref import DensePropagator, FockSpace
 from cavidyn.models import (
     HTCModel,
     SystemBathHamiltonian,
@@ -500,68 +499,57 @@ def test_htc_brute_force_equivalence_short():
     assert np.abs(traj.photon_population() - dense_pph).max() <= 1e-3
 
 
-def test_fock_trajectory_krylov_path_matches_dense(monkeypatch):
-    """Both branches of `FockSpace.trajectory` agree; the Krylov one, forced
-    here on a dense-sized space, rejects uneven times."""
-    hs = htc_problem(2)
-    fock = FockSpace(3, (10, 10))
-    psi0 = fock.multiconfig_vector(np.array([[1.0, 0, 0]], complex), np.zeros((1, 2)))
-    times = np.arange(0.0, 40.1, 0.5)
-    dense = fock.trajectory(hs, psi0, times)
-    monkeypatch.setattr(dense_ref, "DENSE_MAX_DIM", 0)
-    assert np.abs(fock.trajectory(hs, psi0, times) - dense).max() <= 1e-10
-    with pytest.raises(ValueError, match="evenly spaced"):
-        fock.trajectory(hs, psi0, np.array([0.0, 1.0, 3.0]))
-
-
-@pytest.mark.parametrize("krylov", [False, True], ids=["dense", "krylov"])
-def test_fock_trajectory_keeps_the_loss(monkeypatch, krylov):
-    """A lossy Hamiltonian evolves as expm(-iHt/hbar) on both branches of
-    `FockSpace.trajectory`; the norm falls to about 0.5 by 100 fs."""
-    hs = htc_problem(2, kappa=0.01)
-    fock = FockSpace(3, (6, 6))
-    psi0 = np.zeros(fock.dim, complex)
-    psi0[0] = 1.0   # the photon label over the phonon vacuum
-    times = np.array([0.0, 50.0, 100.0])
-    h_matrix = fock.hamiltonian(hs)
-    ref = np.array([expm(-1j * h_matrix * t / HBAR_EV_FS) @ psi0
-                    for t in times])
-    assert np.linalg.norm(ref[-1]) < 0.6
-    if krylov:
-        monkeypatch.setattr(dense_ref, "DENSE_MAX_DIM", 0)
-    assert np.abs(fock.trajectory(hs, psi0, times) - ref).max() <= 1e-10
-
-
-@pytest.mark.parametrize("n, kappa, real", [
-    (2, 0.0, True),     # k = pi phase: imaginary parts of about 6e-18
-    (3, 0.0, False),    # complex phases: imaginary parts of about 1e-2
-    (2, 0.01, False),   # cavity loss
-], ids=["two-sites", "three-sites", "lossy"])
-def test_fock_trajectory_takes_the_real_path_for_rounding_only(
-        monkeypatch, n, kappa, real):
-    """`FockSpace.trajectory` decomposes H as a real matrix when its
-    imaginary parts are rounding, and then agrees with the complex
-    decomposition; a genuinely complex or a lossy H stays complex."""
-    hs = htc_problem(n, lam=0.1, kappa=kappa)
-    fock = FockSpace(n + 1, (3,) * n)
-    assert abs(fock.sparse_hamiltonian(hs).imag).max() > 0
+@pytest.mark.parametrize("n, lam, kappa, cutoff, f0, times, bound, norm_max", [
+    # the photon label over the phonon vacuum, lam = 0.5
+    (2, 0.5, 0.0, 10, 0.0, np.arange(0.0, 40.1, 0.5), 1e-10, 1.0 + 1e-12),
+    # the norm falls to about 0.5 by 100 fs
+    (2, 0.5, 0.01, 6, 0.0, np.array([0.0, 50.0, 100.0]), 1e-10, 0.6),
+    # k = pi phase: imaginary parts of about 6e-18
+    (2, 0.1, 0.0, 3, 0.3, np.arange(0.0, 41.0, 2.0), 1e-12, 1.0 + 1e-12),
+    # complex phases: imaginary parts of about 1e-2
+    (3, 0.1, 0.0, 3, 0.3, np.arange(0.0, 41.0, 2.0), 1e-12, 1.0 + 1e-12),
+    # cavity loss on a displaced start
+    (2, 0.1, 0.01, 3, 0.3, np.arange(0.0, 41.0, 2.0), 1e-12, 0.8),
+], ids=["photon", "loss", "two-sites", "three-sites", "lossy"])
+def test_fock_trajectory_is_the_exponential(n, lam, kappa, cutoff, f0, times,
+                                            bound, norm_max):
+    """`FockSpace.trajectory` is expm(-iHt/hbar) psi0, with H the dense Fock
+    matrix, for lossless, lossy, real and complex Hamiltonians; the
+    reference steps by the exponential of one sample interval."""
+    hs = htc_problem(n, lam=lam, kappa=kappa)
+    fock = FockSpace(n + 1, (cutoff,) * n)
     psi0 = fock.multiconfig_vector(np.eye(1, n + 1, dtype=complex),
-                                   np.full((1, n), 0.3))
-    times = np.arange(0.0, 41.0, 2.0)
-    dtypes = []
-    real_propagator = dense_ref.DensePropagator
+                                   np.full((1, n), f0))
+    step = expm(-1j * fock.hamiltonian(hs) * (times[1] - times[0]) / HBAR_EV_FS)
+    ref = [psi0]   # every case starts at t = 0
+    for _ in times[1:]:
+        ref.append(step @ ref[-1])
+    assert np.linalg.norm(ref[-1]) <= norm_max
+    assert np.abs(fock.trajectory(hs, psi0, times) - ref).max() <= bound
 
-    class Recording(real_propagator):
-        def __init__(self, h_matrix, hermitian=True):
-            dtypes.append(h_matrix.dtype)
-            super().__init__(h_matrix, hermitian)
 
-    monkeypatch.setattr(dense_ref, "DensePropagator", Recording)
-    got = fock.trajectory(hs, psi0, times)
-    assert dtypes == [np.float64 if real else np.complex128]
-    ref = real_propagator(fock.hamiltonian(hs), hermitian=hs.hermitian
-                          ).trajectory(psi0, times)
-    assert np.abs(got - ref).max() <= 1e-12
+@pytest.mark.parametrize("times", [[0.0, 1.0, 3.0], [5.0]],
+                         ids=["uneven", "single"])
+def test_fock_trajectory_needs_two_or_more_evenly_spaced_times(times):
+    hs = htc_problem(2, lam=0.1)
+    fock = FockSpace(3, (3, 3))
+    psi0 = np.eye(1, fock.dim, dtype=complex)[0]
+    with pytest.raises(ValueError, match="evenly spaced"):
+        fock.trajectory(hs, psi0, np.array(times))
+
+
+def test_dense_propagator_refuses_a_lossy_matrix_as_hermitian():
+    """`eigh` reads one triangle only: on this lossy H (dim 147) it would
+    keep the norm at 1.00 where the exact one falls to 0.52 by 100 fs."""
+    hs = htc_problem(2, kappa=0.01)
+    h_matrix = FockSpace(3, (6, 6)).hamiltonian(hs)
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensePropagator(h_matrix, hermitian=True)
+    psi0 = np.eye(1, len(h_matrix), dtype=complex)[0]
+    lossy = DensePropagator(h_matrix, hermitian=False)
+    assert abs(np.linalg.norm(lossy.trajectory(psi0, [100.0])) - 0.52) < 0.01
+    lossless = htc_problem(2)
+    DensePropagator(FockSpace(3, (6, 6)).hamiltonian(lossless), hermitian=True)
 
 
 def test_fock_propagate_is_the_exact_twin_of_propagate():
