@@ -1,18 +1,18 @@
 """Command-line entry point.
 
-Subcommands: validate, run, absorption, pes-scan, spectra2d, oracle-compare.
-`run` executes whatever experiment the config declares; the named experiment
-subcommands override the config's experiment kind before validation.  A
-run's only inputs are its config file and `--out` (plus `--workers`, which
-never changes a byte of an ensemble's outputs): every other setting, the
-seeds included, is a config key, so rerunning a config into a fresh
-directory reproduces its outputs.
+Subcommands: `validate` checks a config and echoes its resolved values;
+`run` executes the experiment that the config's `[experiment] kind`
+declares.  A run's only inputs are its config file and `--out` (plus
+`--workers`, which never changes a byte of an ensemble's outputs): the
+config alone says what runs, the seeds included, and `--out` alone where
+its outputs go, so rerunning a config into a fresh directory reproduces
+its outputs and its manifest, but for the wall-clock time.
 
 Exit codes: 0 success, 1 runtime failure, 2 config parse error,
 3 constraint violation; SIGTERM ends a run with status -15, outputs removed.
 
 Each command imports only the code it executes.  `validate` loads this
-module and `cavidyn.config`, both numpy-free; the other commands then import
+module and `cavidyn.config`, both numpy-free; `run` then imports
 `cavidyn.runner`, which imports the modules of the configured experiment
 alone (see its docstring).
 """
@@ -23,13 +23,8 @@ import argparse
 import os
 import sys
 
-from .config import (
-    EXPERIMENT_KINDS,
-    ConfigConstraintError,
-    ConfigParseError,
-    load,
-    resolved_text,
-)
+from .config import (ConfigConstraintError, ConfigParseError, load,
+                     resolved_text)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -54,35 +49,30 @@ def _worker_count(text: str) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cavidyn",
-        description="cavity exciton dynamics and spectra; every setting "
-                    "of a run, its seeds included, is a config key",
+        description="cavity exciton dynamics and spectra; the config sets "
+                    "everything a run computes, its seeds included, and "
+                    "--out where its outputs go",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, summary in (
-        ("validate", "check a config and echo the resolved values"),
-        ("run", "run the experiment declared in the config"),
-        ("absorption", "run a linear absorption experiment"),
-        ("pes-scan", "run a potential-surface scan"),
-        ("spectra2d", "run a third-order 2D spectra experiment"),
-        ("oracle-compare", "check htc/sf dynamics against an exact Fock twin"),
-    ):
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("--config", required=True, metavar="PATH")
-        if name != "validate":
-            p.add_argument("--out", metavar="DIR",
-                           help="output directory (default: config value)")
-            p.add_argument("--workers", type=_worker_count, default=1,
-                           metavar="INT",
-                           help="worker processes for the realizations "
-                                "of dynamics and absorption runs")
+    validate = sub.add_parser(
+        "validate", help="check a config and echo the resolved values")
+    validate.add_argument("--config", required=True, metavar="PATH")
+    run = sub.add_parser(
+        "run", help="run the experiment the config declares as "
+                    "[experiment] kind")
+    run.add_argument("--config", required=True, metavar="PATH")
+    run.add_argument("--out", default="out", metavar="DIR",
+                     help="output directory (default: %(default)s)")
+    run.add_argument("--workers", type=_worker_count, default=1,
+                     metavar="INT", help="worker processes for the "
+                     "realizations of dynamics and absorption runs")
     return ap
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load(args.config, experiment=(
-            args.command if args.command in EXPERIMENT_KINDS else None))
+        cfg = load(args.config)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -102,7 +92,7 @@ def main(argv=None) -> int:
     from .runner import run
 
     try:
-        manifest = run(cfg, out_dir=args.out, workers=args.workers)
+        manifest = run(cfg, args.out, workers=args.workers)
     except Exception as exc:  # noqa: BLE001 - report and signal failure
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -1,13 +1,15 @@
 """Sectioned text configuration: one schema, validation, and one store.
 
-Configs are INI files with sections [experiment], [model], [run], [disorder],
-[temperature], [output].  `_SCHEMA` is the only list of their keys: each
-entry holds the key's type converter, its default (None: required) and its
-scope.  The scope of an [experiment] key is the experiments it steers, that
-of any other key the model kinds it steers (None: every run).  A [model] key
-outside the configured kind's scope is a violation.  Any other key out of
-scope is tolerated, since one config can serve several subcommands and
-models, but left out of the echo.
+Configs are INI files with sections [experiment], [model], [run], [disorder]
+and [temperature]; the output directory is not a config key but the CLI's
+`--out`.  `_SCHEMA` is the only list of their keys: each entry holds the
+key's type converter, its default (None: required) and its scope.  A scope
+names experiments, model kinds, or both (empty: every run); a key steers a
+run when each part of its scope contains the run's experiment or model
+kind.  A [model] key outside the configured model kind's part is a
+violation.  Any other key out of scope is tolerated, since one config file
+can be switched between experiments by its `[experiment] kind` alone, but
+left out of the echo.
 
 Validation is total: every violation is collected with its key path
 (section.key) before reporting.  Parse problems (malformed INI, non-numeric
@@ -18,10 +20,10 @@ codes.
 A `RunConfig` holds the only copy of the resolved values, `sections`, with
 every schema key.  Its attributes read it; `options` and `resolved_text`
 keep only the keys in scope, so the `validate` output and every run
-manifest name every key that determined the outputs, and may name more:
-outside [experiment] scope follows the model kind, so a pes-scan run echoes
-[run] and `n_photons`, which it never reads, and `lam_ci`, `eta_s` and
-`omega_coupling`, which leave its cuts at Q_c = 0 unchanged.
+manifest name every key that determined the outputs.  A pes-scan run, for
+one, echoes no [run] key and none of `lam_ci`, `omega_coupling`,
+`n_photons`, `eps_sn`, `eps_ttn`, `eta_s`, `eta_t` and `cavity_kappa`,
+which leave its cuts at Q_c = 0 unchanged.
 
 Every config has a [model] section; an oracle-compare config is checked as
 htc or sf dynamics, with `fock_cutoff` for its exact Fock twin.
@@ -35,8 +37,9 @@ against 0.0022 at M = 6, because one configuration misses the photon-number
 spread of the Rabi exchange.  M = 1 sf runs are therefore good for smoke
 tests and timings, and for the uncoupled limit (`coupling_omega = 0`,
 `lam_ci = 0`), where one configuration is exact.  To pick M for a
-result, run the config as `oracle-compare` (when its Fock space fits) and
-raise M until the variational deviation is below the effect reported.
+result, run the config with `[experiment] kind = oracle-compare` (when its
+Fock space fits) and raise M until the variational deviation is below the
+effect reported.
 
 This module imports no numpy: `validate` checks the values and builds no
 model objects, so `cavidyn validate` loads only the standard library.  The
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
@@ -88,81 +92,96 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _float_list(text: str):
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+    return tuple(_float(tok) for tok in text.replace(",", " ").split())
 
 
 _TC_HTC = ("tc", "htc")
 _HTC_SF = ("htc", "sf")  # the variational runs
 _WINDOWED = ("absorption", "spectra2d")
+_TIMED = ("dynamics", "absorption", "oracle-compare")  # on a time axis
+_NOT_PES = ("dynamics", "absorption", "spectra2d", "oracle-compare")
+_PROPAGATED = (*_HTC_SF, *_NOT_PES)  # variational runs that propagate
+_SF_SPECTRA = ("sf", "spectra2d")  # the upper manifold and its loss
 
 # (type converter, default, scope) per key; a None default means required.
-# The scope of an [experiment] key is the experiments it steers, that of any
-# other key the model kinds it steers; None: the key steers every run.
+# A scope names the experiments and the model kinds the key steers; a part
+# it leaves empty holds every kind, so () means every run.
 _SCHEMA = {
     "experiment": {
-        "kind": (str, "dynamics", EXPERIMENT_KINDS),
-        "gamma_prime": (float, 0.01, _WINDOWED),
-        "omega_min": (float, 0.7, _WINDOWED),
-        "omega_max": (float, 1.3, _WINDOWED),
+        "kind": (str, "dynamics", ()),
+        "gamma_prime": (_float, 0.01, _WINDOWED),
+        "omega_min": (_float, 0.7, _WINDOWED),
+        "omega_max": (_float, 1.3, _WINDOWED),
         "omega_points": (int, 601, _WINDOWED),
-        "q_min": (float, -0.4, ("pes-scan",)),
-        "q_max": (float, 0.6, ("pes-scan",)),
+        "q_min": (_float, -0.4, ("pes-scan",)),
+        "q_max": (_float, 0.6, ("pes-scan",)),
         "q_points": (int, 251, ("pes-scan",)),
         "fock_cutoff": (int, 6, ("pes-scan", "oracle-compare")),
         "manifold_max": (int, 2, ("pes-scan",)),
         "grid_points": (int, 64, ("spectra2d",)),
-        "grid_dt_fs": (float, 0.5, ("spectra2d",)),
+        "grid_dt_fs": (_float, 0.5, ("spectra2d",)),
         "waiting_times_fs": (_float_list, (0.0, 16.0, 32.0, 48.0),
                              ("spectra2d",)),
     },
     "model": {
         "kind": (str, None, MODEL_KINDS),
         "n_qubits": (int, 1, _TC_HTC),
-        "omega_c": (float, 1.0, _TC_HTC),
-        "omega_qubit": (float, 1.0, _TC_HTC),
-        "omega_r": (float, 0.1, _TC_HTC),
-        "kappa": (float, 0.0, _TC_HTC),
-        "gamma": (float, 0.0, _TC_HTC),
-        "lam": (float, 0.0, ("htc",)),
-        "phonon_base": (float, 0.124, ("htc",)),
-        "phonon_bandwidth": (float, 0.0, ("htc",)),
+        "omega_c": (_float, 1.0, _TC_HTC),
+        "omega_qubit": (_float, 1.0, _TC_HTC),
+        "omega_r": (_float, 0.1, _TC_HTC),
+        "kappa": (_float, 0.0, _TC_HTC),
+        "gamma": (_float, 0.0, _TC_HTC),
+        "lam": (_float, 0.0, ("htc",)),
+        "phonon_base": (_float, 0.124, ("htc",)),
+        "phonon_bandwidth": (_float, 0.0, ("htc",)),
         "n_dimers": (int, 1, ("sf",)),
-        "coupling_omega": (float, 0.2, ("sf",)),
+        "coupling_omega": (_float, 0.2, ("sf",)),
         "rwa": (_bool, False, ("sf",)),
-        "n_photons": (float, 6.0, ("sf",)),
-        "cavity_omega_c": (float, 2.256, ("sf",)),
-        "cavity_kappa": (float, 0.0, ("sf",)),
-        "eps_s1": (float, 2.23, ("sf",)),
-        "eps_tt": (float, 2.28, ("sf",)),
-        "eps_sn": (float, 4.33, ("sf",)),
-        "eps_ttn": (float, 4.68, ("sf",)),
-        "omega_tuning": (float, 0.186, ("sf",)),
-        "omega_coupling": (float, 0.0154, ("sf",)),
-        "lam_ci": (float, LAMBDA_CI_CALIBRATED, ("sf",)),
-        "eta_s": (float, 1.0, ("sf",)),
-        "eta_t": (float, 1.0, ("sf",)),
+        "n_photons": (_float, 6.0, ("sf", "dynamics", "oracle-compare")),
+        "cavity_omega_c": (_float, 2.256, ("sf",)),
+        "cavity_kappa": (_float, 0.0, _SF_SPECTRA),
+        "eps_s1": (_float, 2.23, ("sf",)),
+        "eps_tt": (_float, 2.28, ("sf",)),
+        "eps_sn": (_float, 4.33, _SF_SPECTRA),
+        "eps_ttn": (_float, 4.68, _SF_SPECTRA),
+        "omega_tuning": (_float, 0.186, ("sf",)),
+        "omega_coupling": (_float, 0.0154, ("sf", *_NOT_PES)),
+        "lam_ci": (_float, LAMBDA_CI_CALIBRATED, ("sf", *_NOT_PES)),
+        "eta_s": (_float, 1.0, _SF_SPECTRA),
+        "eta_t": (_float, 1.0, _SF_SPECTRA),
     },
     "run": {
-        "t_max_fs": (float, 300.0, None),
-        "sample_dt_fs": (float, 1.0, None),
-        "multiplicity": (int, 1, _HTC_SF),
-        "seed": (int, 0, _HTC_SF),  # start noise, drawn at multiplicity > 1
-        "rel_tol": (float, 1e-6, _HTC_SF),
-        "abs_tol": (float, 1e-8, _HTC_SF),
+        "t_max_fs": (_float, 300.0, _TIMED),
+        "sample_dt_fs": (_float, 1.0, _TIMED),
+        "multiplicity": (int, 1, _PROPAGATED),
+        "seed": (int, 0, _PROPAGATED),  # start noise, drawn at M > 1
+        "rel_tol": (_float, 1e-6, _PROPAGATED),
+        "abs_tol": (_float, 1e-8, _PROPAGATED),
     },
     "disorder": {
-        "width": (_float_list, (0.0,), None),
-        "n_realizations": (int, 1, None),
+        "width": (_float_list, (0.0,), ()),
+        "n_realizations": (int, 1, ()),
         "seed": (int, 0, _TC_HTC),
     },
     "temperature": {
-        "temperature_k": (float, 0.0, None),
-    },
-    "output": {
-        "directory": (str, "out", None),
+        "temperature_k": (_float, 0.0, ()),
     },
 }
+
+
+def _in_part(scope: tuple, kind: str, kinds: tuple) -> bool:
+    """Whether the part of `scope` drawn from `kinds` holds `kind`; an empty
+    part holds every kind."""
+    part = [k for k in scope if k in kinds]
+    return not part or kind in part
 
 
 def _tc_model(model: dict) -> TCModel:
@@ -204,11 +223,11 @@ class RunConfig:
 
     def steering(self, name: str) -> dict:
         """Section `name` without the keys whose scope leaves out this
-        run's experiment ([experiment]) or model kind (other sections)."""
-        kind = self.experiment if name == "experiment" else self.model_kind
+        run's experiment or model kind."""
         schema = _SCHEMA[name]
         return {key: value for key, value in self.sections[name].items()
-                if schema[key][2] is None or kind in schema[key][2]}
+                if _in_part(schema[key][2], self.experiment, EXPERIMENT_KINDS)
+                and _in_part(schema[key][2], self.model_kind, MODEL_KINDS)}
 
     @property
     def options(self) -> dict:
@@ -218,10 +237,6 @@ class RunConfig:
     @property
     def temperature_k(self) -> float:
         return self.sections["temperature"]["temperature_k"]
-
-    @property
-    def out_dir(self) -> str:
-        return self.sections["output"]["directory"]
 
     @cached_property
     def tc(self) -> Optional[TCModel]:
@@ -339,16 +354,10 @@ def _check_tags(values, violations: list, key: str) -> None:
            "first 6 significant digits")
 
 
-def validate(text: str, experiment: Optional[str] = None) -> RunConfig:
+def validate(text: str) -> RunConfig:
     """Parse + validate config text; raises ConfigParseError or
-    ConfigConstraintError (with the full violation list).
-
-    experiment: replaces the text's `[experiment] kind` (the CLI's named
-    experiment subcommands).
-    """
+    ConfigConstraintError (with the full violation list)."""
     sections = _read_sections(text)
-    if experiment is not None:
-        sections.setdefault("experiment", {})["kind"] = experiment
     raw, violations = _convert(sections)
 
     exp = raw["experiment"]
@@ -367,7 +376,8 @@ def validate(text: str, experiment: Optional[str] = None) -> RunConfig:
         violations.append(f"model.kind: {kind!r} not one of {MODEL_KINDS}")
     else:
         for key in sorted(sections.get("model", {})):
-            if key in _SCHEMA["model"] and kind not in _SCHEMA["model"][key][2]:
+            if key in _SCHEMA["model"] and not _in_part(
+                    _SCHEMA["model"][key][2], kind, MODEL_KINDS):
                 violations.append(f"model.{key}: not a {kind} model key")
 
     # run section
@@ -538,7 +548,7 @@ def validate(text: str, experiment: Optional[str] = None) -> RunConfig:
     return RunConfig(raw)
 
 
-def load(path: str, experiment: Optional[str] = None) -> RunConfig:
+def load(path: str) -> RunConfig:
     """Read and validate the config file at `path`; text that is not UTF-8
     is a ConfigParseError, an unreadable path an OSError."""
     try:
@@ -546,7 +556,7 @@ def load(path: str, experiment: Optional[str] = None) -> RunConfig:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigParseError(f"{path}: not UTF-8 text ({exc})") from exc
-    return validate(text, experiment=experiment)
+    return validate(text)
 
 
 def resolved_text(cfg: RunConfig) -> str:

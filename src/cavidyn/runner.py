@@ -470,17 +470,14 @@ def _raise_terminated(signum, frame):
     raise _Terminated(signum)
 
 
-def run(cfg: RunConfig, out_dir: str | None = None, workers: int = 1) -> dict:
-    """Execute the configured experiment; returns the manifest dict.
+def run(cfg: RunConfig, out_dir: str, workers: int = 1) -> dict:
+    """Execute the configured experiment into the directory `out_dir`
+    (made if missing); returns the manifest dict.
 
-    A given `out_dir` replaces the config's `[output] directory`, so the
-    manifest's config echo names the directory the outputs went to.  Call
-    it from the main thread: until it returns, SIGTERM removes the outputs
-    and then ends the process by that signal."""
-    if out_dir:
-        output = dict(cfg.sections["output"], directory=os.fspath(out_dir))
-        cfg = replace(cfg, sections=dict(cfg.sections, output=output))
-    out_dir = cfg.out_dir
+    The manifest names no directory, so two runs of one config write equal
+    manifests but for `wall_clock_s`.  Call it from the main thread: until
+    it returns, SIGTERM removes the outputs and then ends the process by
+    that signal."""
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.time()
     if (cfg.experiment, cfg.model_kind) in _ENSEMBLES:

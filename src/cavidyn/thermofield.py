@@ -32,7 +32,7 @@ from .constants import CLASSICAL_LIMIT_FLOOR, KB_EV_PER_K
 from .models import HTCModel, SystemBathHamiltonian, htc_system_bath
 
 #: tilde partners with mixing angle below this are dropped
-DEFAULT_PRUNE_THRESHOLD = 1e-3
+PRUNE_THRESHOLD = 1e-3
 
 
 class ClassicalLimitError(ValueError):
@@ -62,22 +62,19 @@ def mixing_angles(beta: float, mode_freqs: np.ndarray) -> np.ndarray:
     return np.arctanh(np.exp(-x))
 
 
-def thermal_double(
-    h: SystemBathHamiltonian,
-    theta: np.ndarray,
-    prune_threshold: float = DEFAULT_PRUNE_THRESHOLD,
-) -> SystemBathHamiltonian:
+def thermal_double(h: SystemBathHamiltonian,
+                   theta: np.ndarray) -> SystemBathHamiltonian:
     """Rotated doubled-space Hamiltonian for mixing angles `theta`.
 
     Modes are ordered [physical 0..Nb-1, kept tilde partners in physical
-    order]; a partner whose angle is below `prune_threshold` is dropped.
+    order]; a partner whose angle is below `PRUNE_THRESHOLD` is dropped.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (h.n_modes,):
         raise ValueError(
             f"need one mixing angle per mode: got {theta.shape}, expected ({h.n_modes},)"
         )
-    keep = theta >= prune_threshold
+    keep = theta >= PRUNE_THRESHOLD
     # tilde register: b^+ couples through the physical b coefficients
     # (conjugate phases), scaled by sinh(theta); the b coefficients of both
     # registers follow as the adjoint
@@ -89,12 +86,9 @@ def thermal_double(
         create)
 
 
-def thermal_htc(
-    model: HTCModel,
-    temperature_k: float,
-    prune_threshold: float = DEFAULT_PRUNE_THRESHOLD,
-) -> SystemBathHamiltonian:
+def thermal_htc(model: HTCModel,
+                temperature_k: float) -> SystemBathHamiltonian:
     """Doubled Hamiltonian of `model` at `temperature_k` > 0 K."""
     h = htc_system_bath(model)
     theta = mixing_angles(beta_from_temperature(temperature_k), model.mode_freqs)
-    return thermal_double(h, theta, prune_threshold)
+    return thermal_double(h, theta)

@@ -259,9 +259,15 @@ def test_every_experiment_kind_has_one_runner():
     assert set(runner._EXPERIMENTS) <= set(EXPERIMENT_KINDS)
 
 
-def test_manifest_names_the_output_directory_used(tmp_path, capsys):
-    """`run --out DIR` and `runner.run(cfg, out_dir=DIR)` both echo DIR as
-    `[output] directory`, not the config's own value."""
+def _manifest_but_clock(out_dir):
+    manifest = json.loads((out_dir / "run_manifest.json").read_text())
+    del manifest["wall_clock_s"]
+    return manifest
+
+
+def test_manifest_does_not_depend_on_the_output_directory(tmp_path, capsys):
+    """`run --out DIR` and `runner.run(cfg, DIR)` into two directories write
+    manifests equal but for the wall-clock time: a run is its config."""
     from cavidyn.runner import run
 
     cli_dir = tmp_path / "from_cli"
@@ -269,11 +275,34 @@ def test_manifest_names_the_output_directory_used(tmp_path, capsys):
                       "--out", str(cli_dir))
     assert code == cli.EXIT_OK
     lib_dir = tmp_path / "from_library"
-    run(validate(TINY_TC), out_dir=str(lib_dir))
-    for out_dir in (cli_dir, lib_dir):
-        echo = json.loads((out_dir / "run_manifest.json").read_text())["config"]
-        assert [line for line in echo.splitlines()
-                if line.startswith("directory")] == [f"directory = {out_dir}"]
+    run(validate(TINY_TC), str(lib_dir))
+    assert _manifest_but_clock(cli_dir) == _manifest_but_clock(lib_dir)
+
+
+#: [model] keys of the fission dimer's upper manifold (S_n, TT_n) and its
+#: transition dipoles, which only 2D spectra read
+UPPER_MANIFOLD = "eps_sn = 4.5\neps_ttn = 4.9\neta_s = 0.5\neta_t = 2.0\n"
+
+
+@pytest.mark.parametrize("text,model_keys,extra", [
+    # the cuts at Q_c = 0 read neither the coupling mode, the pump nor [run]
+    (TINY_PES, UPPER_MANIFOLD + "lam_ci = 0.2\nomega_coupling = 0.03\n"
+     "n_photons = 2\n", "\n[run]\nt_max_fs = 50\nmultiplicity = 2\n"),
+    (TINY_PUMPED_SF.replace("seed = 3", "seed = 3\nmultiplicity = 2"),
+     UPPER_MANIFOLD, ""),
+], ids=["pes-scan", "sf-dynamics"])
+def test_keys_that_do_not_steer_leave_the_manifest_unchanged(
+        tmp_path, capsys, text, model_keys, extra):
+    """Two configs that differ only in keys their experiment never reads
+    write equal outputs, so they write equal manifests too."""
+    changed = text.replace("kind = sf\n", "kind = sf\n" + model_keys) + extra
+    dirs = []
+    for i, config in enumerate((text, changed)):
+        dirs.append(tmp_path / f"out{i}")
+        code, _, err = _run(capsys, "run", "--config",
+                            _write(tmp_path, config), "--out", str(dirs[-1]))
+        assert code == cli.EXIT_OK, err
+    assert _manifest_but_clock(dirs[0]) == _manifest_but_clock(dirs[1])
 
 
 def test_validate_echoes_the_resolved_config(tmp_path, capsys):
@@ -305,6 +334,24 @@ def test_validate_echoes_only_the_keys_that_steer_the_model(tmp_path, capsys):
     code, out, err = _run(capsys, "validate", "--config", _write(tmp_path, sf))
     assert code == cli.EXIT_OK, err
     assert "seed = 3\n" in out and "seed = 9" not in out
+    # the upper manifold and the cavity loss steer only 2D spectra
+    upper = ("cavity_kappa", "eps_sn", "eps_ttn", "eta_s", "eta_t")
+    assert not [key for key in upper if f"\n{key} = " in out]
+    assert "\nn_photons = 4.0\n" in out and "\nlam_ci = " in out
+    # 2D spectra run on their own grid, with no pump
+    code, out, err = _run(capsys, "validate", "--config",
+                          _write(tmp_path, TINY_SPECTRA))
+    assert code == cli.EXIT_OK, err
+    assert all(f"\n{key} = " in out for key in upper)
+    assert "t_max_fs" not in out and "sample_dt_fs" not in out
+    assert "n_photons" not in out and "\nmultiplicity = 1\n" in out
+    # a scan reads no [run] key and no coupling-mode or pump key
+    code, out, err = _run(capsys, "validate", "--config",
+                          _write(tmp_path, TINY_PES))
+    assert code == cli.EXIT_OK, err
+    assert "[run]" not in out
+    assert not [key for key in (*upper, "lam_ci", "omega_coupling",
+                                "n_photons") if f"\n{key} = " in out]
 
 
 def test_options_hold_only_their_experiments_keys():
@@ -583,18 +630,18 @@ def test_package_import_and_validate_leave_out_numpy(tmp_path):
         "cavidyn.cli", "cavidyn.config", "cavidyn.constants"}
 
 
-@pytest.mark.parametrize("text,command,left_out", [
+@pytest.mark.parametrize("text,left_out", [
     # the forked workers alone draw the disorder (numpy.random)
-    (TINY_TC, "run", {"cavidyn.sf", "cavidyn.varprop", "cavidyn.spectro",
-                      "cavidyn.thermofield", "concurrent", "multiprocessing",
-                      "numpy.random"}),
+    (TINY_TC, {"cavidyn.sf", "cavidyn.varprop", "cavidyn.spectro",
+               "cavidyn.thermofield", "concurrent", "multiprocessing",
+               "numpy.random"}),
     # an M = 1 start carries no noise, so nothing imports numpy.random
-    (TINY_SPECTRA, "spectra2d", {"cavidyn.tc_exact", "cavidyn.thermofield",
-                                 "concurrent", "numpy.random"}),
+    (TINY_SPECTRA, {"cavidyn.tc_exact", "cavidyn.thermofield", "concurrent",
+                    "numpy.random"}),
 ], ids=["tc-run", "sf-spectra2d"])
-def test_run_imports_only_the_configured_experiment(tmp_path, text, command,
+def test_run_imports_only_the_configured_experiment(tmp_path, text,
                                                     left_out):
-    args = [command, "--config", _write(tmp_path, text), "--out",
+    args = ["run", "--config", _write(tmp_path, text), "--out",
             str(tmp_path / "out"), "--workers", "2"]
     loaded = _loaded_after("from cavidyn import cli\n"
                            f"assert cli.main({args!r}) == 0")
@@ -663,18 +710,30 @@ def test_workers_below_one_is_a_parse_error(tmp_path, capsys, workers):
     assert "--workers" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, flags", [
-    ("spectra2d", ["--resume"]),
-    ("run", ["--seed", "1"]),
-], ids=["resume", "seed"])
-def test_removed_flags_are_parse_errors(tmp_path, capsys, command, flags):
+@pytest.mark.parametrize("flags", [["--resume"], ["--seed", "1"]],
+                         ids=["resume", "seed"])
+def test_removed_flags_are_parse_errors(tmp_path, capsys, flags):
     """A run's inputs are its config and --out (and --workers): the seed is
     a config key, and there is no resume state to reuse."""
     with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--config", _write(tmp_path, TINY_SPECTRA),
+        cli.main(["run", "--config", _write(tmp_path, TINY_SPECTRA),
                   "--out", str(tmp_path / "out"), *flags])
     assert exc.value.code == cli.EXIT_PARSE
     assert flags[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["absorption", "pes-scan", "spectra2d",
+                                     "oracle-compare"])
+def test_removed_commands_are_parse_errors(tmp_path, capsys, command):
+    """The config's [experiment] kind alone says what runs: no command
+    overrides it."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", _write(tmp_path, TINY_SPECTRA),
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and command in err
     assert not (tmp_path / "out").exists()
 
 
@@ -800,14 +859,28 @@ def test_config_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     assert "parse error" in err and "UTF-8" in err
 
 
+#: a float key takes finite numbers only: each text by the key it must name
+NON_FINITE = {
+    "run.t_max_fs": TINY_TC.replace("t_max_fs = 20", "t_max_fs = inf"),
+    "experiment.waiting_times_fs": TINY_SPECTRA.replace(
+        "waiting_times_fs = 0", "waiting_times_fs = 0 inf"),
+    "model.omega_r": TINY_TC.replace("omega_r = 0.1", "omega_r = inf"),
+    "model.kappa": TINY_TC.replace("kappa = 0.005", "kappa = nan"),
+}
+
+
 @pytest.mark.parametrize("text", [
     "no section header\n",
     TINY_TC.replace("n_qubits = 3", "n_qubits = three"),
+    *(pytest.param(text, id=key) for key, text in NON_FINITE.items()),
 ])
-def test_parse_errors_exit_2(tmp_path, capsys, text):
+def test_parse_errors_exit_2(tmp_path, capsys, request, text):
     code, _, err = _run(capsys, "validate", "--config", _write(tmp_path, text))
     assert code == cli.EXIT_PARSE
     assert "parse error" in err
+    key = request.node.callspec.id
+    if key in NON_FINITE:
+        assert err.startswith(f"parse error: {key}: cannot parse")
 
 
 def test_every_constraint_violation_is_reported_in_one_run(tmp_path, capsys):
@@ -861,12 +934,15 @@ def test_photon_cutoff_is_not_a_tc_key(tmp_path, capsys):
     # htc absorption samples on the run's time axis, like dynamics
     (TINY_HTC_ABSORPTION.replace("sample_dt_fs = 1.0", "sample_dt_fs = 3.0"),
      "run.t_max_fs"),
+    # --out alone says where the outputs go
+    (TINY_TC + "\n[output]\ndirectory = elsewhere\n",
+     "output: unknown section"),
 ], ids=["downhill-fission", "above-nyquist", "off-grid-waiting-time",
         "one-site-htc", "pes-scan-photon-cutoff", "pes-scan-cavity-loss",
         "pes-scan-negative-manifold",
         "htc-classical-limit", "samples-past-window", "negative-disorder-seed",
         "disorder-seed-past-u64", "corrupted-metric-pair",
-        "htc-absorption-samples-past-window"])
+        "htc-absorption-samples-past-window", "output-section"])
 def test_validate_rejects_what_would_fail_at_run_time(tmp_path, capsys, text,
                                                      violation):
     code, _, err = _run(capsys, "validate", "--config", _write(tmp_path, text))
@@ -918,7 +994,7 @@ def test_htc_temperature_floor_matches_the_thermofield():
 
 def _oracle_report(tmp_path, capsys, text):
     out_dir = tmp_path / "out"
-    code, _, err = _run(capsys, "oracle-compare", "--config",
+    code, _, err = _run(capsys, "run", "--config",
                         _write(tmp_path, text), "--out", str(out_dir))
     assert code == cli.EXIT_OK, err
     manifest = json.loads((out_dir / "run_manifest.json").read_text())
@@ -1034,7 +1110,7 @@ def test_oracle_twin_keeps_every_displaced_mode(tmp_path, capsys):
 ], ids=["tc-model", "no-model", "pair-key", "zero-cutoff"])
 def test_oracle_compare_needs_a_variational_config(tmp_path, capsys, text,
                                                    violation):
-    code, _, err = _run(capsys, "oracle-compare", "--config",
+    code, _, err = _run(capsys, "run", "--config",
                         _write(tmp_path, text), "--out", str(tmp_path / "out"))
     assert code == cli.EXIT_CONSTRAINT
     assert violation in err
@@ -1104,7 +1180,7 @@ def test_cavity_free_two_dimer_dynamics(tmp_path, capsys):
 
 def test_plain_spectra_run_leaves_only_its_outputs(tmp_path, capsys):
     out_dir = tmp_path / "out"
-    code, _, err = _run(capsys, "spectra2d", "--config",
+    code, _, err = _run(capsys, "run", "--config",
                         _write(tmp_path, TINY_SPECTRA), "--out", str(out_dir))
     assert code == cli.EXIT_OK, err
     manifest = json.loads((out_dir / "run_manifest.json").read_text())

@@ -8,6 +8,7 @@ from scipy.stats import spearmanr
 
 from cavidyn.constants import HBAR_EV_FS, KB_EV_PER_K
 from cavidyn.dense_ref import DensePropagator, FockSpace, thermal_fock_weights
+from cavidyn import thermofield
 from cavidyn.models import HTCModel, TCModel, htc_system_bath
 from cavidyn.thermofield import (
     ClassicalLimitError,
@@ -61,7 +62,7 @@ def test_doubled_hamiltonian_structure():
     htc = HTCModel(tc=small_tc(), lam=0.5, phonon_base=0.124, phonon_bandwidth=0.5)
     h = htc_system_bath(htc)
     theta = np.array([0.3, 0.2])
-    hd = thermal_double(h, theta, prune_threshold=0.0)
+    hd = thermal_double(h, theta)
     assert hd.n_modes == 4
     assert np.array_equal(hd.mode_freqs[:2], h.mode_freqs)
     assert np.array_equal(hd.mode_freqs[2:], -h.mode_freqs)
@@ -81,7 +82,7 @@ def test_tilde_to_physical_coupling_ratio_is_tanh():
     htc = HTCModel(tc=small_tc(3), lam=0.4, phonon_base=0.124, phonon_bandwidth=0.3)
     h = htc_system_bath(htc)
     theta = np.array([0.8, 0.05, 1.3])
-    hd = thermal_double(h, theta, prune_threshold=0.0)
+    hd = thermal_double(h, theta)
     for q in range(3):
         phys = hd.coup_annihilate[:, :, q]
         tilde = hd.coup_create[:, :, 3 + q]
@@ -123,14 +124,15 @@ def test_zero_angle_reduces_to_bare_hamiltonian_and_trajectory():
     assert np.max(np.abs(t_plain.displacements - t_doubled.displacements)) <= 1e-10
 
 
-def test_pruned_tilde_modes_are_inert():
-    # a mode with theta below the default threshold changes nothing observable
+def test_pruned_tilde_modes_are_inert(monkeypatch):
+    # a mode with theta below the threshold changes nothing observable
     htc = HTCModel(tc=small_tc(), lam=1.0, phonon_base=0.124, phonon_bandwidth=0.5)
     h = htc_system_bath(htc)
     theta = mixing_angles(beta_from_temperature(150.0), htc.mode_freqs)
-    assert theta[1] < 1e-3 < theta[0]
+    assert theta[1] < thermofield.PRUNE_THRESHOLD < theta[0]
     d_pruned = thermal_double(h, theta)
-    d_full = thermal_double(h, theta, prune_threshold=0.0)
+    monkeypatch.setattr(thermofield, "PRUNE_THRESHOLD", 0.0)
+    d_full = thermal_double(h, theta)
     assert d_pruned.n_modes == 3 and d_full.n_modes == 4
     s1 = init_state(3, d_pruned.n_modes, 0, multiplicity=1)
     s2 = init_state(3, d_full.n_modes, 0, multiplicity=1)
@@ -167,7 +169,7 @@ def test_finite_temperature_against_dense_thermal_average():
                 axis=(1, 2)
             )
 
-    d = thermal_htc(htc, t_k, prune_threshold=0.0)
+    d = thermal_htc(htc, t_k)
     st = init_state(d.n_sys, d.n_modes, 0, multiplicity=10, noise_seed=3)
     tr = propagate(d, st, times)
     assert np.max(np.abs(tr.photon_population() - ref)) <= 1e-2
@@ -239,7 +241,7 @@ def test_temperature_coupling_interchangeability_trend():
 
     def curve(lam, t_k):
         m = HTCModel(tc=tc, lam=lam, phonon_base=base, phonon_bandwidth=0.0)
-        d = thermal_htc(m, t_k, prune_threshold=0.0)
+        d = thermal_htc(m, t_k)
         st = init_state(d.n_sys, d.n_modes, 0, multiplicity=8, noise_seed=5)
         return propagate(d, st, np.arange(101.0)).photon_population()
 
