@@ -2,20 +2,26 @@
 
 Configs are INI files with sections [experiment], [model], [run], [disorder]
 and [temperature]; the output directory is not a config key but the CLI's
-`--out`.  `_SCHEMA` is the only list of their keys: each entry holds the
-key's type converter, its default (None: required) and its scope.  A scope
-names experiments, model kinds, or both (empty: every run); a key steers a
-run when each part of its scope contains the run's experiment or model
-kind.  A [model] key outside the configured model kind's part is a
-violation.  Any other key out of scope is tolerated, since one config file
-can be switched between experiments by its `[experiment] kind` alone, but
-left out of the echo.
+`--out`.  A config names one run, an (experiment, model kind) pair of
+`RUNS`.  `_SCHEMA` is the only list of the keys: each entry holds the key's
+type converter, its default (None: required), its scope and its rule.
+
+A scope is the set of runs the key steers, and a rule the key's own bound
+(> 0, >= n, an interval or a choice), checked only where the key steers.
+Checks that join two keys, or a key and the run, are written out in
+`validate` and skip a key whose own rule failed; one refuses a lossy
+cavity in every sf run but 2D spectra.  Any other key a run never reads is
+tolerated whatever its value, since one config file can be switched
+between experiments by its `[experiment] kind` alone, and is left out of
+the echo.  A [model] key that steers no run of its model kind is a
+violation.
 
 Validation is total: every violation is collected with its key path
-(section.key) before reporting.  Parse problems (malformed INI, non-numeric
-values) and constraint violations (out-of-range, unknown keys, unsupported
-combinations) are distinct error types so the CLI can exit with different
-codes.
+(section.key) before reporting, but a config that names no run reports
+only its section, key and kind violations, since every rule depends on the
+run.  Parse problems (malformed INI, non-numeric values) and constraint
+violations (out-of-range, unknown keys, unsupported combinations) are
+distinct error types so the CLI can exit with different codes.
 
 A `RunConfig` holds the only copy of the resolved values, `sections`, with
 every schema key.  Its attributes read it; `options` and `resolved_text`
@@ -23,7 +29,8 @@ keep only the keys in scope, so the `validate` output and every run
 manifest name every key that determined the outputs.  A pes-scan run, for
 one, echoes no [run] key and none of `lam_ci`, `omega_coupling`,
 `n_photons`, `eps_sn`, `eps_ttn`, `eta_s`, `eta_t` and `cavity_kappa`,
-which leave its cuts at Q_c = 0 unchanged.
+which leave its cuts at Q_c = 0 unchanged; a tc absorption run, a pole sum,
+echoes neither `t_max_fs`, `sample_dt_fs` nor `gamma_prime`.
 
 Every config has a [model] section; an oracle-compare config is checked as
 htc or sf dynamics, with `fock_cutoff` for its exact Fock twin.
@@ -103,85 +110,116 @@ def _float_list(text: str):
     return tuple(_float(tok) for tok in text.replace(",", " ").split())
 
 
-_TC_HTC = ("tc", "htc")
-_HTC_SF = ("htc", "sf")  # the variational runs
-_WINDOWED = ("absorption", "spectra2d")
-_TIMED = ("dynamics", "absorption", "oracle-compare")  # on a time axis
-_NOT_PES = ("dynamics", "absorption", "spectra2d", "oracle-compare")
-_PROPAGATED = (*_HTC_SF, *_NOT_PES)  # variational runs that propagate
-_SF_SPECTRA = ("sf", "spectra2d")  # the upper manifold and its loss
+#: the (experiment, model kind) pairs that run
+RUNS = frozenset({
+    ("dynamics", "tc"), ("dynamics", "htc"), ("dynamics", "sf"),
+    ("absorption", "tc"), ("absorption", "htc"), ("pes-scan", "sf"),
+    ("spectra2d", "sf"), ("oracle-compare", "htc"), ("oracle-compare", "sf"),
+})
 
-# (type converter, default, scope) per key; a None default means required.
-# A scope names the experiments and the model kinds the key steers; a part
-# it leaves empty holds every kind, so () means every run.
+
+def _runs(experiments=EXPERIMENT_KINDS, models=MODEL_KINDS) -> frozenset:
+    """The runs of one of `experiments` on one of `models`."""
+    return frozenset(run for run in RUNS
+                     if run[0] in experiments and run[1] in models)
+
+
+_TC_HTC = _runs(models=("tc", "htc"))
+_HTC = _runs(models=("htc",))
+_SF = _runs(models=("sf",))
+_PES = _runs(("pes-scan",))
+_SPECTRA = _runs(("spectra2d",))  # the upper manifold and its loss
+_WINDOWED = _runs(("absorption", "spectra2d"))
+# htc absorption samples its autocorrelation on the dynamics time axis
+_TIMED = _runs(("dynamics", "oracle-compare")) | {("absorption", "htc")}
+_PROPAGATED = _runs(models=("htc", "sf")) - _PES  # variational propagation
+_PUMPED = _runs(("dynamics", "oracle-compare"), ("sf",))  # coherent pump
+_DAMPED = _WINDOWED & _PROPAGATED  # a propagated response under gamma_prime
+
+
+def _at_least(bound):
+    """The rule value >= `bound`: a (test, message) pair."""
+    return (lambda value: value >= bound), f"must be >= {bound}"
+
+
+_POSITIVE = ((lambda value: value > 0), "must be > 0")
+_NON_NEGATIVE = _at_least(0)
+
+# (type converter, default, scope, rule) per key; a None default means
+# required.  The scope is the set of runs the key steers, and the rule, a
+# (test, message) pair or None, is the key's own bound, checked only there.
 _SCHEMA = {
     "experiment": {
-        "kind": (str, "dynamics", ()),
-        "gamma_prime": (_float, 0.01, _WINDOWED),
-        "omega_min": (_float, 0.7, _WINDOWED),
-        "omega_max": (_float, 1.3, _WINDOWED),
-        "omega_points": (int, 601, _WINDOWED),
-        "q_min": (_float, -0.4, ("pes-scan",)),
-        "q_max": (_float, 0.6, ("pes-scan",)),
-        "q_points": (int, 251, ("pes-scan",)),
-        "fock_cutoff": (int, 6, ("pes-scan", "oracle-compare")),
-        "manifold_max": (int, 2, ("pes-scan",)),
-        "grid_points": (int, 64, ("spectra2d",)),
-        "grid_dt_fs": (_float, 0.5, ("spectra2d",)),
-        "waiting_times_fs": (_float_list, (0.0, 16.0, 32.0, 48.0),
-                             ("spectra2d",)),
+        "kind": (str, "dynamics", RUNS, None),
+        "gamma_prime": (_float, 0.01, _DAMPED, _POSITIVE),
+        "omega_min": (_float, 0.7, _WINDOWED, None),
+        "omega_max": (_float, 1.3, _WINDOWED, None),
+        "omega_points": (int, 601, _WINDOWED, _at_least(2)),
+        "q_min": (_float, -0.4, _PES, None),
+        "q_max": (_float, 0.6, _PES, None),
+        "q_points": (int, 251, _PES, _at_least(2)),
+        "fock_cutoff": (int, 6, _runs(("pes-scan", "oracle-compare")),
+                        _at_least(1)),
+        "manifold_max": (int, 2, _PES, _NON_NEGATIVE),
+        "grid_points": (int, 64, _SPECTRA, _at_least(2)),
+        "grid_dt_fs": (_float, 0.5, _SPECTRA, _POSITIVE),
+        "waiting_times_fs": (_float_list, (0.0, 16.0, 32.0, 48.0), _SPECTRA,
+                             None),
     },
     "model": {
-        "kind": (str, None, MODEL_KINDS),
-        "n_qubits": (int, 1, _TC_HTC),
-        "omega_c": (_float, 1.0, _TC_HTC),
-        "omega_qubit": (_float, 1.0, _TC_HTC),
-        "omega_r": (_float, 0.1, _TC_HTC),
-        "kappa": (_float, 0.0, _TC_HTC),
-        "gamma": (_float, 0.0, _TC_HTC),
-        "lam": (_float, 0.0, ("htc",)),
-        "phonon_base": (_float, 0.124, ("htc",)),
-        "phonon_bandwidth": (_float, 0.0, ("htc",)),
-        "n_dimers": (int, 1, ("sf",)),
-        "coupling_omega": (_float, 0.2, ("sf",)),
-        "rwa": (_bool, False, ("sf",)),
-        "n_photons": (_float, 6.0, ("sf", "dynamics", "oracle-compare")),
-        "cavity_omega_c": (_float, 2.256, ("sf",)),
-        "cavity_kappa": (_float, 0.0, _SF_SPECTRA),
-        "eps_s1": (_float, 2.23, ("sf",)),
-        "eps_tt": (_float, 2.28, ("sf",)),
-        "eps_sn": (_float, 4.33, _SF_SPECTRA),
-        "eps_ttn": (_float, 4.68, _SF_SPECTRA),
-        "omega_tuning": (_float, 0.186, ("sf",)),
-        "omega_coupling": (_float, 0.0154, ("sf", *_NOT_PES)),
-        "lam_ci": (_float, LAMBDA_CI_CALIBRATED, ("sf", *_NOT_PES)),
-        "eta_s": (_float, 1.0, _SF_SPECTRA),
-        "eta_t": (_float, 1.0, _SF_SPECTRA),
+        "kind": (str, None, RUNS, None),
+        "n_qubits": (int, 1, _TC_HTC, _at_least(1)),
+        "omega_c": (_float, 1.0, _TC_HTC, _POSITIVE),
+        "omega_qubit": (_float, 1.0, _TC_HTC, _POSITIVE),
+        "omega_r": (_float, 0.1, _TC_HTC, _NON_NEGATIVE),
+        "kappa": (_float, 0.0, _TC_HTC, _NON_NEGATIVE),
+        "gamma": (_float, 0.0, _TC_HTC, _NON_NEGATIVE),
+        "lam": (_float, 0.0, _HTC, _NON_NEGATIVE),
+        "phonon_base": (_float, 0.124, _HTC, _POSITIVE),
+        "phonon_bandwidth": (_float, 0.0, _HTC, (
+            (lambda value: 0 <= value < 1),
+            "must lie in [0, 1) so every mode frequency stays positive")),
+        "n_dimers": (int, 1, _SF, ((lambda value: value in (1, 2)),
+                                   "unsupported (only 1 or 2 dimers)")),
+        "coupling_omega": (_float, 0.2, _SF, _NON_NEGATIVE),
+        "rwa": (_bool, False, _SF, None),
+        "n_photons": (_float, 6.0, _PUMPED, (
+            (lambda value: 0 <= value <= 25),
+            "coherent pump mean must lie in [0, 25]")),
+        "cavity_omega_c": (_float, 2.256, _SF, _POSITIVE),
+        "cavity_kappa": (_float, 0.0, _SPECTRA, _NON_NEGATIVE),
+        "eps_s1": (_float, 2.23, _SF, None),
+        "eps_tt": (_float, 2.28, _SF, None),
+        "eps_sn": (_float, 4.33, _SPECTRA, None),
+        "eps_ttn": (_float, 4.68, _SPECTRA, None),
+        "omega_tuning": (_float, 0.186, _SF, _POSITIVE),
+        "omega_coupling": (_float, 0.0154, _SF - _PES, _POSITIVE),
+        "lam_ci": (_float, LAMBDA_CI_CALIBRATED, _SF - _PES, None),
+        "eta_s": (_float, 1.0, _SPECTRA, _NON_NEGATIVE),
+        "eta_t": (_float, 1.0, _SPECTRA, _NON_NEGATIVE),
     },
     "run": {
-        "t_max_fs": (_float, 300.0, _TIMED),
-        "sample_dt_fs": (_float, 1.0, _TIMED),
-        "multiplicity": (int, 1, _PROPAGATED),
-        "seed": (int, 0, _PROPAGATED),  # start noise, drawn at M > 1
-        "rel_tol": (_float, 1e-6, _PROPAGATED),
-        "abs_tol": (_float, 1e-8, _PROPAGATED),
+        "t_max_fs": (_float, 300.0, _TIMED, _POSITIVE),
+        "sample_dt_fs": (_float, 1.0, _TIMED, _POSITIVE),
+        "multiplicity": (int, 1, _PROPAGATED, _at_least(1)),
+        # start noise, drawn at M > 1
+        "seed": (int, 0, _PROPAGATED, _NON_NEGATIVE),
+        "rel_tol": (_float, 1e-6, _PROPAGATED, _POSITIVE),
+        "abs_tol": (_float, 1e-8, _PROPAGATED, _POSITIVE),
     },
     "disorder": {
-        "width": (_float_list, (0.0,), ()),
-        "n_realizations": (int, 1, ()),
-        "seed": (int, 0, _TC_HTC),
+        "width": (_float_list, (0.0,), RUNS, (
+            (lambda widths: len(widths) >= 1 and min(widths) >= 0),
+            "need one or more widths >= 0")),
+        "n_realizations": (int, 1, RUNS, _at_least(1)),
+        # one word of the disorder draws' Philox key
+        "seed": (int, 0, _TC_HTC, ((lambda value: 0 <= value < 2 ** 64),
+                                   "must lie in [0, 2**64 - 1]")),
     },
     "temperature": {
-        "temperature_k": (_float, 0.0, ()),
+        "temperature_k": (_float, 0.0, RUNS, _NON_NEGATIVE),
     },
 }
-
-
-def _in_part(scope: tuple, kind: str, kinds: tuple) -> bool:
-    """Whether the part of `scope` drawn from `kinds` holds `kind`; an empty
-    part holds every kind."""
-    part = [k for k in scope if k in kinds]
-    return not part or kind in part
 
 
 def _tc_model(model: dict) -> TCModel:
@@ -222,12 +260,10 @@ class RunConfig:
         return SimpleNamespace(**self.sections["disorder"])
 
     def steering(self, name: str) -> dict:
-        """Section `name` without the keys whose scope leaves out this
-        run's experiment or model kind."""
-        schema = _SCHEMA[name]
+        """Section `name` without the keys that do not steer this run."""
+        run = (self.experiment, self.model_kind)
         return {key: value for key, value in self.sections[name].items()
-                if _in_part(schema[key][2], self.experiment, EXPERIMENT_KINDS)
-                and _in_part(schema[key][2], self.model_kind, MODEL_KINDS)}
+                if run in _SCHEMA[name][key][2]}
 
     @property
     def options(self) -> dict:
@@ -323,16 +359,19 @@ def _convert(sections: dict) -> tuple[dict, list]:
         resolved[name] = out
     for name, schema in _SCHEMA.items():
         out = resolved.setdefault(name, {})
-        for key, (_, default, _) in schema.items():
-            if key not in out and default is not None:
+        for key, (_, default, _, _) in schema.items():
+            if key in out:
+                continue
+            if default is None:
+                violations.append(f"{name}.{key}: required")
+            else:
                 out[key] = default
     return resolved, violations
 
 
-def _check(cond: bool, violations: list, message: str) -> bool:
+def _check(cond: bool, violations: list, message: str) -> None:
     if not cond:
         violations.append(message)
-    return cond
 
 
 def file_tag(value: float) -> str:
@@ -366,76 +405,53 @@ def validate(text: str) -> RunConfig:
     dis = raw["disorder"]
     temp_k = raw["temperature"]["temperature_k"]
 
-    _check(exp["kind"] in EXPERIMENT_KINDS, violations,
-           f"experiment.kind: {exp['kind']!r} not one of {EXPERIMENT_KINDS}")
-
-    kind = model.get("kind")
-    if kind is None:
-        violations.append("model.kind: required")
-    elif kind not in MODEL_KINDS:
+    experiment, kind = exp["kind"], model.get("kind")
+    pair = (experiment, kind)
+    if experiment not in EXPERIMENT_KINDS:
+        violations.append(f"experiment.kind: {experiment!r} not one of "
+                          f"{EXPERIMENT_KINDS}")
+    if kind not in (None, *MODEL_KINDS):
         violations.append(f"model.kind: {kind!r} not one of {MODEL_KINDS}")
-    else:
-        for key in sorted(sections.get("model", {})):
-            if key in _SCHEMA["model"] and not _in_part(
-                    _SCHEMA["model"][key][2], kind, MODEL_KINDS):
-                violations.append(f"model.{key}: not a {kind} model key")
+    elif kind and experiment in EXPERIMENT_KINDS and pair not in RUNS:
+        models = [m for m in MODEL_KINDS if (experiment, m) in RUNS]
+        violations.append(f"experiment.kind: {experiment} requires the "
+                          f"{' or '.join(models)} model")
+    if pair not in RUNS:  # every rule below depends on the run
+        raise ConfigConstraintError(violations)
 
-    # run section
-    _check(run["t_max_fs"] > 0, violations, "run.t_max_fs: must be > 0")
-    _check(run["sample_dt_fs"] > 0, violations,
-           "run.sample_dt_fs: must be > 0")
-    _check(run["multiplicity"] >= 1, violations,
-           "run.multiplicity: must be >= 1")
-    _check(run["rel_tol"] > 0, violations, "run.rel_tol: must be > 0")
-    _check(run["abs_tol"] > 0, violations, "run.abs_tol: must be > 0")
-    _check(run["seed"] >= 0, violations, "run.seed: must be >= 0")
+    for key in sorted(sections.get("model", {}).keys() & _SCHEMA["model"]):
+        if all(m != kind for _, m in _SCHEMA["model"][key][2]):
+            violations.append(f"model.{key}: not a {kind} model key")
+
+    failed = set()  # the keys whose own rule failed
+    for name, schema in _SCHEMA.items():
+        for key, (_, _, scope, rule) in schema.items():
+            if rule and pair in scope and not rule[0](raw[name][key]):
+                violations.append(f"{name}.{key}: {rule[1]}")
+                failed.add(f"{name}.{key}")
+
+    def ok(*keys) -> bool:
+        """Whether every key passed its own rule."""
+        return failed.isdisjoint(keys)
+
+    _check_tags(dis["width"], violations, "disorder.width")
     dt = run["sample_dt_fs"]
-    dynamics = exp["kind"] in ("dynamics", "oracle-compare")  # run as such
-    # htc absorption samples its autocorrelation on the dynamics time axis
-    htc_absorption = (exp["kind"], kind) == ("absorption", "htc")
-    if (dynamics or htc_absorption) and run["t_max_fs"] > 0 and dt > 0:
+    if pair in _TIMED and ok("run.t_max_fs", "run.sample_dt_fs"):
         # the runner samples round(t_max_fs / dt) + 1 times
         _check(_on_grid(run["t_max_fs"], dt), violations,
                f"run.t_max_fs: must be a whole number of {dt} fs samples "
                "(run.sample_dt_fs)")
     # the step (and its key) of the samples behind an omega window
-    window_step = (dt, "run.sample_dt_fs") if htc_absorption and dt > 0 else None
+    window_step = None
+    if pair == ("absorption", "htc") and ok("run.sample_dt_fs"):
+        window_step = (dt, "run.sample_dt_fs")
 
-    # disorder section
-    _check(all(w >= 0 for w in dis["width"]), violations,
-           "disorder.width: widths must be >= 0")
-    _check(len(dis["width"]) >= 1, violations,
-           "disorder.width: need at least one width")
-    _check_tags(dis["width"], violations, "disorder.width")
-    _check(dis["n_realizations"] >= 1, violations,
-           "disorder.n_realizations: must be >= 1")
-    # the seed is one word of the disorder draws' Philox key
-    _check(0 <= dis["seed"] < 2 ** 64, violations,
-           "disorder.seed: must lie in [0, 2**64 - 1]")
-    _check(temp_k >= 0, violations,
-           "temperature.temperature_k: must be >= 0")
-
-    if kind in ("tc", "htc"):
-        # htc carries one phonon mode per emitter on a periodic register
-        min_qubits = 2 if kind == "htc" else 1
-        _check(model["n_qubits"] >= min_qubits, violations,
-               f"model.n_qubits: must be >= {min_qubits} for the {kind} model")
-        _check(model["omega_c"] > 0, violations, "model.omega_c: must be > 0")
-        _check(model["omega_qubit"] > 0, violations,
-               "model.omega_qubit: must be > 0")
-        _check(model["omega_r"] >= 0, violations,
-               "model.omega_r: must be >= 0")
-        _check(model["kappa"] >= 0, violations, "model.kappa: must be >= 0")
-        _check(model["gamma"] >= 0, violations, "model.gamma: must be >= 0")
     if kind == "htc":
-        _check(model["lam"] >= 0, violations, "model.lam: must be >= 0")
-        _check(model["phonon_base"] > 0, violations,
-               "model.phonon_base: must be > 0")
-        bandwidth_ok = _check(
-            0 <= model["phonon_bandwidth"] < 1, violations,
-            "model.phonon_bandwidth: must lie in [0, 1) so every mode "
-            "frequency stays positive")
-        if temp_k > 0 and model["phonon_base"] > 0 and bandwidth_ok:
+        # htc carries one phonon mode per emitter on a periodic register
+        if ok("model.n_qubits"):
+            _check(model["n_qubits"] >= 2, violations,
+                   "model.n_qubits: must be >= 2 for the htc model")
+        if temp_k > 0 and ok("model.phonon_base", "model.phonon_bandwidth"):
             # the thermofield rule (thermofield.mixing_angles) on the lowest
             # mode, k = 0, which every register of n_qubits >= 2 holds
             omega_min = model["phonon_base"] * (1.0 - model["phonon_bandwidth"])
@@ -445,35 +461,12 @@ def validate(text: str) -> RunConfig:
                    f"lowest phonon mode is below {CLASSICAL_LIMIT_FLOOR:.0e} "
                    "(classical limit); reduce the temperature")
     if kind == "sf":
-        _check(model["n_dimers"] in (1, 2), violations,
-               "model.n_dimers: unsupported (only 1 or 2 dimers)")
-        _check(model["coupling_omega"] >= 0, violations,
-               "model.coupling_omega: must be >= 0")
-        _check(model["cavity_omega_c"] > 0, violations,
-               "model.cavity_omega_c: must be > 0")
-        _check(model["cavity_kappa"] >= 0, violations,
-               "model.cavity_kappa: must be >= 0")
-        _check(model["eta_s"] >= 0, violations, "model.eta_s: must be >= 0")
-        _check(model["eta_t"] >= 0, violations, "model.eta_t: must be >= 0")
-        _check(0 <= model["n_photons"] <= 25, violations,
-               "model.n_photons: coherent pump mean must lie in [0, 25]")
-        _check(model["omega_tuning"] > 0, violations,
-               "model.omega_tuning: must be > 0")
-        _check(model["omega_coupling"] > 0, violations,
-               "model.omega_coupling: must be > 0")
         _check(model["eps_s1"] < model["eps_tt"], violations,
                "model.eps_s1: must be below eps_tt (uphill fission)")
-        if dynamics or exp["kind"] == "pes-scan":
+        if experiment != "spectra2d":
             _check(model["cavity_kappa"] == 0, violations,
-                   f"model.cavity_kappa: sf {exp['kind']} runs need a "
+                   f"model.cavity_kappa: sf {experiment} runs need a "
                    "lossless cavity")
-        if exp["kind"] == "spectra2d":
-            if "rwa" in sections.get("model", {}):
-                _check(model["rwa"], violations,
-                       "model.rwa: spectra2d works in excitation-number "
-                       "blocks and requires the rotating-wave coupling")
-            else:
-                model["rwa"] = True
         _check(dis["width"] == (0.0,) and dis["n_realizations"] == 1,
                violations, "disorder: unsupported for the sf model")
         _check(temp_k == 0, violations,
@@ -483,39 +476,30 @@ def validate(text: str) -> RunConfig:
         _check(temp_k == 0, violations,
                "temperature.temperature_k: the tc model has no phonon "
                "bath to thermalize")
-
-    # experiment/model compatibility
-    if exp["kind"] in ("pes-scan", "spectra2d"):
-        _check(kind == "sf", violations,
-               f"experiment.kind: {exp['kind']} requires the sf model")
-    if exp["kind"] == "absorption":
-        _check(kind in ("tc", "htc"), violations,
-               "experiment.kind: absorption requires the tc or htc model")
-        if kind == "tc":
+        if experiment == "absorption" and ok("model.kappa", "model.gamma"):
             _check(model["kappa"] + model["gamma"] > 0, violations,
                    "model.kappa: the pole lineshape needs a linewidth — set "
                    "kappa or gamma > 0 for a tc absorption run")
-    if exp["kind"] == "oracle-compare":
-        _check(kind in _HTC_SF, violations,
-               "experiment.kind: oracle-compare requires the htc or sf "
-               "model; tc dynamics already is the exact pole sum")
-        _check(exp["fock_cutoff"] >= 1, violations,
-               "experiment.fock_cutoff: must be >= 1")
-    if exp["kind"] == "spectra2d":
+
+    if experiment == "spectra2d":
         _check({"omega_min", "omega_max"} <= set(sections["experiment"]),
                violations, "experiment.omega_min, experiment.omega_max: "
                "spectra2d needs its window set; the default 0.7-1.3 eV "
                "holds no transition of the fission dimer")
-        _check(exp["grid_points"] >= 2, violations,
-               "experiment.grid_points: must be >= 2")
-        dt = exp["grid_dt_fs"]
-        if _check(dt > 0, violations, "experiment.grid_dt_fs: must be > 0"):
-            tws = exp["waiting_times_fs"]
+        if "rwa" in sections.get("model", {}):
+            _check(model["rwa"], violations,
+                   "model.rwa: spectra2d works in excitation-number "
+                   "blocks and requires the rotating-wave coupling")
+        else:
+            model["rwa"] = True
+        tws = exp["waiting_times_fs"]
+        _check_tags(tws, violations, "experiment.waiting_times_fs")
+        if ok("experiment.grid_dt_fs"):
+            dt = exp["grid_dt_fs"]
             _check(len(tws) >= 1 and all(
                 w >= 0 and _on_grid(w, dt) for w in tws),
                 violations, "experiment.waiting_times_fs: need one or more "
                 f"waiting times >= 0 on the {dt} fs grid")
-            _check_tags(tws, violations, "experiment.waiting_times_fs")
             window_step = (dt, "experiment.grid_dt_fs")
     if window_step is not None:
         nyquist = nyquist_ev(window_step[0])
@@ -524,23 +508,16 @@ def validate(text: str) -> RunConfig:
                f"experiment.omega_max: the omega window exceeds the Nyquist "
                f"limit {nyquist:.3f} eV of the {window_step[0]} fs steps "
                f"({window_step[1]})")
-    if exp["kind"] in ("absorption", "spectra2d"):
-        _check(exp["gamma_prime"] > 0, violations,
-               "experiment.gamma_prime: must be > 0")
-        _check(exp["omega_points"] >= 2, violations,
-               "experiment.omega_points: must be >= 2")
+    if pair in _WINDOWED:
         _check(exp["omega_max"] > exp["omega_min"], violations,
                "experiment.omega_max: must exceed omega_min")
-    if exp["kind"] == "pes-scan":
-        _check(exp["q_points"] >= 2, violations,
-               "experiment.q_points: must be >= 2")
+    if experiment == "pes-scan":
         _check(exp["q_max"] > exp["q_min"], violations,
                "experiment.q_max: must exceed q_min")
-        _check(exp["manifold_max"] >= 0, violations,
-               "experiment.manifold_max: must be >= 0")
-        _check(exp["fock_cutoff"] >= exp["manifold_max"] + 4, violations,
-               "experiment.fock_cutoff: must be >= manifold_max + 4 = "
-               f"{exp['manifold_max'] + 4}")
+        if ok("experiment.fock_cutoff", "experiment.manifold_max"):
+            _check(exp["fock_cutoff"] >= exp["manifold_max"] + 4, violations,
+                   "experiment.fock_cutoff: must be >= manifold_max + 4 = "
+                   f"{exp['manifold_max'] + 4}")
 
     if violations:
         raise ConfigConstraintError(violations)

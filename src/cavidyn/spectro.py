@@ -10,8 +10,10 @@ intervals spent in the electronic ground state.
 The workflow is bank -> response -> spectra:
 
   1. `first_leg_bank` propagates one trajectory per bright singly-excited
-     label (plus a backward branch for R4) and stores amplitude/displacement
-     snapshots on a uniform grid covering every composed time any R needs.
+     label and stores amplitude/displacement snapshots on a uniform grid
+     covering every composed time any R needs.  R4's backward branch is
+     taken from that forward leg when the problem is real, and from the
+     forward leg of the conjugated problem otherwise.
   2. `response_se_gsb` evaluates R1..R4 on the (tau, T_w, t) grid from bank
      snapshots alone; `response_esa` additionally runs second-leg
      propagations in the doubly-excited manifold, started from

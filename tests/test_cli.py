@@ -232,31 +232,35 @@ def test_interrupted_manifest_write_leaves_no_file(tmp_path, monkeypatch):
 
 def test_every_experiment_kind_has_one_runner():
     """`run` takes every (experiment, model) pair in `_ENSEMBLES` through
-    the ensemble loop and every other through `_EXPERIMENTS`: each pair
-    that validation accepts must have exactly one runner, and no runner
-    may serve a pair that validation refuses."""
-    from cavidyn import runner
-    from cavidyn.config import (EXPERIMENT_KINDS, MODEL_KINDS,
-                                ConfigConstraintError)
+    the ensemble loop and every other through `_EXPERIMENTS`: the runner's
+    pairs are `config.RUNS`, each validates from a minimal config, every
+    other pair is refused, and every key's scope is a set of those runs."""
+    from cavidyn import config, runner
 
+    assert set(runner._ENSEMBLES) | {
+        run for run in config.RUNS
+        if run[0] in runner._EXPERIMENTS} == config.RUNS
+    assert set(runner._EXPERIMENTS) <= {e for e, _ in config.RUNS}
+    for run in config.RUNS:
+        assert (run in runner._ENSEMBLES) != (
+            run[0] in runner._EXPERIMENTS), run
     # the keys every model kind and spectra2d need to pass validation
     needs = {"tc": "kappa = 0.01\n", "htc": "n_qubits = 2\n", "sf": "",
              "spectra2d": "omega_min = 1.9\nomega_max = 2.6\n"}
-    accepted = set()
-    for experiment in EXPERIMENT_KINDS:
-        for model in MODEL_KINDS:
-            try:
-                validate(f"[experiment]\nkind = {experiment}\n"
-                         f"{needs.get(experiment, '')}\n"
-                         f"[model]\nkind = {model}\n{needs[model]}")
-            except ConfigConstraintError:
-                continue
-            accepted.add((experiment, model))
-            assert ((experiment, model) in runner._ENSEMBLES) != (
-                experiment in runner._EXPERIMENTS), (experiment, model)
-    assert {experiment for experiment, _ in accepted} == set(EXPERIMENT_KINDS)
-    assert set(runner._ENSEMBLES) <= accepted
-    assert set(runner._EXPERIMENTS) <= set(EXPERIMENT_KINDS)
+    for experiment in config.EXPERIMENT_KINDS:
+        for model in config.MODEL_KINDS:
+            text = (f"[experiment]\nkind = {experiment}\n"
+                    f"{needs.get(experiment, '')}\n"
+                    f"[model]\nkind = {model}\n{needs[model]}")
+            if (experiment, model) in config.RUNS:
+                validate(text)
+            else:
+                with pytest.raises(config.ConfigConstraintError,
+                                   match=f"{experiment} requires the"):
+                    validate(text)
+    for name, schema in config._SCHEMA.items():
+        for key, (_, _, scope, _) in schema.items():
+            assert scope <= config.RUNS, f"{name}.{key}"
 
 
 def _manifest_but_clock(out_dir):
@@ -284,18 +288,28 @@ def test_manifest_does_not_depend_on_the_output_directory(tmp_path, capsys):
 UPPER_MANIFOLD = "eps_sn = 4.5\neps_ttn = 4.9\neta_s = 0.5\neta_t = 2.0\n"
 
 
-@pytest.mark.parametrize("text,model_keys,extra", [
+PUMPED_M2 = TINY_PUMPED_SF.replace("seed = 3", "seed = 3\nmultiplicity = 2")
+
+
+@pytest.mark.parametrize("text,changed", [
     # the cuts at Q_c = 0 read neither the coupling mode, the pump nor [run]
-    (TINY_PES, UPPER_MANIFOLD + "lam_ci = 0.2\nomega_coupling = 0.03\n"
-     "n_photons = 2\n", "\n[run]\nt_max_fs = 50\nmultiplicity = 2\n"),
-    (TINY_PUMPED_SF.replace("seed = 3", "seed = 3\nmultiplicity = 2"),
-     UPPER_MANIFOLD, ""),
-], ids=["pes-scan", "sf-dynamics"])
+    (TINY_PES, TINY_PES.replace("kind = sf\n", "kind = sf\n" + UPPER_MANIFOLD
+                                + "lam_ci = 0.2\nomega_coupling = 0.03\n"
+                                "n_photons = 2\n")
+     + "\n[run]\nt_max_fs = 50\nmultiplicity = 2\n"),
+    (PUMPED_M2,
+     PUMPED_M2.replace("kind = sf\n", "kind = sf\n" + UPPER_MANIFOLD)),
+    # the pole sum has no time axis and no extra broadening
+    (TINY_TC_ABSORPTION, TINY_TC_ABSORPTION
+     .replace("omega_points = 41", "omega_points = 41\ngamma_prime = 0.5")
+     .replace("t_max_fs = 20", "t_max_fs = 40")
+     .replace("sample_dt_fs = 2.0", "sample_dt_fs = 1.0")),
+], ids=["pes-scan", "sf-dynamics", "tc-absorption"])
 def test_keys_that_do_not_steer_leave_the_manifest_unchanged(
-        tmp_path, capsys, text, model_keys, extra):
+        tmp_path, capsys, text, changed):
     """Two configs that differ only in keys their experiment never reads
     write equal outputs, so they write equal manifests too."""
-    changed = text.replace("kind = sf\n", "kind = sf\n" + model_keys) + extra
+    assert changed != text
     dirs = []
     for i, config in enumerate((text, changed)):
         dirs.append(tmp_path / f"out{i}")
@@ -303,6 +317,51 @@ def test_keys_that_do_not_steer_leave_the_manifest_unchanged(
                             _write(tmp_path, config), "--out", str(dirs[-1]))
         assert code == cli.EXIT_OK, err
     assert _manifest_but_clock(dirs[0]) == _manifest_but_clock(dirs[1])
+
+
+@pytest.mark.parametrize("text,key,steers", [
+    # keys a run never reads are tolerated whatever their value
+    (TINY_TC_ABSORPTION.replace("omega_points = 41",
+                                "omega_points = 41\ngamma_prime = 0"),
+     "experiment.gamma_prime", False),
+    (TINY_PES + "\n[run]\nt_max_fs = -1\n", "run.t_max_fs", False),
+    (TINY_PES + "\n[run]\nrel_tol = -1\n", "run.rel_tol", False),
+    (TINY_PES.replace("kind = sf\n", "kind = sf\nn_photons = 30\n"),
+     "model.n_photons", False),
+    (TINY_PES.replace("q_points = 5", "q_points = 5\ngamma_prime = 0"),
+     "experiment.gamma_prime", False),
+    (TINY_SPECTRA + "\n[run]\nt_max_fs = -1\n", "run.t_max_fs", False),
+    (TINY_TC.replace("sample_dt_fs = 2.0", "sample_dt_fs = 2.0\n"
+                     "multiplicity = 0"), "run.multiplicity", False),
+    (TINY_TC.replace("sample_dt_fs = 2.0", "sample_dt_fs = 2.0\n"
+                     "rel_tol = -1"), "run.rel_tol", False),
+    (TINY_TC.replace("kind = dynamics", "kind = dynamics\ngrid_dt_fs = 0"),
+     "experiment.grid_dt_fs", False),
+    # their twins in runs that read them are refused
+    (TINY_PUMPED_SF.replace("n_photons = 4", "n_photons = 30"),
+     "model.n_photons", True),
+    (TINY_TC.replace("t_max_fs = 20", "t_max_fs = -5"), "run.t_max_fs", True),
+    (TINY_HTC.replace("multiplicity = 2", "multiplicity = 0"),
+     "run.multiplicity", True),
+    (TINY_HTC_ABSORPTION.replace("gamma_prime = 0.1", "gamma_prime = 0"),
+     "experiment.gamma_prime", True),
+], ids=["tc-absorption-gamma_prime", "pes-scan-t_max_fs", "pes-scan-rel_tol",
+        "pes-scan-n_photons", "pes-scan-gamma_prime", "spectra2d-t_max_fs",
+        "tc-multiplicity", "tc-rel_tol", "tc-grid_dt_fs",
+        "pumped-sf-n_photons", "tc-t_max_fs", "htc-multiplicity",
+        "htc-absorption-gamma_prime"])
+def test_key_rules_apply_only_where_the_key_steers(tmp_path, capsys, text,
+                                                   key, steers):
+    """A key's own rule is checked only in the runs its scope names; out
+    of scope the key is left out of the echo."""
+    code, out, err = _run(capsys, "validate", "--config",
+                          _write(tmp_path, text))
+    if steers:
+        assert code == cli.EXIT_CONSTRAINT
+        assert f"{key}: " in err
+    else:
+        assert code == cli.EXIT_OK, err
+        assert f"\n{key.split('.')[1]} = " not in out
 
 
 def test_validate_echoes_the_resolved_config(tmp_path, capsys):
@@ -1163,8 +1222,12 @@ def test_pumped_sf_dynamics_equals_library_calls(tmp_path, capsys):
 ], ids=["tc", "sf-free", "spectra", "htc", "htc-absorption", "tc-absorption",
         "htc-300K", "pes-scan", "pumped-sf", "oracle-with-model"])
 def test_resolved_text_round_trips(text):
+    """Validating the echo gives back every key that steers the run; keys
+    out of scope (tc absorption's [run] here) are left out of it."""
     cfg = validate(text)
-    assert validate(resolved_text(cfg)) == cfg
+    echoed = validate(resolved_text(cfg))
+    for name in cfg.sections:
+        assert echoed.steering(name) == cfg.steering(name), name
 
 
 def test_cavity_free_two_dimer_dynamics(tmp_path, capsys):
