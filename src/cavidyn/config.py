@@ -9,12 +9,13 @@ type converter, its default (None: required), its scope and its rule.
 A scope is the set of runs the key steers, and a rule the key's own bound
 (> 0, >= n, an interval or a choice), checked only where the key steers.
 Checks that join two keys, or a key and the run, are written out in
-`validate` and skip a key whose own rule failed; one refuses a lossy
-cavity in every sf run but 2D spectra.  Any other key a run never reads is
-tolerated whatever its value, since one config file can be switched
-between experiments by its `[experiment] kind` alone, and is left out of
-the echo.  A [model] key that steers no run of its model kind is a
-violation.
+`validate` and skip a key whose own rule failed; two hold in every sf
+run, beyond their key's scope: the cavity must be lossless but in 2D
+spectra, and `omega_coupling` > 0, since a pes-scan builds its dimers with
+it too.  Any other key a run never reads is tolerated whatever its value,
+since one config file can be switched between experiments by its
+`[experiment] kind` alone, and is left out of the echo.  A [model] key
+that steers no run of its model kind is a violation.
 
 Validation is total: every violation is collected with its key path
 (section.key) before reporting, but a config that names no run reports
@@ -193,7 +194,8 @@ _SCHEMA = {
         "eps_sn": (_float, 4.33, _SPECTRA, None),
         "eps_ttn": (_float, 4.68, _SPECTRA, None),
         "omega_tuning": (_float, 0.186, _SF, _POSITIVE),
-        "omega_coupling": (_float, 0.0154, _SF - _PES, _POSITIVE),
+        # every sf run builds its dimers with this mode: checked in validate
+        "omega_coupling": (_float, 0.0154, _SF - _PES, None),
         "lam_ci": (_float, LAMBDA_CI_CALIBRATED, _SF - _PES, None),
         "eta_s": (_float, 1.0, _SPECTRA, _NON_NEGATIVE),
         "eta_t": (_float, 1.0, _SPECTRA, _NON_NEGATIVE),
@@ -448,9 +450,8 @@ def validate(text: str) -> RunConfig:
 
     if kind == "htc":
         # htc carries one phonon mode per emitter on a periodic register
-        if ok("model.n_qubits"):
-            _check(model["n_qubits"] >= 2, violations,
-                   "model.n_qubits: must be >= 2 for the htc model")
+        _check(model["n_qubits"] >= 2, violations,
+               "model.n_qubits: must be >= 2 for the htc model")
         if temp_k > 0 and ok("model.phonon_base", "model.phonon_bandwidth"):
             # the thermofield rule (thermofield.mixing_angles) on the lowest
             # mode, k = 0, which every register of n_qubits >= 2 holds
@@ -463,6 +464,10 @@ def validate(text: str) -> RunConfig:
     if kind == "sf":
         _check(model["eps_s1"] < model["eps_tt"], violations,
                "model.eps_s1: must be below eps_tt (uphill fission)")
+        # a pes-scan's cuts at Q_c = 0 do not depend on the coupling mode,
+        # but its dimers are built with it all the same
+        _check(model["omega_coupling"] > 0, violations,
+               "model.omega_coupling: must be > 0")
         if experiment != "spectra2d":
             _check(model["cavity_kappa"] == 0, violations,
                    f"model.cavity_kappa: sf {experiment} runs need a "

@@ -237,6 +237,8 @@ def test_every_experiment_kind_has_one_runner():
     other pair is refused, and every key's scope is a set of those runs."""
     from cavidyn import config, runner
 
+    assert {e for e, _ in config.RUNS} == set(config.EXPERIMENT_KINDS)
+    assert {m for _, m in config.RUNS} == set(config.MODEL_KINDS)
     assert set(runner._ENSEMBLES) | {
         run for run in config.RUNS
         if run[0] in runner._EXPERIMENTS} == config.RUNS
@@ -971,10 +973,15 @@ def test_photon_cutoff_is_not_a_tc_key(tmp_path, capsys):
     (TINY_SPECTRA.replace("waiting_times_fs = 0", "waiting_times_fs = 0 0.7"),
      "experiment.waiting_times_fs"),
     (TINY_HTC.replace("n_qubits = 2", "n_qubits = 1"), "model.n_qubits"),
+    (TINY_HTC.replace("n_qubits = 2", "n_qubits = 0"),
+     "model.n_qubits: must be >= 2 for the htc model"),
     ("[experiment]\nkind = pes-scan\nq_points = 3\nfock_cutoff = 5\n\n"
      "[model]\nkind = sf\n", "experiment.fock_cutoff"),
     ("[experiment]\nkind = pes-scan\nq_points = 3\n\n"
      "[model]\nkind = sf\ncavity_kappa = 0.01\n", "model.cavity_kappa"),
+    # the scan's dimers carry the coupling mode, though its cuts sit at Q_c = 0
+    (TINY_PES.replace("kind = sf", "kind = sf\nomega_coupling = 0"),
+     "model.omega_coupling: must be > 0"),
     # no manifold at all: the scan would keep no surface
     (TINY_PES.replace("q_points = 5", "q_points = 5\nmanifold_max = -1"),
      "experiment.manifold_max: must be >= 0"),
@@ -997,7 +1004,8 @@ def test_photon_cutoff_is_not_a_tc_key(tmp_path, capsys):
     (TINY_TC + "\n[output]\ndirectory = elsewhere\n",
      "output: unknown section"),
 ], ids=["downhill-fission", "above-nyquist", "off-grid-waiting-time",
-        "one-site-htc", "pes-scan-photon-cutoff", "pes-scan-cavity-loss",
+        "one-site-htc", "no-site-htc", "pes-scan-photon-cutoff",
+        "pes-scan-cavity-loss", "pes-scan-omega_coupling",
         "pes-scan-negative-manifold",
         "htc-classical-limit", "samples-past-window", "negative-disorder-seed",
         "disorder-seed-past-u64", "corrupted-metric-pair",
@@ -1222,12 +1230,17 @@ def test_pumped_sf_dynamics_equals_library_calls(tmp_path, capsys):
 ], ids=["tc", "sf-free", "spectra", "htc", "htc-absorption", "tc-absorption",
         "htc-300K", "pes-scan", "pumped-sf", "oracle-with-model"])
 def test_resolved_text_round_trips(text):
-    """Validating the echo gives back every key that steers the run; keys
-    out of scope (tc absorption's [run] here) are left out of it."""
+    """Validating the echo gives back the config, but for the keys out of
+    the run's scope, which the echo leaves out: they come back at their
+    defaults (tc absorption's [run] times here)."""
+    from cavidyn.config import _SCHEMA
+
     cfg = validate(text)
-    echoed = validate(resolved_text(cfg))
-    for name in cfg.sections:
-        assert echoed.steering(name) == cfg.steering(name), name
+    run = (cfg.experiment, cfg.model_kind)
+    expected = {name: {key: value if run in schema[key][2] else schema[key][1]
+                       for key, value in cfg.sections[name].items()}
+                for name, schema in _SCHEMA.items()}
+    assert validate(resolved_text(cfg)).sections == expected
 
 
 def test_cavity_free_two_dimer_dynamics(tmp_path, capsys):
