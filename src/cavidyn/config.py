@@ -9,13 +9,17 @@ type converter, its default (None: required), its scope and its rule.
 A scope is the set of runs the key steers, and a rule the key's own bound
 (> 0, >= n, an interval or a choice), checked only where the key steers.
 Checks that join two keys, or a key and the run, are written out in
-`validate` and skip a key whose own rule failed; two hold in every sf
-run, beyond their key's scope: the cavity must be lossless but in 2D
-spectra, and `omega_coupling` > 0, since a pes-scan builds its dimers with
-it too.  Any other key a run never reads is tolerated whatever its value,
-since one config file can be switched between experiments by its
-`[experiment] kind` alone, and is left out of the echo.  A [model] key
-that steers no run of its model kind is a violation.
+`validate` and skip a key whose own rule failed.  Some hold beyond their
+key's scope, where the run would otherwise ignore a request it cannot
+meet: in every sf run the cavity must be lossless but in 2D spectra, and
+`omega_coupling` > 0, since a pes-scan builds its dimers with it too;
+`disorder.width` and `disorder.n_realizations` steer only tc and htc runs,
+and `temperature.temperature_k` only htc runs, but an sf run refuses any
+disorder or temperature and a tc run any temperature.  Any other key a run
+never reads is tolerated whatever its value, since one config file can be
+switched between experiments by its `[experiment] kind` alone, and is left
+out of the echo.  A [model] key that steers no run of its model kind is a
+violation.
 
 Validation is total: every violation is collected with its key path
 (section.key) before reporting, but a config that names no run reports
@@ -34,7 +38,10 @@ which leave its cuts at Q_c = 0 unchanged; a tc absorption run, a pole sum,
 echoes neither `t_max_fs`, `sample_dt_fs` nor `gamma_prime`.
 
 Every config has a [model] section; an oracle-compare config is checked as
-htc or sf dynamics, with `fock_cutoff` for its exact Fock twin.
+htc or sf dynamics, with `fock_cutoff` for its exact Fock twin, one cutoff
+for every mode.  Its run writes that twin as `exact_<file>` beside each file
+the dynamics run would write, and `oracle_compare.json`, the variational
+run's deviation from it and its disagreement with the twin one quantum up.
 
 The shipped `run.multiplicity = 1` (one coherent configuration, M = 1) is
 the cheapest variational run, not a converged one.  For sf dynamics it
@@ -47,7 +54,8 @@ tests and timings, and for the uncoupled limit (`coupling_omega = 0`,
 `lam_ci = 0`), where one configuration is exact.  To pick M for a
 result, run the config with `[experiment] kind = oracle-compare` (when its
 Fock space fits) and raise M until the variational deviation is below the
-effect reported.
+effect reported.  Its `exact_` files hold the exact dynamics whatever M,
+to within the cutoff disagreement it reports.
 
 This module imports no numpy: `validate` checks the values and builds no
 model objects, so `cavidyn validate` loads only the standard library.  The
@@ -210,16 +218,16 @@ _SCHEMA = {
         "abs_tol": (_float, 1e-8, _PROPAGATED, _POSITIVE),
     },
     "disorder": {
-        "width": (_float_list, (0.0,), RUNS, (
+        "width": (_float_list, (0.0,), _TC_HTC, (
             (lambda widths: len(widths) >= 1 and min(widths) >= 0),
             "need one or more widths >= 0")),
-        "n_realizations": (int, 1, RUNS, _at_least(1)),
+        "n_realizations": (int, 1, _TC_HTC, _at_least(1)),
         # one word of the disorder draws' Philox key
         "seed": (int, 0, _TC_HTC, ((lambda value: 0 <= value < 2 ** 64),
                                    "must lie in [0, 2**64 - 1]")),
     },
     "temperature": {
-        "temperature_k": (_float, 0.0, RUNS, _NON_NEGATIVE),
+        "temperature_k": (_float, 0.0, _HTC, _NON_NEGATIVE),
     },
 }
 

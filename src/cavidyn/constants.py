@@ -18,13 +18,15 @@ CLASSICAL_LIMIT_FLOOR = 1e-6
 
 #: S1<->TT coupling-mode strength (eV) picked by a variational (M=16) scan
 #: for a cavity-free triplet-pair population of 0.14 at 300 fs from the
-#: vertical S1 start.  Exact propagation, `scripts/sf_dense_oracle.py scan
-#: --lam 0.065` (dim 1056), gives P_TT(300 fs) = 0.0277 here, which
-#: `test_exact_oracle_script_scan` pins; the exact curve is smooth in lambda
-#: and crosses 0.14 between 0.08 (0.0854) and 0.10 (0.1670).  The jumps the
-#: variational scan showed at fine lambda resolution are ansatz and
-#: integrator noise, not physics.  The value is kept because every fission
-#: output depends on it.
+#: vertical S1 start.  Exact propagation, the `exact_population.csv` of an
+#: sf oracle-compare run with `coupling_omega = 0` and `fock_cutoff = 21`
+#: (dim 1452), gives P_TT(300 fs) = 0.0277 here, which
+#: `test_exact_twin_pins_the_calibrated_fission_yield` pins (0.02769 at
+#: cutoff 35); the exact curve is smooth in lambda and crosses 0.14 between
+#: 0.08 (0.0852) and 0.10 (0.242 at cutoff 35; 0.200 at 21, which is not
+#: converged there).  The jumps the variational scan showed at fine lambda
+#: resolution are ansatz and integrator noise, not physics.  The value is
+#: kept because every fission output depends on it.
 LAMBDA_CI_CALIBRATED = 0.065
 
 

@@ -24,8 +24,14 @@ Each htc realization takes its Hamiltonian from `_htc_hamiltonian`
 The htc and sf dynamics work units take a propagation function (default:
 `varprop.propagate`, looked up per call).  `oracle-compare` runs the config's
 dynamics ensemble with it and twice with the exact `dense_ref.FockSpace.
-propagate`, on the same Hamiltonians, start states and times, and reports the
-largest |variational - exact| and |exact(c) - exact(c+1)| per file and column.
+propagate`, on the same Hamiltonians, start states and times.  It writes the
+exact twin at `fock_cutoff` as `exact_<file>` for each file the dynamics run
+would write (`exact_population.csv`, `exact_population_W0.05.csv`, ...), in
+the same columns, and then `oracle_compare.json`, the largest |variational -
+exact| and |exact(c) - exact(c+1)| per file and column; the twin at c + 1
+only checks the cutoff's convergence.  This is the one exact path for htc
+and sf dynamics: an sf config with `coupling_omega = 0` gives the cavity-free
+dimer, with `n_photons` a pumped cavity.
 
 With W > 1 workers the ensemble forks W children (`_forked_results`): child
 k computes tasks k, k+W, k+2W, ... and writes each result's columns to its
@@ -419,7 +425,8 @@ def _spectra2d(cfg: RunConfig):
 
 def _oracle_compare(cfg: RunConfig):
     """The config's dynamics run, variational and through its exact Fock
-    twin at `fock_cutoff` and at one more quantum per active mode."""
+    twin at `fock_cutoff` and at one more quantum per active mode; writes
+    the twin at `fock_cutoff` as `exact_<file>`, then the deviations."""
     from .dense_ref import FockSpace
 
     cutoffs = {}  # the twins' cutoffs, in first-use order
@@ -445,6 +452,8 @@ def _oracle_compare(cfg: RunConfig):
                for column, v, e, f in zip(header[1:], vs[1:], es[1:], fs[1:])}
         for (name, header, vs), (_, _, es), (_, _, fs)
         in zip(variational, exact, finer)}
+    for name, header, columns in exact:
+        yield f"exact_{name}", _csv_text(header, columns)
     yield "oracle_compare.json", _json_text({
         "cutoffs": [list(c) for c in cutoffs], "deviations": deviations})
 

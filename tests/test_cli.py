@@ -383,18 +383,22 @@ def test_validate_echoes_the_fission_coupling(tmp_path, capsys):
 
 
 def test_validate_echoes_only_the_keys_that_steer_the_model(tmp_path, capsys):
-    """A tc run has no integrator and no start noise, and an sf run draws no
-    disorder: their keys are accepted but left out of the echo."""
+    """A tc run has no integrator, no start noise and no temperature, and
+    an sf run draws no disorder and has no temperature: their keys are
+    accepted (at their defaults, where the run refuses others) but left out
+    of the echo."""
     tc = TINY_TC.replace("sample_dt_fs = 2.0", "sample_dt_fs = 2.0\n"
                          "multiplicity = 2\nseed = 3\nrel_tol = 1e-7\n"
                          "abs_tol = 1e-9")
     code, out, err = _run(capsys, "validate", "--config", _write(tmp_path, tc))
     assert code == cli.EXIT_OK, err
     assert "[run]\nsample_dt_fs = 2.0\nt_max_fs = 20.0\n\n" in out
+    assert "[temperature]" not in out
     sf = TINY_PUMPED_SF + "\n[disorder]\nseed = 9\n"
     code, out, err = _run(capsys, "validate", "--config", _write(tmp_path, sf))
     assert code == cli.EXIT_OK, err
     assert "seed = 3\n" in out and "seed = 9" not in out
+    assert "[disorder]" not in out and "[temperature]" not in out
     # the upper manifold and the cavity loss steer only 2D spectra
     upper = ("cavity_kappa", "eps_sn", "eps_ttn", "eta_s", "eta_t")
     assert not [key for key in upper if f"\n{key} = " in out]
@@ -406,6 +410,7 @@ def test_validate_echoes_only_the_keys_that_steer_the_model(tmp_path, capsys):
     assert all(f"\n{key} = " in out for key in upper)
     assert "t_max_fs" not in out and "sample_dt_fs" not in out
     assert "n_photons" not in out and "\nmultiplicity = 1\n" in out
+    assert "[disorder]" not in out and "[temperature]" not in out
     # a scan reads no [run] key and no coupling-mode or pump key
     code, out, err = _run(capsys, "validate", "--config",
                           _write(tmp_path, TINY_PES))
@@ -1003,13 +1008,21 @@ def test_photon_cutoff_is_not_a_tc_key(tmp_path, capsys):
     # --out alone says where the outputs go
     (TINY_TC + "\n[output]\ndirectory = elsewhere\n",
      "output: unknown section"),
+    # keys out of the run's scope, refused where the run cannot meet them
+    (TINY_PUMPED_SF + "\n[temperature]\ntemperature_k = 300\n",
+     "temperature.temperature_k: finite temperature is unsupported"),
+    (TINY_PUMPED_SF + "\n[disorder]\nn_realizations = 2\n",
+     "disorder: unsupported for the sf model"),
+    (TINY_TC + "\n[temperature]\ntemperature_k = 300\n",
+     "temperature.temperature_k: the tc model has no phonon bath"),
 ], ids=["downhill-fission", "above-nyquist", "off-grid-waiting-time",
         "one-site-htc", "no-site-htc", "pes-scan-photon-cutoff",
         "pes-scan-cavity-loss", "pes-scan-omega_coupling",
         "pes-scan-negative-manifold",
         "htc-classical-limit", "samples-past-window", "negative-disorder-seed",
         "disorder-seed-past-u64", "corrupted-metric-pair",
-        "htc-absorption-samples-past-window", "output-section"])
+        "htc-absorption-samples-past-window", "output-section",
+        "sf-temperature", "sf-realizations", "tc-temperature"])
 def test_validate_rejects_what_would_fail_at_run_time(tmp_path, capsys, text,
                                                      violation):
     code, _, err = _run(capsys, "validate", "--config", _write(tmp_path, text))
@@ -1065,8 +1078,12 @@ def _oracle_report(tmp_path, capsys, text):
                         _write(tmp_path, text), "--out", str(out_dir))
     assert code == cli.EXIT_OK, err
     manifest = json.loads((out_dir / "run_manifest.json").read_text())
-    assert sorted(manifest["outputs"]) == ["oracle_compare.json"]
-    return json.loads((out_dir / "oracle_compare.json").read_text())
+    report = json.loads((out_dir / "oracle_compare.json").read_text())
+    # one exact twin per file of the dynamics run, and the report
+    assert sorted(manifest["outputs"]) == sorted(
+        [*(f"exact_{name}" for name in report["deviations"]),
+         "oracle_compare.json"])
+    return report
 
 
 def _figures(report, figure):
@@ -1094,7 +1111,9 @@ def test_oracle_pairs(tmp_path, capsys, text, cutoffs):
 
 def test_lossy_htc_oracle_compare(tmp_path, capsys):
     """Cavity loss, which the twin's propagation must keep, and a disordered
-    ensemble: the twin agrees per width."""
+    ensemble: the twin agrees per width, and each `exact_` file holds the
+    twin that the dynamics run's file deviates from by the reported
+    figures."""
     text = (ORACLE_HTC_DENSE.replace("fock_cutoff = 10", "fock_cutoff = 6")
             .replace("lam = 0.1", "lam = 0.1\nkappa = 0.01")
             .replace("t_max_fs = 200", "t_max_fs = 30\nsample_dt_fs = 2")
@@ -1106,6 +1125,20 @@ def test_lossy_htc_oracle_compare(tmp_path, capsys):
                                             "population_W0.csv"]
     assert max(_figures(report, "variational").values()) <= 1e-5
     assert max(_figures(report, "cutoff").values()) <= 1e-10
+    dynamics = tmp_path / "dynamics"
+    code, _, err = _run(capsys, "run", "--config", _write(
+        tmp_path, text.replace("kind = oracle-compare", "kind = dynamics")),
+        "--out", str(dynamics))
+    assert code == cli.EXIT_OK, err
+    for name, figures in report["deviations"].items():
+        exact_path = tmp_path / "out" / f"exact_{name}"
+        header = exact_path.read_text().splitlines()[0]
+        assert header == (dynamics / name).read_text().splitlines()[0]
+        exact, variational = _read_csv(exact_path), _read_csv(dynamics / name)
+        np.testing.assert_array_equal(exact[:, 0], variational[:, 0])
+        assert [figures[column]["variational"]
+                for column in header.split(",")[1:]] == list(
+            np.max(np.abs(variational - exact), axis=0)[1:])
 
 
 def test_lossy_thermofield_oracle_compare(tmp_path, capsys):
@@ -1151,6 +1184,27 @@ abs_tol = 1e-10
         worst.append(max(variational[key] for key in cutoff
                          if key[1] != "energy_eV"))
     assert worst[1] <= worst[0] / 10
+
+
+def test_exact_twin_pins_the_calibrated_fission_yield(tmp_path, capsys):
+    """The cavity-free dimer at the default `lam_ci`, LAMBDA_CI_CALIBRATED,
+    exact at Fock cutoff 21 (dimension 1,452): P_TT(300 fs) = 0.0277, the
+    value the constant's comment quotes."""
+    report = _oracle_report(tmp_path, capsys, """[experiment]
+kind = oracle-compare
+fock_cutoff = 21
+
+[model]
+kind = sf
+coupling_omega = 0
+
+[run]
+t_max_fs = 300
+""")
+    assert report["cutoffs"] == [[21, 21], [22, 22]]
+    time_fs, p_tt = _read_csv(tmp_path / "out" / "exact_population.csv")[-1, :2]
+    assert time_fs == 300.0
+    assert abs(p_tt - 0.0277) <= 1e-4
 
 
 def test_oracle_twin_keeps_every_displaced_mode(tmp_path, capsys):

@@ -1,15 +1,11 @@
 """Tests for the cavity-coupled singlet-fission dimer module."""
 
 import math
-import os
-import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cavidyn.dense_ref import FockSpace
 from cavidyn.models import TCModel, UnsupportedModelError
 from cavidyn.sf import (
     CavitySpec,
@@ -325,36 +321,19 @@ def test_two_dimer_shared_coordinate_scan():
     assert any(abs(e - 2 * 2.256) < 1e-6 for e in e2)
 
 
-def run_exact_oracle(*argv) -> str:
-    """stdout of scripts/sf_dense_oracle.py run on this checkout's package."""
-    root = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(root / "src"),
-                                         os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, str(root / "scripts" / "sf_dense_oracle.py"), *argv],
-        capture_output=True, text=True, check=True, timeout=300,
-        env=dict(os.environ, PYTHONPATH=path),
-    ).stdout
-
-
-def test_exact_oracle_script_scan():
-    # exact Fock propagation of the cavity-free dimer at the default cutoffs
-    # (dim 1056); the value LAMBDA_CI_CALIBRATED's comment quotes
-    out = run_exact_oracle("scan", "--lam", "0.065")
-    p_tt = float(re.search(r"P_TT\(300\)=([0-9.]+)", out).group(1))
-    assert abs(p_tt - 0.0277) <= 1e-4
-
-
-def test_exact_oracle_script_pumped_vacuum_equals_scan():
-    # an uncoupled cavity in its vacuum leaves the fission dynamics alone:
-    # the pumped mode (dim 4320) prints the cavity-free scan's P_TT
-    # (dim 360), under the label of the final time
-    cutoffs = ("--lam", "0.065", "--n-tu", "12", "--n-cu", "10",
-               "--t-max", "100")
-    pumped = run_exact_oracle("pumped", "--coupling", "0", "--n-photons", "0",
-                              "--n-cav", "12", *cutoffs)
-    scan = run_exact_oracle("scan", *cutoffs)
-    assert "dim=4320" in pumped and "dim=360" in scan
-    values = [re.search(r"P_TT\(100\)=([0-9.]+)", out).group(1)
-              for out in (pumped, scan)]
-    assert values[0] == values[1]
+def test_uncoupled_cavity_in_its_vacuum_leaves_fission_alone():
+    """Exact Fock propagation over 100 fs: the dimer with an uncoupled
+    cavity mode in its vacuum (cutoffs 11, 9, 11; dimension 4,320) gives
+    the cavity-free dimer's P_TT (cutoffs 11, 9)."""
+    dimers = [SFDimerSpec()]
+    times = np.arange(101.0)
+    p_tt = []
+    for (labels, h), cutoffs, cavity_mode in (
+            (sf_system_bath(dimers, CavitySpec(), SFCavityCoupling(omega=0.0)),
+             (11, 9, 11), -1),
+            (sf_matter_only(dimers), (11, 9), None)):
+        traj = FockSpace(len(labels), cutoffs).propagate(
+            h, coherent_init(0.0, labels, h.n_modes), times)
+        p_tt.append(sf_observables(traj, labels,
+                                   cavity_mode=cavity_mode)["p_tt"])
+    assert np.max(np.abs(p_tt[0] - p_tt[1])) <= 1e-12
