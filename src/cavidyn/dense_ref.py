@@ -72,16 +72,13 @@ class FockSpace:
 
     def propagate(self, h: SystemBathHamiltonian, state, times):
         """Exact twin of `varprop.propagate`: `state` expanded in this basis,
-        renormalized after the truncation and evolved as by `trajectory`."""
+        renormalized after the truncation and evolved as by `trajectory`;
+        the sampled states are returned under their operator, from which
+        the observables are computed when read."""
         op = self.sparse_hamiltonian(h)
         psi0 = self.multiconfig_vector(state.amplitudes, state.displacements)
         states = _evolve(op, psi0 / np.linalg.norm(psi0), times)
-        # <psi|H|psi> 64 samples at a time: H psi never holds all of them
-        energies = np.concatenate([
-            np.einsum("ti,it->t", s.conj(), op @ s.T)
-            for s in np.split(states, range(64, len(states), 64))])
-        return FockTrajectory(self, np.asarray(times, float), states,
-                              np.linalg.norm(states, axis=1), energies)
+        return FockTrajectory(self, np.asarray(times, float), states, op)
 
     def coherent_bath_vector(self, f: np.ndarray) -> np.ndarray:
         """Normalized coherent state prod_q |f_q> over the bath modes."""
@@ -115,15 +112,24 @@ class FockSpace:
 
 @dataclass(frozen=True)
 class FockTrajectory:
-    """Sampled exact states, (T, dim), with the members of a
-    `varprop.Trajectory` that observables read: `times`, `norms`, complex
-    `energies` <psi|H|psi>, `system_populations()` and `mode_occupations()`."""
+    """Sampled exact states, (T, dim), under the sparse operator `op`, with
+    the observables of a `varprop.Trajectory`: `times`, `norm()`, complex
+    `energies()` <psi|H|psi>, `system_populations()` and
+    `mode_occupations()`."""
 
     fock: FockSpace
     times: np.ndarray
     states: np.ndarray
-    norms: np.ndarray
-    energies: np.ndarray
+    op: sp.csr_matrix
+
+    def norm(self) -> np.ndarray:
+        return np.linalg.norm(self.states, axis=1)
+
+    def energies(self) -> np.ndarray:
+        # 64 samples at a time: op @ psi never holds all of them
+        return np.concatenate([
+            np.einsum("ti,it->t", s.conj(), self.op @ s.T)
+            for s in np.split(self.states, range(64, len(self.states), 64))])
 
     def system_populations(self) -> np.ndarray:
         return self.fock.system_populations(self.states)

@@ -181,8 +181,8 @@ def _htc_realization(args, propagate=None):
                                noise_seed=cfg.run.seed + 7919 * r)
     traj = (propagate or varprop.propagate)(h, state, times, _settings(cfg))
     pops = traj.system_populations()
-    return (pops[:, 0].copy(), pops[:, 1:].sum(axis=1), traj.norms,
-            traj.energies.real.copy())
+    return (pops[:, 0].copy(), pops[:, 1:].sum(axis=1), traj.norm(),
+            traj.energies().real.copy())
 
 
 def _htc_absorption_realization(args):
@@ -207,15 +207,15 @@ def _sf_realization(args, propagate=None):
     cfg, _, r, times = args
     if cfg.sf_coupling.omega == 0.0:
         labels, h = sf_matter_only(cfg.sf_dimers)
-        mu1, cavity_mode = 0.0, None
+        mu1 = 0.0
     else:
         labels, h = sf_system_bath(cfg.sf_dimers, cfg.sf_cavity,
                                    cfg.sf_coupling)
-        mu1, cavity_mode = math.sqrt(cfg.sections["model"]["n_photons"]), -1
+        mu1 = math.sqrt(cfg.sections["model"]["n_photons"])
     state = coherent_init(mu1, labels, h.n_modes, cfg.run.multiplicity,
                           noise_seed=cfg.run.seed + 7919 * r)
     obs = sf_observables((propagate or varprop.propagate)(
-        h, state, times, _settings(cfg)), labels, cavity_mode=cavity_mode)
+        h, state, times, _settings(cfg)), labels)
     return obs["p_tt"], obs["p_s1"], obs["norm"], obs["energy_ev"].copy()
 
 
@@ -388,14 +388,14 @@ def _pes_scan(cfg: RunConfig):
 
 
 def _spectra2d(cfg: RunConfig):
-    from .sf import dipole_up, manifold_hamiltonian
+    from .sf import dipole_up, manifold_hamiltonian, manifold_labels
     from .spectro import (DipoleSet, ResponseGrid, first_leg_bank,
                           response_esa, response_se_gsb, spectra)
 
     opt = cfg.options
     grid = ResponseGrid(opt["grid_points"], opt["grid_dt_fs"],
                         opt["waiting_times_fs"], opt["gamma_prime"])
-    labels0 = [(("g",) * len(cfg.sf_dimers), 0)]
+    labels0 = manifold_labels(len(cfg.sf_dimers), 0)
     labels1, h1 = manifold_hamiltonian(cfg.sf_dimers, cfg.sf_cavity,
                                        cfg.sf_coupling, 1)
     labels2, h2 = manifold_hamiltonian(cfg.sf_dimers, cfg.sf_cavity,

@@ -306,29 +306,21 @@ def coherent_init(
                       noise_seed=noise_seed, base_displacement=base)
 
 
-def sf_observables(traj, labels, cavity_mode=-1):
-    """Population series {p_tt, p_s1, p_g, p_cav} from a fission trajectory
-    over the electronic `labels` its Hamiltonian was built on.
-
-    `cavity_mode` indexes the photon mode within the trajectory's mode axis;
-    pass None for cavity-free runs (p_cav is then identically zero).
-    """
+def sf_observables(traj, labels):
+    """Population series {p_tt, p_s1, p_g}, norm and energy of a fission
+    trajectory (`varprop.Trajectory` or `dense_ref.FockTrajectory`) over
+    the electronic `labels` its Hamiltonian was built on."""
     pops = traj.system_populations()
     tt = np.array([label_has_tt(lab) for lab in labels])
     s1 = np.array(["S1" in lab for lab in labels])
     ground = np.array([all(s == "g" for s in lab) for lab in labels])
-    if cavity_mode is None:
-        p_cav = np.zeros_like(traj.times)
-    else:
-        p_cav = traj.mode_occupations()[:, cavity_mode]
     return {
         "time_fs": traj.times,
         "p_tt": pops[:, tt].sum(axis=1),
         "p_s1": pops[:, s1].sum(axis=1),
         "p_g": pops[:, ground].sum(axis=1),
-        "p_cav": p_cav,
-        "norm": traj.norms,
-        "energy_ev": traj.energies.real,
+        "norm": traj.norm(),
+        "energy_ev": traj.energies().real,
     }
 
 

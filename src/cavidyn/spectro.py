@@ -10,10 +10,10 @@ intervals spent in the electronic ground state.
 The workflow is bank -> response -> spectra:
 
   1. `first_leg_bank` propagates one trajectory per bright singly-excited
-     label and stores amplitude/displacement snapshots on a uniform grid
-     covering every composed time any R needs.  R4's backward branch is
-     taken from that forward leg when the problem is real, and from the
-     forward leg of the conjugated problem otherwise.
+     label, sampled on a uniform grid covering every composed time any R
+     needs, and stores it.  R4's backward branch is taken from that forward
+     leg when the problem is real, and from the forward leg of the
+     conjugated problem otherwise.
   2. `response_se_gsb` evaluates R1..R4 on the (tau, T_w, t) grid from bank
      snapshots alone; `response_esa` additionally runs second-leg
      propagations in the doubly-excited manifold, started from
@@ -104,41 +104,39 @@ class ResponseGrid:
 
 @dataclass
 class TrajectoryBank:
-    """First-leg snapshots per bright initial label.
+    """First-leg trajectories per bright initial label.
 
-    amps[n] has shape (S, M, n_labels) on the uniform forward grid
-    s = 0, dt, ..., (S-1) dt; amps_back[n] likewise for s = 0, -dt, ...
-    Displacements carry shape (S, M, n_modes).
+    fwd[n] is the `Trajectory` sampled on the uniform forward grid
+    s = 0, dt, ..., (S-1) dt; back[n] is the `MultiD2State` of its
+    backward-branch samples at s = 0, -dt, ...  Amplitudes carry shape
+    (S, M, n_labels), displacements (S, M, n_modes).
     """
 
     dt: float
     mode_freqs: np.ndarray
     bright: tuple
-    amps: dict
-    disps: dict
-    amps_back: dict
-    disps_back: dict
+    fwd: dict
+    back: dict
 
-    def _index(self, s, n_max: int) -> np.ndarray:
+    def _samples(self, state: MultiD2State, s):
+        """(amplitudes, displacements) of `state` at grid times s >= 0."""
         s = np.asarray(s, dtype=float)
         i = np.rint(s / self.dt).astype(int)
         off = np.abs(i * self.dt - s) > 1e-9 * np.maximum(1.0, np.abs(s))
         if off.any():
             raise ValueError(f"time {s[off][0]} fs is not on the {self.dt} fs bank grid")
-        outside = (i < 0) | (i >= n_max)
+        outside = (i < 0) | (i >= len(state.amplitudes))
         if outside.any():
             raise ValueError(f"time {s[outside][0]} fs outside the stored bank range")
-        return i
+        return state.amplitudes[i], state.displacements[i]
 
     def forward(self, n: int, s):
         """Snapshots at times s >= 0 of any shape: (*s.shape, M, ...) arrays."""
-        i = self._index(s, len(self.amps[n]))
-        return self.amps[n][i], self.disps[n][i]
+        return self._samples(self.fwd[n], s)
 
     def backward(self, n: int, s):
         """Snapshots at non-positive times s (0, -dt, ...) of any shape."""
-        i = self._index(-np.asarray(s, dtype=float), len(self.amps_back[n]))
-        return self.amps_back[n][i], self.disps_back[n][i]
+        return self._samples(self.back[n], -np.asarray(s, dtype=float))
 
 
 def first_leg_bank(
@@ -165,26 +163,22 @@ def first_leg_bank(
     h1_conj = SystemBathHamiltonian(h1.e_sys.conj(), h1.mode_freqs,
                                     h1.coup_create.conj())
 
-    def leg(h, st, times):
-        """(amplitudes, displacements) sampled at `times`."""
-        traj = propagate(h, st, times, settings)
-        return traj.amplitudes, traj.displacements
-
-    amps, disps, amps_b, disps_b = {}, {}, {}, {}
+    fwd, back = {}, {}
     for n in bright:
         st = init_state(h1.n_sys, h1.n_modes, n, multiplicity=multiplicity,
                         noise_seed=noise_seed)
-        amps[n], disps[n] = leg(h1, st, fwd_times)
+        fwd[n] = propagate(h1, st, fwd_times, settings)
         if any(x.imag.any() for x in (h1.e_sys, h1.coup_create,
                                       st.amplitudes, st.displacements)):
-            a, f = leg(h1_conj, MultiD2State(st.amplitudes.conj(),
-                                             st.displacements.conj()),
-                       fwd_times[:grid.n])
+            leg = propagate(h1_conj, MultiD2State(st.amplitudes.conj(),
+                                                  st.displacements.conj()),
+                            fwd_times[:grid.n], settings)
         else:
-            a, f = amps[n][:grid.n], disps[n][:grid.n]
-        amps_b[n], disps_b[n] = a.conj(), f.conj()
+            leg = fwd[n]
+        back[n] = MultiD2State(leg.amplitudes[:grid.n].conj(),
+                               leg.displacements[:grid.n].conj())
     return TrajectoryBank(dt, np.asarray(h1.mode_freqs, dtype=float), bright,
-                          amps, disps, amps_b, disps_b)
+                          fwd, back)
 
 
 def response_se_gsb(bank: TrajectoryBank, grid: ResponseGrid,

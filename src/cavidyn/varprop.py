@@ -53,8 +53,8 @@ amplitudes a~ = exp(i*E0*t/hbar) * A under
 
     da~/dt = Adot(a~, f) + (i*E0/hbar) * a~,    fdot = fdot(a~, f),
 
-and multiplies every sampled a~ by exp(-i*E0*t/hbar) before norms, energies
-and the `Trajectory` are built.  E0 is one real scalar per call: the
+and multiplies every sampled a~ by exp(-i*E0*t/hbar) before it returns
+them as a `Trajectory`.  E0 is one real scalar per call: the
 population-weighted mean of Re diag(e_sys) over the initial state, with the
 populations of all batch members summed.  This is an exact change of
 variables, not a different ODE, because `eom_rhs` is covariant under a
@@ -238,9 +238,10 @@ def _theta(h: SystemBathHamiltonian, a: np.ndarray, f: np.ndarray):
     return theta, hx, x1, w_ff, p
 
 
-def energy_expectation(h: SystemBathHamiltonian, state: MultiD2State) -> complex:
+def energy_expectation(h: SystemBathHamiltonian, state: MultiD2State):
+    """Complex <psi|H|psi>, one value per leading index."""
     a, f = state.amplitudes, state.displacements
-    return complex((overlap_matrix(f) * _theta(h, a, f)[0]).sum())
+    return (overlap_matrix(f) * _theta(h, a, f)[0]).sum(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -378,33 +379,28 @@ def init_state(
 
 
 @dataclass
-class Trajectory:
-    """Sampled propagation history.
+class Trajectory(MultiD2State):
+    """Sampled propagation history: a state whose leading axis is time.
 
-    amplitudes: (T, ..., M, n_sys); displacements: (T, ..., M, n_modes);
-    norms: (T, ...) Euclidean state norms; energies: (T, ...) complex <H>.
-    The axes between T and M are the batch axes of the propagated state.
+    amplitudes: (T, ..., M, n_sys); displacements: (T, ..., M, n_modes),
+    sampled at `times` under the Hamiltonian `h`.  The axes between T and M
+    are the batch axes of the propagated state.  Observables are computed
+    from the samples when called: `norm()` and `energies()` give (T, ...)
+    arrays, `system_populations()` and `mode_occupations()` (T, ..., .) ones.
     """
 
     times: np.ndarray
-    amplitudes: np.ndarray
-    displacements: np.ndarray
-    norms: np.ndarray
-    energies: np.ndarray
+    h: SystemBathHamiltonian
 
     def state_at(self, i: int) -> MultiD2State:
         return MultiD2State(self.amplitudes[i].copy(), self.displacements[i].copy())
 
-    def system_populations(self) -> np.ndarray:
-        """(T, ..., n_sys) array of label populations."""
-        return system_populations(self.amplitudes, self.displacements)
+    def energies(self) -> np.ndarray:
+        """(T, ...) complex <H>."""
+        return energy_expectation(self.h, self)
 
     def photon_population(self, index: int = 0) -> np.ndarray:
         return self.system_populations()[..., index]
-
-    def mode_occupations(self) -> np.ndarray:
-        """(T, ..., n_modes) array of <b_q^+ b_q>."""
-        return mode_occupations(self.amplitudes, self.displacements)
 
 
 @dataclass(frozen=True)
@@ -532,9 +528,10 @@ def propagate(
     """Integrate the Dirac-Frenkel equations from t = 0 to times[-1] (fs).
 
     Samples are taken from the integrator's dense output at `times`, which
-    must be non-negative and increasing (else ValueError).  The amplitudes
-    are integrated in the carrier frame of the initial state and returned
-    in the lab frame.  A state with leading batch axes is
+    must be non-negative and increasing (else ValueError), and returned as
+    they are: the `Trajectory` computes no observable until one is read.
+    The amplitudes are integrated in the carrier frame of the initial state
+    and returned in the lab frame.  A state with leading batch axes is
     integrated as one system under worst-member step control.  Both are
     described in the module docstring.  The guards on finite parameters and
     on the norm of Hermitian runs (read from `eom_rhs`) apply to every member.
@@ -590,10 +587,7 @@ def propagate(
     if not (np.all(np.isfinite(amps)) and np.all(np.isfinite(disps))):
         raise PropagationError("non-finite parameters in sampled trajectory")
 
-    norms = np.sqrt(state_norm_sq(amps, disps))
-    theta = _theta(h, amps, disps)[0]
-    energies = (overlap_matrix(disps) * theta).sum(axis=(-2, -1))
-    return Trajectory(times.copy(), amps, disps, norms, energies)
+    return Trajectory(amps, disps, times.copy(), h)
 
 
 # ---------------------------------------------------------------------------

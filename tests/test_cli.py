@@ -528,7 +528,7 @@ def test_htc_dynamics_equals_library_calls(tmp_path, capsys, temperature_k):
         traj = propagate(h, state, times, RUN_SETTINGS)
         pops = traj.system_populations()
         rows.append(np.column_stack([pops[:, 0], pops[:, 1:].sum(axis=1),
-                                     traj.norms, traj.energies.real]))
+                                     traj.norm(), traj.energies().real]))
     got = _read_csv(out_dir / "population.csv")
     np.testing.assert_array_equal(got[:, 0], times)
     np.testing.assert_array_equal(got[:, 1:], (rows[0] + rows[1]) / 2)
@@ -1269,7 +1269,7 @@ def test_pumped_sf_dynamics_equals_library_calls(tmp_path, capsys):
                                SFCavityCoupling(omega=0.05))
     state = coherent_init(np.sqrt(4.0), labels, h.n_modes, 1, noise_seed=3)
     traj = propagate(h, state, times, RUN_SETTINGS)
-    obs = sf_observables(traj, labels, cavity_mode=-1)
+    obs = sf_observables(traj, labels)
     np.testing.assert_array_equal(
         _read_csv(out_dir / "population.csv"),
         np.column_stack([obs["time_fs"], obs["p_tt"], obs["p_s1"],
@@ -1318,3 +1318,24 @@ def test_plain_spectra_run_leaves_only_its_outputs(tmp_path, capsys):
         [*manifest["outputs"], "run_manifest.json"])
 
 
+def test_spectra_run_evaluates_no_energy(tmp_path, monkeypatch):
+    """`propagate` returns its samples as a state and computes no
+    observable: with the <H> kernel raising, only reading `energies()`
+    fails, and a 2D run, whose bank and ESA legs read no energy, succeeds."""
+    from cavidyn import runner, varprop
+
+    class EnergyRead(Exception):
+        pass
+
+    def refuse(*args):
+        raise EnergyRead
+
+    monkeypatch.setattr(varprop, "energy_expectation", refuse)
+    labels, h = sf_system_bath((SFDimerSpec(),), CavitySpec(),
+                               SFCavityCoupling())
+    traj = propagate(h, coherent_init(0.0, labels, h.n_modes), np.arange(3.0))
+    assert isinstance(traj, varprop.MultiD2State)
+    with pytest.raises(EnergyRead):
+        traj.energies()
+    manifest = runner.run(validate(TINY_SPECTRA), str(tmp_path / "out"))
+    assert manifest["outputs"]

@@ -218,8 +218,8 @@ def test_zero_hamiltonian_constant_bank():
     dip = DipoleSet(mu=np.array([1.0]))
     grid = ResponseGrid(4, 1.0, (0.0,), 0.01)
     bank = first_leg_bank(h0, dip, grid)
-    assert np.max(np.abs(bank.amps[0] - 1.0)) < 1e-9
-    assert np.max(np.abs(bank.disps[0])) < 1e-9
+    assert np.max(np.abs(bank.fwd[0].amplitudes - 1.0)) < 1e-9
+    assert np.max(np.abs(bank.fwd[0].displacements)) < 1e-9
 
 
 def test_displaced_oscillator_orbit():
@@ -228,9 +228,9 @@ def test_displaced_oscillator_orbit():
     dip = DipoleSet(mu=np.array([1.0]))
     grid = ResponseGrid(6, 2.0, (0.0,), 0.01)
     bank = first_leg_bank(h1, dip, grid, settings=TIGHT)
-    times = np.arange(bank.amps[0].shape[0]) * bank.dt
+    times = bank.fwd[0].times
     ref = (KAP_E / OMEGA) * (np.exp(-1j * OMEGA * times / HBAR_EV_FS) - 1.0)
-    assert np.max(np.abs(bank.disps[0][:, 0, 0] - ref)) < 1e-7
+    assert np.max(np.abs(bank.fwd[0].displacements[:, 0, 0] - ref)) < 1e-7
 
 
 def test_grid_validation_errors():

@@ -229,7 +229,7 @@ def test_norm_conserved_at_finite_temperature():
     st = init_state(d.n_sys, d.n_modes, 0, multiplicity=6, noise_seed=4)
     tr = propagate(d, st, np.arange(101.0),
                    PropagationSettings(rel_tol=1e-8, abs_tol=1e-10))
-    assert np.max(np.abs(tr.norms**2 - 1.0)) <= 1e-6
+    assert np.max(np.abs(tr.norm()**2 - 1.0)) <= 1e-6
 
 
 def test_temperature_coupling_interchangeability_trend():
