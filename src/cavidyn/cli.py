@@ -14,7 +14,11 @@ Exit codes: 0 success, 1 runtime failure, 2 config parse error,
 Each command imports only the code it executes.  `validate` loads this
 module and `cavidyn.config`, both numpy-free; `run` then imports
 `cavidyn.runner`, which imports the modules of the configured experiment
-alone (see its docstring).
+alone (see its docstring).  Before that import, `run --workers` W > 1
+defaults the BLAS thread variables (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS,
+MKL_NUM_THREADS) to 1, so W forked workers do not each start a BLAS thread
+pool (the parent only sums their results); a value already set wins, and
+library callers of `runner.run` keep their own settings.
 """
 
 from __future__ import annotations
@@ -65,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="output directory (default: %(default)s)")
     run.add_argument("--workers", type=_worker_count, default=1,
                      metavar="INT", help="worker processes for the "
-                     "realizations of dynamics and absorption runs")
+                     "realizations of dynamics and absorption runs; above 1, "
+                     "BLAS thread variables not already set default to 1")
     return ap
 
 
@@ -89,6 +94,10 @@ def main(argv=None) -> int:
         sys.stdout.write(resolved_text(cfg))
         return EXIT_OK
 
+    if args.workers > 1:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            os.environ.setdefault(var, "1")
     from .runner import run
 
     try:

@@ -374,17 +374,14 @@ def _ensemble_csv(cfg: RunConfig, workers: int):
 
 
 def _pes_scan(cfg: RunConfig):
-    from .sf import pes_scan, surface_table
+    from .sf import PES_COLUMNS, pes_scan
 
     opt = cfg.options
     q_grid = np.linspace(opt["q_min"], opt["q_max"], opt["q_points"])
-    rows = pes_scan(cfg.sf_dimers, cfg.sf_cavity, cfg.sf_coupling, q_grid,
-                    n_max=opt["fock_cutoff"],
-                    manifold_max=opt["manifold_max"])
-    table = surface_table(rows)
-    yield "pes.csv", _csv_text(
-        ["q_t", "surface", "energy_eV", "manifold", "w_tt", "w_ph",
-         "w_ph_any"], [table[:, k] for k in range(7)])
+    table = pes_scan(cfg.sf_dimers, cfg.sf_cavity, cfg.sf_coupling, q_grid,
+                     n_max=opt["fock_cutoff"],
+                     manifold_max=opt["manifold_max"])
+    yield "pes.csv", _csv_text(PES_COLUMNS, table.T)
 
 
 def _spectra2d(cfg: RunConfig):

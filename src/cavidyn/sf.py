@@ -17,7 +17,8 @@ the energy of each electronic product label, its tuning slope on each dimer,
 the S1<->TT coupling-mode pairs and the entries of X^+ from one step table.
 Every representation of the photon is a projection of that graph, each used
 where it is the natural one: a Fock register folded into the basis for
-potential-surface scans (frozen Q_t, Q_c) and for excitation-number blocks in
+potential-surface scans (frozen Q_t, Q_c; `pes_scan` returns one float table
+whose columns are `PES_COLUMNS`) and for excitation-number blocks in
 response-function work (RWA only), and a boson mode inside the variational
 ansatz for pumped dynamics (`sf_matter_only` is the same projection without
 the photon mode).
@@ -80,8 +81,9 @@ KAPPA_S1_RUBRENE, KAPPA_TT_RUBRENE = derive_kappas_from_ci(
 @dataclass(frozen=True)
 class SFDimerSpec:
     """Electronic energies (eV), vibrational frequencies (eV), tuning-mode
-    slopes kappa per excited state (eV), coupling-mode strength lam_ci (eV),
-    and the higher-transition dipole ratios eta_s, eta_t."""
+    slopes kappa_s1, kappa_tt (eV; Sn and TTn have none), coupling-mode
+    strength lam_ci (eV), and the higher-transition dipole ratios eta_s,
+    eta_t."""
 
     eps_s1: float = 2.23
     eps_tt: float = 2.28
@@ -91,8 +93,6 @@ class SFDimerSpec:
     omega_cu: float = 0.0154
     kappa_s1: float = KAPPA_S1_RUBRENE
     kappa_tt: float = KAPPA_TT_RUBRENE
-    kappa_sn: float = 0.0
-    kappa_ttn: float = 0.0
     lam_ci: float = LAMBDA_CI_CALIBRATED
     eta_s: float = 1.0
     eta_t: float = 1.0
@@ -117,8 +117,8 @@ class SFDimerSpec:
             "g": 0.0,
             "S1": self.kappa_s1,
             "TT": self.kappa_tt,
-            "Sn": self.kappa_sn,
-            "TTn": self.kappa_ttn,
+            "Sn": 0.0,
+            "TTn": 0.0,
         }[state]
 
 
@@ -336,31 +336,12 @@ def excitation_expectation(traj, labels, cavity_mode: int = -1):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
-    q_t: float
-    surface: int
-    energy: float
-    manifold: float
-    w_tt: float
-    w_ph: float
-    w_ph_any: float
-
-
-def _fock_basis(labels, n_max):
-    return [(lab, nc) for lab in labels for nc in range(n_max + 1)]
-
-
 #: top-Fock-level occupation of a scanned eigenstate that fails the cutoff
 _LEAK_TOL = 1e-6
 
-
-def _potential_matrix(graph, cavity, coupling, n_max, q_t):
-    """Potential part (kinetic omitted) of the electronic x photon-Fock
-    Hamiltonian at frozen Q_t and Q_c = 0, on _fock_basis(labels, n_max)."""
-    harm = sum(0.5 * w_t * q_t**2 for w_t in graph.mode_freqs[0::2])
-    label_diag = graph.energy + graph.kappa.sum(axis=1) * q_t + harm
-    return _photon_block(graph, label_diag, cavity, coupling, n_max)
+#: the columns of a `pes_scan` table, which are the header of `pes.csv`
+PES_COLUMNS = ("q_t", "surface", "energy_eV", "manifold", "w_tt", "w_ph",
+               "w_ph_any")
 
 
 def pes_scan(
@@ -370,14 +351,17 @@ def pes_scan(
     q_t_grid: np.ndarray,
     n_max: int = 6,
     manifold_max: int = 2,
-):
+) -> np.ndarray:
     """Adiabatic potential cuts along the common tuning coordinate at Q_c = 0.
 
-    Returns SurfacePoint rows for eigenstates whose excitation number is at
-    most manifold_max + 1/2, sorted by (grid node, energy).  Eigenstates are
-    classified by excitation number, triplet-pair weight w_tt, pure-photon
-    weight w_ph (all dimers electronically unexcited and n_c >= 1), and the
-    looser any-photon weight w_ph_any (n_c >= 1 regardless of matter state).
+    The potential (kinetic omitted) at each frozen Q_t is diagonalised on
+    labels x {n_c = 0..n_max}.  Returns a (n, len(PES_COLUMNS)) float table
+    with one row per eigenstate whose excitation number `manifold` is at
+    most manifold_max + 1/2, in blocks of one grid node sorted by energy;
+    `surface` counts a node's rows from 0.  Eigenstates are classified by
+    triplet-pair weight w_tt, pure-photon weight w_ph (all dimers
+    electronically unexcited and n_c >= 1), and the looser any-photon
+    weight w_ph_any (n_c >= 1 regardless of matter state).
     """
     if n_max < manifold_max + 4:
         raise ValueError(
@@ -387,21 +371,25 @@ def pes_scan(
     if cavity.kappa != 0.0:
         raise UnsupportedModelError("surface scans require a lossless cavity")
     graph = _label_graph(dimers, STATES_THREE)
-    basis = _fock_basis(graph.labels, n_max)
-    rows = []
+
+    def per_label(f):
+        return np.repeat([f(lab) for lab in graph.labels], n_max + 1)
+
+    # basis classes on labels x {n_c = 0..n_max}, n_c fastest
+    n_c = np.tile(np.arange(n_max + 1), len(graph.labels))
+    n_ex = (per_label(label_weight) + n_c).astype(float)
+    top = n_c == n_max
+    classes = (per_label(label_has_tt),
+               per_label(lambda lab: all(s == "g" for s in lab)) & (n_c >= 1),
+               n_c >= 1)
+    slopes = graph.kappa.sum(axis=1)
+    blocks = [np.empty((0, len(PES_COLUMNS)))]
     for q_t in np.asarray(q_t_grid, dtype=float):
-        h = _potential_matrix(graph, cavity, coupling, n_max, q_t)
-        evals, evecs = np.linalg.eigh(h)
+        harm = sum(0.5 * w_t * q_t**2 for w_t in graph.mode_freqs[0::2])
+        evals, evecs = np.linalg.eigh(_photon_block(
+            graph, graph.energy + slopes * q_t + harm, cavity, coupling,
+            n_max))
         weights = np.abs(evecs) ** 2
-        n_ex = np.array(
-            [label_weight(lab) + nc for lab, nc in basis], dtype=float
-        )
-        is_tt = np.array([label_has_tt(lab) for lab, nc in basis])
-        is_pure_ph = np.array(
-            [all(s == "g" for s in lab) and nc >= 1 for lab, nc in basis]
-        )
-        any_ph = np.array([nc >= 1 for lab, nc in basis])
-        top = np.array([nc == n_max for lab, nc in basis])
         manifolds = weights.T @ n_ex
         sel = np.flatnonzero(manifolds <= manifold_max + 0.5)
         leak = weights[top][:, sel].sum(axis=0)
@@ -410,41 +398,27 @@ def pes_scan(
                 f"photon cutoff n_max={n_max} too small at Q_t={q_t:.4f}: "
                 f"top-level occupation {leak.max():.2e} exceeds {_LEAK_TOL:.0e}"
             )
-        for s, k in enumerate(sel):
-            rows.append(
-                SurfacePoint(
-                    q_t=float(q_t),
-                    surface=s,
-                    energy=float(evals[k]),
-                    manifold=float(manifolds[k]),
-                    w_tt=float(weights[is_tt, k].sum()),
-                    w_ph=float(weights[is_pure_ph, k].sum()),
-                    w_ph_any=float(weights[any_ph, k].sum()),
-                )
-            )
-    return rows
+        # class weights are pairwise sums along C-contiguous rows, one per
+        # eigenvector; an axis-0 sum or a sum over a strided view rounds
+        # differently in the last digit
+        kept = np.ascontiguousarray(weights[:, sel].T)
+        blocks.append(np.column_stack(
+            [np.full(sel.size, q_t), np.arange(sel.size), evals[sel],
+             manifolds[sel]]
+            + [np.ascontiguousarray(kept[:, mask]).sum(axis=1)
+               for mask in classes]))
+    return np.concatenate(blocks)
 
 
-def surface_table(rows):
-    """Scan rows as a (n, 7) float array: q_t, surface, E, N, w_tt, w_ph,
-    w_ph_any."""
-    return np.array(
-        [[r.q_t, r.surface, r.energy, r.manifold, r.w_tt, r.w_ph, r.w_ph_any]
-         for r in rows]
-    )
-
-
-def adjacent_gap_minima(rows, surface_lo: int, flag_gap: float = 1e-4):
+def adjacent_gap_minima(table, surface_lo: int, flag_gap: float = 1e-4):
     """Crossing loci between two adjacent surfaces: local minima of the gap
-    over the scan grid, reported as (q_t, gap, flagged).  Surfaces are ranked
-    by energy within each grid node, so pre-filtered row subsets work."""
-    by_q = {}
-    for r in rows:
-        by_q.setdefault(r.q_t, []).append(r.energy)
-    qs = np.array(sorted(by_q))
+    over the scan grid, reported as (q_t, gap, flagged).  `table` holds
+    `pes_scan` rows; surfaces are ranked by energy within each grid node,
+    so a row subset (e.g. one manifold's, by a boolean mask) works."""
+    qs = np.unique(table[:, 0])
     gaps = []
     for q in qs:
-        es = sorted(by_q[q])
+        es = np.sort(table[table[:, 0] == q, 2])
         if surface_lo + 1 >= len(es):
             raise ValueError(
                 f"only {len(es)} surfaces at Q_t={q}: no pair ({surface_lo}, "
@@ -473,6 +447,10 @@ def manifold_labels(n_dimers: int, manifold: int):
         if nc >= 0:
             out.append((lab, nc))
     return out
+
+
+def _fock_basis(labels, n_max):
+    return [(lab, nc) for lab in labels for nc in range(n_max + 1)]
 
 
 def manifold_hamiltonian(

@@ -154,7 +154,6 @@ def first_leg_bank(
     leg (`cavidyn.varprop`), which is the forward leg itself when h1 and the
     start state are real.
     """
-    settings = settings or PropagationSettings()
     bright = tuple(int(i) for i in np.flatnonzero(np.abs(dipoles.mu) > 0))
     if not bright:
         raise ValueError("no bright singly-excited label (all dipoles zero)")
@@ -255,14 +254,8 @@ def response_esa(
     """
     if dipoles.mu_up is None:
         raise ValueError("ESA needs upward dipoles (mu_up)")
-    settings = settings or PropagationSettings()
     mu, mu_up = dipoles.mu, dipoles.mu_up
     shape = (grid.n, len(grid.tw_fs), grid.n)
-
-    if np.all(np.abs(mu_up) == 0):
-        return {"R1s": np.zeros(shape, dtype=complex),
-                "R2s": np.zeros(shape, dtype=complex)}
-
     r1s = np.zeros(shape, dtype=complex)
     r2s = np.zeros(shape, dtype=complex)
 

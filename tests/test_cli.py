@@ -17,9 +17,9 @@ from cavidyn import cli
 from cavidyn.config import resolved_text, validate
 from cavidyn.constants import HBAR_EV_FS, KB_EV_PER_K
 from cavidyn.models import HTCModel, TCModel, disordered_tc, htc_system_bath
-from cavidyn.sf import (CavitySpec, SFCavityCoupling, SFDimerSpec,
-                        coherent_init, pes_scan, sf_observables,
-                        sf_system_bath, surface_table)
+from cavidyn.sf import (PES_COLUMNS, CavitySpec, SFCavityCoupling,
+                        SFDimerSpec, coherent_init, pes_scan, sf_observables,
+                        sf_system_bath)
 from cavidyn.spectro import DipoleSet, linear_absorption
 from cavidyn.thermofield import thermal_htc
 from cavidyn.varprop import PropagationSettings, init_state, propagate
@@ -776,6 +776,33 @@ def test_workers_below_one_is_a_parse_error(tmp_path, capsys, workers):
     assert "--workers" in capsys.readouterr().err
 
 
+def test_workers_default_blas_to_one_thread(tmp_path, capsys, monkeypatch):
+    """Above one worker, run defaults the BLAS thread variables to 1 before
+    numpy could load; one worker leaves them alone, and a preset value
+    wins."""
+    import cavidyn.runner
+
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    seen = []
+
+    def fake_run(cfg, out_dir, workers=1):
+        seen.append({var: os.environ.get(var) for var in blas})
+        return {"outputs": {}, "wall_clock_s": 0.0}
+
+    monkeypatch.setattr(cavidyn.runner, "run", fake_run)
+    config = _write(tmp_path, TINY_TC)
+    for workers, preset in (("1", None), ("2", None), ("2", "3")):
+        for var in blas:
+            monkeypatch.delenv(var, raising=False)
+        if preset:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+        code, _, err = _run(capsys, "run", "--config", config, "--workers",
+                            workers)
+        assert code == cli.EXIT_OK, err
+    assert seen == [dict.fromkeys(blas), dict.fromkeys(blas, "1"),
+                    {**dict.fromkeys(blas, "1"), "OPENBLAS_NUM_THREADS": "3"}]
+
+
 @pytest.mark.parametrize("flags", [["--resume"], ["--seed", "1"]],
                          ids=["resume", "seed"])
 def test_removed_flags_are_parse_errors(tmp_path, capsys, flags):
@@ -1253,10 +1280,12 @@ def test_pes_scan_equals_library_call(tmp_path, capsys):
     code, _, err = _run(capsys, "run", "--config", _write(tmp_path, TINY_PES),
                         "--out", str(out_dir))
     assert code == cli.EXIT_OK, err
-    ref = surface_table(pes_scan(
+    ref = pes_scan(
         (SFDimerSpec(),), CavitySpec(), SFCavityCoupling(omega=0.2),
-        np.linspace(-0.4, 0.6, 5), n_max=6, manifold_max=2))
+        np.linspace(-0.4, 0.6, 5), n_max=6, manifold_max=2)
     np.testing.assert_array_equal(_read_csv(out_dir / "pes.csv"), ref)
+    with open(out_dir / "pes.csv") as f:
+        assert f.readline() == ",".join(PES_COLUMNS) + "\n"
 
 
 def test_pumped_sf_dynamics_equals_library_calls(tmp_path, capsys):

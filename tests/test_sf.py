@@ -8,6 +8,7 @@ import pytest
 from cavidyn.dense_ref import FockSpace
 from cavidyn.models import TCModel, UnsupportedModelError
 from cavidyn.sf import (
+    PES_COLUMNS,
     CavitySpec,
     SFCavityCoupling,
     SFDimerSpec,
@@ -29,6 +30,10 @@ from cavidyn.sf import (
     sf_system_bath,
 )
 from cavidyn.varprop import PropagationSettings, init_state, propagate
+
+# pes_scan table columns
+Q, E, N, W_TT, W_PH = (PES_COLUMNS.index(c) for c in
+                       ("q_t", "energy_eV", "manifold", "w_tt", "w_ph"))
 
 
 def test_kappa_derivation_reference_values():
@@ -206,8 +211,24 @@ def test_pumped_observables_and_excitation_number():
     assert np.max(np.abs(nex_full - nex_full[0])) > 1e-4
 
 
+def test_pes_scan_is_one_float_table():
+    args = ([SFDimerSpec()], CavitySpec(), SFCavityCoupling(omega=0.2))
+    t = pes_scan(*args, np.array([0.0, 0.1]), n_max=6, manifold_max=1)
+    assert t.dtype == float and t.shape == (len(t), len(PES_COLUMNS))
+    # one block per grid node, its surfaces counted from 0
+    for q in (0.0, 0.1):
+        block = t[t[:, Q] == q]
+        assert len(block) > 0
+        np.testing.assert_array_equal(block[:, PES_COLUMNS.index("surface")],
+                                      np.arange(len(block)))
+        assert np.all(np.diff(block[:, E]) >= 0)
+    for grid, manifold_max in ((np.array([0.0]), -1), (np.array([]), 2)):
+        assert pes_scan(*args, grid, n_max=6,
+                        manifold_max=manifold_max).shape == (0, len(PES_COLUMNS))
+
+
 def test_pes_scan_anchor_at_bare_crossing():
-    rows = pes_scan(
+    t = pes_scan(
         [SFDimerSpec()],
         CavitySpec(),
         SFCavityCoupling(omega=0.0, rwa=True),
@@ -215,12 +236,12 @@ def test_pes_scan_anchor_at_bare_crossing():
         n_max=6,
         manifold_max=1,
     )
-    m1 = [r for r in rows if abs(r.manifold - 1.0) < 0.5]
+    m1 = t[np.abs(t[:, N] - 1.0) < 0.5]
     flagged = [x for x in adjacent_gap_minima(m1, 0) if x[2]]
     assert len(flagged) == 1
     q_star, gap, _ = flagged[0]
     assert abs(q_star - 0.07) <= 0.005
-    e_star = min(r.energy for r in m1 if r.q_t == q_star)
+    e_star = m1[m1[:, Q] == q_star, E].min()
     assert abs(e_star - 2.256) <= 0.002
     assert gap < 1e-10
 
@@ -229,7 +250,7 @@ def test_pes_polaritonic_crossings_move_out_with_coupling():
     grid = np.arange(-0.3, 0.5001, 0.002)
     spread = {}
     for om in (0.1, 0.2):
-        rows = pes_scan(
+        t = pes_scan(
             [SFDimerSpec()],
             CavitySpec(),
             SFCavityCoupling(omega=om, rwa=True),
@@ -237,7 +258,7 @@ def test_pes_polaritonic_crossings_move_out_with_coupling():
             n_max=6,
             manifold_max=1,
         )
-        m1 = [r for r in rows if abs(r.manifold - 1.0) < 0.5]
+        m1 = t[np.abs(t[:, N] - 1.0) < 0.5]
         right = min(adjacent_gap_minima(m1, 0), key=lambda x: x[1])[0]
         left = min(adjacent_gap_minima(m1, 1), key=lambda x: x[1])[0]
         assert left < 0.07 < right
@@ -248,7 +269,7 @@ def test_pes_polaritonic_crossings_move_out_with_coupling():
 
 
 def test_pes_manifolds_are_integers_under_rwa():
-    rows = pes_scan(
+    t = pes_scan(
         [SFDimerSpec()],
         CavitySpec(),
         SFCavityCoupling(omega=0.2, rwa=True),
@@ -256,13 +277,12 @@ def test_pes_manifolds_are_integers_under_rwa():
         n_max=6,
         manifold_max=2,
     )
-    for r in rows:
-        assert abs(r.manifold - round(r.manifold)) < 1e-6
-        assert 0.0 <= r.w_tt <= 1.0 and 0.0 <= r.w_ph <= 1.0
+    assert np.all(np.abs(t[:, N] - np.round(t[:, N])) < 1e-6)
+    assert np.all((0.0 <= t[:, [W_TT, W_PH]]) & (t[:, [W_TT, W_PH]] <= 1.0))
 
 
 def test_pes_pure_photon_classification():
-    rows = pes_scan(
+    t = pes_scan(
         [SFDimerSpec(lam_ci=0.0)],
         CavitySpec(),
         SFCavityCoupling(omega=0.0, rwa=True),
@@ -270,18 +290,18 @@ def test_pes_pure_photon_classification():
         n_max=6,
         manifold_max=1,
     )
-    photon = [r for r in rows if r.w_ph > 0.5]
+    photon = t[t[:, W_PH] > 0.5]
     assert len(photon) == 1
-    assert photon[0].w_ph == pytest.approx(1.0, abs=1e-12)
-    assert photon[0].w_tt == 0.0
-    assert photon[0].energy == pytest.approx(2.256, abs=1e-12)
+    assert photon[0, W_PH] == pytest.approx(1.0, abs=1e-12)
+    assert photon[0, W_TT] == 0.0
+    assert photon[0, E] == pytest.approx(2.256, abs=1e-12)
 
 
 def test_pes_classification_completeness():
     # under the RWA the excitation number is conserved, so the eigenstates
     # kept up to manifold 2 span the pure-photon states |g, 1> and |g, 2>
     # and their summed pure-photon weight is 2
-    rows = pes_scan(
+    t = pes_scan(
         [SFDimerSpec()],
         CavitySpec(),
         SFCavityCoupling(omega=0.2, rwa=True),
@@ -290,7 +310,7 @@ def test_pes_classification_completeness():
         manifold_max=2,
     )
     for q in (0.0, 0.07, 0.2):
-        tot = sum(r.w_ph for r in rows if r.q_t == q)
+        tot = t[t[:, Q] == q, W_PH].sum()
         assert abs(tot - 2.0) < 1e-8
 
 
@@ -307,7 +327,7 @@ def test_pes_cutoff_guards():
 
 def test_two_dimer_shared_coordinate_scan():
     dimers = [SFDimerSpec(), SFDimerSpec()]
-    rows = pes_scan(
+    t = pes_scan(
         dimers,
         CavitySpec(),
         SFCavityCoupling(omega=0.0, rwa=True),
@@ -317,7 +337,7 @@ def test_two_dimer_shared_coordinate_scan():
     )
     # the both-dimers-in-TT surface keeps its crossing at the bare anchor:
     # doubly-excited TT|TT diabat sits at 2 * 2.256
-    e2 = [r.energy for r in rows if abs(r.manifold - 2.0) < 0.5 and r.w_tt > 0.9]
+    e2 = t[(np.abs(t[:, N] - 2.0) < 0.5) & (t[:, W_TT] > 0.9), E]
     assert any(abs(e - 2 * 2.256) < 1e-6 for e in e2)
 
 
