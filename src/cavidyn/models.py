@@ -82,15 +82,9 @@ class TCModel:
         Hermitian bit-for-bit when kappa = gamma = 0; complex symmetric with
         -i*kappa / -i*gamma diagonals otherwise.
         """
-        n = self.n_qubits
-        h = np.zeros((n + 1, n + 1), dtype=complex)
-        h[0, 0] = self.omega_c - 1j * self.kappa
-        freqs = self.qubit_freqs
-        g = self.coupling
-        for j in range(1, n + 1):
-            h[j, j] = freqs[j - 1] - 1j * self.gamma
-            h[0, j] = g
-            h[j, 0] = g
+        h = np.diag(np.concatenate([[self.omega_c - 1j * self.kappa],
+                                    self.qubit_freqs - 1j * self.gamma]))
+        h[0, 1:] = h[1:, 0] = self.coupling
         return h
 
     def with_qubit_freqs(self, freqs: np.ndarray) -> "TCModel":

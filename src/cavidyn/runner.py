@@ -187,12 +187,12 @@ def _htc_realization(args, propagate=None):
 
 def _htc_absorption_realization(args):
     """Autocorrelation lineshape of the photon-excited state."""
-    from .spectro import DipoleSet, linear_absorption
+    from .spectro import linear_absorption
 
     cfg, width, r, omega = args
     h = _htc_hamiltonian(cfg, width, r)
     return (linear_absorption(
-        h, DipoleSet(mu=np.eye(1, h.n_sys)[0]), omega, _times(cfg),
+        h, np.eye(1, h.n_sys)[0], omega, _times(cfg),
         gamma_prime=cfg.options["gamma_prime"],
         multiplicity=cfg.run.multiplicity,
         noise_seed=cfg.run.seed + 7919 * r, settings=_settings(cfg)),)
@@ -386,8 +386,8 @@ def _pes_scan(cfg: RunConfig):
 
 def _spectra2d(cfg: RunConfig):
     from .sf import dipole_up, manifold_hamiltonian, manifold_labels
-    from .spectro import (DipoleSet, ResponseGrid, first_leg_bank,
-                          response_esa, response_se_gsb, spectra)
+    from .spectro import (ResponseGrid, first_leg_bank, response_esa,
+                          response_se_gsb, spectra)
 
     opt = cfg.options
     grid = ResponseGrid(opt["grid_points"], opt["grid_dt_fs"],
@@ -397,27 +397,26 @@ def _spectra2d(cfg: RunConfig):
                                        cfg.sf_coupling, 1)
     labels2, h2 = manifold_hamiltonian(cfg.sf_dimers, cfg.sf_cavity,
                                        cfg.sf_coupling, 2)
-    dipoles = DipoleSet(mu=dipole_up(cfg.sf_dimers, labels0, labels1)[:, 0],
-                        mu_up=dipole_up(cfg.sf_dimers, labels1, labels2))
+    mu = dipole_up(cfg.sf_dimers, labels0, labels1)[:, 0]
+    mu_up = dipole_up(cfg.sf_dimers, labels1, labels2)
     settings = _settings(cfg)
-    bank = first_leg_bank(h1, dipoles, grid,
-                          multiplicity=cfg.run.multiplicity,
+    bank = first_leg_bank(h1, mu, grid, multiplicity=cfg.run.multiplicity,
                           noise_seed=cfg.run.seed, settings=settings)
-    responses = response_se_gsb(bank, grid, dipoles)
-    responses.update(response_esa(bank, h2, grid, dipoles, settings=settings))
+    responses = response_se_gsb(bank, grid, mu)
+    responses.update(response_esa(bank, h2, grid, mu, mu_up,
+                                  settings=settings))
     omega = _omegas(cfg)
     maps = spectra(responses, grid, omega, omega)
-    for spec in maps:
-        w_tau, w_t = np.meshgrid(spec.omega_tau, spec.omega_t, indexing="ij")
-        total = spec.total
-        yield f"spectrum2d_Tw{file_tag(spec.tw_fs)}.csv", _csv_text(
+    w_tau, w_t = np.meshgrid(omega, omega, indexing="ij")
+    for w, tw in enumerate(grid.tw_fs):
+        se, gsb, esa = maps["se"][w], maps["gsb"][w], maps["esa"][w]
+        total = se + gsb + esa
+        yield f"spectrum2d_Tw{file_tag(tw)}.csv", _csv_text(
             ["omega_tau_eV", "omega_t_eV", "re_se", "im_se", "re_gsb",
              "im_gsb", "re_esa", "im_esa", "re_total", "im_total"],
-            [w_tau.ravel(), w_t.ravel(),
-             spec.se.real.ravel(), spec.se.imag.ravel(),
-             spec.gsb.real.ravel(), spec.gsb.imag.ravel(),
-             spec.esa.real.ravel(), spec.esa.imag.ravel(),
-             total.real.ravel(), total.imag.ravel()])
+            [w_tau.ravel(), w_t.ravel(), se.real.ravel(), se.imag.ravel(),
+             gsb.real.ravel(), gsb.imag.ravel(), esa.real.ravel(),
+             esa.imag.ravel(), total.real.ravel(), total.imag.ravel()])
 
 
 def _oracle_compare(cfg: RunConfig):

@@ -20,14 +20,17 @@ The workflow is bank -> response -> spectra:
      dipole-raised transplants of first-leg snapshots, all in one batched
      integration.
   3. `spectra` applies the electronic dephasing window exp(-gamma'(tau+t)/hbar)
-     and the double one-sided transform, returning per-T_w SE/GSB/ESA/TOTAL
-     maps (TOTAL = SE + GSB + ESA by construction).
+     and the double one-sided transform, returning the SE, GSB and ESA maps
+     as (T_w, omega_tau, omega_t) arrays; their sum is the TOTAL map the
+     runner writes beside them.
 
 tau and t share one time axis, `ResponseGrid.times_fs`.
 
 Everything is impulsive-limit: pulse envelopes are delta functions, and all
 dipoles and pulse polarizations are parallel, so no orientation factor
-enters.
+enters.  The stages take the transition dipoles as arrays: mu[n] is the
+ground -> singly-excited magnitude of label n (dark labels carry 0), and
+mu_up[m, n] the singly -> doubly-excited magnitude from label n to label m.
 """
 
 from __future__ import annotations
@@ -48,23 +51,6 @@ from .varprop import (
     overlap_matrix,
     propagate,
 )
-
-
-@dataclass(frozen=True)
-class DipoleSet:
-    """Transition dipoles, all parallel to the pulse polarizations.
-
-    mu[n] is the ground -> singly-excited dipole magnitude of label n (dark
-    labels carry 0); mu_up[m, n] the singly -> doubly-excited magnitudes.
-    """
-
-    mu: np.ndarray
-    mu_up: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=complex))
-        if self.mu_up is not None:
-            object.__setattr__(self, "mu_up", np.asarray(self.mu_up, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -141,20 +127,22 @@ class TrajectoryBank:
 
 def first_leg_bank(
     h1: SystemBathHamiltonian,
-    dipoles: DipoleSet,
+    mu: np.ndarray,
     grid: ResponseGrid,
     multiplicity: int = 1,
     noise_seed: int = 0,
     settings: Optional[PropagationSettings] = None,
 ) -> TrajectoryBank:
-    """Propagate one singly-excited trajectory per bright label.
+    """Propagate one singly-excited trajectory per bright label, each label
+    n with |mu[n]| > 0.
 
     Forward samples cover tau_max + max(T_w) + t_max.  R4's backward branch
     (amplitudes at -t) is the conjugate of the conjugated problem's forward
     leg (`cavidyn.varprop`), which is the forward leg itself when h1 and the
     start state are real.
     """
-    bright = tuple(int(i) for i in np.flatnonzero(np.abs(dipoles.mu) > 0))
+    mu = np.asarray(mu, dtype=complex)
+    bright = tuple(int(i) for i in np.flatnonzero(np.abs(mu) > 0))
     if not bright:
         raise ValueError("no bright singly-excited label (all dipoles zero)")
     dt, t_max = grid.dt, grid.times_fs[-1]
@@ -181,7 +169,7 @@ def first_leg_bank(
 
 
 def response_se_gsb(bank: TrajectoryBank, grid: ResponseGrid,
-                    dipoles: DipoleSet) -> dict:
+                    mu: np.ndarray) -> dict:
     """R1..R4 on the (tau, T_w, t) grid, complex arrays.
 
     Bra amplitude rows contract the third-pulse dipole (unconjugated mu),
@@ -191,7 +179,7 @@ def response_se_gsb(bank: TrajectoryBank, grid: ResponseGrid,
     ground-state interval s is folded into the ket displacements, which is
     exact because it leaves |f| unchanged.
     """
-    mu = dipoles.mu
+    mu = np.asarray(mu, dtype=complex)
     t = grid.times_fs
     tau = t[:, None]
     shape = (grid.n, len(grid.tw_fs), grid.n)
@@ -236,7 +224,8 @@ def response_esa(
     bank: TrajectoryBank,
     h2: SystemBathHamiltonian,
     grid: ResponseGrid,
-    dipoles: DipoleSet,
+    mu: np.ndarray,
+    mu_up: np.ndarray,
     settings: Optional[PropagationSettings] = None,
 ) -> dict:
     """R1*, R2* (excited-state absorption) on the (tau, T_w, t) grid.
@@ -252,9 +241,8 @@ def response_esa(
     variational equations of motion; transplants of norm < 1e-12 contribute
     nothing and are not propagated.
     """
-    if dipoles.mu_up is None:
-        raise ValueError("ESA needs upward dipoles (mu_up)")
-    mu, mu_up = dipoles.mu, dipoles.mu_up
+    mu = np.asarray(mu, dtype=complex)
+    mu_up = np.asarray(mu_up, dtype=complex)
     shape = (grid.n, len(grid.tw_fs), grid.n)
     r1s = np.zeros(shape, dtype=complex)
     r2s = np.zeros(shape, dtype=complex)
@@ -296,27 +284,6 @@ def response_esa(
     return {"R1s": r1s, "R2s": r2s}
 
 
-@dataclass(frozen=True)
-class Spectrum2D:
-    """One waiting-time slice of the 2D maps.
-
-    Maps are complex: the real part is the absorptive spectrum, the
-    imaginary part the dispersive counterpart of the same one-sided
-    transforms.
-    """
-
-    omega_tau: np.ndarray
-    omega_t: np.ndarray
-    tw_fs: float
-    se: np.ndarray
-    gsb: np.ndarray
-    esa: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.se + self.gsb + self.esa
-
-
 def _transform_kernels(times, omegas, dt):
     nyquist = nyquist_ev(dt)
     if np.max(np.abs(omegas)) > nyquist + 1e-12:
@@ -335,11 +302,14 @@ def spectra(
     grid: ResponseGrid,
     omega_tau: np.ndarray,
     omega_t: np.ndarray,
-) -> list:
-    """Per-T_w SE/GSB/ESA/TOTAL maps via apodized one-sided transforms.
+) -> dict:
+    """SE, GSB and ESA maps via apodized one-sided transforms.
 
-    responses: dict with R1..R4 and (optionally) R1s/R2s arrays shaped
-    (tau, T_w, t); missing ESA keys yield zero ESA maps.
+    responses holds all six of R1..R4, R1s and R2s, each shaped
+    (tau, T_w, t); a missing key raises KeyError.  Returns {"se", "gsb",
+    "esa"}, each a complex (T_w, omega_tau, omega_t) array: the real part
+    is the absorptive spectrum, the imaginary part the dispersive
+    counterpart of the same one-sided transforms.
     """
     omega_tau = np.asarray(omega_tau, dtype=float)
     omega_t = np.asarray(omega_t, dtype=float)
@@ -351,27 +321,21 @@ def spectra(
         -grid.gamma_prime * (times[:, None] + times[None, :]) / HBAR_EV_FS
     )
 
-    zero = np.zeros((grid.n, len(grid.tw_fs), grid.n), dtype=complex)
-    r1s = responses.get("R1s", zero)
-    r2s = responses.get("R2s", zero)
+    def xf(key, w, k_tau):
+        return k_tau.T @ (apo * responses[key][:, w, :]) @ e_t
 
-    def xf(r_w, k_tau):
-        return k_tau.T @ (apo * r_w) @ e_t
-
-    out = []
-    for w, tw in enumerate(grid.tw_fs):
-        se = (xf(responses["R2"][:, w, :], e_tau_m)
-              + xf(responses["R1"][:, w, :], e_tau_p))
-        gsb = (xf(responses["R3"][:, w, :], e_tau_m)
-               + xf(responses["R4"][:, w, :], e_tau_p))
-        esa = -(xf(r1s[:, w, :], e_tau_m) + xf(r2s[:, w, :], e_tau_p))
-        out.append(Spectrum2D(omega_tau.copy(), omega_t.copy(), tw, se, gsb, esa))
+    shape = (len(grid.tw_fs), len(omega_tau), len(omega_t))
+    out = {k: np.empty(shape, dtype=complex) for k in ("se", "gsb", "esa")}
+    for w in range(len(grid.tw_fs)):
+        out["se"][w] = xf("R2", w, e_tau_m) + xf("R1", w, e_tau_p)
+        out["gsb"][w] = xf("R3", w, e_tau_m) + xf("R4", w, e_tau_p)
+        out["esa"][w] = -(xf("R1s", w, e_tau_m) + xf("R2s", w, e_tau_p))
     return out
 
 
 def linear_absorption(
     h1: SystemBathHamiltonian,
-    dipoles: DipoleSet,
+    mu: np.ndarray,
     omega_grid: np.ndarray,
     times: np.ndarray,
     gamma_prime: float = 0.01,
@@ -379,8 +343,10 @@ def linear_absorption(
     noise_seed: int = 0,
     settings: Optional[PropagationSettings] = None,
 ) -> np.ndarray:
-    """F(omega) from the singly-excited dipole autocorrelation at `times`."""
-    mu = np.asarray(dipoles.mu, dtype=complex)
+    """F(omega) from the singly-excited dipole autocorrelation at `times`:
+    the start state is mu itself, the ground -> singly-excited dipoles per
+    label; all-zero dipoles absorb nothing."""
+    mu = np.asarray(mu, dtype=complex)
     strength = float(np.sum(np.abs(mu) ** 2))
     if strength == 0:
         return np.zeros_like(np.asarray(omega_grid, dtype=float))

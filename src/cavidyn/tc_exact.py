@@ -15,9 +15,10 @@ poles w_n = omega_n and
     f(z) = z - (omega_c - i(kappa - gamma)) - g^2 sum_n 1 / (z - w_n),
 
 whose roots are those of the characteristic polynomial p = f * prod(z - w_n).
-The start is `eigvalsh` of the lossless real arrowhead, each eigenvalue moved
-by -i(kappa - gamma) times its photon weight (first-order loss).  Aberth-
-Ehrlich sweeps then move all poles at once,
+The start is `eigvalsh` of the lossless arrowhead, the real part of
+`TCModel.matrix()`, each eigenvalue moved by -i(kappa - gamma) times its
+photon weight (first-order loss).  Aberth-Ehrlich sweeps then move all poles
+at once,
 
     z_m <- z_m - r_m / (1 - r_m sum_{k != m} 1 / (z_m - z_k)),
     r_m  = p/p' = f / (f' + f sum_n 1 / (z_m - w_n))   (finite where f = 0),
@@ -201,9 +202,8 @@ def _secular_residues(model: TCModel):
     g2 = g * g
     # with the uniform emitter loss shifted out, the emitter poles w are real
     c = model.omega_c - 1j * (model.kappa - model.gamma)
-    h = np.diag(np.concatenate([[model.omega_c], w]))
-    h[0, 1:] = h[1:, 0] = g
-    lam = np.linalg.eigvalsh(h)
+    # the lossless arrowhead is the real part of the lossy one
+    lam = np.linalg.eigvalsh(model.matrix().real)
     with np.errstate(all="ignore"):
         d = lam[:, None] - w
         photon = 1.0 / (1.0 + g2 * (1.0 / (d * d)).sum(axis=1))

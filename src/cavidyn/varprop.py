@@ -131,9 +131,6 @@ class MultiD2State:
     def n_modes(self) -> int:
         return self.displacements.shape[-1]
 
-    def copy(self) -> "MultiD2State":
-        return MultiD2State(self.amplitudes.copy(), self.displacements.copy())
-
     def norm(self):
         """State norm: a float, or one per batch member."""
         return np.sqrt(state_norm_sq(self.amplitudes, self.displacements))
@@ -392,15 +389,9 @@ class Trajectory(MultiD2State):
     times: np.ndarray
     h: SystemBathHamiltonian
 
-    def state_at(self, i: int) -> MultiD2State:
-        return MultiD2State(self.amplitudes[i].copy(), self.displacements[i].copy())
-
     def energies(self) -> np.ndarray:
         """(T, ...) complex <H>."""
         return energy_expectation(self.h, self)
-
-    def photon_population(self, index: int = 0) -> np.ndarray:
-        return self.system_populations()[..., index]
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,10 @@ from cavidyn.config import resolved_text, validate
 from cavidyn.constants import HBAR_EV_FS, KB_EV_PER_K
 from cavidyn.models import HTCModel, TCModel, disordered_tc, htc_system_bath
 from cavidyn.sf import (PES_COLUMNS, CavitySpec, SFCavityCoupling,
-                        SFDimerSpec, coherent_init, pes_scan, sf_observables,
-                        sf_system_bath)
-from cavidyn.spectro import DipoleSet, linear_absorption
+                        SFDimerSpec, coherent_init, dipole_up,
+                        manifold_hamiltonian, manifold_labels, pes_scan,
+                        sf_observables, sf_system_bath)
+from cavidyn.spectro import linear_absorption
 from cavidyn.thermofield import thermal_htc
 from cavidyn.varprop import PropagationSettings, init_state, propagate
 
@@ -543,7 +544,7 @@ def test_htc_absorption_equals_library_call(tmp_path, capsys):
     h = htc_system_bath(HTCModel(TCModel(2, 1.0, 1.0, 0.1, kappa=0.002),
                                  0.3, 0.124, 0.3))
     omega = np.linspace(0.7, 1.3, 41)
-    ref = linear_absorption(h, DipoleSet(mu=np.eye(1, h.n_sys)[0]), omega,
+    ref = linear_absorption(h, np.eye(1, h.n_sys)[0], omega,
                             np.arange(41.0), gamma_prime=0.1, multiplicity=2,
                             noise_seed=4, settings=RUN_SETTINGS)
     got = _read_csv(out_dir / "absorption.csv")
@@ -566,7 +567,7 @@ def test_disordered_htc_absorption_equals_library_calls(tmp_path, capsys):
                                5, r)
             h = htc_system_bath(HTCModel(tc, 0.3, 0.124, 0.3))
             spectra.append(linear_absorption(
-                h, DipoleSet(mu=np.eye(1, h.n_sys)[0]), omega,
+                h, np.eye(1, h.n_sys)[0], omega,
                 np.arange(41.0), gamma_prime=0.1, multiplicity=2,
                 noise_seed=4 + 7919 * r, settings=RUN_SETTINGS))
         got = _read_csv(out_dir / f"absorption_W{width:g}.csv")
@@ -625,7 +626,7 @@ def test_htc_absorption_above_zero_kelvin_uses_the_thermal_double(tmp_path,
     h = thermal_htc(HTCModel(TCModel(2, 1.0, 1.0, 0.1, kappa=0.002),
                              0.3, 0.124, 0.3), 300.0)
     omega = np.linspace(0.7, 1.3, 41)
-    ref = linear_absorption(h, DipoleSet(mu=np.eye(1, h.n_sys)[0]), omega,
+    ref = linear_absorption(h, np.eye(1, h.n_sys)[0], omega,
                             np.arange(41.0), gamma_prime=0.1, multiplicity=2,
                             noise_seed=4, settings=RUN_SETTINGS)
     np.testing.assert_array_equal(spectra[300.0],
@@ -1303,6 +1304,41 @@ def test_pumped_sf_dynamics_equals_library_calls(tmp_path, capsys):
         _read_csv(out_dir / "population.csv"),
         np.column_stack([obs["time_fs"], obs["p_tt"], obs["p_s1"],
                          obs["norm"], obs["energy_ev"]]))
+
+
+def test_spectra2d_equals_library_calls(tmp_path, capsys):
+    """The T_w = 0 map is the bank -> response -> spectra pipeline on the
+    fission dimer's first two manifolds; TOTAL is SE + GSB + ESA."""
+    from cavidyn.spectro import (ResponseGrid, first_leg_bank, response_esa,
+                                 response_se_gsb, spectra)
+
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, "run", "--config",
+                        _write(tmp_path, TINY_SPECTRA), "--out", str(out_dir))
+    assert code == cli.EXIT_OK, err
+    # spectra2d runs put the coupling in the rotating-wave form
+    dimers, cavity = (SFDimerSpec(),), CavitySpec()
+    coupling = SFCavityCoupling(rwa=True)
+    labels1, h1 = manifold_hamiltonian(dimers, cavity, coupling, 1)
+    labels2, h2 = manifold_hamiltonian(dimers, cavity, coupling, 2)
+    mu = dipole_up(dimers, manifold_labels(1, 0), labels1)[:, 0]
+    mu_up = dipole_up(dimers, labels1, labels2)
+    grid = ResponseGrid(4, 0.5, (0.0,), 0.01)
+    bank = first_leg_bank(h1, mu, grid, settings=RUN_SETTINGS)
+    responses = {**response_se_gsb(bank, grid, mu),
+                 **response_esa(bank, h2, grid, mu, mu_up, RUN_SETTINGS)}
+    omega = np.linspace(1.9, 2.6, 5)
+    maps = {k: m[0] for k, m in spectra(responses, grid, omega, omega).items()}
+    maps["total"] = maps["se"] + maps["gsb"] + maps["esa"]
+    path = out_dir / "spectrum2d_Tw0.csv"
+    assert path.read_text().splitlines()[0] == (
+        "omega_tau_eV,omega_t_eV,re_se,im_se,re_gsb,im_gsb,re_esa,im_esa,"
+        "re_total,im_total")
+    w_tau, w_t = np.meshgrid(omega, omega, indexing="ij")
+    np.testing.assert_array_equal(_read_csv(path), np.column_stack(
+        [w_tau.ravel(), w_t.ravel()]
+        + [part(maps[k]).ravel() for k in ("se", "gsb", "esa", "total")
+           for part in (np.real, np.imag)]))
 
 
 @pytest.mark.parametrize("text", [

@@ -194,8 +194,8 @@ def test_pumped_observables_and_excitation_number():
     _, h_full = sf_system_bath(dimers, CavitySpec(), SFCavityCoupling(rwa=False))
     st = coherent_init(math.sqrt(2.0), labels, 3, multiplicity=6, noise_seed=3)
     settings = PropagationSettings(rel_tol=1e-8, abs_tol=1e-10)
-    tr_rwa = propagate(h_rwa, st.copy(), np.arange(51.0), settings)
-    tr_full = propagate(h_full, st.copy(), np.arange(51.0), settings)
+    tr_rwa = propagate(h_rwa, st, np.arange(51.0), settings)
+    tr_full = propagate(h_full, st, np.arange(51.0), settings)
 
     obs = sf_observables(tr_full, labels)
     assert obs["p_tt"][0] < 1e-6

@@ -14,9 +14,7 @@ from cavidyn.constants import HBAR_EV_FS
 from cavidyn.dense_ref import DensePropagator
 from cavidyn.models import SystemBathHamiltonian, TCModel, tc_system_bath
 from cavidyn.spectro import (
-    DipoleSet,
     ResponseGrid,
-    Spectrum2D,
     diagonal_peaks,
     first_leg_bank,
     linear_absorption,
@@ -109,13 +107,13 @@ def toy():
     """Engine responses + dense oracle pieces on one shared grid."""
     h1 = monomer_hamiltonian(EPS_E, KAP_E)
     h2 = monomer_hamiltonian(EPS_F, KAP_F)
-    dip = DipoleSet(mu=np.array([MU]), mu_up=np.array([[MU_UP]]))
+    mu, mu_up = np.array([MU]), np.array([[MU_UP]])
     grid = ResponseGrid(8, 2.0, (0.0, 8.0), 0.01)
-    bank = first_leg_bank(h1, dip, grid)
-    rs = response_se_gsb(bank, grid, dip)
-    es = response_esa(bank, h2, grid, dip)
-    return {"h1": h1, "h2": h2, "dip": dip, "grid": grid, "bank": bank,
-            "rs": rs, "es": es,
+    bank = first_leg_bank(h1, mu, grid)
+    rs = response_se_gsb(bank, grid, mu)
+    es = response_esa(bank, h2, grid, mu, mu_up)
+    return {"h1": h1, "h2": h2, "mu": mu, "mu_up": mu_up, "grid": grid,
+            "bank": bank, "rs": rs, "es": es,
             "dense2": dense_ladder(with_upper=False),
             "dense3": dense_ladder(with_upper=True)}
 
@@ -124,11 +122,12 @@ def toy():
 def toy_m2(toy):
     """The toy responses from two configurations per state: any mix-up of
     the bra and ket configuration axes shows only here."""
-    bank = first_leg_bank(toy["h1"], toy["dip"], toy["grid"], multiplicity=2,
+    bank = first_leg_bank(toy["h1"], toy["mu"], toy["grid"], multiplicity=2,
                           noise_seed=1)
     return {**toy, "bank": bank,
-            "rs": response_se_gsb(bank, toy["grid"], toy["dip"]),
-            "es": response_esa(bank, toy["h2"], toy["grid"], toy["dip"])}
+            "rs": response_se_gsb(bank, toy["grid"], toy["mu"]),
+            "es": response_esa(bank, toy["h2"], toy["grid"], toy["mu"],
+                               toy["mu_up"])}
 
 
 @pytest.mark.parametrize("engine", ["toy", "toy_m2"], ids=["M1", "M2"])
@@ -187,8 +186,7 @@ def test_r1_r2_hermitian_pair(toy):
 
 
 def test_dipole_scaling_fourth_power(toy):
-    grid, dip = toy["grid"], toy["dip"]
-    scaled = DipoleSet(2.0 * dip.mu, 2.0 * dip.mu_up)
+    grid, scaled = toy["grid"], 2.0 * toy["mu"]
     bank = first_leg_bank(toy["h1"], scaled, grid)
     rs2 = response_se_gsb(bank, grid, scaled)
     for name in ("R1", "R2", "R3", "R4"):
@@ -196,7 +194,7 @@ def test_dipole_scaling_fourth_power(toy):
 
 
 def test_zero_dipoles_zero_response(toy):
-    dark = DipoleSet(mu=np.array([0.0]))
+    dark = np.array([0.0])
     rs = response_se_gsb(toy["bank"], toy["grid"], dark)
     for name in ("R1", "R2", "R3", "R4"):
         assert np.all(rs[name] == 0)
@@ -205,19 +203,15 @@ def test_zero_dipoles_zero_response(toy):
 
 
 def test_zero_upward_dipoles_zero_esa(toy):
-    dip0 = DipoleSet(mu=np.array([MU]), mu_up=np.array([[0.0]]))
-    es = response_esa(toy["bank"], toy["h2"], toy["grid"], dip0)
+    es = response_esa(toy["bank"], toy["h2"], toy["grid"], toy["mu"],
+                      np.array([[0.0]]))
     assert np.all(es["R1s"] == 0) and np.all(es["R2s"] == 0)
-    with pytest.raises(ValueError, match="mu_up"):
-        response_esa(toy["bank"], toy["h2"], toy["grid"],
-                     DipoleSet(mu=np.array([MU])))
 
 
 def test_zero_hamiltonian_constant_bank():
     h0 = monomer_hamiltonian(0.0, 0.0)
-    dip = DipoleSet(mu=np.array([1.0]))
     grid = ResponseGrid(4, 1.0, (0.0,), 0.01)
-    bank = first_leg_bank(h0, dip, grid)
+    bank = first_leg_bank(h0, np.array([1.0]), grid)
     assert np.max(np.abs(bank.fwd[0].amplitudes - 1.0)) < 1e-9
     assert np.max(np.abs(bank.fwd[0].displacements)) < 1e-9
 
@@ -225,9 +219,8 @@ def test_zero_hamiltonian_constant_bank():
 def test_displaced_oscillator_orbit():
     """Single-surface first leg follows f(t) = (kappa/omega)(e^{-i w t/hbar}-1)."""
     h1 = monomer_hamiltonian(EPS_E, KAP_E)
-    dip = DipoleSet(mu=np.array([1.0]))
     grid = ResponseGrid(6, 2.0, (0.0,), 0.01)
-    bank = first_leg_bank(h1, dip, grid, settings=TIGHT)
+    bank = first_leg_bank(h1, np.array([1.0]), grid, settings=TIGHT)
     times = bank.fwd[0].times
     ref = (KAP_E / OMEGA) * (np.exp(-1j * OMEGA * times / HBAR_EV_FS) - 1.0)
     assert np.max(np.abs(bank.fwd[0].displacements[:, 0, 0] - ref)) < 1e-7
@@ -266,7 +259,7 @@ def test_backward_branch_equals_exact_negative_time_propagation(
     non-Hermitian one integrates one conjugated leg per bright label."""
     model = TCModel(3, 1.0, 1.02, 0.1, kappa=kappa, gamma=kappa / 5)
     h1 = tc_system_bath(model)
-    dip = DipoleSet(mu=np.array([1.0, 0.5, 0.0, 0.0]))
+    mu = np.array([1.0, 0.5, 0.0, 0.0])
     grid = ResponseGrid(6, 2.0, (4.0,), 0.01)
     calls = {"n": 0}
     real = spectro.propagate
@@ -276,7 +269,7 @@ def test_backward_branch_equals_exact_negative_time_propagation(
         return real(*a, **kw)
 
     monkeypatch.setattr(spectro, "propagate", counting)
-    bank = first_leg_bank(h1, dip, grid, settings=TIGHT)
+    bank = first_leg_bank(h1, mu, grid, settings=TIGHT)
     assert calls["n"] == legs
     exact = DensePropagator(model.matrix(), hermitian=kappa == 0)
     t = grid.times_fs
@@ -301,7 +294,7 @@ def test_complex_start_on_a_real_hamiltonian_integrates_the_conjugated_leg(
         return real(*a, **kw)
 
     monkeypatch.setattr(spectro, "propagate", counting)
-    bank = first_leg_bank(toy["h1"], toy["dip"], grid, 2, 1)
+    bank = first_leg_bank(toy["h1"], toy["mu"], grid, 2, 1)
     assert calls["n"] == 2
     start = init_state(toy["h1"].n_sys, toy["h1"].n_modes, 0, multiplicity=2,
                        noise_seed=1)
@@ -318,56 +311,60 @@ def test_complex_start_on_a_real_hamiltonian_integrates_the_conjugated_leg(
 
 
 def test_spectra_total_identity(toy):
-    """TOTAL = SE + GSB + ESA exactly; windows inside the grid's Nyquist."""
+    """One complex (T_w, omega_tau, omega_t) map per pathway, from all six
+    response functions: windows inside the grid's Nyquist."""
     grid = toy["grid"]
-    w = np.linspace(0.2, 1.0, 21)
-    maps = spectra({**toy["rs"], **toy["es"]}, grid, w, w)
-    assert len(maps) == 2
-    for m in maps:
-        assert isinstance(m, Spectrum2D)
-        assert np.array_equal(m.total, m.se + m.gsb + m.esa)
-    missing = spectra(toy["rs"], grid, w, w)
-    assert np.all(missing[0].esa == 0)
+    w_tau, w_t = np.linspace(0.2, 1.0, 21), np.linspace(0.3, 1.0, 15)
+    maps = spectra({**toy["rs"], **toy["es"]}, grid, w_tau, w_t)
+    assert sorted(maps) == ["esa", "gsb", "se"]
+    for m in maps.values():
+        assert m.shape == (2, 21, 15) and m.dtype == complex
+    with pytest.raises(KeyError):
+        spectra(toy["rs"], grid, w_tau, w_t)
 
 
 @pytest.fixture(scope="module")
 def spec_toy():
-    """Finely sampled (dt = 0.5 fs) monomer maps for spectral-domain checks."""
+    """Finely sampled (dt = 0.5 fs) monomer maps for spectral-domain checks:
+    the T_w = 0 slices beside the omega axes they were transformed to."""
     h1 = monomer_hamiltonian(EPS_E, KAP_E)
     h2 = monomer_hamiltonian(EPS_F, KAP_F)
-    dip = DipoleSet(mu=np.array([MU]), mu_up=np.array([[MU_UP]]))
+    mu, mu_up = np.array([MU]), np.array([[MU_UP]])
     grid = ResponseGrid(40, 0.5, (0.0,), 0.02)
-    bank = first_leg_bank(h1, dip, grid)
-    rs = response_se_gsb(bank, grid, dip)
-    es = response_esa(bank, h2, grid, dip)
+    bank = first_leg_bank(h1, mu, grid)
+    rs = response_se_gsb(bank, grid, mu)
+    es = response_esa(bank, h2, grid, mu, mu_up)
     w_tau = np.linspace(1.6, 2.4, 81)
     w_t = np.linspace(1.6, 2.6, 101)
-    return spectra({**rs, **es}, grid, w_tau, w_t)[0]
+    maps = spectra({**rs, **es}, grid, w_tau, w_t)
+    return {"omega_tau": w_tau, "omega_t": w_t,
+            **{k: m[0] for k, m in maps.items()}}
 
 
 def test_se_gsb_diagonal_peaks_coincide(spec_toy):
     """Monomer 0-0 line: SE and GSB share their dominant diagonal peak."""
     m = spec_toy
-    peak_se = diagonal_peaks(m.se, m.omega_tau, m.omega_t, n_peaks=1, band=0.06)
-    peak_gsb = diagonal_peaks(m.gsb, m.omega_tau, m.omega_t, n_peaks=1, band=0.06)
-    step = m.omega_tau[1] - m.omega_tau[0]
+    axes = m["omega_tau"], m["omega_t"]
+    peak_se = diagonal_peaks(m["se"], *axes, n_peaks=1, band=0.06)
+    peak_gsb = diagonal_peaks(m["gsb"], *axes, n_peaks=1, band=0.06)
+    step = m["omega_tau"][1] - m["omega_tau"][0]
     assert abs(peak_se[0][0] - peak_gsb[0][0]) <= step + 1e-12
     # 0-0 line sits at eps_e - kappa^2/omega, inside the window resolution
     assert abs(peak_se[0][0] - (EPS_E - KAP_E ** 2 / OMEGA)) < 0.12
 
 
 def test_esa_sign_at_dominant_pixels(spec_toy):
-    flat = np.abs(spec_toy.esa.real).ravel()
-    top = np.argsort(flat)[-10:]
-    assert np.all(spec_toy.esa.real.ravel()[top] <= 0)
+    esa = spec_toy["esa"].real.ravel()
+    top = np.argsort(np.abs(esa))[-10:]
+    assert np.all(esa[top] <= 0)
 
 
 def test_esa_map_peak_position(spec_toy):
     """ESA intensity concentrates near (w_tau ~ e gap, w_t ~ f-e gap)."""
     m = spec_toy
-    i, j = np.unravel_index(np.argmax(np.abs(m.esa)), m.esa.shape)
-    assert abs(m.omega_tau[i] - EPS_E) < 0.2     # short window, coarse lines
-    assert abs(m.omega_t[j] - (EPS_F - EPS_E)) < 0.2
+    i, j = np.unravel_index(np.argmax(np.abs(m["esa"])), m["esa"].shape)
+    assert abs(m["omega_tau"][i] - EPS_E) < 0.2  # short window, coarse lines
+    assert abs(m["omega_t"][j] - (EPS_F - EPS_E)) < 0.2
 
 
 def test_nyquist_guard(toy):
@@ -380,14 +377,13 @@ def test_nyquist_guard(toy):
 def test_linear_absorption_lorentzian_peak():
     """kappa = 0 monomer: F peaks at eps_e with height mu^2/(pi gamma')."""
     h1 = monomer_hamiltonian(EPS_E, 0.0)
-    dip = DipoleSet(mu=np.array([1.5]))
     w = np.linspace(1.9, 2.1, 201)
-    f = linear_absorption(h1, dip, w, np.arange(4001) * 0.1, gamma_prime=0.01)
+    f = linear_absorption(h1, np.array([1.5]), w, np.arange(4001) * 0.1,
+                          gamma_prime=0.01)
     assert abs(w[np.argmax(f)] - EPS_E) < 1.1e-3
     height = 1.5 ** 2 / (np.pi * 0.01)
     assert abs(f.max() - height) / height < 0.05
-    dark = linear_absorption(h1, DipoleSet(mu=np.array([0.0])), w,
-                             np.arange(11.0))
+    dark = linear_absorption(h1, np.array([0.0]), w, np.arange(11.0))
     assert np.all(dark == 0)
 
 

@@ -138,7 +138,8 @@ def test_pruned_tilde_modes_are_inert(monkeypatch):
     s2 = init_state(3, d_full.n_modes, 0, multiplicity=1)
     t1 = propagate(d_pruned, s1, np.arange(101.0), TIGHT)
     t2 = propagate(d_full, s2, np.arange(101.0), TIGHT)
-    dev = np.max(np.abs(t1.photon_population() - t2.photon_population()))
+    dev = np.max(np.abs(t1.system_populations()[:, 0]
+                        - t2.system_populations()[:, 0]))
     assert dev <= 1e-6
 
 
@@ -172,7 +173,7 @@ def test_finite_temperature_against_dense_thermal_average():
     d = thermal_htc(htc, t_k)
     st = init_state(d.n_sys, d.n_modes, 0, multiplicity=10, noise_seed=3)
     tr = propagate(d, st, times)
-    assert np.max(np.abs(tr.photon_population() - ref)) <= 1e-2
+    assert np.max(np.abs(tr.system_populations()[:, 0] - ref)) <= 1e-2
 
 
 def test_thermal_autocorrelation_equals_dense_thermal_average():
@@ -217,7 +218,8 @@ def test_low_temperature_matches_zero_temperature():
     tr_cold = propagate(d, st, np.arange(201.0))
     s0 = init_state(3, 2, 0, multiplicity=8, noise_seed=2)
     tr_zero = propagate(htc_system_bath(htc), s0, np.arange(201.0))
-    dev = np.max(np.abs(tr_cold.photon_population() - tr_zero.photon_population()))
+    dev = np.max(np.abs(tr_cold.system_populations()[:, 0]
+                        - tr_zero.system_populations()[:, 0]))
     assert dev <= 5e-3
 
 
@@ -243,7 +245,7 @@ def test_temperature_coupling_interchangeability_trend():
         m = HTCModel(tc=tc, lam=lam, phonon_base=base, phonon_bandwidth=0.0)
         d = thermal_htc(m, t_k)
         st = init_state(d.n_sys, d.n_modes, 0, multiplicity=8, noise_seed=5)
-        return propagate(d, st, np.arange(101.0)).photon_population()
+        return propagate(d, st, np.arange(101.0)).system_populations()[:, 0]
 
     ref = curve(2.0, 300.0)
     for lam_b in (2.2, 1.8):

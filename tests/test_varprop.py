@@ -423,7 +423,7 @@ def test_resonant_rabi_photon_population():
     s = init_state(6, 0, 0, multiplicity=1)
     traj = propagate(hs, s, np.arange(121) * 0.5, PropagationSettings(1e-9, 1e-11))
     ref = np.cos(0.1 * traj.times / HBAR_EV_FS) ** 2
-    assert np.abs(traj.photon_population() - ref).max() < 1e-6
+    assert np.abs(traj.system_populations()[:, 0] - ref).max() < 1e-6
 
 
 def test_htc_zero_coupling_reduces_to_tc():
@@ -433,7 +433,8 @@ def test_htc_zero_coupling_reduces_to_tc():
     traj = propagate(htc_system_bath(htc), s, np.arange(81.0), TIGHT)
     s2 = init_state(4, 0, 0, multiplicity=1)
     traj2 = propagate(tc_system_bath(tc), s2, np.arange(81.0), TIGHT)
-    assert np.abs(traj.photon_population() - traj2.photon_population()).max() < 1e-8
+    assert np.abs(traj.system_populations()[:, 0]
+                  - traj2.system_populations()[:, 0]).max() < 1e-8
     assert np.abs(traj.mode_occupations()).max() < 1e-12
 
 
@@ -483,7 +484,7 @@ def test_seed_robustness_of_observables():
     for seed in (0, 1):
         s = init_state(5, 4, 0, multiplicity=8, noise_seed=seed)
         traj = propagate(hs, s, np.arange(81.0))
-        curves.append(traj.photon_population())
+        curves.append(traj.system_populations()[:, 0])
         assert np.abs(curves[-1] - exact_pph).max() <= 2e-2
     assert np.abs(curves[0] - curves[1]).max() <= 1e-3
 
@@ -498,7 +499,7 @@ def test_htc_brute_force_equivalence_short():
     dense_pph = fock.system_populations(fock.trajectory(hs, psi0, times))[:, 0]
     s = init_state(3, 2, 0, multiplicity=8, noise_seed=1)
     traj = propagate(hs, s, np.arange(121) * 0.5)
-    assert np.abs(traj.photon_population() - dense_pph).max() <= 1e-3
+    assert np.abs(traj.system_populations()[:, 0] - dense_pph).max() <= 1e-3
 
 
 @pytest.mark.parametrize("n, lam, kappa, cutoff, f0, times, bound, norm_max", [
@@ -600,7 +601,7 @@ def test_trajectory_observables_equal_per_snapshot_calls():
     assert np.abs(occ).max() > 1e-4   # the modes are displaced
     for i in range(len(traj.times)):
         a, f = traj.amplitudes[i], traj.displacements[i]
-        snap = traj.state_at(i)
+        snap = MultiD2State(a, f)
         assert np.abs(pops[i] - system_populations(a, f)).max() < 1e-12
         assert np.abs(occ[i] - mode_occupations(a, f)).max() < 1e-12
         assert abs(norms[i] - snap.norm()) < 1e-12
